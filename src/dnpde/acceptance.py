@@ -44,7 +44,7 @@ class CriterionResult:
 # 0. standing assumptions of the configured model
 # ---------------------------------------------------------------------------
 
-def criterion_model(workdir=None, jobs=1, rc=None):
+def criterion_model(workdir=None, rc=None):
     """Validate the configured potentials and the declared HS noise bound."""
     from dnpde import config as configmod
 
@@ -112,7 +112,7 @@ def criterion_model(workdir=None, jobs=1, rc=None):
 # 1. convex-calculus oracle equivalence
 # ---------------------------------------------------------------------------
 
-def criterion_convex_oracle(workdir=None, jobs=1, rc=None):
+def criterion_convex_oracle(workdir=None, rc=None):
     rng = np.random.default_rng(11)
     graphs = [
         PowerPotential(2.0),
@@ -166,7 +166,7 @@ def criterion_convex_oracle(workdir=None, jobs=1, rc=None):
 # 2. Fenchel-Young suite
 # ---------------------------------------------------------------------------
 
-def criterion_fenchel(workdir=None, jobs=1, rc=None):
+def criterion_fenchel(workdir=None, rc=None):
     rng = np.random.default_rng(23)
     cases = [
         (PowerPotential(2.0), 5.0),
@@ -216,7 +216,7 @@ def criterion_fenchel(workdir=None, jobs=1, rc=None):
 # 3. discrete duality
 # ---------------------------------------------------------------------------
 
-def criterion_duality(workdir=None, jobs=1, rc=None):
+def criterion_duality(workdir=None, rc=None):
     rng = np.random.default_rng(31)
     worst_adj = 0.0
     worst_stencil = 0.0
@@ -258,7 +258,7 @@ def criterion_duality(workdir=None, jobs=1, rc=None):
 # 4. exact linear SPDE moments
 # ---------------------------------------------------------------------------
 
-def criterion_ou_moment(workdir=None, jobs=1, rc=None):
+def criterion_ou_moment(workdir=None, rc=None):
     grid = DirichletGrid((1.0,), (32,))
     model = NoiseModel((0.5,), AdditiveGain(), 0.5)
     lam = 1.0
@@ -272,7 +272,7 @@ def criterion_ou_moment(workdir=None, jobs=1, rc=None):
             grid, PowerPotential(2.0), None, model,
             lambda_yosida=lam, dt=dt, horizon=1.0, lambda_visc=0.0,
         )
-        res = solvermod.run_ensemble(cfg, u0, master_seed=777, n_paths=200, jobs=jobs)
+        res = solvermod.run_ensemble(cfg, u0, master_seed=777, n_paths=200)
         term = res.ledgers["norm_u_sq"][-1]
         mean = float(term.mean())
         se = float(term.std(ddof=1) / math.sqrt(term.size))
@@ -288,7 +288,7 @@ def criterion_ou_moment(workdir=None, jobs=1, rc=None):
 # 5. energy identity
 # ---------------------------------------------------------------------------
 
-def criterion_energy(workdir=None, jobs=1, rc=None):
+def criterion_energy(workdir=None, rc=None):
     # deterministic per-step inequality
     grid = DirichletGrid((1.0,), (32,))
     cfg = SolverConfig(
@@ -314,8 +314,7 @@ def criterion_energy(workdir=None, jobs=1, rc=None):
             lambda_yosida=0.2, dt=dt, horizon=1.0, lambda_visc=0.0,
         )
         res = solvermod.run_ensemble(
-            cfg, np.zeros(grid.shape), master_seed=5150, n_paths=200,
-            jobs=jobs, fine_dt=1 / 128,
+            cfg, np.zeros(grid.shape), master_seed=5150, n_paths=200, fine_dt=1 / 128,
         )
         er = res.energy_residuals()
         mean = float(np.mean(er))
@@ -339,7 +338,7 @@ def criterion_energy(workdir=None, jobs=1, rc=None):
 # 6. a-priori ledger bounds uniform in the regularization
 # ---------------------------------------------------------------------------
 
-def criterion_apriori(workdir=None, jobs=1, rc=None):
+def criterion_apriori(workdir=None, rc=None):
     grid = DirichletGrid((1.0,), (32,))
     model = NoiseModel((0.1, 0.05), AdditiveGain(), 0.2)
     base = SolverConfig(
@@ -375,7 +374,7 @@ def criterion_apriori(workdir=None, jobs=1, rc=None):
 # 7. Cauchy in lambda along a coupled path
 # ---------------------------------------------------------------------------
 
-def criterion_cauchy(workdir=None, jobs=1, rc=None):
+def criterion_cauchy(workdir=None, rc=None):
     grid = DirichletGrid((1.0,), (32,))
     lambdas = [2.0**-k for k in range(2, 8)]
     assertions = []
@@ -407,7 +406,7 @@ def criterion_cauchy(workdir=None, jobs=1, rc=None):
 # 8. Lipschitz solution map
 # ---------------------------------------------------------------------------
 
-def criterion_lipschitz(workdir=None, jobs=1, rc=None):
+def criterion_lipschitz(workdir=None, rc=None):
     grid = DirichletGrid((1.0,), (32,))
     assertions = []
 
@@ -449,7 +448,7 @@ def criterion_lipschitz(workdir=None, jobs=1, rc=None):
 # 9. uniqueness of the combination -div(eta) + xi
 # ---------------------------------------------------------------------------
 
-def criterion_phi_unique(workdir=None, jobs=1, rc=None):
+def criterion_phi_unique(workdir=None, rc=None):
     grid = DirichletGrid((1.0,), (16,))
     model = NoiseModel((0.3, 0.15), AdditiveGain(), 0.4)
     xs = gridmod.node_coordinates(grid)[0]
@@ -539,7 +538,7 @@ def _tree_bytes(root):
     return out
 
 
-def criterion_repro(workdir=None, jobs=1, rc=None):
+def criterion_repro(workdir=None, rc=None):
     import contextlib
     import io
 
@@ -625,9 +624,9 @@ def resolve_selection(tokens):
     return seen
 
 
-def run_criteria(ids, workdir=None, jobs=1, rc=None):
+def run_criteria(ids, workdir=None, rc=None):
     results = []
     for cid in ids:
         name, fn = CRITERIA[cid]
-        results.append(fn(workdir=workdir, jobs=jobs, rc=rc))
+        results.append(fn(workdir=workdir, rc=rc))
     return results

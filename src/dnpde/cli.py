@@ -63,7 +63,7 @@ def _out_paths(rc, out_dir):
     return out, prefix
 
 
-def cmd_run(config_path, seed_override=None, out_dir=None, jobs=1):
+def cmd_run(config_path, seed_override=None, out_dir=None):
     """Run one simulation; write the trajectory CSV and a run summary."""
     rc = configmod.load_config(config_path)
     cfg, u0 = configmod.build_problem(rc)
@@ -188,7 +188,7 @@ def _cauchy_prev(prev, cur):
     return float(d.max())
 
 
-def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None, jobs=1):
+def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
     """Sweep one parameter; one report row per value, coupled noise path."""
     rc = configmod.load_config(config_path)
     if param not in SWEEP_KEYS:
@@ -252,7 +252,7 @@ def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None, jobs
     return 0
 
 
-def cmd_verify(config_path, select=None, out_dir=None, jobs=1):
+def cmd_verify(config_path, select=None, out_dir=None):
     """Run the configured acceptance families; exit 0 iff every one passes."""
     from dnpde import acceptance
 
@@ -266,7 +266,7 @@ def cmd_verify(config_path, select=None, out_dir=None, jobs=1):
         raise ConfigError("empty criterion selection")
     out, prefix = _out_paths(rc, out_dir)
     workdir = os.path.join(out, f"{prefix}_verify_work")
-    results = acceptance.run_criteria(ids, workdir=workdir, jobs=jobs, rc=rc)
+    results = acceptance.run_criteria(ids, workdir=workdir, rc=rc)
 
     rows = []
     for res in results:
@@ -306,7 +306,6 @@ def _build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="master seed override")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--jobs", type=int, default=1, help="path parallelism")
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over a value list")
     p_sweep.add_argument("config")
@@ -316,7 +315,6 @@ def _build_parser():
     )
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run the acceptance criterion suite")
     p_verify.add_argument("config")
@@ -324,7 +322,6 @@ def _build_parser():
         "--select", default=None, help="comma-separated criterion ids/names"
     )
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -332,17 +329,17 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.seed, args.out, args.jobs)
+            return cmd_run(args.config, args.seed, args.out)
         if args.command == "sweep":
             values = [float(tok) for tok in args.values.split(",") if tok.strip()]
             if not values:
                 raise ConfigError("empty sweep value list")
-            return cmd_sweep(args.config, args.param, values, args.seed, args.out, args.jobs)
+            return cmd_sweep(args.config, args.param, values, args.seed, args.out)
         if args.command == "verify":
             select = (
                 [tok for tok in args.select.split(",")] if args.select else None
             )
-            return cmd_verify(args.config, select, args.out, args.jobs)
+            return cmd_verify(args.config, select, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

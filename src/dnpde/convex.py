@@ -27,15 +27,12 @@ __all__ = [
     "SampledSlopePotential",
     "RadialPotential",
     "SeparablePotential",
-    "MonotoneGraph",
     "RootFindError",
     "ConjugateSearchError",
-    "make_potential",
     "eval_potential",
     "resolvent",
     "yosida",
     "moreau_envelope",
-    "minimal_section",
     "conjugate",
     "fenchel_residual",
     "validate_potential",
@@ -458,59 +455,9 @@ class SeparablePotential(Potential):
         return sum(p.closed_conjugate(y[..., i]) for i, p in enumerate(self.profiles))
 
 
-_CATALOG = {
-    "power": PowerPotential,
-    "abs": AbsPotential,
-    "huber": HuberPotential,
-    "expcosh": ExpCoshPotential,
-    "piecewise": SampledSlopePotential,
-}
-
-
-def make_potential(kind, **params):
-    """Build a catalog potential from its config name and parameters.
-
-    ``kind='sampled'`` loads a two-column ``(x, P(x))`` text file given by
-    ``path=...``; the other kinds forward their keyword parameters.
-    """
-    if kind == "sampled":
-        return SampledSlopePotential.from_file(params["path"])
-    try:
-        cls = _CATALOG[kind]
-    except KeyError:
-        raise ValueError(f"unknown potential kind {kind!r}") from None
-    return cls(**params)
-
-
 # ---------------------------------------------------------------------------
-# graphs and the resolvent machinery
+# the resolvent machinery
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonotoneGraph:
-    """Subdifferential graph of a potential.
-
-    The graph is exposed through its resolvent and Yosida map only; the
-    canonical selection at multivalued points is the Yosida value at a small
-    regularization, which converges to the minimal-norm element.
-    """
-
-    potential: Potential
-    selection_hint: str = "minimal-norm"
-
-    def resolvent(self, lam, x, **kw):
-        return resolvent(self, lam, x, **kw)
-
-    def yosida(self, lam, x, **kw):
-        return yosida(self, lam, x, **kw)
-
-    def selection(self, x, lam=1e-8):
-        return yosida(self, lam, x)
-
-
-def _potential_of(obj):
-    return obj.potential if isinstance(obj, MonotoneGraph) else obj
-
 
 def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
     """Solve ``r + lam*g(r) = x`` for each entry by safeguarded bisection.
@@ -552,7 +499,7 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
     return 0.5 * (lo + hi)
 
 
-def resolvent(graph, lam, x, *, force_bisect=False):
+def resolvent(pot, lam, x, *, force_bisect=False):
     """Resolvent ``J_lam(x)``: the unique ``r`` with ``r + lam*dP(r) ∋ x``.
 
     Closed forms are used when the catalog provides them unless
@@ -561,7 +508,6 @@ def resolvent(graph, lam, x, *, force_bisect=False):
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    pot = _potential_of(graph)
     xa = _as_float_array(x)
 
     if isinstance(pot, RadialPotential):
@@ -587,17 +533,11 @@ def resolvent(graph, lam, x, *, force_bisect=False):
     return _match(x, _bisect_scalar_graph(pot, lam, xa))
 
 
-def yosida(graph, lam, x, **kw):
+def yosida(pot, lam, x, **kw):
     """Yosida map ``G_lam(x) = (x - J_lam(x)) / lam``: monotone, (1/lam)-Lipschitz."""
     xa = _as_float_array(x)
-    j = resolvent(graph, lam, xa, **kw)
+    j = resolvent(pot, lam, xa, **kw)
     return _match(x, (xa - j) / lam)
-
-
-def minimal_section(graph, x):
-    """Minimal-norm element of the graph at ``x`` (catalog closed form)."""
-    pot = _potential_of(graph)
-    return _match(x, np.asarray(pot.minimal_slope(_as_float_array(x))))
 
 
 def _sq_dist(pot, x, j):
@@ -607,13 +547,12 @@ def _sq_dist(pot, x, j):
     return d * d
 
 
-def moreau_envelope(potential, lam, x, **kw):
+def moreau_envelope(pot, lam, x, **kw):
     """Moreau envelope ``P_lam(x) = min_r P(r) + |x-r|^2/(2 lam)``.
 
     Evaluated through the resolvent: ``P(J_lam x) + |x - J_lam x|^2/(2 lam)``.
     Its gradient is the Yosida map of the subdifferential.
     """
-    pot = _potential_of(potential)
     xa = _as_float_array(x)
     j = resolvent(pot, lam, xa, **kw)
     return _match(x, pot.value(j) + _sq_dist(pot, xa, j) / (2.0 * lam))
@@ -666,14 +605,13 @@ def _ray_conjugate_scalar(pot, y, decades=(-10.0, 16.0), per_decade=4, refine_it
     return max(0.0, f(t))
 
 
-def conjugate(potential, y):
+def conjugate(pot, y):
     """Fenchel conjugate ``P*(y) = sup_x <x,y> - P(x)``.
 
     Closed form for catalog kinds; otherwise an adaptive ray search whose
     termination is guaranteed by superlinearity.  Returns ``inf`` when the
     supremum diverges (possible for linear-growth scalar potentials).
     """
-    pot = _potential_of(potential)
     ya = _as_float_array(y, "y")
     if pot.closed_conjugate_available:
         return _match(y, np.asarray(pot.closed_conjugate(ya)))
@@ -695,21 +633,19 @@ def conjugate(potential, y):
     return _match(y, out.reshape(ya.shape))
 
 
-def eval_potential(potential, x):
+def eval_potential(pot, x):
     """Evaluate ``P(x)`` with input validation."""
-    pot = _potential_of(potential)
     xa = _as_float_array(x)
     if pot.is_vector and xa.shape[-1:] != (pot.dim,):
         raise ValueError(f"dimension mismatch: expected last axis {pot.dim}, got shape {xa.shape}")
     return _match(x, np.asarray(pot.value(xa)))
 
 
-def fenchel_residual(potential, x, y):
+def fenchel_residual(pot, x, y):
     """Fenchel-Young residual ``P(x) + P*(y) - <x, y>`` (always >= 0).
 
     Vanishes exactly when ``y`` is a subgradient of ``P`` at ``x``.
     """
-    pot = _potential_of(potential)
     xa = _as_float_array(x)
     ya = _as_float_array(y, "y")
     star = np.asarray(conjugate(pot, ya))
@@ -762,7 +698,7 @@ def _probe_points(pot, probe_radius, sample_count, rng):
     return probe_radius * (2.0 * rng.random(sample_count) - 1.0)
 
 
-def validate_potential(potential, probe_radius, sample_count, seed=20260809):
+def validate_potential(pot, probe_radius, sample_count, seed=20260809):
     """Finite sampling probe of the standing assumptions on a potential.
 
     Checks: exact zero at the origin, nonnegativity, convexity on sampled
@@ -770,7 +706,6 @@ def validate_potential(potential, probe_radius, sample_count, seed=20260809):
     potentials only) and the symmetry ratio against ``symmetry_bound``.
     Failures are report entries, never exceptions.
     """
-    pot = _potential_of(potential)
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
     if sample_count < 8:

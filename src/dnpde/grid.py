@@ -12,6 +12,7 @@ All array operations accept trailing batch axes after the grid axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,12 +21,6 @@ import numpy as np
 __all__ = [
     "DirichletGrid",
     "GridField",
-    "FluxField",
-    "SpectralBounds",
-    "spectral_bounds",
-    "gradient",
-    "divergence",
-    "laplacian",
     "grad_arrays",
     "div_arrays",
     "lap_arrays",
@@ -111,25 +106,6 @@ class GridField:
         return norm_h(self.grid, self.values)
 
 
-@dataclass(frozen=True)
-class FluxField:
-    """One normal component per face, per axis (staggered layout)."""
-
-    grid: DirichletGrid
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(np.asarray(c, dtype=float) for c in self.components)
-        expected = self.grid.face_shapes()
-        if len(comps) != self.grid.dim or any(
-            c.shape != s for c, s in zip(comps, expected)
-        ):
-            raise ValueError("flux component shapes do not match the grid face layout")
-        if any(not np.all(np.isfinite(c)) for c in comps):
-            raise ValueError("non-finite flux values")
-        object.__setattr__(self, "components", comps)
-
-
 # ---------------------------------------------------------------------------
 # raw array operators (grid axes first, arbitrary trailing batch axes)
 # ---------------------------------------------------------------------------
@@ -162,22 +138,6 @@ def lap_arrays(grid, u):
     return div_arrays(grid, grad_arrays(grid, u))
 
 
-def gradient(grid, field: GridField) -> FluxField:
-    if field.grid != grid:
-        raise ValueError("field does not live on this grid")
-    return FluxField(grid, tuple(grad_arrays(grid, field.values)))
-
-
-def divergence(grid, flux: FluxField) -> GridField:
-    if flux.grid != grid:
-        raise ValueError("flux does not live on this grid")
-    return GridField(grid, div_arrays(grid, flux.components))
-
-
-def laplacian(grid, field: GridField) -> GridField:
-    return GridField(grid, lap_arrays(grid, field.values))
-
-
 def _grid_sum(grid, a):
     return np.sum(a, axis=tuple(range(grid.dim)))
 
@@ -192,10 +152,9 @@ def norm_h(grid, a):
 
 
 def flux_dot_h(grid, f, g):
-    comps_f = f.components if isinstance(f, FluxField) else f
-    comps_g = g.components if isinstance(g, FluxField) else g
+    """h-weighted inner product of face arrays, one per axis (batch axes preserved)."""
     return grid.node_volume * sum(
-        _grid_sum(grid, cf * cg) for cf, cg in zip(comps_f, comps_g)
+        _grid_sum(grid, cf * cg) for cf, cg in zip(f, g)
     )
 
 
@@ -241,15 +200,15 @@ def sine_mode(grid, k):
     return np.multiply.outer(axes[0], axes[1])
 
 
-_EIG_CACHE: dict = {}
+EIG_CACHE_SIZE = 32   # (grid, K) entries kept by sine_eigenpairs
 
 
+@functools.lru_cache(maxsize=EIG_CACHE_SIZE)
 def sine_eigenpairs(grid, K):
-    """First K eigenpairs sorted by eigenvalue: ``(alphas (K,), modes (K, *nodes))``."""
-    key = (grid, int(K))
-    hit = _EIG_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """First K eigenpairs sorted by eigenvalue: ``(alphas (K,), modes (K, *nodes))``.
+
+    Results are cached per ``(grid, K)``; callers must not modify the arrays.
+    """
     if grid.dim == 1:
         indices = [(k,) for k in range(1, grid.nodes[0] + 1)]
     else:
@@ -264,7 +223,6 @@ def sine_eigenpairs(grid, K):
     chosen = indices[:K]
     alphas = np.array([sine_eigenvalue(grid, ks) for ks in chosen])
     modes = np.stack([sine_mode(grid, ks if grid.dim > 1 else ks[0]) for ks in chosen])
-    _EIG_CACHE[key] = (alphas, modes)
     return alphas, modes
 
 
@@ -286,21 +244,6 @@ def power_iteration_lambda_max(grid, iters=2000, seed=7):
         lam = dot_h(grid, v, w)
         v = w / norm_h(grid, w)
     return float(lam)
-
-
-@dataclass(frozen=True)
-class SpectralBounds:
-    """Operator-norm metadata: top eigenvalue plus leading eigenpairs."""
-
-    lambda_max: float
-    alphas: np.ndarray
-    modes: np.ndarray
-
-
-def spectral_bounds(grid, K=None):
-    K = K if K is not None else min(16, math.prod(grid.nodes))
-    alphas, modes = sine_eigenpairs(grid, K)
-    return SpectralBounds(lambda_max(grid), alphas, modes)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,14 @@ the (possibly multivalued) graph of the problem.
 
 A cheaper semi-implicit variant treats the monotone terms explicitly under a
 stability restriction and shares the same limit as dt and the regularization
-vanish.  The batched entry points integrate many independent noise paths at
-once (fixed chunk size, so results never depend on worker count).
+vanish.  Single paths and batches of independent noise paths run through one
+stepping loop; ensembles are integrated in fixed 64-path chunks, one after
+the other.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,7 @@ __all__ = [
     "LEDGER_COLUMNS",
 ]
 
-ENSEMBLE_CHUNK = 64   # fixed path-chunk size: results independent of worker count
+ENSEMBLE_CHUNK = 64   # fixed path-chunk size of run_ensemble
 
 LEDGER_COLUMNS = (
     "norm_u_sq",
@@ -182,35 +182,46 @@ def _grad_objective(pb, v, forcing):
     return out
 
 
+def _inner_failure(cfg, gn, what):
+    """InnerSolveError naming the worst path when the arrays carry a path axis."""
+    path = f" on path {int(np.argmax(gn))}" if np.ndim(gn) else ""
+    return InnerSolveError(
+        f"inner optimizer {what}{path}: "
+        f"gradient norm {float(np.max(gn)):.3e} > {cfg.eps_inner:.1e}"
+    )
+
+
 def _implicit_step_arrays(pb, u, forcing):
     """Accelerated gradient descent to the certified gradient-norm tolerance."""
     cfg = pb.cfg
     x = u
     y = u
-    for _ in range(cfg.max_inner):
+    for it in range(1, cfg.max_inner + 1):
         g = _grad_objective(pb, y, forcing)
         gn = gridmod.norm_h(cfg.grid, g)
         if not np.all(np.isfinite(gn)):
-            raise InnerSolveError("non-finite iterate in the inner optimizer")
+            raise _inner_failure(cfg, gn, f"hit a non-finite iterate at iteration {it}")
         if np.max(gn) <= cfg.eps_inner:
             return y
         x_new = y - g / pb.lip
         y = x_new + pb.momentum * (x_new - x)
         x = x_new
-    raise InnerSolveError(
-        f"inner optimizer exceeded {cfg.max_inner} iterations "
-        f"(gradient norm {float(np.max(gn)):.3e} > {cfg.eps_inner:.1e})"
-    )
+    raise _inner_failure(cfg, gn, f"exceeded {cfg.max_inner} iterations")
 
 
-def _semi_implicit_step_arrays(pb, u, forcing):
-    cfg = pb.cfg
+def _check_stability(cfg, step_index=None):
     bound = cfg.stability_bound()
     if bound > 1.0:
         raise StabilityError(
             "semi-implicit stability violated: "
-            f"dt*(lambda_max + 1)/lambda_yosida = {bound:.6g} > 1"
+            f"dt*(lambda_max + 1)/lambda_yosida = {bound:.6g} > 1",
+            step_index,
         )
+
+
+def _semi_implicit_step_arrays(pb, u, forcing):
+    """One semi-implicit step; the caller has checked the stability bound."""
+    cfg = pb.cfg
     rhs = forcing
     if pb.gamma_yos is not None:
         g = gridmod.grad_arrays(cfg.grid, u)
@@ -235,12 +246,116 @@ def implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
 
 def semi_implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
     """One semi-implicit step: monotone terms explicit, viscosity implicit."""
+    _check_stability(cfg)
     pb = _Problem.build(cfg)
     return GridField(cfg.grid, _semi_implicit_step_arrays(pb, u_n.values, forcing.values))
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# the stepping loop and its energy ledger
+# ---------------------------------------------------------------------------
+
+def _ledger_row(cfg, pb, u, noise_field):
+    """Ledger scalars of one record (per path), with eta and xi at ``u``.
+
+    ``eta`` is None without a flux graph and ``xi`` None without an
+    absorption graph; their pairings are then zero.
+    """
+    g = cfg.grid
+    zero = np.zeros(u.shape[g.dim:])
+    eta = xi = None
+    pair_eta = pair_xi = zero
+    if pb.gamma_yos is not None:
+        faces = gridmod.grad_arrays(g, u)
+        eta = tuple(pb.gamma_yos(ga) for ga in faces)
+        pair_eta = gridmod.flux_dot_h(g, eta, faces)
+    if pb.beta_yos is not None:
+        xi = pb.beta_yos(u)
+        pair_xi = gridmod.dot_h(g, xi, u)
+    row = {
+        "norm_u_sq": gridmod.dot_h(g, u, u),
+        "pairing_eta_gradu": pair_eta,
+        "pairing_xi_u": pair_xi,
+        "hs_sq": zero if cfg.noise is None else noisemod.hs_norm(cfg.noise, g, u) ** 2,
+        "stoch_pairing": zero if noise_field is None else gridmod.dot_h(g, u, noise_field),
+    }
+    return row, eta, xi
+
+
+def _run(cfg, u, increments, keep_fields):
+    """The stepping loop shared by ``integrate`` and ``integrate_batch``.
+
+    ``u`` is a node array with or without a trailing path axis; the grid and
+    noise operators broadcast over it, so the loop never looks at the batch
+    shape.  Returns the ledger rows, the per-record ``(u, eta, xi)`` (kept
+    by reference, only when ``keep_fields``) and the final state.
+    """
+    pb = _Problem.build(cfg)
+    model = cfg.noise
+    if cfg.scheme == "semi_implicit":
+        _check_stability(cfg, step_index=1)
+        step_fn = _semi_implicit_step_arrays
+    else:
+        step_fn = _implicit_step_arrays
+
+    rows, fields = [], []
+
+    def record(u, noise_field):
+        row, eta, xi = _ledger_row(cfg, pb, u, noise_field)
+        rows.append(row)
+        if keep_fields:
+            fields.append((u, eta, xi))
+
+    for n in range(cfg.n_steps):
+        noise_field = None
+        if model is not None:
+            noise_field = noisemod.apply_b(model, cfg.grid, u, increments[n])
+        record(u, noise_field)
+        forcing = u if noise_field is None else u + noise_field
+        try:
+            u = step_fn(pb, u, forcing)
+        except SolverError as err:
+            err.step_index = n + 1
+            raise
+    record(u, None)
+    return rows, fields, u
+
+
+def _check_increments(cfg, increments):
+    """The increment table a run uses: None without noise, else validated."""
+    if cfg.noise is None:
+        return None
+    if increments is None:
+        raise ValueError("the config carries noise but no increment table or PathSeed was given")
+    increments = np.asarray(increments, dtype=float)
+    if increments.shape[:2] != (cfg.n_steps, cfg.noise.mode_count):
+        raise ValueError(
+            f"increment table of shape {increments.shape} does not cover "
+            f"{cfg.n_steps} steps of {cfg.noise.mode_count} modes"
+        )
+    return increments
+
+
+def energy_residual(result):
+    """Discrete energy-ledger residual of the squared-norm identity.
+
+    ``result`` is a ``Trajectory`` (returns a float) or a ``BatchResult``
+    (returns one residual per path).  Dissipation pairings enter at the
+    implicit endpoints, the quadratic variation and the stochastic pairing
+    at the explicit ones.  For a single path this is noise of order
+    sqrt(dt); averaged over paths it is O(dt).
+    """
+    led = result.ledgers
+    dt = result.config.dt
+    half = 0.5 * (led["norm_u_sq"][-1] - led["norm_u_sq"][0])
+    diss = dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:]).sum(axis=0)
+    quad = 0.5 * dt * led["hs_sq"][:-1].sum(axis=0)
+    mart = led["stoch_pairing"][:-1].sum(axis=0)
+    return half + diss - quad - mart
+
+
+# ---------------------------------------------------------------------------
+# single trajectories
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -272,6 +387,10 @@ class Trajectory:
     def grid(self):
         return self.config.grid
 
+    @property
+    def ledgers(self):
+        return {name: self.ledger_column(name) for name in LEDGER_COLUMNS}
+
     def times(self):
         return np.array([r.t for r in self.records])
 
@@ -283,36 +402,6 @@ class Trajectory:
 
     def terminal(self) -> GridField:
         return GridField(self.grid, self.records[-1].u)
-
-
-def _make_record(cfg, pb, n, u, noise_field, hs2):
-    g = cfg.grid
-    faces = gridmod.grad_arrays(g, u)
-    if pb.gamma_yos is not None:
-        eta = tuple(pb.gamma_yos(ga) for ga in faces)
-        pair_eta = float(gridmod.flux_dot_h(g, eta, faces))
-    else:
-        eta = tuple(np.zeros_like(ga) for ga in faces)
-        pair_eta = 0.0
-    if pb.beta_yos is not None:
-        xi = pb.beta_yos(u)
-        pair_xi = float(gridmod.dot_h(g, xi, u))
-    else:
-        xi = None
-        pair_xi = 0.0
-    stoch = float(gridmod.dot_h(g, u, noise_field)) if noise_field is not None else 0.0
-    return StateRecord(
-        index=n,
-        t=n * cfg.dt,
-        u=u,
-        eta=eta,
-        xi=xi,
-        norm_u_sq=float(gridmod.dot_h(g, u, u)),
-        pairing_eta_gradu=pair_eta,
-        pairing_xi_u=pair_xi,
-        hs_sq=hs2,
-        stoch_pairing=stoch,
-    )
 
 
 def _graph_residual(cfg, records):
@@ -343,68 +432,24 @@ def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum does not live on the solver grid")
-    pb = _Problem.build(cfg)
-    n_steps = cfg.n_steps
-    model = cfg.noise
-    if model is not None and increments is None:
-        if seed is None:
-            raise ValueError("a PathSeed is required when the config carries noise")
-        increments = noisemod.sample_increments(seed, n_steps, cfg.dt, model.mode_count)
-    if increments is not None and len(increments) != n_steps:
-        raise ValueError("increment table does not cover the whole horizon")
-
-    step_fn = (
-        _implicit_step_arrays if cfg.scheme == "implicit_opt" else _semi_implicit_step_arrays
-    )
-    if cfg.scheme == "semi_implicit":
-        bound = cfg.stability_bound()
-        if bound > 1.0:
-            raise StabilityError(
-                "semi-implicit stability violated before step 1: "
-                f"dt*(lambda_max + 1)/lambda_yosida = {bound:.6g} > 1"
-            )
-
-    u = np.array(u0.values, dtype=float)
-    records = []
-    for n in range(n_steps):
-        if model is not None:
-            dw = increments[n]
-            noise_field = noisemod.apply_b(model, cfg.grid, u, dw)
-            hs2 = float(noisemod.hs_norm(model, cfg.grid, u) ** 2)
-        else:
-            noise_field, hs2 = None, 0.0
-        records.append(_make_record(cfg, pb, n, u, noise_field, hs2))
-        forcing = u + noise_field if noise_field is not None else u
-        try:
-            u = step_fn(pb, u, forcing)
-        except SolverError as err:
-            err.step_index = n + 1
-            raise
-    hs2 = float(noisemod.hs_norm(model, cfg.grid, u) ** 2) if model is not None else 0.0
-    records.append(_make_record(cfg, pb, n_steps, u, None, hs2))
-
+    if cfg.noise is not None and increments is None and seed is not None:
+        increments = noisemod.sample_increments(
+            seed, cfg.n_steps, cfg.dt, cfg.noise.mode_count
+        )
+    increments = _check_increments(cfg, increments)
+    rows, fields, _ = _run(cfg, np.array(u0.values, dtype=float), increments, keep_fields=True)
+    no_flux = tuple(np.zeros(s) for s in cfg.grid.face_shapes())
+    records = [
+        StateRecord(
+            n, n * cfg.dt, u, no_flux if eta is None else eta, xi,
+            **{name: float(row[name]) for name in LEDGER_COLUMNS},
+        )
+        for n, (row, (u, eta, xi)) in enumerate(zip(rows, fields))
+    ]
     traj = Trajectory(cfg, seed, records)
-    traj.energy_residual = energy_residual(traj)
+    traj.energy_residual = float(energy_residual(traj))
     traj.max_graph_residual = _graph_residual(cfg, records)
     return traj
-
-
-def energy_residual(traj: Trajectory) -> float:
-    """Discrete energy-ledger residual of the squared-norm identity.
-
-    Dissipation pairings enter at the implicit endpoints, the quadratic
-    variation and the stochastic pairing at the explicit ones.  For a single
-    path this is noise of order sqrt(dt); averaged over paths it is O(dt).
-    """
-    r = traj.records
-    if not r:
-        raise ValueError("incomplete ledger")
-    dt = traj.config.dt
-    half_tail = 0.5 * r[-1].norm_u_sq - 0.5 * r[0].norm_u_sq
-    diss = dt * sum(rec.pairing_eta_gradu + rec.pairing_xi_u for rec in r[1:])
-    quad = 0.5 * dt * sum(rec.hs_sq for rec in r[:-1])
-    mart = sum(rec.stoch_pairing for rec in r[:-1])
-    return half_tail + diss - quad - mart
 
 
 # ---------------------------------------------------------------------------
@@ -425,42 +470,7 @@ class BatchResult:
         return self.terminal.shape[-1]
 
     def energy_residuals(self):
-        dt = self.config.dt
-        led = self.ledgers
-        half = 0.5 * (led["norm_u_sq"][-1] - led["norm_u_sq"][0])
-        diss = dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:]).sum(axis=0)
-        quad = 0.5 * dt * led["hs_sq"][:-1].sum(axis=0)
-        mart = led["stoch_pairing"][:-1].sum(axis=0)
-        return half + diss - quad - mart
-
-
-def _batch_ledger_row(cfg, pb, u, noise_field, model):
-    g = cfg.grid
-    faces = gridmod.grad_arrays(g, u)
-    if pb.gamma_yos is not None:
-        eta = [pb.gamma_yos(ga) for ga in faces]
-        pair_eta = gridmod.flux_dot_h(g, eta, faces)
-    else:
-        pair_eta = np.zeros(u.shape[g.dim:])
-    if pb.beta_yos is not None:
-        pair_xi = gridmod.dot_h(g, pb.beta_yos(u), u)
-    else:
-        pair_xi = np.zeros(u.shape[g.dim:])
-    if model is not None:
-        hs2 = noisemod.hs_norm(model, g, u) ** 2
-    else:
-        hs2 = np.zeros(u.shape[g.dim:])
-    if noise_field is not None:
-        stoch = gridmod.dot_h(g, u, noise_field)
-    else:
-        stoch = np.zeros(u.shape[g.dim:])
-    return {
-        "norm_u_sq": gridmod.dot_h(g, u, u),
-        "pairing_eta_gradu": pair_eta,
-        "pairing_xi_u": pair_xi,
-        "hs_sq": hs2,
-        "stoch_pairing": stoch,
-    }
+        return energy_residual(self)
 
 
 def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
@@ -472,59 +482,33 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
     every path satisfies the gradient tolerance, so each path's step is
     certified individually.
     """
-    pb = _Problem.build(cfg)
     g = cfg.grid
-    model = cfg.noise
-    n_steps = cfg.n_steps
+    increments = _check_increments(cfg, increments)
     u0 = np.asarray(u0, dtype=float)
+    if u0.shape[: g.dim] != g.shape or u0.ndim > g.dim + 1:
+        raise ValueError(f"initial data of shape {u0.shape} do not fit grid {g.shape}")
     if increments is not None:
         n_paths = increments.shape[-1]
-        if increments.shape[0] != n_steps or increments.shape[1] != model.mode_count:
-            raise ValueError("increment table shape mismatch")
     else:
         n_paths = u0.shape[-1] if u0.ndim > g.dim else 1
     if u0.ndim == g.dim:
         u = np.repeat(u0[..., None], n_paths, axis=-1)
-    else:
+    elif u0.shape[-1] == n_paths:
         u = u0.copy()
+    else:
+        raise ValueError(f"{u0.shape[-1]} initial data for {n_paths} noise paths")
 
-    step_fn = (
-        _implicit_step_arrays if cfg.scheme == "implicit_opt" else _semi_implicit_step_arrays
-    )
-    rows = []
-    states = [u.copy()] if keep_states else None
-    for n in range(n_steps):
-        if model is not None and increments is not None:
-            noise_field = noisemod.apply_b(model, g, u, increments[n])
-        else:
-            noise_field = None
-        rows.append(_batch_ledger_row(cfg, pb, u, noise_field, model))
-        forcing = u + noise_field if noise_field is not None else u
-        try:
-            u = step_fn(pb, u, forcing)
-        except SolverError as err:
-            err.step_index = n + 1
-            raise
-        if keep_states:
-            states.append(u.copy())
-    rows.append(_batch_ledger_row(cfg, pb, u, None, model))
-
-    ledgers = {
-        name: np.stack([np.atleast_1d(row[name]) for row in rows]) for name in LEDGER_COLUMNS
-    }
-    return BatchResult(
-        cfg,
-        ledgers,
-        u if u.ndim > g.dim else u[..., None],
-        np.stack(states) if keep_states else None,
-    )
+    rows, fields, u = _run(cfg, u, increments, keep_fields=keep_states)
+    ledgers = {name: np.stack([row[name] for row in rows]) for name in LEDGER_COLUMNS}
+    states = np.stack([f[0] for f in fields]) if keep_states else None
+    return BatchResult(cfg, ledgers, u, states)
 
 
-def run_ensemble(cfg, u0, master_seed, n_paths, jobs=1, keep_states=False, fine_dt=None):
+def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None):
     """Monte Carlo ensemble with per-path counter-based seeds.
 
-    Paths are processed in fixed-size chunks and reassembled in chunk order,
-    so the result is bitwise independent of ``jobs``.  When ``fine_dt`` is
+    Paths are integrated in fixed chunks of ``ENSEMBLE_CHUNK``, one chunk
+    after the other, and reassembled in path order.  When ``fine_dt`` is
     given, increments are drawn at that resolution and aggregated to the
     configured dt, coupling ensembles across a dt-refinement ladder to the
     same Brownian paths.
@@ -538,10 +522,6 @@ def run_ensemble(cfg, u0, master_seed, n_paths, jobs=1, keep_states=False, fine_
         factor = round(cfg.dt / fine_dt)
         if factor < 1 or abs(factor * fine_dt - cfg.dt) > 1e-9 * cfg.dt:
             raise ValueError("fine_dt must divide dt")
-    chunks = [
-        range(lo, min(lo + ENSEMBLE_CHUNK, n_paths))
-        for lo in range(0, n_paths, ENSEMBLE_CHUNK)
-    ]
 
     def path_table(i):
         if factor == 1:
@@ -553,15 +533,11 @@ def run_ensemble(cfg, u0, master_seed, n_paths, jobs=1, keep_states=False, fine_
         )
         return noisemod.aggregate_increments(fine, factor)
 
-    def run_chunk(idx_range):
-        inc = np.stack([path_table(i) for i in idx_range], axis=-1)
-        return integrate_batch(cfg, u0, inc, keep_states=keep_states)
-
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
+    results = []
+    for lo in range(0, n_paths, ENSEMBLE_CHUNK):
+        chunk = range(lo, min(lo + ENSEMBLE_CHUNK, n_paths))
+        inc = np.stack([path_table(i) for i in chunk], axis=-1)
+        results.append(integrate_batch(cfg, u0, inc, keep_states=keep_states))
 
     ledgers = {
         name: np.concatenate([r.ledgers[name] for r in results], axis=-1)

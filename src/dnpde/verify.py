@@ -25,12 +25,10 @@ __all__ = [
     "SweepEntry",
     "SweepReport",
     "PhiFunctional",
-    "PhiReport",
     "LipschitzReport",
     "AprioriReport",
     "lambda_sweep",
     "lipschitz_test",
-    "phi_uniqueness_test",
     "apriori_report",
     "continuity_modulus",
     "continuity_scaling",
@@ -42,11 +40,9 @@ __all__ = [
     "tail_profiles",
     "write_report_csv",
     "DEFAULT_TAIL_LEVELS",
-    "DUAL_NORM_EXPONENT",
 ]
 
 DEFAULT_TAIL_LEVELS = tuple(float(2**j) for j in range(11))   # 1, 2, ..., 1024
-DUAL_NORM_EXPONENT = 2   # m in the (I - lap)^(-m) dual-norm proxy
 
 BOUND_NAMES = ("sup_u_sq", "visc_grad_sq", "int_eta_gradu", "int_xi_u")
 
@@ -135,7 +131,7 @@ def trajectory_bounds(traj):
     }
 
 
-def _fenchel_gap_integral(traj):
+def fenchel_gap_integrals(traj):
     """Time-space integrals of the Fenchel gaps for both graphs (or None)."""
     cfg = traj.config
     vol = cfg.grid.node_volume
@@ -158,17 +154,7 @@ def _fenchel_gap_integral(traj):
     return gap_gamma, gap_beta
 
 
-def fenchel_gap_integrals(traj):
-    """Public access to the per-graph Fenchel gap integrals of a run."""
-    return _fenchel_gap_integral(traj)
-
-
 def tail_profiles(traj, levels=DEFAULT_TAIL_LEVELS):
-    """Public access to the tail profiles ``tau(M)`` of a run."""
-    return _tail_profile(traj, levels)
-
-
-def _tail_profile(traj, levels):
     """tau(M) = integral of |.| over {|.| > M} for eta (faces) and xi (nodes)."""
     cfg = traj.config
     vol = cfg.grid.node_volume
@@ -280,8 +266,8 @@ def lambda_sweep(base, lambdas, seed, tail_levels=DEFAULT_TAIL_LEVELS, u0=None):
             raise solvermod.SolverError(
                 f"sweep run at lambda={lam} failed: {err}", err.step_index
             ) from err
-        gap_g, gap_b = _fenchel_gap_integral(traj)
-        te, tx = _tail_profile(traj, tail_levels)
+        gap_g, gap_b = fenchel_gap_integrals(traj)
+        te, tx = tail_profiles(traj, tail_levels)
         entries.append(
             SweepEntry(lam, traj, trajectory_bounds(traj), gap_g, gap_b, te, tx)
         )
@@ -410,105 +396,6 @@ def build_phi(traj, checkpoints) -> PhiFunctional:
             snaps[rec.index] = acc.copy()
     values = np.stack([snaps[k] for k in idx])
     return PhiFunctional(cfg.grid, np.asarray(checkpoints, dtype=float), values)
-
-
-@dataclass
-class PhiReport:
-    checkpoints: np.ndarray
-    phi_distance: np.ndarray      # dual-norm of the Phi difference, per checkpoint
-    u_distance: np.ndarray        # H-norm of the state difference, per checkpoint
-    eta_max_diff: np.ndarray      # raw pointwise flux-selection difference
-    xi_max_diff: np.ndarray
-    eta_sup_diff: float           # over all faces and steps
-    xi_sup_diff: float
-
-    HEADER = [
-        "t",
-        "phi_distance",
-        "u_distance",
-        "eta_max_diff",
-        "xi_max_diff",
-    ]
-
-    def rows(self):
-        return [
-            [t, p, u, e, x]
-            for t, p, u, e, x in zip(
-                self.checkpoints,
-                self.phi_distance,
-                self.u_distance,
-                self.eta_max_diff,
-                self.xi_max_diff,
-            )
-        ]
-
-    def write_csv(self, path, comments=()):
-        write_report_csv(path, self.HEADER, self.rows(), comments)
-
-
-def phi_uniqueness_test(cfg_a, cfg_b, seed, checkpoints, m=DUAL_NORM_EXPONENT, u0=None):
-    """Compare ``-div(eta) + xi`` across two routes on the same noise path.
-
-    The dual-norm distance of the time-integrated combination is reported at
-    each checkpoint, together with the raw pointwise differences of the
-    factors, which carry no smallness assertion: only the combination is
-    unique in the limit.
-    """
-    for attr in ("grid", "gamma", "beta", "noise", "horizon", "dt"):
-        if getattr(cfg_a, attr) != getattr(cfg_b, attr):
-            raise ValueError(f"configs must share {attr}")
-    if u0 is None:
-        u0 = GridField(cfg_a.grid, np.zeros(cfg_a.grid.shape))
-    if cfg_a.noise is not None:
-        increments = noisemod.sample_increments(
-            seed, cfg_a.n_steps, cfg_a.dt, cfg_a.noise.mode_count
-        )
-    else:
-        increments = None
-    traj_a = solvermod.integrate(cfg_a, u0, seed, increments)
-    traj_b = solvermod.integrate(cfg_b, u0, seed, increments)
-
-    phi_a = build_phi(traj_a, checkpoints)
-    phi_b = build_phi(traj_b, checkpoints)
-    idx = _checkpoint_indices(cfg_a, checkpoints)
-
-    phi_d, u_d, eta_d, xi_d = [], [], [], []
-    for row_a, row_b, k in zip(phi_a.values, phi_b.values, idx):
-        phi_d.append(float(gridmod.dual_norm_v0(cfg_a.grid, row_a - row_b, m)))
-        ra, rb = traj_a.records[k], traj_b.records[k]
-        u_d.append(float(gridmod.norm_h(cfg_a.grid, ra.u - rb.u)))
-        eta_d.append(
-            max(
-                float(np.abs(ea - eb).max())
-                for ea, eb in zip(ra.eta, rb.eta)
-            )
-        )
-        if ra.xi is not None and rb.xi is not None:
-            xi_d.append(float(np.abs(ra.xi - rb.xi).max()))
-        else:
-            xi_d.append(0.0)
-    eta_sup = max(
-        float(np.abs(ea - eb).max())
-        for ra, rb in zip(traj_a.records, traj_b.records)
-        for ea, eb in zip(ra.eta, rb.eta)
-    )
-    xi_sup = max(
-        (
-            float(np.abs(ra.xi - rb.xi).max())
-            for ra, rb in zip(traj_a.records, traj_b.records)
-            if ra.xi is not None and rb.xi is not None
-        ),
-        default=0.0,
-    )
-    return PhiReport(
-        np.asarray(checkpoints, dtype=float),
-        np.asarray(phi_d),
-        np.asarray(u_d),
-        np.asarray(eta_d),
-        np.asarray(xi_d),
-        eta_sup,
-        xi_sup,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dnpde import acceptance
 )
 def test_criterion(cid, tmp_path):
     name, fn = acceptance.CRITERIA[cid]
-    result = fn(workdir=str(tmp_path), jobs=1)
+    result = fn(workdir=str(tmp_path))
     status = "PASS" if result.passed else "FAIL"
     print(f"ACCEPTANCE {cid:2d} {name}: {status}")
     for line in result.lines():

@@ -125,6 +125,13 @@ def test_run_unreadable_config_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_run_rejects_jobs_flag(tmp_path):
+    cfg = write_cfg(tmp_path, BASIC)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert info.value.code == 2
+
+
 def test_run_unstable_semi_implicit_exits_3(tmp_path, capsys):
     text = BASIC.replace("[solver]", "[solver]\nscheme = semi_implicit")
     cfg = write_cfg(tmp_path, text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dnpde import grid as gd
-from dnpde.grid import DirichletGrid, FluxField, GridField
+from dnpde.grid import DirichletGrid, GridField
 
 G1 = DirichletGrid((1.0,), (16,))
 G2 = DirichletGrid((1.0, 2.0), (8, 12))
@@ -26,8 +26,6 @@ def test_field_validation():
         GridField(G1, np.zeros(7))
     with pytest.raises(ValueError):
         GridField(G1, np.full(16, np.nan))
-    with pytest.raises(ValueError):
-        FluxField(G1, (np.zeros(16),))   # faces are n+1
 
 
 def test_gradient_of_zero_and_linearity():
@@ -86,14 +84,12 @@ def test_div_grad_is_dirichlet_stencil():
     assert np.abs(lap - stencil).max() <= 1e-13 * np.abs(stencil).max()
 
 
-def test_wrapper_types_roundtrip():
-    rng = np.random.default_rng(4)
-    u = GridField(G2, rng.standard_normal(G2.shape))
-    flux = gd.gradient(G2, u)
-    back = gd.divergence(G2, flux)
-    assert np.allclose(back.values, gd.lap_arrays(G2, u.values))
-    with pytest.raises(ValueError):
-        gd.gradient(G1, u)
+def test_eigenpair_cache_is_bounded():
+    first = gd.sine_eigenpairs(G1, 4)
+    assert gd.sine_eigenpairs(G1, 4)[1] is first[1]
+    for n in range(3, 3 + 3 * gd.EIG_CACHE_SIZE):
+        gd.sine_eigenpairs(DirichletGrid((1.0,), (n,)), 2)
+        assert gd.sine_eigenpairs.cache_info().currsize <= gd.EIG_CACHE_SIZE
 
 
 def test_sine_modes_are_h_orthonormal_eigenvectors():

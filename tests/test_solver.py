@@ -236,13 +236,44 @@ def test_batch_matches_ledger_shape_and_residuals():
         assert res.energy_residuals()[i] == pytest.approx(traj.energy_residual, rel=1e-9, abs=1e-12)
 
 
-def test_ensemble_worker_count_invariance():
-    model = nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4)
-    cfg = heat_cfg(noise=model, horizon=0.125)
-    a = sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=7, n_paths=70)
-    b = sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=7, n_paths=70, jobs=3)
-    assert np.array_equal(a.terminal, b.terminal)
-    assert all(np.array_equal(a.ledgers[k], b.ledgers[k]) for k in a.ledgers)
+def test_ensemble_paths_match_integrate():
+    # each certified step is within dt*eps_inner of the exact step (strong
+    # convexity 1/dt), and the exact step is nonexpansive in its forcing, so
+    # two certified paths on the same noise differ by at most 2*T*eps_inner
+    model = nz.NoiseModel((0.4, 0.2), nz.AdditiveGain(), 0.5)
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    for gamma, beta in [(cx.PowerPotential(2.0), None), (cx.PowerPotential(4.0), cx.AbsPotential())]:
+        cfg = heat_cfg(gamma=gamma, beta=beta, noise=model)
+        res = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=70, keep_states=True)
+        assert res.states.shape == (cfg.n_steps + 1, 16, 70)
+        for i in (0, 1, 63, 64, 65, 66, 67, 68, 69):   # both 64-path chunks
+            traj = sv.integrate(cfg, u0, nz.PathSeed(7, i))
+            diff = res.states[..., i] - traj.states()
+            sup = np.sqrt(G16.node_volume * (diff**2).sum(axis=1)).max()
+            assert sup <= 2 * cfg.horizon * cfg.eps_inner
+
+
+def test_batch_requires_increments_with_noise():
+    cfg = heat_cfg(noise=nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4))
+    with pytest.raises(ValueError):
+        sv.integrate_batch(cfg, np.zeros(G16.shape), None)
+    with pytest.raises(ValueError):
+        sv.integrate_batch(cfg, np.zeros(G16.shape), np.zeros((cfg.n_steps - 1, 1, 3)))
+    with pytest.raises(ValueError):
+        sv.integrate_batch(cfg, np.zeros((16, 2)), np.zeros((cfg.n_steps, 1, 3)))
+
+
+def test_batched_inner_failure_names_path_and_step():
+    cfg = heat_cfg(max_inner=2)
+    e1 = gd.sine_mode(G16, 1)
+    u0 = np.stack([0.0 * e1, 0.1 * e1, 2.0 * e1], axis=-1)   # path 2 is the worst
+    with pytest.raises(sv.InnerSolveError) as info:
+        sv.integrate_batch(cfg, u0, None)
+    err = info.value
+    assert err.step_index == 1
+    msg = str(err)
+    assert "exceeded 2 iterations on path 2" in msg
+    assert float(msg.split("gradient norm ")[1].split()[0]) > cfg.eps_inner
 
 
 def test_initial_datum_kinds(tmp_path):

@@ -110,33 +110,42 @@ def test_lipschitz_report_csv(tmp_path):
     assert len(lines) == 4
 
 
+def phi_and_eta_distance(cfg_a, cfg_b, checkpoints):
+    u0 = GridField(G, gd.sine_mode(G, 1))
+    ta = sv.integrate(cfg_a, u0, nz.PathSeed(5))
+    tb = sv.integrate(cfg_b, u0, nz.PathSeed(5))
+    pa, pb = vf.build_phi(ta, checkpoints), vf.build_phi(tb, checkpoints)
+    phi = [gd.dual_norm_v0(G, a - b) for a, b in zip(pa.values, pb.values)]
+    eta = max(
+        float(np.abs(ea - eb).max())
+        for ra, rb in zip(ta.records, tb.records)
+        for ea, eb in zip(ra.eta, rb.eta)
+    )
+    return np.array(phi), eta
+
+
 def test_phi_identical_configs_zero_distance():
     cfg = base_cfg(beta=cx.AbsPotential())
-    rep = vf.phi_uniqueness_test(
-        cfg, replace(cfg), nz.PathSeed(5), [0.125, 0.25],
-        u0=GridField(G, gd.sine_mode(G, 1)),
-    )
-    assert np.all(rep.phi_distance == 0.0)
-    assert np.all(rep.u_distance == 0.0)
-    assert rep.eta_sup_diff == 0.0
-    assert rep.xi_sup_diff == 0.0
+    phi, eta = phi_and_eta_distance(cfg, replace(cfg), [0.125, 0.25])
+    assert np.all(phi == 0.0)
+    assert eta == 0.0
 
 
 def test_phi_accepts_equal_but_distinct_configs():
     # value equality of potentials and noise models, not object identity
     cfg_a = base_cfg(beta=cx.AbsPotential())
     cfg_b = base_cfg(beta=cx.AbsPotential())
-    rep = vf.phi_uniqueness_test(cfg_a, cfg_b, nz.PathSeed(5), [0.25])
-    assert np.all(rep.phi_distance == 0.0)
+    assert cfg_a == cfg_b
+    phi, _ = phi_and_eta_distance(cfg_a, cfg_b, [0.25])
+    assert np.all(phi == 0.0)
 
 
-def test_phi_requires_shared_setup():
-    cfg_a = base_cfg()
-    cfg_b = base_cfg(horizon=0.5)
+def test_build_phi_rejects_off_grid_checkpoint():
+    traj = sv.integrate(base_cfg(), GridField(G, gd.sine_mode(G, 1)), nz.PathSeed(5))
     with pytest.raises(ValueError):
-        vf.phi_uniqueness_test(cfg_a, cfg_b, nz.PathSeed(5), [0.125])
+        vf.build_phi(traj, [0.1234])
     with pytest.raises(ValueError):
-        vf.phi_uniqueness_test(cfg_a, replace(cfg_a), nz.PathSeed(5), [0.1234])
+        vf.build_phi(traj, [0.5])   # beyond the horizon
 
 
 def test_build_phi_linearity_and_zero_at_origin():
