@@ -18,8 +18,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from dnpde import config as configmod
 from dnpde import grid as gridmod
 from dnpde import noise as noisemod
@@ -32,24 +30,7 @@ __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_verify"]
 
 SWEEP_KEYS = ("lambda_yosida", "dt", "h", "mode_count")
 
-SWEEP_HEADER = [
-    "param",
-    "value",
-    "cauchy_dist_prev",
-    "sup_u_sq",
-    "visc_grad_sq",
-    "int_eta_gradu",
-    "int_xi_u",
-    "fenchel_gap_gamma",
-    "fenchel_gap_beta",
-    "tail_eta_1",
-    "tail_eta_max",
-    "tail_xi_1",
-    "tail_xi_max",
-    "energy_residual",
-    "increments_checksum",
-    "status",
-]
+SWEEP_HEADER = ["param", "value", *verifymod.SWEEP_COLUMNS, "increments_checksum", "status"]
 
 
 def _comments(rc, seed):
@@ -75,8 +56,14 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
     traj = solvermod.integrate(cfg, u0, path_seed)
     wall = time.monotonic() - t0
 
-    solvermod.write_trajectory_csv(
-        traj, os.path.join(out, f"{prefix}_trajectory.csv"), _comments(rc, seed_val)
+    verifymod.write_report_csv(
+        os.path.join(out, f"{prefix}_trajectory.csv"),
+        ["step", "t", *solvermod.LEDGER_COLUMNS],
+        [
+            [rec.index, rec.t, *(getattr(rec, c) for c in solvermod.LEDGER_COLUMNS)]
+            for rec in traj.records
+        ],
+        _comments(rc, seed_val),
     )
     dump_every = rc.get("output", "dump_every", 0)
     if dump_every:
@@ -170,24 +157,6 @@ def _sweep_configs(rc, cfg, u0, param, values):
     return runs, checksum
 
 
-def _cauchy_prev(prev, cur):
-    """sup-in-time state distance at shared times, NaN when not comparable."""
-    if prev is None or prev.grid != cur.grid:
-        return math.nan
-    dt_a, dt_b = prev.config.dt, cur.config.dt
-    coarse = max(dt_a, dt_b)
-    ra = round(coarse / dt_a)
-    rb = round(coarse / dt_b)
-    if abs(ra * dt_a - coarse) > 1e-9 * coarse or abs(rb * dt_b - coarse) > 1e-9 * coarse:
-        return math.nan
-    sa = prev.states()[::ra]
-    sb = cur.states()[::rb]
-    n = min(len(sa), len(sb))
-    axes = tuple(range(1, 1 + cur.grid.dim))
-    d = np.sqrt(cur.grid.node_volume * np.sum((sa[:n] - sb[:n]) ** 2, axis=axes))
-    return float(d.max())
-
-
 def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
     """Sweep one parameter; one report row per value, coupled noise path."""
     rc = configmod.load_config(config_path)
@@ -203,44 +172,17 @@ def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
     runs, checksum = _sweep_configs(rc, cfg, u0, param, values)
 
     rows = []
-    prev_traj = None
     failure = None
-    for value, (cfg_v, u0_v, inc) in zip(values, runs):
-        try:
-            seed = noisemod.PathSeed(seed_val, 0) if cfg_v.noise is not None else None
-            traj = solvermod.integrate(cfg_v, u0_v, seed, inc)
-        except SolverError as err:
-            rows.append(
-                [param, float(value)]
-                + [math.nan] * (len(SWEEP_HEADER) - 4)
-                + [checksum, f"failed_step_{err.step_index}"]
-            )
-            failure = err
-            break
-        bounds = verifymod.trajectory_bounds(traj)
-        gap_g, gap_b = verifymod.fenchel_gap_integrals(traj)
-        tails_eta, tails_xi = verifymod.tail_profiles(traj)
+    try:
+        entries = verifymod.sweep(runs, noisemod.PathSeed(seed_val, 0))
+        for value, entry in zip(values, entries):
+            rows.append([param, float(value), *entry.row(), checksum, "ok"])
+    except SolverError as err:
+        nans = [math.nan] * len(verifymod.SWEEP_COLUMNS)
         rows.append(
-            [
-                param,
-                float(value),
-                _cauchy_prev(prev_traj, traj),
-                bounds["sup_u_sq"],
-                bounds["visc_grad_sq"],
-                bounds["int_eta_gradu"],
-                bounds["int_xi_u"],
-                math.nan if gap_g is None else gap_g,
-                math.nan if gap_b is None else gap_b,
-                tails_eta[0],
-                tails_eta[-1],
-                tails_xi[0],
-                tails_xi[-1],
-                traj.energy_residual,
-                checksum,
-                "ok",
-            ]
+            [param, float(values[len(rows)]), *nans, checksum, f"failed_step_{err.step_index}"]
         )
-        prev_traj = traj
+        failure = err
     verifymod.write_report_csv(
         os.path.join(out, f"{prefix}_sweep.csv"),
         SWEEP_HEADER,
@@ -331,7 +273,10 @@ def main(argv=None):
         if args.command == "run":
             return cmd_run(args.config, args.seed, args.out)
         if args.command == "sweep":
-            values = [float(tok) for tok in args.values.split(",") if tok.strip()]
+            try:
+                values = [float(tok) for tok in args.values.split(",") if tok.strip()]
+            except ValueError as err:
+                raise ConfigError(f"bad --values list: {err}") from None
             if not values:
                 raise ConfigError("empty sweep value list")
             return cmd_sweep(args.config, args.param, values, args.seed, args.out)

@@ -291,7 +291,9 @@ def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverCon
             max_inner=rc.get("solver", "max_inner", 200_000),
         )
     except ValueError as err:
-        raise ConfigError(str(err), rc.lines["solver"].get("dt")) from None
+        lines = rc.lines["solver"]
+        key = next((k for k in lines if str(err).startswith(k)), "dt")
+        raise ConfigError(str(err), lines.get(key)) from None
 
 
 def master_seed(rc: RunConfig, override=None):

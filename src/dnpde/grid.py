@@ -34,7 +34,6 @@ __all__ = [
     "lambda_max",
     "power_iteration_lambda_max",
     "cg_solve",
-    "laplacian_resolvent",
     "dual_norm_v0",
     "node_coordinates",
     "field_from_function",
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 CG_RTOL = 1e-12
+DUAL_NORM_ORDER = 2   # power m of (I - lap)**(-m) in dual_norm_v0
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,6 @@ class GridField:
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite field values")
         object.__setattr__(self, "values", v)
-
-    def norm(self):
-        return norm_h(self.grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +309,13 @@ def resolvent_arrays(grid, delta, m, u):
     return out
 
 
-def laplacian_resolvent(grid, delta, m, field: GridField) -> GridField:
-    """Elliptic smoothing ``(I - delta*lap)**(-m)``; nonexpansive for delta >= 0."""
-    return GridField(grid, resolvent_arrays(grid, delta, m, field.values))
-
-
-def dual_norm_v0(grid, f, m=2):
-    """Norm of ``(I - lap)**(-m) f``: a discrete proxy for the negative-order dual norm.
+def dual_norm_v0(grid, f):
+    """Norm of ``(I - lap)**(-DUAL_NORM_ORDER) f``: a proxy for a negative-order dual norm.
 
     Vanishes iff ``f = 0``; used to compare drift functionals across runs.
     """
     vals = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
-    return norm_h(grid, resolvent_arrays(grid, 1.0, m, vals))
+    return norm_h(grid, resolvent_arrays(grid, 1.0, DUAL_NORM_ORDER, vals))
 
 
 # ---------------------------------------------------------------------------

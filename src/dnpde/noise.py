@@ -32,7 +32,6 @@ __all__ = [
     "increment_checksum",
     "apply_b",
     "hs_norm",
-    "smooth_noise",
     "default_bound",
     "amplitudes_power_law",
 ]
@@ -48,11 +47,6 @@ class Gain:
 
     def __call__(self, u):
         raise NotImplementedError
-
-    @property
-    def sup(self):
-        """Uniform bound on |sigma| (inf if unbounded)."""
-        return np.inf
 
     def _key(self):
         return (type(self).__name__,)
@@ -73,10 +67,6 @@ class AdditiveGain(Gain):
     def __call__(self, u):
         return np.ones_like(np.asarray(u, dtype=float))
 
-    @property
-    def sup(self):
-        return 1.0
-
 
 class ClippedLinearGain(Gain):
     """sigma(u) = clip(u, -limit, limit); 1-Lipschitz, bounded."""
@@ -95,10 +85,6 @@ class ClippedLinearGain(Gain):
     def __call__(self, u):
         return np.clip(u, -self.limit, self.limit)
 
-    @property
-    def sup(self):
-        return self.limit
-
 
 class TanhGain(Gain):
     """sigma(u) = tanh(u): bounded and smooth, 1-Lipschitz."""
@@ -108,10 +94,6 @@ class TanhGain(Gain):
 
     def __call__(self, u):
         return np.tanh(u)
-
-    @property
-    def sup(self):
-        return 1.0
 
 
 def make_gain(kind, **params):
@@ -226,21 +208,6 @@ def hs_norm(model: NoiseModel, grid, u):
         ek = ek[(...,) + (None,) * (s.ndim - grid.dim)]
         total = total + bk * bk * gridmod.dot_h(grid, s * ek, s * ek)
     return np.sqrt(total)
-
-
-def smooth_noise(model: NoiseModel, delta, m, grid) -> NoiseModel:
-    """Elliptic smoothing of the coefficient: b_k -> b_k (1 + delta*alpha_k)**(-m)."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if delta == 0:
-        return model
-    alphas, _ = _modes(model, grid)
-    amps = tuple(
-        b * (1.0 + delta * a) ** (-m) for b, a in zip(model.amplitudes, alphas)
-    )
-    return NoiseModel(amps, model.gain, model.bound)
 
 
 def default_bound(model: NoiseModel, grid):

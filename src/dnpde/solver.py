@@ -49,7 +49,6 @@ __all__ = [
     "run_ensemble",
     "energy_residual",
     "initial_datum",
-    "write_trajectory_csv",
     "LEDGER_COLUMNS",
 ]
 
@@ -99,6 +98,10 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
+        if not self.eps_inner > 0:
+            raise ValueError("eps_inner must be positive")
+        if self.max_inner < 1:
+            raise ValueError("max_inner must be at least 1")
         if self.scheme not in ("implicit_opt", "semi_implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for pot in (self.gamma, self.beta):
@@ -371,9 +374,6 @@ class StateRecord:
     hs_sq: float
     stoch_pairing: float
 
-    def ledger(self):
-        return tuple(getattr(self, c) for c in LEDGER_COLUMNS)
-
 
 @dataclass
 class Trajectory:
@@ -391,17 +391,11 @@ class Trajectory:
     def ledgers(self):
         return {name: self.ledger_column(name) for name in LEDGER_COLUMNS}
 
-    def times(self):
-        return np.array([r.t for r in self.records])
-
     def states(self):
         return np.stack([r.u for r in self.records])
 
     def ledger_column(self, name):
         return np.array([getattr(r, name) for r in self.records])
-
-    def terminal(self) -> GridField:
-        return GridField(self.grid, self.records[-1].u)
 
 
 def _graph_residual(cfg, records):
@@ -515,6 +509,8 @@ def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None)
     """
     if cfg.noise is None:
         raise ValueError("ensemble runs need a noise model")
+    if n_paths < 1:
+        raise ValueError(f"an ensemble needs at least one path, got n_paths={n_paths}")
     K = cfg.noise.mode_count
     n_steps = cfg.n_steps
     factor = 1
@@ -551,7 +547,7 @@ def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None)
 
 
 # ---------------------------------------------------------------------------
-# initial data and export
+# initial data
 # ---------------------------------------------------------------------------
 
 def initial_datum(grid, kind, mode=1, amplitude=1.0, path=None) -> GridField:
@@ -571,15 +567,3 @@ def initial_datum(grid, kind, mode=1, amplitude=1.0, path=None) -> GridField:
     if kind == "file":
         return gridmod.read_field(path, grid)
     raise ValueError(f"unknown initial datum kind {kind!r}")
-
-
-def write_trajectory_csv(traj: Trajectory, path, comments=()):
-    """One CSV per run: the ledger scalars, 17 significant digits, LF endings."""
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("step,t," + ",".join(LEDGER_COLUMNS) + "\n")
-        for rec in traj.records:
-            vals = [f"{rec.index}", f"{rec.t:.17g}"]
-            vals += [f"{v:.17g}" for v in rec.ledger()]
-            fh.write(",".join(vals) + "\n")

@@ -27,11 +27,11 @@ __all__ = [
     "PhiFunctional",
     "LipschitzReport",
     "AprioriReport",
+    "sweep",
     "lambda_sweep",
+    "cauchy_distance",
     "lipschitz_test",
     "apriori_report",
-    "continuity_modulus",
-    "continuity_scaling",
     "build_phi",
     "coupled_increment_tables",
     "observed_order",
@@ -40,11 +40,14 @@ __all__ = [
     "tail_profiles",
     "write_report_csv",
     "DEFAULT_TAIL_LEVELS",
+    "SWEEP_COLUMNS",
 ]
 
 DEFAULT_TAIL_LEVELS = tuple(float(2**j) for j in range(11))   # 1, 2, ..., 1024
 
 BOUND_NAMES = ("sup_u_sq", "visc_grad_sq", "int_eta_gradu", "int_xi_u")
+
+APRIORI_SLOPE_THRESHOLD = -0.05   # least relative slope of a bound against ln(lambda)
 
 
 @dataclass
@@ -154,8 +157,12 @@ def fenchel_gap_integrals(traj):
     return gap_gamma, gap_beta
 
 
-def tail_profiles(traj, levels=DEFAULT_TAIL_LEVELS):
-    """tau(M) = integral of |.| over {|.| > M} for eta (faces) and xi (nodes)."""
+def tail_profiles(traj):
+    """tau(M) = integral of |.| over {|.| > M} for eta (faces) and xi (nodes).
+
+    M runs over ``DEFAULT_TAIL_LEVELS``.
+    """
+    levels = DEFAULT_TAIL_LEVELS
     cfg = traj.config
     vol = cfg.grid.node_volume
     dt = cfg.dt
@@ -174,68 +181,95 @@ def tail_profiles(traj, levels=DEFAULT_TAIL_LEVELS):
 
 
 # ---------------------------------------------------------------------------
-# lambda sweep
+# parameter sweeps along one noise path
 # ---------------------------------------------------------------------------
+
+SWEEP_COLUMNS = (
+    "cauchy_dist_prev",
+    *BOUND_NAMES,
+    "fenchel_gap_gamma",
+    "fenchel_gap_beta",
+    "tail_eta_1",
+    "tail_eta_max",
+    "tail_xi_1",
+    "tail_xi_max",
+    "energy_residual",
+)
+
+
+def cauchy_distance(prev, cur):
+    """sup-in-time state distance at shared times, NaN when not comparable."""
+    if prev is None or prev.grid != cur.grid:
+        return math.nan
+    dt_a, dt_b = prev.config.dt, cur.config.dt
+    coarse = max(dt_a, dt_b)
+    ra = round(coarse / dt_a)
+    rb = round(coarse / dt_b)
+    if abs(ra * dt_a - coarse) > 1e-9 * coarse or abs(rb * dt_b - coarse) > 1e-9 * coarse:
+        return math.nan
+    sa = prev.states()[::ra]
+    sb = cur.states()[::rb]
+    n = min(len(sa), len(sb))
+    axes = tuple(range(1, 1 + cur.grid.dim))
+    d = np.sqrt(cur.grid.node_volume * np.sum((sa[:n] - sb[:n]) ** 2, axis=axes))
+    return float(d.max())
+
 
 @dataclass
 class SweepEntry:
-    lam: float
     trajectory: solvermod.Trajectory
+    cauchy_prev: float            # distance to the previous run (NaN for the first)
     bounds: dict
     fenchel_gap_gamma: float | None
     fenchel_gap_beta: float | None
     tails_eta: np.ndarray
     tails_xi: np.ndarray
 
+    def row(self):
+        """The values of ``SWEEP_COLUMNS``; a missing Fenchel gap is NaN."""
+        gaps = (self.fenchel_gap_gamma, self.fenchel_gap_beta)
+        return [
+            self.cauchy_prev,
+            *(self.bounds[name] for name in BOUND_NAMES),
+            *(math.nan if g is None else g for g in gaps),
+            self.tails_eta[0],
+            self.tails_eta[-1],
+            self.tails_xi[0],
+            self.tails_xi[-1],
+            self.trajectory.energy_residual,
+        ]
+
+
+def sweep(runs, seed):
+    """Integrate each ``(cfg, u0, increments)`` in order, yielding one entry per run.
+
+    A ``SolverError`` propagates from the failing run, so a caller keeps the
+    entries already yielded.
+    """
+    prev = None
+    for cfg, u0, increments in runs:
+        traj = solvermod.integrate(cfg, u0, seed, increments)
+        gap_g, gap_b = fenchel_gap_integrals(traj)
+        tails_eta, tails_xi = tail_profiles(traj)
+        yield SweepEntry(
+            traj, cauchy_distance(prev, traj), trajectory_bounds(traj),
+            gap_g, gap_b, tails_eta, tails_xi,
+        )
+        prev = traj
+
 
 @dataclass
 class SweepReport:
-    lambdas: list
     entries: list
-    cauchy: list                  # sup_t distance between consecutive lambda runs
-    tail_levels: tuple
     increments_checksum: str
 
-    def bound_table(self):
-        return {name: [e.bounds[name] for e in self.entries] for name in BOUND_NAMES}
-
-    def ensemble_bound(self):
-        return {name: max(vals) for name, vals in self.bound_table().items()}
-
-    def rows(self):
-        out = []
-        for i, e in enumerate(self.entries):
-            row = [e.lam]
-            row.append(self.cauchy[i - 1] if i > 0 else math.nan)
-            row += [e.bounds[name] for name in BOUND_NAMES]
-            row.append(math.nan if e.fenchel_gap_gamma is None else e.fenchel_gap_gamma)
-            row.append(math.nan if e.fenchel_gap_beta is None else e.fenchel_gap_beta)
-            row += [e.tails_eta[0], e.tails_eta[-1], e.tails_xi[0], e.tails_xi[-1]]
-            row.append(e.trajectory.energy_residual)
-            row.append(self.increments_checksum)
-            out.append(row)
-        return out
-
-    HEADER = (
-        ["lambda", "cauchy_dist_prev"]
-        + list(BOUND_NAMES)
-        + [
-            "fenchel_gap_gamma",
-            "fenchel_gap_beta",
-            "tail_eta_1",
-            "tail_eta_max",
-            "tail_xi_1",
-            "tail_xi_max",
-            "energy_residual",
-            "increments_checksum",
-        ]
-    )
-
-    def write_csv(self, path, comments=()):
-        write_report_csv(path, self.HEADER, self.rows(), comments)
+    @property
+    def cauchy(self):
+        """sup_t distance between consecutive lambda runs."""
+        return [e.cauchy_prev for e in self.entries[1:]]
 
 
-def lambda_sweep(base, lambdas, seed, tail_levels=DEFAULT_TAIL_LEVELS, u0=None):
+def lambda_sweep(base, lambdas, seed, u0=None):
     """Integrate the same noise path across a halving sequence of lambdas.
 
     Reports Cauchy distances between consecutive runs, the four a-priori
@@ -257,29 +291,16 @@ def lambda_sweep(base, lambdas, seed, tail_levels=DEFAULT_TAIL_LEVELS, u0=None):
     else:
         increments, checksum = None, ""
 
+    runs = [(replace(base, lambda_yosida=lam), u0, increments) for lam in lambdas]
     entries = []
-    for lam in lambdas:
-        cfg = replace(base, lambda_yosida=lam)
-        try:
-            traj = solvermod.integrate(cfg, u0, seed, increments)
-        except solvermod.SolverError as err:
-            raise solvermod.SolverError(
-                f"sweep run at lambda={lam} failed: {err}", err.step_index
-            ) from err
-        gap_g, gap_b = fenchel_gap_integrals(traj)
-        te, tx = tail_profiles(traj, tail_levels)
-        entries.append(
-            SweepEntry(lam, traj, trajectory_bounds(traj), gap_g, gap_b, te, tx)
-        )
-
-    cauchy = []
-    for prev, cur in zip(entries, entries[1:]):
-        d = [
-            gridmod.norm_h(base.grid, a.u - b.u)
-            for a, b in zip(prev.trajectory.records, cur.trajectory.records)
-        ]
-        cauchy.append(float(max(d)))
-    return SweepReport(lambdas, entries, cauchy, tuple(tail_levels), checksum)
+    try:
+        for entry in sweep(runs, seed):
+            entries.append(entry)
+    except solvermod.SolverError as err:
+        raise solvermod.SolverError(
+            f"sweep run at lambda={lambdas[len(entries)]} failed: {err}", err.step_index
+        ) from err
+    return SweepReport(entries, checksum)
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +320,21 @@ class LipschitzReport:
     def all_passed(self):
         return all(a.passed for a in self.assertions)
 
-    HEADER = ["path", "sup_distance", "initial_distance", "ratio", "c_lip"]
 
-    def write_csv(self, path, comments=()):
-        rows = [
-            [float(i), d, self.initial_distance, self.ratio, self.c_lip]
-            for i, d in enumerate(self.sup_distances)
-        ]
-        write_report_csv(path, self.HEADER, rows, comments)
-
-
-def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed, c_lip=None):
+def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     """Couple both initial data to identical noise paths and compare.
 
     Reports ``R = sqrt(mean_path sup_t ||u_a - u_b||^2) / ||u0_a - u0_b||``
-    against the Gronwall default ``exp((1 + N_B^2) T)``; for additive noise
+    against the Gronwall constant ``exp((1 + N_B^2) T)``; for additive noise
     the per-step contraction of the implicit scheme is asserted pathwise.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     d0 = float(gridmod.norm_h(cfg.grid, u0_a.values - u0_b.values))
-    provenance = "config" if c_lip is not None else "default"
-    if c_lip is None:
-        nb = cfg.noise.bound if cfg.noise and cfg.noise.bound else (
-            noisemod.default_bound(cfg.noise, cfg.grid) if cfg.noise else 0.0
-        )
-        c_lip = math.exp((1.0 + nb**2) * cfg.horizon)
+    nb = cfg.noise.bound if cfg.noise and cfg.noise.bound else (
+        noisemod.default_bound(cfg.noise, cfg.grid) if cfg.noise else 0.0
+    )
+    c_lip = math.exp((1.0 + nb**2) * cfg.horizon)
 
     if cfg.noise is not None:
         res_a = solvermod.run_ensemble(cfg, u0_a.values, master_seed, n_paths, keep_states=True)
@@ -344,7 +354,7 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed, 
         ratio = float(np.sqrt(np.mean(sup_d**2)) / d0)
 
     assertions = [
-        Assertion("lipschitz_ratio", ratio, float(c_lip), ratio <= c_lip, provenance)
+        Assertion("lipschitz_ratio", ratio, float(c_lip), ratio <= c_lip)
     ]
     pathwise_ok = None
     if cfg.noise is None or cfg.noise.is_additive():
@@ -399,7 +409,7 @@ def build_phi(traj, checkpoints) -> PhiFunctional:
 
 
 # ---------------------------------------------------------------------------
-# a-priori bound table and continuity moduli
+# a-priori bound table
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -413,14 +423,8 @@ class AprioriReport:
     def all_passed(self):
         return all(a.passed for a in self.assertions)
 
-    HEADER = ["lambda"] + list(BOUND_NAMES)
 
-    def write_csv(self, path, comments=()):
-        data = [[lam] + [b[name] for name in BOUND_NAMES] for lam, b in self.rows]
-        write_report_csv(path, self.HEADER, data, comments)
-
-
-def apriori_report(trajs, slope_threshold=-0.05):
+def apriori_report(trajs):
     """Tabulate the four a-priori quantities per trajectory.
 
     Finiteness is asserted always; across a lambda-indexed family the
@@ -448,58 +452,8 @@ def apriori_report(trajs, slope_threshold=-0.05):
                 Assertion(
                     f"slope_{name}",
                     slopes[name],
-                    slope_threshold,
-                    slopes[name] >= slope_threshold,
+                    APRIORI_SLOPE_THRESHOLD,
+                    slopes[name] >= APRIORI_SLOPE_THRESHOLD,
                 )
             )
     return AprioriReport(rows, ensemble, slopes, assertions)
-
-
-def continuity_modulus(traj, lags=None):
-    """Largest increment ``max_k ||u(t_{k+j}) - u(t_k)||`` per dyadic lag j."""
-    n = len(traj.records) - 1
-    if n < 16:
-        raise ValueError("need at least 16 steps for a continuity modulus")
-    if lags is None:
-        lags = []
-        j = 1
-        while j <= n // 2:
-            lags.append(j)
-            j *= 2
-    states = traj.states()
-    g = traj.grid
-    axes = tuple(range(1, 1 + g.dim))
-    out = {}
-    for j in lags:
-        d = states[j:] - states[:-j]
-        out[j] = float(np.sqrt(g.node_volume * np.sum(d * d, axis=axes)).max())
-    return out
-
-
-def continuity_scaling(trajs, holder=0.5, max_tau_fraction=0.125):
-    """Fit moduli ~ C (j dt)^holder across a dt-refinement family.
-
-    Only lag times below ``max_tau_fraction * horizon`` enter: beyond the
-    mixing time the modulus saturates at the stationary oscillation scale and
-    carries no Holder information.  The exponent is a pooled log-log fit over
-    all levels; the per-level constants must agree within a factor of 4.
-    """
-    consts = []
-    pool_tau, pool_mod = [], []
-    for traj in trajs:
-        mods = continuity_modulus(traj)
-        cutoff = max_tau_fraction * traj.config.horizon
-        taus = np.array([j * traj.config.dt for j in sorted(mods)])
-        vals = np.array([mods[j] for j in sorted(mods)])
-        mask = (taus <= cutoff) & (vals > 0)
-        consts.append(float(np.median(vals[mask] / taus[mask] ** holder)))
-        pool_tau.extend(taus[mask])
-        pool_mod.extend(vals[mask])
-    consts = np.array(consts)
-    spread = float(consts.max() / consts.min()) if consts.min() > 0 else math.inf
-    return {
-        "constants": consts,
-        "exponent": observed_order(pool_mod, pool_tau),
-        "spread": spread,
-        "assertion": Assertion("holder_constant_spread", spread, 4.0, spread <= 4.0),
-    }

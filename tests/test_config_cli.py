@@ -5,6 +5,8 @@ import json
 import pytest
 
 from dnpde import cli, config as cfgmod
+from dnpde import noise as nz
+from dnpde import verify as vf
 
 BASIC = """\
 [grid]
@@ -132,6 +134,15 @@ def test_run_rejects_jobs_flag(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("line", ["max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10"])
+def test_run_invalid_inner_limits_exit_2(tmp_path, capsys, line):
+    text = BASIC.replace("[solver]", f"[solver]\n{line}")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    lineno = text.splitlines().index(line) + 1
+    assert f"line {lineno}: {line.split()[0]}" in capsys.readouterr().err
+
+
 def test_run_unstable_semi_implicit_exits_3(tmp_path, capsys):
     text = BASIC.replace("[solver]", "[solver]\nscheme = semi_implicit")
     cfg = write_cfg(tmp_path, text)
@@ -194,6 +205,32 @@ def test_sweep_h_and_mode_count(tmp_path):
 def test_sweep_invalid_key_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, BASIC)
     assert cli.main(["sweep", cfg, "--param", "bogus", "--values", "1"]) == 2
+
+
+def test_sweep_bad_values_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASIC)
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", cfg, "--param", "dt", "--values", "abc", "--out", out]) == 2
+    assert "abc" in capsys.readouterr().err
+
+
+def test_sweep_rows_match_lambda_sweep(tmp_path):
+    # `dnpde sweep` and verify.lambda_sweep run one routine: same numbers, bit for bit
+    cfg = write_cfg(tmp_path, BASIC)
+    out = tmp_path / "out"
+    lams = [0.5, 0.25, 0.125]
+    assert cli.main([
+        "sweep", cfg, "--param", "lambda_yosida", "--values", "0.5,0.25,0.125", "--out", str(out)
+    ]) == 0
+    lines = (out / "demo_sweep.csv").read_text().splitlines()
+    header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+    assert header == cli.SWEEP_HEADER
+    base, u0 = cfgmod.build_problem(cfgmod.load_config(cfg))
+    rep = vf.lambda_sweep(base, lams, nz.PathSeed(20260809, 0), u0=u0)
+    assert len(rows) == len(rep.entries) == len(lams)
+    for row, entry in zip(rows, rep.entries):
+        assert [float(c).hex() for c in row[2:-2]] == [float(v).hex() for v in entry.row()]
+        assert row[-2:] == [rep.increments_checksum, "ok"]
 
 
 def test_sweep_inner_failure_flushes_partial(tmp_path, capsys):

@@ -124,19 +124,6 @@ def test_declared_bound_holds_for_catalog_gains():
             assert diff <= nb * gd.norm_h(GRID, u - v) + 1e-12
 
 
-def test_smooth_noise():
-    model = nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 1.0)
-    assert nz.smooth_noise(model, 0.0, 2, GRID) is model
-    sm = nz.smooth_noise(model, 0.3, 2, GRID)
-    a1 = gd.sine_eigenvalue(GRID, 1)
-    a2 = gd.sine_eigenvalue(GRID, 2)
-    assert sm.amplitudes[0] == pytest.approx(0.5 * (1 + 0.3 * a1) ** -2)
-    assert sm.amplitudes[1] == pytest.approx(0.25 * (1 + 0.3 * a2) ** -2)
-    rng = np.random.default_rng(12)
-    u = rng.standard_normal(GRID.shape)
-    assert nz.hs_norm(sm, GRID, u) <= nz.hs_norm(model, GRID, u)
-
-
 def test_power_law_amplitudes():
     amps = nz.amplitudes_power_law(4, 2.0, 1.0)
     assert amps == (2.0, 1.0, 2.0 / 3.0, 0.5)

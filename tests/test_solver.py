@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dnpde import cli
 from dnpde import convex as cx
 from dnpde import grid as gd
 from dnpde import noise as nz
@@ -37,6 +38,10 @@ def test_config_validation():
         heat_cfg(horizon=0.99 * 1 / 64 * 7)   # not a multiple of dt
     with pytest.raises(ValueError):
         heat_cfg(gamma=cx.RadialPotential(cx.PowerPotential(2.0), 2))
+    with pytest.raises(ValueError):
+        heat_cfg(eps_inner=0.0)
+    with pytest.raises(ValueError):
+        heat_cfg(max_inner=0)
     assert heat_cfg(lambda_visc=None).visc == 0.5   # tied to lambda_yosida
 
 
@@ -253,6 +258,12 @@ def test_ensemble_paths_match_integrate():
             assert sup <= 2 * cfg.horizon * cfg.eps_inner
 
 
+def test_ensemble_rejects_empty():
+    cfg = heat_cfg(noise=nz.NoiseModel((0.5,), nz.AdditiveGain(), 0.5))
+    with pytest.raises(ValueError, match="at least one path"):
+        sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=0)
+
+
 def test_batch_requires_increments_with_noise():
     cfg = heat_cfg(noise=nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4))
     with pytest.raises(ValueError):
@@ -341,14 +352,25 @@ def test_2d_stochastic_run_with_both_graphs():
 
 
 def test_trajectory_csv_format(tmp_path):
-    cfg = heat_cfg(horizon=3 / 64)
-    traj = sv.integrate(cfg, GridField(G16, gd.sine_mode(G16, 1)))
-    path = tmp_path / "traj.csv"
-    sv.write_trajectory_csv(traj, path, ["checksum=abc"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# checksum=abc"
-    assert lines[1] == "step,t," + ",".join(sv.LEDGER_COLUMNS)
-    assert len(lines) == 2 + cfg.n_steps + 1
-    row = lines[2].split(",")
-    assert row[0] == "0"
-    assert float(row[2]) == traj.records[0].norm_u_sq
+    # `dnpde run` writes one ledger row per record: 17 digits, LF endings, '#' comments
+    path = tmp_path / "heat.cfg"
+    path.write_text(
+        "[grid]\ndimension = 1\nextent = 1.0\nnodes = 16\n\n"
+        "[potentials]\ngamma_kind = power\ngamma_p = 2.0\n\n"
+        "[solver]\nlambda_yosida = 0.5\nlambda_visc = 0.1\ndt = 0.015625\n"
+        "horizon = 0.046875\nu0_kind = eigenmode\n\n[output]\nprefix = heat\n"
+    )
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "heat_trajectory.csv").read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().splitlines()
+    assert lines[0].startswith("# config_checksum=")
+    assert lines[1] == "# master_seed=0"
+    assert lines[2] == "step,t," + ",".join(sv.LEDGER_COLUMNS)
+    traj = sv.integrate(heat_cfg(horizon=3 / 64), GridField(G16, gd.sine_mode(G16, 1)))
+    assert len(lines) == 3 + traj.config.n_steps + 1
+    for line, rec in zip(lines[3:], traj.records):
+        row = line.split(",")
+        assert row[0] == str(rec.index)
+        expected = [rec.t, *(getattr(rec, c) for c in sv.LEDGER_COLUMNS)]
+        assert [float(v) for v in row[1:]] == expected
