@@ -115,6 +115,8 @@ def _sweep_configs(rc, cfg, u0, param, values):
     elif param == "mode_count":
         if model is None:
             raise ConfigError("mode_count sweep needs a [noise] section")
+        if any(not float(v).is_integer() or v < 1 for v in values):
+            raise ConfigError(f"mode_count sweep values must be integers >= 1, got {list(values)}")
         ks = [int(v) for v in values]
         kmax = max(ks)
         if rc.has("noise", "amplitudes"):
@@ -134,7 +136,7 @@ def _sweep_configs(rc, cfg, u0, param, values):
                 tuple(amps[:k]), model.gain, noisemod.default_bound(sub, cfg.grid)
             )
             runs.append((replace(cfg, noise=sub), u0, inc[:, :k]))
-    elif param == "h":
+    else:   # "h"; cmd_sweep has checked the key
         if rc.get("solver", "u0_kind", "zero") == "file":
             raise ConfigError("h sweep cannot reuse a file-based initial datum")
         for v in values:
@@ -152,8 +154,6 @@ def _sweep_configs(rc, cfg, u0, param, values):
             else:
                 inc = None
             runs.append((replace(cfg, grid=g, noise=noise_v), u0_v, inc))
-    else:
-        raise ConfigError(f"invalid sweep key {param!r}; use one of {SWEEP_KEYS}")
     return runs, checksum
 
 

@@ -288,7 +288,7 @@ def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverCon
             lambda_visc=rc.get("solver", "lambda_visc"),
             scheme=rc.get("solver", "scheme", "implicit_opt"),
             eps_inner=rc.get("solver", "eps_inner", 1e-10),
-            max_inner=rc.get("solver", "max_inner", 200_000),
+            max_inner=rc.get("solver", "max_inner", 100),
         )
     except ValueError as err:
         lines = rc.lines["solver"]

@@ -39,7 +39,7 @@ __all__ = [
     "ValidationReport",
 ]
 
-ROOT_TOL = 1e-12          # absolute tolerance on resolvent points
+ROOT_TOL = 1e-12          # bisection width on resolvent points (relative beyond |x| = 1)
 BRACKET_CAP = 2.0 ** 60   # maximal bracket half-width before giving up
 DOMAIN_SLACK = 1e-9       # roundoff slack on indicator-type conjugate domains
 
@@ -88,6 +88,10 @@ class Potential:
         raise NotImplementedError
 
     def minimal_slope(self, x):
+        raise NotImplementedError
+
+    def slope_derivative(self, x):
+        """Derivative of a scalar profile's ``minimal_slope``; ``inf`` where the graph is vertical."""
         raise NotImplementedError
 
     closed_resolvent_available = False
@@ -142,6 +146,10 @@ class PowerPotential(Potential):
         x = np.asarray(x, dtype=float)
         return self.scale * np.sign(x) * np.abs(x) ** (self.p - 1.0)
 
+    def slope_derivative(self, x):
+        with np.errstate(divide="ignore"):
+            return self.scale * (self.p - 1.0) * np.abs(np.asarray(x, dtype=float)) ** (self.p - 2.0)
+
     @property
     def closed_resolvent_available(self):
         return self.p in (1.5, 2.0, 4.0)
@@ -188,6 +196,9 @@ class AbsPotential(Potential):
     def minimal_slope(self, x):
         return self.scale * np.sign(np.asarray(x, dtype=float))
 
+    def slope_derivative(self, x):
+        return np.where(np.asarray(x, dtype=float) == 0.0, np.inf, 0.0)
+
     closed_resolvent_available = True
 
     def closed_resolvent(self, lam, x):
@@ -227,6 +238,9 @@ class HuberPotential(Potential):
         x = np.asarray(x, dtype=float)
         return self.scale * np.clip(x, -self.delta, self.delta)
 
+    def slope_derivative(self, x):
+        return np.where(np.abs(np.asarray(x, dtype=float)) < self.delta, self.scale, 0.0)
+
     closed_resolvent_available = True
 
     def closed_resolvent(self, lam, x):
@@ -258,6 +272,9 @@ class ExpCoshPotential(Potential):
 
     def minimal_slope(self, x):
         return self.scale * np.sinh(np.asarray(x, dtype=float))
+
+    def slope_derivative(self, x):
+        return self.scale * np.cosh(np.asarray(x, dtype=float))
 
     closed_conjugate_available = True
 
@@ -331,6 +348,12 @@ class SampledSlopePotential(Potential):
 
     def minimal_slope(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.gs)
+
+    def slope_derivative(self, x):
+        x = np.asarray(x, dtype=float)
+        rates = np.diff(self.gs) / np.diff(self.xs)
+        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, rates.size - 1)
+        return np.where((x < self.xs[0]) | (x > self.xs[-1]), 0.0, rates[idx])
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -465,6 +488,8 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
     The residual is nondecreasing in ``r``; since 0 belongs to the graph at 0
     the bracket ``[min(x,0), max(x,0)]`` already straddles the root for
     catalog graphs, but the bracket is expanded by doubling as a safeguard.
+    It stops at width ``tol * max(1, |x|)``, then one Newton step kept inside
+    the bracket takes the root to rounding.
     """
     x = np.asarray(x, dtype=float)
     lo = np.minimum(x, 0.0)
@@ -487,8 +512,9 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
     else:
         raise RootFindError("bracket expansion failed (non-monotone user graph?)")
 
+    width = tol * np.maximum(1.0, np.abs(x))
     for _ in range(200):
-        if np.all(hi - lo <= tol):
+        if np.all(hi - lo <= width):
             break
         mid = 0.5 * (lo + hi)
         neg = resid(mid) < 0.0
@@ -496,7 +522,10 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
         hi = np.where(neg, hi, mid)
     else:
         raise RootFindError(f"bisection did not reach tolerance {tol}")
-    return 0.5 * (lo + hi)
+    r = 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        step = resid(r) / (1.0 + lam * np.asarray(pot.slope_derivative(r)))
+    return np.clip(r - np.nan_to_num(step, posinf=0.0, neginf=0.0), lo, hi)
 
 
 def resolvent(pot, lam, x, *, force_bisect=False):

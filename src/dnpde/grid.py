@@ -256,8 +256,9 @@ def cg_solve(grid, apply_op, b, diag, rtol=CG_RTOL, max_iter=None):
     """Matrix-free conjugate gradients with Jacobi (diagonal) scaling.
 
     ``apply_op`` maps node arrays to node arrays and must be SPD in the
-    h-weighted inner product; ``diag`` is its (constant) diagonal.  Batched
-    right-hand sides converge when every column passes the relative test.
+    h-weighted inner product; ``diag`` is its diagonal (a constant or a node
+    array).  Batched right-hand sides converge when every column passes the
+    relative test; a zero column stays zero.
     """
     b = np.asarray(b, dtype=float)
     if max_iter is None:
@@ -271,19 +272,19 @@ def cg_solve(grid, apply_op, b, diag, rtol=CG_RTOL, max_iter=None):
     p = z.copy()
     rz = _grid_sum(grid, r * z)
     for _ in range(max_iter):
-        rn = np.sqrt(_grid_sum(grid, r * r))
-        if np.all(rn <= rtol * bnorm):
+        done = np.sqrt(_grid_sum(grid, r * r)) <= rtol * bnorm
+        if np.all(done):
             return x
         ap = apply_op(p)
         pap = _grid_sum(grid, p * ap)
-        if np.any(pap <= 0.0):
+        if np.any((pap <= 0.0) & ~done):
             raise RuntimeError("CG breakdown: operator is not positive definite")
-        alpha = np.where(pap > 0.0, rz / pap, 0.0)
+        alpha = rz / np.where(pap > 0.0, pap, 1.0)   # a zero column has rz = 0
         x = x + _bexpand(grid, alpha) * p
         r = r - _bexpand(grid, alpha) * ap
         z = r / diag
         rz_new = _grid_sum(grid, r * z)
-        beta = np.where(rz > 0.0, rz_new / rz, 0.0)
+        beta = rz_new / np.where(rz > 0.0, rz, 1.0)
         p = z + _bexpand(grid, beta) * p
         rz = rz_new
     raise RuntimeError(f"CG did not converge in {max_iter} iterations")

@@ -9,8 +9,9 @@ whose optimality condition is the backward Euler step of ``du - lam_visc *
 lap(u) dt - div gamma_lam(grad u) dt + beta_lam(u) dt = 0`` applied to the
 noise-augmented forcing (explicit Euler-Maruyama treatment of the noise).
 ``k_lam`` and ``j_lam`` are Moreau envelopes, so the objective is smooth and
-strongly convex and is solved by accelerated gradient descent with the
-certified step 1/L.
+strongly convex and is solved by damped semismooth Newton (a Thomas sweep
+in 1d, matrix-free CG in 2d, an Armijo search on F per path) until its
+gradient norm is certified below ``eps_inner``.
 
 On staggered grids every face carries one gradient component, and the flux
 graph is applied facewise through its scalar profile; in 1d this is exactly
@@ -25,7 +26,7 @@ the other.
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 ENSEMBLE_CHUNK = 64   # fixed path-chunk size of run_ensemble
+ARMIJO = 0.1          # sufficient-decrease fraction of the Newton line search
+MU_STEP = 10.0        # factor on a path's damping weight after each line search
+MU_MIN = 0.01         # damping weight after the first shortened step
+MAX_BACKTRACKS = 40   # step halvings before the line search fails
+F_ROUNDING = 1e-12    # relative size of F below which a predicted decrease is rounding
 
 LEDGER_COLUMNS = (
     "norm_u_sq",
@@ -74,7 +80,12 @@ class StabilityError(SolverError):
 
 
 class InnerSolveError(SolverError):
-    """Inner optimizer failed (max iterations or non-finite iterate)."""
+    """Inner solve failed; names the worst ``path`` (None unbatched), the Newton
+    ``iterations`` taken and that path's last ``grad_norm``."""
+
+    def __init__(self, message, step_index=None, path=None, iterations=None, grad_norm=None):
+        super().__init__(message, step_index)
+        self.path, self.iterations, self.grad_norm = path, iterations, grad_norm
 
 
 @dataclass
@@ -89,7 +100,7 @@ class SolverConfig:
     lambda_visc: float | None = None   # None ties it to lambda_yosida
     scheme: str = "implicit_opt"
     eps_inner: float = 1e-10
-    max_inner: int = 200_000
+    max_inner: int = 100
 
     def __post_init__(self):
         if not self.lambda_yosida > 0:
@@ -125,16 +136,36 @@ class SolverConfig:
         return self.dt * (lmax / self.lambda_yosida + 1.0 / self.lambda_yosida)
 
 
-def _yosida_fn(pot, lam):
-    if pot is None:
-        return None
+def _resolvent_point(pot, lam, a):
+    """``J_lam(a)`` of a scalar profile: its closed form where the catalog has one."""
     if pot.closed_resolvent_available:
-        def f(a):
-            return (a - pot.closed_resolvent(lam, a)) / lam
-    else:
-        def f(a):
-            return (a - convex._bisect_scalar_graph(pot, lam, a)) / lam
-    return f
+        return pot.closed_resolvent(lam, a)
+    return convex._bisect_scalar_graph(pot, lam, a)
+
+
+def _yosida(pot, lam, a):
+    return (a - _resolvent_point(pot, lam, a)) / lam
+
+
+def _yosida_parts(pot, lam, a):
+    """Moreau envelope, Yosida map ``G`` and two curvatures of ``G`` at ``a``.
+
+    All come from one resolvent point ``J`` (zeros without a potential).  The
+    Newton curvature is ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the
+    graph is vertical.  The secant one, ``max(G', G(a)/a)``, is Kacanov's:
+    where the graph grows at most linearly (abs, Huber, power p < 2) its
+    quadratic model majorizes the envelope, so its steps cannot overshoot.
+    """
+    if pot is None:
+        z = np.zeros_like(a)
+        return z, z, z, z
+    j = _resolvent_point(pot, lam, a)
+    r = a - j
+    gp = pot.slope_derivative(j)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
+        secant = np.maximum(dG, np.where(a != 0.0, r / (lam * a), dG))
+    return pot.value(j) + r * r / (2.0 * lam), r / lam, dG, secant
 
 
 @dataclass
@@ -142,74 +173,140 @@ class _Problem:
     """Precomputed per-config stepping data."""
 
     cfg: SolverConfig
-    gamma_yos: object
-    beta_yos: object
-    lip: float          # gradient Lipschitz bound L of the step objective
-    momentum: float
     visc_diag: float    # diagonal of I - dt*visc*lap
 
     @classmethod
     def build(cls, cfg):
-        lmax = gridmod.lambda_max(cfg.grid)
-        lam = cfg.lambda_yosida
-        lip = 1.0 / cfg.dt + (cfg.visc + 1.0 / lam) * lmax + 1.0 / lam
-        mu = 1.0 / cfg.dt
-        rl, rm = math.sqrt(lip), math.sqrt(mu)
-        momentum = (rl - rm) / (rl + rm)
-        visc_diag = 1.0 + cfg.dt * cfg.visc * sum(
-            2.0 / h**2 for h in cfg.grid.spacing
-        )
-        return cls(
-            cfg,
-            _yosida_fn(cfg.gamma, lam),
-            _yosida_fn(cfg.beta, lam),
-            lip,
-            momentum,
-            visc_diag,
-        )
+        return cls(cfg, 1.0 + cfg.dt * cfg.visc * sum(2.0 / h**2 for h in cfg.grid.spacing))
+
+
+# The step objective at one iterate: value and gradient norm per path, the
+# h-weighted gradient, and (Newton, secant) curvature pairs, one per face axis
+# (viscosity included) and one for the nodes.
+_Eval = namedtuple("_Eval", "value grad grad_norm face_curv node_curv")
+
+
+def _evaluate(pb, v, forcing):
+    cfg = pb.cfg
+    g = cfg.grid
+    lam = cfg.lambda_yosida
+    axes = tuple(range(g.dim))
+    flux, face_curv, face_sum = [], [], 0.0
+    for ga in gridmod.grad_arrays(g, v):
+        env, G, dG, sec = _yosida_parts(cfg.gamma, lam, ga)
+        flux.append(cfg.visc * ga + G)
+        face_curv.append((cfg.visc + dG, cfg.visc + sec))
+        face_sum = face_sum + np.sum(0.5 * cfg.visc * ga * ga + env, axis=axes)
+    r = v - forcing
+    env, G, dG, sec = _yosida_parts(cfg.beta, lam, v)
+    out = r / cfg.dt - gridmod.div_arrays(g, flux) + G
+    value = g.node_volume * (np.sum(r * r / (2.0 * cfg.dt) + env, axis=axes) + face_sum)
+    return _Eval(value, out, gridmod.norm_h(g, out), tuple(face_curv), (dG, sec))
 
 
 def _grad_objective(pb, v, forcing):
     """h-weighted gradient of the implicit-step objective at v."""
+    return _evaluate(pb, v, forcing).grad
+
+
+def _thomas(diag, off, rhs):
+    """Thomas sweep down the node axis for a diagonally dominant symmetric
+    tridiagonal system; each trailing path gets the same scalar operations."""
+    d, o, y = list(diag), list(off), list(rhs)
+    c = [0.0] * len(o)
+    m = d[0]
+    y[0] = y[0] / m
+    for i in range(1, len(d)):
+        c[i - 1] = o[i - 1] / m
+        m = d[i] - o[i - 1] * c[i - 1]
+        y[i] = (y[i] - o[i - 1] * y[i - 1]) / m
+    for i in range(len(d) - 2, -1, -1):
+        y[i] = y[i] - c[i] * y[i + 1]
+    return np.array(y)
+
+
+def _newton_direction(pb, ev, mu):
+    """Solve ``H d = -grad F`` by a Thomas sweep (1-d) or Jacobi-scaled CG (2-d).
+
+    ``H`` takes each curvature as ``newton + mu * (secant - newton)``.
+    """
     cfg = pb.cfg
-    g = gridmod.grad_arrays(cfg.grid, v)
-    flux = []
-    for ga in g:
-        fa = cfg.visc * ga
-        if pb.gamma_yos is not None:
-            fa = fa + pb.gamma_yos(ga)
-        flux.append(fa)
-    out = (v - forcing) / cfg.dt - gridmod.div_arrays(cfg.grid, flux)
-    if pb.beta_yos is not None:
-        out = out + pb.beta_yos(v)
-    return out
+    g = cfg.grid
+    coef = [n + mu * (s - n) for n, s in ev.face_curv]
+    n, s = ev.node_curv
+    node = n + mu * (s - n)
+    diag = 1.0 / cfg.dt + node
+    for ax, (c, h) in enumerate(zip(coef, g.spacing)):
+        c = np.moveaxis(c, ax, 0)
+        diag = diag + np.moveaxis(c[1:] + c[:-1], 0, ax) / h**2
+    if g.dim == 1:
+        return _thomas(diag, -coef[0][1:-1] / g.spacing[0] ** 2, -ev.grad)
+
+    def hess(d):
+        flux = [c * fd for c, fd in zip(coef, gridmod.grad_arrays(g, d))]
+        return d / cfg.dt - gridmod.div_arrays(g, flux) + node * d
+
+    return gridmod.cg_solve(g, hess, -ev.grad, diag)
 
 
-def _inner_failure(cfg, gn, what):
+def _inner_failure(cfg, gn, what, iterations):
     """InnerSolveError naming the worst path when the arrays carry a path axis."""
-    path = f" on path {int(np.argmax(gn))}" if np.ndim(gn) else ""
+    path = int(np.argmax(gn)) if np.ndim(gn) else None
+    worst = float(np.max(gn))
     return InnerSolveError(
-        f"inner optimizer {what}{path}: "
-        f"gradient norm {float(np.max(gn)):.3e} > {cfg.eps_inner:.1e}"
+        f"inner optimizer {what}{'' if path is None else f' on path {path}'}: "
+        f"gradient norm {worst:.3e} > {cfg.eps_inner:.1e}",
+        path=path, iterations=iterations, grad_norm=worst,
     )
 
 
+def _line_search(pb, v, forcing, ev, d, todo, it):
+    """Armijo backtracking on ``F``, one step length per path in ``todo``.
+
+    Where ``t <grad F, d>`` is below the rounding of ``F``, a step lowering
+    ``||grad F||_h`` is taken.  Accepted paths keep their step length, so the
+    last trial holds every path's result."""
+    slope = gridmod.dot_h(pb.cfg.grid, ev.grad, d)
+    rounding = F_ROUNDING * (1.0 + np.abs(ev.value))
+    t = np.ones_like(slope)
+    for _ in range(MAX_BACKTRACKS):
+        trial = v + t * d
+        new = _evaluate(pb, trial, forcing)
+        armijo = new.value <= ev.value + ARMIJO * t * slope
+        flat = (np.abs(t * slope) <= rounding) & (new.grad_norm < ev.grad_norm)
+        todo = todo & ~(armijo | flat)
+        if not np.any(todo):
+            return trial, new, t
+        t = np.where(todo, 0.5 * t, t)
+    what = f"line search failed after {MAX_BACKTRACKS} backtracks at iteration {it}"
+    raise _inner_failure(pb.cfg, np.where(todo, ev.grad_norm, 0.0), what, it)
+
+
 def _implicit_step_arrays(pb, u, forcing):
-    """Accelerated gradient descent to the certified gradient-norm tolerance."""
+    """Damped semismooth Newton to the certified gradient-norm tolerance.
+
+    Newton steps overshoot where a graph flattens (total-variation fluxes,
+    power p < 2); secant steps cannot.  Each path blends the two curvatures
+    by a weight ``mu`` as in Levenberg-Marquardt: it starts at 0 (Newton), a
+    full step divides it by ``MU_STEP``, a shortened one multiplies it (up to
+    1), so Newton takes over near the optimum.  A path meeting ``eps_inner``
+    is frozen, so it stops on its own certificate whatever its batch.
+    """
     cfg = pb.cfg
-    x = u
-    y = u
-    for it in range(1, cfg.max_inner + 1):
-        g = _grad_objective(pb, y, forcing)
-        gn = gridmod.norm_h(cfg.grid, g)
-        if not np.all(np.isfinite(gn)):
-            raise _inner_failure(cfg, gn, f"hit a non-finite iterate at iteration {it}")
-        if np.max(gn) <= cfg.eps_inner:
-            return y
-        x_new = y - g / pb.lip
-        y = x_new + pb.momentum * (x_new - x)
-        x = x_new
-    raise _inner_failure(cfg, gn, f"exceeded {cfg.max_inner} iterations")
+    v = u
+    ev = _evaluate(pb, v, forcing)
+    if not (np.all(np.isfinite(ev.value)) and np.all(np.isfinite(ev.grad_norm))):
+        raise _inner_failure(cfg, ev.grad_norm, "hit a non-finite iterate at iteration 0", 0)
+    mu = np.zeros_like(ev.grad_norm)
+    it = 0
+    while np.any(active := ev.grad_norm > cfg.eps_inner):
+        if it == cfg.max_inner:
+            raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
+        it += 1
+        d = np.where(active, _newton_direction(pb, ev, mu), 0.0)
+        v, ev, t = _line_search(pb, v, forcing, ev, d, active, it)
+        mu = np.where(t == 1.0, mu / MU_STEP, np.clip(mu * MU_STEP, MU_MIN, 1.0))
+    return v
 
 
 def _check_stability(cfg, step_index=None):
@@ -226,12 +323,12 @@ def _semi_implicit_step_arrays(pb, u, forcing):
     """One semi-implicit step; the caller has checked the stability bound."""
     cfg = pb.cfg
     rhs = forcing
-    if pb.gamma_yos is not None:
+    if cfg.gamma is not None:
         g = gridmod.grad_arrays(cfg.grid, u)
-        eta = [pb.gamma_yos(ga) for ga in g]
+        eta = [_yosida(cfg.gamma, cfg.lambda_yosida, ga) for ga in g]
         rhs = rhs + cfg.dt * gridmod.div_arrays(cfg.grid, eta)
-    if pb.beta_yos is not None:
-        rhs = rhs - cfg.dt * pb.beta_yos(u)
+    if cfg.beta is not None:
+        rhs = rhs - cfg.dt * _yosida(cfg.beta, cfg.lambda_yosida, u)
     if cfg.visc == 0.0:
         return rhs
 
@@ -258,7 +355,7 @@ def semi_implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
 # the stepping loop and its energy ledger
 # ---------------------------------------------------------------------------
 
-def _ledger_row(cfg, pb, u, noise_field):
+def _ledger_row(cfg, u, noise_field):
     """Ledger scalars of one record (per path), with eta and xi at ``u``.
 
     ``eta`` is None without a flux graph and ``xi`` None without an
@@ -268,12 +365,12 @@ def _ledger_row(cfg, pb, u, noise_field):
     zero = np.zeros(u.shape[g.dim:])
     eta = xi = None
     pair_eta = pair_xi = zero
-    if pb.gamma_yos is not None:
+    if cfg.gamma is not None:
         faces = gridmod.grad_arrays(g, u)
-        eta = tuple(pb.gamma_yos(ga) for ga in faces)
+        eta = tuple(_yosida(cfg.gamma, cfg.lambda_yosida, ga) for ga in faces)
         pair_eta = gridmod.flux_dot_h(g, eta, faces)
-    if pb.beta_yos is not None:
-        xi = pb.beta_yos(u)
+    if cfg.beta is not None:
+        xi = _yosida(cfg.beta, cfg.lambda_yosida, u)
         pair_xi = gridmod.dot_h(g, xi, u)
     row = {
         "norm_u_sq": gridmod.dot_h(g, u, u),
@@ -304,7 +401,7 @@ def _run(cfg, u, increments, keep_fields):
     rows, fields = [], []
 
     def record(u, noise_field):
-        row, eta, xi = _ledger_row(cfg, pb, u, noise_field)
+        row, eta, xi = _ledger_row(cfg, u, noise_field)
         rows.append(row)
         if keep_fields:
             fields.append((u, eta, xi))

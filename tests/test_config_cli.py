@@ -214,6 +214,14 @@ def test_sweep_bad_values_exits_2(tmp_path, capsys):
     assert "abc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["1.5,2.7", "0"])   # 1.5,2.7 used to run K = 1, 2
+def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values):
+    cfg = write_cfg(tmp_path, BASIC)
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", cfg, "--param", "mode_count", "--values", values, "--out", out]) == 2
+    assert "integers >= 1" in capsys.readouterr().err
+
+
 def test_sweep_rows_match_lambda_sweep(tmp_path):
     # `dnpde sweep` and verify.lambda_sweep run one routine: same numbers, bit for bit
     cfg = write_cfg(tmp_path, BASIC)

@@ -147,6 +147,22 @@ def test_oracle_equivalence_bisect_vs_closed():
             assert np.abs(a - b).max() <= 1e-10
 
 
+def test_bisection_resolvent_reaches_rounding():
+    # r + lam*g(r) = x holds to the rounding of its terms, also for |x| far
+    # beyond 1, where a bracket width of 1e-12 is below an ulp of the root
+    xs = np.linspace(-8, 8, 161)
+    sampled = SampledSlopePotential.from_value_samples(xs, np.abs(xs) ** 3 / 3)
+    x = np.linspace(-30.0, 30.0, 601)
+    big = np.array([1e4, -3e5])
+    for pot, x in ((sampled, np.concatenate([x, big])), (ExpCoshPotential(), x),
+                   (PowerPotential(3.0), np.concatenate([x, big]))):
+        for lam in (0.01, 0.3):
+            r = convex.resolvent(pot, lam, x)
+            resid = r + lam * pot.minimal_slope(r) - x
+            scale = np.abs(x) + (1.0 + lam * pot.slope_derivative(r)) * np.maximum(1.0, np.abs(r))
+            assert np.all(np.abs(resid) <= 4 * np.finfo(float).eps * scale)
+
+
 def test_envelope_gradient_matches_yosida():
     rng = np.random.default_rng(9)
     lam = 0.37

@@ -184,6 +184,15 @@ def test_batched_operations_match_loop():
         assert np.abs(r_batch[..., p] - single).max() <= 1e-11
 
 
+def test_cg_batch_with_zero_column():
+    rng = np.random.default_rng(11)
+    b = np.stack([np.zeros(G2.shape), rng.standard_normal(G2.shape)], axis=-1)
+    diag = 1.0 + 0.3 * sum(2.0 / h**2 for h in G2.spacing)
+    x = gd.cg_solve(G2, lambda v: v - 0.3 * gd.lap_arrays(G2, v), b, diag)
+    assert np.all(x[..., 0] == 0.0)
+    assert np.abs(x[..., 1] - gd.resolvent_arrays(G2, 0.3, 1, b[..., 1])).max() <= 1e-11
+
+
 def test_cg_rejects_indefinite_operator():
     with pytest.raises(RuntimeError):
         gd.cg_solve(G1, lambda v: -v, np.ones(G1.shape), diag=1.0)
