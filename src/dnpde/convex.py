@@ -1,14 +1,18 @@
 """Convex potentials, subdifferential graphs, resolvents and Yosida maps.
 
-Everything here is built around nonnegative convex potentials ``P`` with
-``P(0) = 0``.  The subdifferential of such a potential is a maximal monotone
-graph through the origin; it is represented only through quantities that are
-always single valued: the resolvent ``J_lam = (I + lam*dP)^{-1}``, the Yosida
-map ``G_lam(x) = (x - J_lam(x)) / lam``, the Moreau envelope and the convex
-conjugate.  Multivalued points never need an arbitrary selection rule.
+Everything here is built around nonnegative convex potentials ``P`` on the
+real line with ``P(0) = 0``.  The subdifferential of such a potential is a
+maximal monotone graph through the origin; it is represented only through
+quantities that are always single valued: the resolvent
+``J_lam = (I + lam*dP)^{-1}``, the Yosida map ``G_lam(x) = (x - J_lam(x)) /
+lam``, the Moreau envelope and the convex conjugate.  Multivalued points
+never need an arbitrary selection rule.
 
-Scalar potentials act elementwise on arrays.  Vector potentials (radial or
-separable) act on arrays whose last axis is the vector dimension.
+Potentials are scalar profiles and act elementwise on arrays: the solver's
+staggered grids carry one normal gradient component per face, so a flux
+graph is applied face by face through its profile.  How a resolvent is
+evaluated (closed form where the catalog has one, else bisection) is decided
+here, in one place, for the public functions and the solver alike.
 """
 
 from __future__ import annotations
@@ -25,11 +29,8 @@ __all__ = [
     "HuberPotential",
     "ExpCoshPotential",
     "SampledSlopePotential",
-    "RadialPotential",
-    "SeparablePotential",
     "RootFindError",
     "ConjugateSearchError",
-    "eval_potential",
     "resolvent",
     "yosida",
     "moreau_envelope",
@@ -79,8 +80,6 @@ class Potential:
     """
 
     kind = "base"
-    dim = 1
-    is_vector = False
     scale = 1.0
     symmetry_bound = 1e6   # default C_sym when the user states none
 
@@ -91,13 +90,23 @@ class Potential:
         raise NotImplementedError
 
     def slope_derivative(self, x):
-        """Derivative of a scalar profile's ``minimal_slope``; ``inf`` where the graph is vertical."""
+        """Derivative of ``minimal_slope``; ``inf`` where the graph is vertical."""
         raise NotImplementedError
 
     closed_resolvent_available = False
 
     def closed_resolvent(self, lam, x):
         raise NotImplementedError
+
+    def yosida_from_resolvent(self, lam, x, j):
+        """Yosida value ``(x - j)/lam`` at ``x`` with resolvent point ``j``.
+
+        The abs and Huber graphs, flat beyond a threshold, override it by a
+        closed form in ``x``: on a flat part ``x - j`` is a constant plus the
+        rounding of ``j``, and dividing by a small ``lam`` makes that
+        rounding break monotonicity and leave the range of the graph.
+        """
+        return (x - j) / lam
 
     closed_conjugate_available = False
 
@@ -161,15 +170,18 @@ class PowerPotential(Potential):
             return x / (1.0 + c)
         a = np.abs(x)
         if self.p == 1.5:
-            # r + c*sqrt(r) = a; quadratic in sqrt(r)
-            t = 0.5 * (-c + np.sqrt(c * c + 4.0 * a))
+            # r + c*sqrt(r) = a; quadratic in sqrt(r), root without cancellation
+            t = 2.0 * a / (c + np.sqrt(c * c + 4.0 * a))
             return np.sign(x) * t * t
         if self.p == 4.0:
-            # c*r^3 + r = a, unique real root via the stable Cardano form
+            # c*r^3 + r = a, unique real root by Cardano: r = t1 - s with
+            # s = pp/(3 t1); t1 - s = (t1^3 - s^3)/(t1^2 + t1 s + s^2), where
+            # t1^3 - s^3 = a/c and t1 s = pp/3, avoids the cancellation of t1 - s
             pp = 1.0 / c
             disc = np.sqrt((a / (2.0 * c)) ** 2 + (pp / 3.0) ** 3)
             t1 = np.cbrt(a / (2.0 * c) + disc)
-            return np.sign(x) * (t1 - pp / (3.0 * t1))
+            s = pp / (3.0 * t1)
+            return np.sign(x) * (a / (c * (t1 * t1 + pp / 3.0 + s * s)))
         raise NotImplementedError(f"no closed resolvent for p={self.p}")
 
     closed_conjugate_available = True
@@ -205,6 +217,9 @@ class AbsPotential(Potential):
         # soft threshold
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.maximum(np.abs(x) - lam * self.scale, 0.0)
+
+    def yosida_from_resolvent(self, lam, x, j):
+        return np.clip(x / lam, -self.scale, self.scale)
 
     closed_conjugate_available = True
 
@@ -248,6 +263,10 @@ class HuberPotential(Potential):
         c = lam * self.scale
         inner = np.abs(x) <= self.delta * (1.0 + c)
         return np.where(inner, x / (1.0 + c), x - np.sign(x) * c * self.delta)
+
+    def yosida_from_resolvent(self, lam, x, j):
+        bound = self.scale * self.delta
+        return np.clip(self.scale * x / (1.0 + lam * self.scale), -bound, bound)
 
     closed_conjugate_available = True
 
@@ -368,116 +387,6 @@ class SampledSlopePotential(Potential):
         return np.where(x < xs[0], below, np.where(x > xs[-1], above, inside))
 
 
-class RadialPotential(Potential):
-    """``k(x) = profile(|x|)`` on R^d, for even scalar profiles.
-
-    The resolvent of its subdifferential reduces to the scalar resolvent of
-    the profile applied to the radius.
-    """
-
-    kind = "radial"
-    is_vector = True
-
-    def __init__(self, profile: Potential, dim: int):
-        if profile.is_vector:
-            raise ValueError("radial profile must be a scalar potential")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.profile = profile
-        self.dim = int(dim)
-        self.scale = profile.scale
-        self.symmetry_bound = profile.symmetry_bound
-
-    def _key(self):
-        return (type(self).__name__, self.profile._key(), self.dim)
-
-    def _radius(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected last axis of length {self.dim}, got shape {x.shape}")
-        return np.sqrt(np.sum(x * x, axis=-1))
-
-    def value(self, x):
-        return self.profile.value(self._radius(x))
-
-    def minimal_slope(self, x):
-        x = np.asarray(x, dtype=float)
-        r = self._radius(x)
-        mag = self.profile.minimal_slope(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[..., None] > 0.0, x / np.where(r == 0.0, 1.0, r)[..., None], 0.0)
-        return mag[..., None] * unit
-
-    @property
-    def closed_resolvent_available(self):
-        return self.profile.closed_resolvent_available
-
-    def closed_resolvent(self, lam, x):
-        x = np.asarray(x, dtype=float)
-        r = self._radius(x)
-        rho = self.profile.closed_resolvent(lam, r)
-        safe = np.where(r == 0.0, 1.0, r)
-        return (rho / safe)[..., None] * x
-
-    @property
-    def closed_conjugate_available(self):
-        return self.profile.closed_conjugate_available
-
-    def closed_conjugate(self, y):
-        return self.profile.closed_conjugate(self._radius(y))
-
-
-class SeparablePotential(Potential):
-    """``k(x) = sum_i profile_i(x_i)`` on R^d."""
-
-    kind = "separable"
-    is_vector = True
-
-    def __init__(self, profiles):
-        profiles = tuple(profiles)
-        if not profiles or any(p.is_vector for p in profiles):
-            raise ValueError("need a nonempty tuple of scalar profiles")
-        self.profiles = profiles
-        self.dim = len(profiles)
-        self.scale = max(p.scale for p in profiles)
-        self.symmetry_bound = max(p.symmetry_bound for p in profiles)
-
-    def _key(self):
-        return (type(self).__name__,) + tuple(p._key() for p in self.profiles)
-
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected last axis of length {self.dim}, got shape {x.shape}")
-        return x
-
-    def value(self, x):
-        x = self._check(x)
-        return sum(p.value(x[..., i]) for i, p in enumerate(self.profiles))
-
-    def minimal_slope(self, x):
-        x = self._check(x)
-        return np.stack([p.minimal_slope(x[..., i]) for i, p in enumerate(self.profiles)], axis=-1)
-
-    @property
-    def closed_resolvent_available(self):
-        return all(p.closed_resolvent_available for p in self.profiles)
-
-    def closed_resolvent(self, lam, x):
-        x = self._check(x)
-        return np.stack(
-            [p.closed_resolvent(lam, x[..., i]) for i, p in enumerate(self.profiles)], axis=-1
-        )
-
-    @property
-    def closed_conjugate_available(self):
-        return all(p.closed_conjugate_available for p in self.profiles)
-
-    def closed_conjugate(self, y):
-        y = self._check(y)
-        return sum(p.closed_conjugate(y[..., i]) for i, p in enumerate(self.profiles))
-
-
 # ---------------------------------------------------------------------------
 # the resolvent machinery
 # ---------------------------------------------------------------------------
@@ -498,34 +407,49 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
     def resid(r):
         return r + lam * np.asarray(pot.minimal_slope(r)) - x
 
-    width = np.maximum(1.0, np.abs(x))
-    for _ in range(64):
-        bad_lo = resid(lo) > 0.0
-        bad_hi = resid(hi) < 0.0
-        if not bool(np.any(bad_lo) or np.any(bad_hi)):
-            break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = width * 2.0
-        if np.any(width > BRACKET_CAP):
+    # a slope overflowing to +-inf far out in the bracket still has the right
+    # sign, so the comparisons below need no overflow warning
+    with np.errstate(over="ignore"):
+        width = np.maximum(1.0, np.abs(x))
+        for _ in range(64):
+            bad_lo = resid(lo) > 0.0
+            bad_hi = resid(hi) < 0.0
+            if not bool(np.any(bad_lo) or np.any(bad_hi)):
+                break
+            lo = np.where(bad_lo, lo - width, lo)
+            hi = np.where(bad_hi, hi + width, hi)
+            width = width * 2.0
+            if np.any(width > BRACKET_CAP):
+                raise RootFindError("bracket expansion failed (non-monotone user graph?)")
+        else:
             raise RootFindError("bracket expansion failed (non-monotone user graph?)")
-    else:
-        raise RootFindError("bracket expansion failed (non-monotone user graph?)")
 
-    width = tol * np.maximum(1.0, np.abs(x))
-    for _ in range(200):
-        if np.all(hi - lo <= width):
-            break
-        mid = 0.5 * (lo + hi)
-        neg = resid(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    else:
-        raise RootFindError(f"bisection did not reach tolerance {tol}")
+        width = tol * np.maximum(1.0, np.abs(x))
+        for _ in range(200):
+            if np.all(hi - lo <= width):
+                break
+            mid = 0.5 * (lo + hi)
+            neg = resid(mid) < 0.0
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+        else:
+            raise RootFindError(f"bisection did not reach tolerance {tol}")
     r = 0.5 * (lo + hi)
     with np.errstate(invalid="ignore", over="ignore"):
         step = resid(r) / (1.0 + lam * np.asarray(pot.slope_derivative(r)))
     return np.clip(r - np.nan_to_num(step, posinf=0.0, neginf=0.0), lo, hi)
+
+
+def _resolvent_point(pot, lam, x, force_bisect=False):
+    """``J_lam(x)`` on a checked float array: the catalog's closed form where
+    it has one and ``force_bisect`` is off, else bisection.
+
+    The only place that picks the route; ``resolvent`` and the solver's
+    Yosida maps both evaluate resolvents through it.
+    """
+    if pot.closed_resolvent_available and not force_bisect:
+        return pot.closed_resolvent(lam, x)
+    return _bisect_scalar_graph(pot, lam, x)
 
 
 def resolvent(pot, lam, x, *, force_bisect=False):
@@ -538,42 +462,14 @@ def resolvent(pot, lam, x, *, force_bisect=False):
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     xa = _as_float_array(x)
-
-    if isinstance(pot, RadialPotential):
-        r = pot._radius(xa)
-        if pot.profile.closed_resolvent_available and not force_bisect:
-            rho = pot.profile.closed_resolvent(lam, r)
-        else:
-            rho = _bisect_scalar_graph(pot.profile, lam, r)
-        safe = np.where(r == 0.0, 1.0, r)
-        return _match(x, (rho / safe)[..., None] * xa)
-    if isinstance(pot, SeparablePotential):
-        xa = pot._check(xa)
-        cols = []
-        for i, p in enumerate(pot.profiles):
-            if p.closed_resolvent_available and not force_bisect:
-                cols.append(p.closed_resolvent(lam, xa[..., i]))
-            else:
-                cols.append(_bisect_scalar_graph(p, lam, xa[..., i]))
-        return _match(x, np.stack(cols, axis=-1))
-
-    if pot.closed_resolvent_available and not force_bisect:
-        return _match(x, pot.closed_resolvent(lam, xa))
-    return _match(x, _bisect_scalar_graph(pot, lam, xa))
+    return _match(x, _resolvent_point(pot, lam, xa, force_bisect))
 
 
 def yosida(pot, lam, x, **kw):
     """Yosida map ``G_lam(x) = (x - J_lam(x)) / lam``: monotone, (1/lam)-Lipschitz."""
     xa = _as_float_array(x)
     j = resolvent(pot, lam, xa, **kw)
-    return _match(x, (xa - j) / lam)
-
-
-def _sq_dist(pot, x, j):
-    d = np.asarray(x) - np.asarray(j)
-    if pot.is_vector:
-        return np.sum(d * d, axis=-1)
-    return d * d
+    return _match(x, pot.yosida_from_resolvent(lam, xa, j))
 
 
 def moreau_envelope(pot, lam, x, **kw):
@@ -584,7 +480,8 @@ def moreau_envelope(pot, lam, x, **kw):
     """
     xa = _as_float_array(x)
     j = resolvent(pot, lam, xa, **kw)
-    return _match(x, pot.value(j) + _sq_dist(pot, xa, j) / (2.0 * lam))
+    d = xa - j
+    return _match(x, pot.value(j) + d * d / (2.0 * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -635,43 +532,22 @@ def _ray_conjugate_scalar(pot, y, decades=(-10.0, 16.0), per_decade=4, refine_it
 
 
 def conjugate(pot, y):
-    """Fenchel conjugate ``P*(y) = sup_x <x,y> - P(x)``.
+    """Fenchel conjugate ``P*(y) = sup_x x*y - P(x)``.
 
-    Closed form for catalog kinds; otherwise an adaptive ray search whose
-    termination is guaranteed by superlinearity.  Returns ``inf`` when the
-    supremum diverges (possible for linear-growth scalar potentials).
+    Closed form for catalog kinds; otherwise an adaptive ray search.  Returns
+    ``inf`` when the supremum diverges (possible for linear-growth
+    potentials).
     """
     ya = _as_float_array(y, "y")
     if pot.closed_conjugate_available:
         return _match(y, np.asarray(pot.closed_conjugate(ya)))
-    if isinstance(pot, RadialPotential):
-        r = pot._radius(ya)
-        out = np.array([_ray_conjugate_scalar(pot.profile, v) for v in np.atleast_1d(np.abs(r)).ravel()])
-        return _match(y, out.reshape(np.shape(r)))
-    if isinstance(pot, SeparablePotential):
-        ya = pot._check(ya)
-        total = sum(
-            np.array([_ray_conjugate_scalar(p, v) for v in np.atleast_1d(ya[..., i]).ravel()]).reshape(
-                ya[..., i].shape
-            )
-            for i, p in enumerate(pot.profiles)
-        )
-        return _match(y, total)
     flat = np.atleast_1d(ya).ravel()
     out = np.array([_ray_conjugate_scalar(pot, v) for v in flat])
     return _match(y, out.reshape(ya.shape))
 
 
-def eval_potential(pot, x):
-    """Evaluate ``P(x)`` with input validation."""
-    xa = _as_float_array(x)
-    if pot.is_vector and xa.shape[-1:] != (pot.dim,):
-        raise ValueError(f"dimension mismatch: expected last axis {pot.dim}, got shape {xa.shape}")
-    return _match(x, np.asarray(pot.value(xa)))
-
-
 def fenchel_residual(pot, x, y):
-    """Fenchel-Young residual ``P(x) + P*(y) - <x, y>`` (always >= 0).
+    """Fenchel-Young residual ``P(x) + P*(y) - x*y`` (always >= 0).
 
     Vanishes exactly when ``y`` is a subgradient of ``P`` at ``x``.
     """
@@ -680,11 +556,7 @@ def fenchel_residual(pot, x, y):
     star = np.asarray(conjugate(pot, ya))
     if np.any(np.isinf(star)):
         raise ValueError("infinite conjugate: y outside dom P*")
-    if pot.is_vector:
-        pairing = np.sum(xa * ya, axis=-1)
-    else:
-        pairing = xa * ya
-    return _match(x, np.asarray(pot.value(xa)) + star - pairing)
+    return _match(x, np.asarray(pot.value(xa)) + star - xa * ya)
 
 
 # ---------------------------------------------------------------------------
@@ -717,23 +589,12 @@ class ValidationReport:
         return out
 
 
-def _probe_points(pot, probe_radius, sample_count, rng):
-    if pot.is_vector:
-        d = pot.dim
-        dirs = rng.standard_normal((sample_count, d))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-30)
-        radii = probe_radius * rng.random(sample_count) ** 0.5
-        return dirs * radii[:, None]
-    return probe_radius * (2.0 * rng.random(sample_count) - 1.0)
-
-
 def validate_potential(pot, probe_radius, sample_count, seed=20260809):
     """Finite sampling probe of the standing assumptions on a potential.
 
     Checks: exact zero at the origin, nonnegativity, convexity on sampled
-    triples (1e-12 relative slack), the superlinearity probe (vector
-    potentials only) and the symmetry ratio against ``symmetry_bound``.
-    Failures are report entries, never exceptions.
+    triples (1e-12 relative slack) and the symmetry ratio against
+    ``symmetry_bound``.  Failures are report entries, never exceptions.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
@@ -742,42 +603,24 @@ def validate_potential(pot, probe_radius, sample_count, seed=20260809):
     rng = np.random.default_rng(seed)
     checks = {}
 
-    origin = np.zeros(pot.dim) if pot.is_vector else 0.0
-    v0 = float(np.asarray(pot.value(np.asarray(origin))))
+    v0 = float(pot.value(0.0))
     checks["origin"] = CheckResult(v0 == 0.0, v0, "P(0) must be exactly 0")
 
-    xs = _probe_points(pot, probe_radius, sample_count, rng)
+    xs = probe_radius * (2.0 * rng.random(sample_count) - 1.0)
     vals = np.asarray(pot.value(xs))
     k = int(np.argmin(vals))
     worst = float(vals[k])
     checks["nonnegative"] = CheckResult(worst >= 0.0, worst, "min sampled value", xs[k])
 
-    ys = _probe_points(pot, probe_radius, sample_count, rng)
+    ys = probe_radius * (2.0 * rng.random(sample_count) - 1.0)
     theta = rng.random(sample_count)
-    if pot.is_vector:
-        mix = theta[:, None] * xs + (1.0 - theta[:, None]) * ys
-    else:
-        mix = theta * xs + (1.0 - theta) * ys
+    mix = theta * xs + (1.0 - theta) * ys
     lhs = np.asarray(pot.value(mix))
     rhs = theta * vals + (1.0 - theta) * np.asarray(pot.value(ys))
     gap = lhs - rhs - 1e-12 * (1.0 + np.abs(rhs))
     k = int(np.argmax(gap))
     worst = float(gap[k])
     checks["convex"] = CheckResult(worst <= 0.0, worst, "midpoint inequality violation", mix[k])
-
-    if pot.is_vector:
-        n_dirs = max(4, sample_count // 8)
-        dirs = rng.standard_normal((n_dirs, pot.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = np.geomspace(probe_radius / 64.0, probe_radius, 8)
-        ratios = np.asarray(pot.value(radii[:, None, None] * dirs[None, :, :])) / radii[:, None]
-        nondecreasing = bool(np.all(np.diff(ratios, axis=0) >= -1e-10 * (1.0 + ratios[:-1])))
-        growth = float((ratios[-1] / np.maximum(ratios[0], 1e-300)).min())
-        checks["superlinear"] = CheckResult(
-            nondecreasing and growth >= 1.5,
-            growth,
-            "slope growth over the probe range (needs >= 1.5 and monotone)",
-        )
 
     neg_vals = np.asarray(pot.value(-xs))
     mask = neg_vals > 0.0

@@ -115,9 +115,6 @@ class SolverConfig:
             raise ValueError("max_inner must be at least 1")
         if self.scheme not in ("implicit_opt", "semi_implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        for pot in (self.gamma, self.beta):
-            if pot is not None and pot.is_vector:
-                raise ValueError("solver potentials are scalar profiles applied facewise")
         n = round(self.horizon / self.dt)
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer multiple of dt")
@@ -136,15 +133,8 @@ class SolverConfig:
         return self.dt * (lmax / self.lambda_yosida + 1.0 / self.lambda_yosida)
 
 
-def _resolvent_point(pot, lam, a):
-    """``J_lam(a)`` of a scalar profile: its closed form where the catalog has one."""
-    if pot.closed_resolvent_available:
-        return pot.closed_resolvent(lam, a)
-    return convex._bisect_scalar_graph(pot, lam, a)
-
-
 def _yosida(pot, lam, a):
-    return (a - _resolvent_point(pot, lam, a)) / lam
+    return pot.yosida_from_resolvent(lam, a, convex._resolvent_point(pot, lam, a))
 
 
 def _yosida_parts(pot, lam, a):
@@ -159,25 +149,14 @@ def _yosida_parts(pot, lam, a):
     if pot is None:
         z = np.zeros_like(a)
         return z, z, z, z
-    j = _resolvent_point(pot, lam, a)
+    j = convex._resolvent_point(pot, lam, a)
     r = a - j
+    G = pot.yosida_from_resolvent(lam, a, j)
     gp = pot.slope_derivative(j)
     with np.errstate(invalid="ignore", divide="ignore"):
         dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
-        secant = np.maximum(dG, np.where(a != 0.0, r / (lam * a), dG))
-    return pot.value(j) + r * r / (2.0 * lam), r / lam, dG, secant
-
-
-@dataclass
-class _Problem:
-    """Precomputed per-config stepping data."""
-
-    cfg: SolverConfig
-    visc_diag: float    # diagonal of I - dt*visc*lap
-
-    @classmethod
-    def build(cls, cfg):
-        return cls(cfg, 1.0 + cfg.dt * cfg.visc * sum(2.0 / h**2 for h in cfg.grid.spacing))
+        secant = np.maximum(dG, np.where(a != 0.0, G / a, dG))
+    return pot.value(j) + r * r / (2.0 * lam), G, dG, secant
 
 
 # The step objective at one iterate: value and gradient norm per path, the
@@ -186,8 +165,7 @@ class _Problem:
 _Eval = namedtuple("_Eval", "value grad grad_norm face_curv node_curv")
 
 
-def _evaluate(pb, v, forcing):
-    cfg = pb.cfg
+def _evaluate(cfg, v, forcing):
     g = cfg.grid
     lam = cfg.lambda_yosida
     axes = tuple(range(g.dim))
@@ -202,11 +180,6 @@ def _evaluate(pb, v, forcing):
     out = r / cfg.dt - gridmod.div_arrays(g, flux) + G
     value = g.node_volume * (np.sum(r * r / (2.0 * cfg.dt) + env, axis=axes) + face_sum)
     return _Eval(value, out, gridmod.norm_h(g, out), tuple(face_curv), (dG, sec))
-
-
-def _grad_objective(pb, v, forcing):
-    """h-weighted gradient of the implicit-step objective at v."""
-    return _evaluate(pb, v, forcing).grad
 
 
 def _thomas(diag, off, rhs):
@@ -225,12 +198,11 @@ def _thomas(diag, off, rhs):
     return np.array(y)
 
 
-def _newton_direction(pb, ev, mu):
+def _newton_direction(cfg, ev, mu):
     """Solve ``H d = -grad F`` by a Thomas sweep (1-d) or Jacobi-scaled CG (2-d).
 
     ``H`` takes each curvature as ``newton + mu * (secant - newton)``.
     """
-    cfg = pb.cfg
     g = cfg.grid
     coef = [n + mu * (s - n) for n, s in ev.face_curv]
     n, s = ev.node_curv
@@ -260,18 +232,18 @@ def _inner_failure(cfg, gn, what, iterations):
     )
 
 
-def _line_search(pb, v, forcing, ev, d, todo, it):
+def _line_search(cfg, v, forcing, ev, d, todo, it):
     """Armijo backtracking on ``F``, one step length per path in ``todo``.
 
     Where ``t <grad F, d>`` is below the rounding of ``F``, a step lowering
     ``||grad F||_h`` is taken.  Accepted paths keep their step length, so the
     last trial holds every path's result."""
-    slope = gridmod.dot_h(pb.cfg.grid, ev.grad, d)
+    slope = gridmod.dot_h(cfg.grid, ev.grad, d)
     rounding = F_ROUNDING * (1.0 + np.abs(ev.value))
     t = np.ones_like(slope)
     for _ in range(MAX_BACKTRACKS):
         trial = v + t * d
-        new = _evaluate(pb, trial, forcing)
+        new = _evaluate(cfg, trial, forcing)
         armijo = new.value <= ev.value + ARMIJO * t * slope
         flat = (np.abs(t * slope) <= rounding) & (new.grad_norm < ev.grad_norm)
         todo = todo & ~(armijo | flat)
@@ -279,10 +251,10 @@ def _line_search(pb, v, forcing, ev, d, todo, it):
             return trial, new, t
         t = np.where(todo, 0.5 * t, t)
     what = f"line search failed after {MAX_BACKTRACKS} backtracks at iteration {it}"
-    raise _inner_failure(pb.cfg, np.where(todo, ev.grad_norm, 0.0), what, it)
+    raise _inner_failure(cfg, np.where(todo, ev.grad_norm, 0.0), what, it)
 
 
-def _implicit_step_arrays(pb, u, forcing):
+def _implicit_step_arrays(cfg, u, forcing):
     """Damped semismooth Newton to the certified gradient-norm tolerance.
 
     Newton steps overshoot where a graph flattens (total-variation fluxes,
@@ -292,9 +264,8 @@ def _implicit_step_arrays(pb, u, forcing):
     1), so Newton takes over near the optimum.  A path meeting ``eps_inner``
     is frozen, so it stops on its own certificate whatever its batch.
     """
-    cfg = pb.cfg
     v = u
-    ev = _evaluate(pb, v, forcing)
+    ev = _evaluate(cfg, v, forcing)
     if not (np.all(np.isfinite(ev.value)) and np.all(np.isfinite(ev.grad_norm))):
         raise _inner_failure(cfg, ev.grad_norm, "hit a non-finite iterate at iteration 0", 0)
     mu = np.zeros_like(ev.grad_norm)
@@ -303,8 +274,8 @@ def _implicit_step_arrays(pb, u, forcing):
         if it == cfg.max_inner:
             raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
         it += 1
-        d = np.where(active, _newton_direction(pb, ev, mu), 0.0)
-        v, ev, t = _line_search(pb, v, forcing, ev, d, active, it)
+        d = np.where(active, _newton_direction(cfg, ev, mu), 0.0)
+        v, ev, t = _line_search(cfg, v, forcing, ev, d, active, it)
         mu = np.where(t == 1.0, mu / MU_STEP, np.clip(mu * MU_STEP, MU_MIN, 1.0))
     return v
 
@@ -319,9 +290,8 @@ def _check_stability(cfg, step_index=None):
         )
 
 
-def _semi_implicit_step_arrays(pb, u, forcing):
+def _semi_implicit_step_arrays(cfg, u, forcing):
     """One semi-implicit step; the caller has checked the stability bound."""
-    cfg = pb.cfg
     rhs = forcing
     if cfg.gamma is not None:
         g = gridmod.grad_arrays(cfg.grid, u)
@@ -335,20 +305,19 @@ def _semi_implicit_step_arrays(pb, u, forcing):
     def op(v):
         return v - cfg.dt * cfg.visc * gridmod.lap_arrays(cfg.grid, v)
 
-    return gridmod.cg_solve(cfg.grid, op, rhs, pb.visc_diag)
+    visc_diag = 1.0 + cfg.dt * cfg.visc * sum(2.0 / h**2 for h in cfg.grid.spacing)
+    return gridmod.cg_solve(cfg.grid, op, rhs, visc_diag)
 
 
 def implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
     """One implicit variational step from precomputed forcing."""
-    pb = _Problem.build(cfg)
-    return GridField(cfg.grid, _implicit_step_arrays(pb, u_n.values, forcing.values))
+    return GridField(cfg.grid, _implicit_step_arrays(cfg, u_n.values, forcing.values))
 
 
 def semi_implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
     """One semi-implicit step: monotone terms explicit, viscosity implicit."""
     _check_stability(cfg)
-    pb = _Problem.build(cfg)
-    return GridField(cfg.grid, _semi_implicit_step_arrays(pb, u_n.values, forcing.values))
+    return GridField(cfg.grid, _semi_implicit_step_arrays(cfg, u_n.values, forcing.values))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +359,6 @@ def _run(cfg, u, increments, keep_fields):
     shape.  Returns the ledger rows, the per-record ``(u, eta, xi)`` (kept
     by reference, only when ``keep_fields``) and the final state.
     """
-    pb = _Problem.build(cfg)
     model = cfg.noise
     if cfg.scheme == "semi_implicit":
         _check_stability(cfg, step_index=1)
@@ -413,7 +381,7 @@ def _run(cfg, u, increments, keep_fields):
         record(u, noise_field)
         forcing = u if noise_field is None else u + noise_field
         try:
-            u = step_fn(pb, u, forcing)
+            u = step_fn(cfg, u, forcing)
         except SolverError as err:
             err.step_index = n + 1
             raise

@@ -1,10 +1,12 @@
 """Convex-calculus tests: catalog values against independent oracles."""
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnpde import convex
@@ -13,9 +15,7 @@ from dnpde.convex import (
     ExpCoshPotential,
     HuberPotential,
     PowerPotential,
-    RadialPotential,
     SampledSlopePotential,
-    SeparablePotential,
 )
 
 CATALOG = [
@@ -58,16 +58,22 @@ def grid_sup_oracle(fn, lo, hi, n=400001):
 # ---------------------------------------------------------------------------
 
 def test_eval_examples():
-    assert convex.eval_potential(PowerPotential(2.0), 0.0) == 0.0
-    assert convex.eval_potential(PowerPotential(4.0), 1.0) == 0.25
-    assert convex.eval_potential(AbsPotential(), -3.0) == 3.0
+    assert PowerPotential(2.0).value(0.0) == 0.0
+    assert PowerPotential(4.0).value(1.0) == 0.25
+    assert AbsPotential().value(-3.0) == 3.0
 
 
-def test_eval_validates_input():
-    with pytest.raises(ValueError):
-        convex.eval_potential(PowerPotential(2.0), math.nan)
-    with pytest.raises(ValueError):
-        convex.eval_potential(RadialPotential(PowerPotential(2.0), 2), [1.0, 2.0, 3.0])
+def test_public_functions_reject_non_finite_input():
+    pot = PowerPotential(2.0)
+    for call in (
+        lambda: convex.resolvent(pot, 1.0, math.nan),
+        lambda: convex.yosida(pot, 1.0, [0.0, math.inf]),
+        lambda: convex.moreau_envelope(pot, 1.0, math.nan),
+        lambda: convex.conjugate(pot, -math.inf),
+        lambda: convex.fenchel_residual(pot, 1.0, math.nan),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 def test_resolvent_examples():
@@ -163,6 +169,53 @@ def test_bisection_resolvent_reaches_rounding():
             assert np.all(np.abs(resid) <= 4 * np.finfo(float).eps * scale)
 
 
+def decimal_resolvent_oracle(p, c, a):
+    """Root of ``r + c*r**(p-1) = a`` (a > 0, p in {1.5, 4}) by Newton in 60-digit decimals.
+
+    For p = 1.5 the unknown is ``t = sqrt(r)`` (``t^2 + c t = a``).  Both
+    residuals are convex and increasing, so Newton from the upper starting
+    point descends monotonically to the root.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, a = Decimal(c), Decimal(a)
+        if p == 4.0:
+            f, df = (lambda r: c * r**3 + r - a), (lambda r: 3 * c * r * r + 1)
+            r = min(a, (a / c) ** (Decimal(1) / 3))
+        else:
+            f, df = (lambda t: t * t + c * t - a), (lambda t: 2 * t + c)
+            r = min(a / c, a.sqrt())
+        for _ in range(1000):
+            step = f(r) / df(r)
+            r -= step
+            if abs(step) <= Decimal("1e-50") * r:
+                break
+        return r if p == 4.0 else r * r
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_closed_resolvent_matches_decimal_oracle(p):
+    # the closed forms have no cancellation, also where lam*scale is tiny or huge
+    pot = PowerPotential(p)
+    for c in (1e-8, 1e-4, 1 / 128, 1.0, 100.0):
+        for a in (1e-12, 0.0334, 1.0, 40.0, 1e4):
+            want = decimal_resolvent_oracle(p, c, a)
+            for sign in (1.0, -1.0):
+                got = float(convex.resolvent(pot, c, sign * a))
+                assert math.copysign(1.0, got) == sign
+                assert abs(Decimal(abs(got)) - want) <= Decimal("1e-15") * want, (c, a)
+
+
+def test_bisection_overflow_is_silent():
+    # sinh overflows to +-inf at the far end of the bracket; no warning escapes
+    pot, lam = ExpCoshPotential(), 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (3e5, -3e5):
+            r = convex.resolvent(pot, lam, x)
+            assert abs(r + lam * math.sinh(r) - x) <= 1e-9 * abs(x)
+
+
 def test_envelope_gradient_matches_yosida():
     rng = np.random.default_rng(9)
     lam = 0.37
@@ -228,6 +281,8 @@ def test_property_resolvent_nonexpansive(x, y, lam, idx):
     y=st.floats(-40.0, 40.0),
     idx=st.integers(0, len(CATALOG) - 1),
 )
+@example(x=0.0, y=0.033376606665925124, idx=2)   # p = 4 closed form at lam*scale = 1e-8
+@example(x=1.0, y=2.0, idx=3)                    # soft threshold: G on the flat part
 def test_property_graph_monotone(x, y, idx):
     # the Yosida value at a tiny lambda selects from the graph
     gx = convex.yosida(CATALOG[idx], 1e-8, x)
@@ -290,56 +345,12 @@ def test_sampled_linear_growth_conjugate_diverges():
 
 
 # ---------------------------------------------------------------------------
-# vector potentials
-# ---------------------------------------------------------------------------
-
-def test_radial_potential_reduces_to_scalar():
-    pot = RadialPotential(PowerPotential(2.0), 2)
-    x = np.array([3.0, 4.0])
-    assert convex.eval_potential(pot, x) == pytest.approx(12.5)
-    j = convex.resolvent(pot, 1.0, x)
-    assert np.allclose(j, x / 2.0, atol=1e-12)
-    assert convex.conjugate(pot, x) == pytest.approx(12.5)
-    g = convex.yosida(pot, 1.0, x)
-    assert np.allclose(x, j + 1.0 * g, atol=1e-12)
-    assert convex.fenchel_residual(pot, j, g) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_radial_bisect_route():
-    pot = RadialPotential(ExpCoshPotential(), 3)
-    x = np.array([0.4, -0.2, 0.9])
-    j = convex.resolvent(pot, 0.3, x)
-    g = convex.yosida(pot, 0.3, x)
-    assert np.allclose(x, j + 0.3 * g, atol=1e-11)
-    # returned point is colinear with x (radial symmetry)
-    ju = j / np.linalg.norm(j)
-    xu = x / np.linalg.norm(x)
-    assert abs(ju[0] * xu[1] - ju[1] * xu[0]) < 1e-9
-
-
-def test_separable_potential_componentwise():
-    pot = SeparablePotential([PowerPotential(2.0), AbsPotential()])
-    x = np.array([2.0, -0.5])
-    assert convex.eval_potential(pot, x) == pytest.approx(2.0 + 0.5)
-    j = convex.resolvent(pot, 1.0, x)
-    assert j[0] == pytest.approx(1.0, abs=1e-12)
-    assert j[1] == pytest.approx(0.0, abs=1e-12)    # soft threshold kills -0.5
-    assert convex.conjugate(pot, np.array([1.0, 0.5])) == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
 # validation probes
 # ---------------------------------------------------------------------------
 
 def test_validate_quadratic_passes():
-    rep = convex.validate_potential(RadialPotential(PowerPotential(2.0), 2), 10.0, 64)
+    rep = convex.validate_potential(PowerPotential(2.0), 10.0, 64)
     assert rep.all_passed, rep.lines()
-
-
-def test_validate_abs_vector_fails_superlinearity():
-    rep = convex.validate_potential(RadialPotential(AbsPotential(), 2), 10.0, 64)
-    assert not rep.checks["superlinear"].passed
-    assert rep.checks["convex"].passed
 
 
 def test_validate_shifted_potential_fails_origin():
