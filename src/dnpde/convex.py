@@ -10,14 +10,15 @@ never need an arbitrary selection rule.
 
 Potentials are scalar profiles and act elementwise on arrays: the solver's
 staggered grids carry one normal gradient component per face, so a flux
-graph is applied face by face through its profile.  How a resolvent is
-evaluated (closed form where the catalog has one, else bisection) is decided
-here, in one place, for the public functions and the solver alike.
+graph is applied face by face through its profile.  Every catalog potential
+has an exact resolvent and an exact conjugate of its own (closed forms, a
+monotone Newton iteration for exp-cosh, interpolation for sampled graphs).
+Safeguarded bisection is the independent reference route (``force_bisect``)
+and serves power potentials with p outside {1.5, 2, 4}.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "ExpCoshPotential",
     "SampledSlopePotential",
     "RootFindError",
-    "ConjugateSearchError",
     "resolvent",
     "yosida",
     "moreau_envelope",
@@ -42,15 +42,12 @@ __all__ = [
 
 ROOT_TOL = 1e-12          # bisection width on resolvent points (relative beyond |x| = 1)
 BRACKET_CAP = 2.0 ** 60   # maximal bracket half-width before giving up
+NEWTON_CAP = 64           # Newton iterations of the exp-cosh resolvent before giving up
 DOMAIN_SLACK = 1e-9       # roundoff slack on indicator-type conjugate domains
 
 
 class RootFindError(RuntimeError):
     """Resolvent root search failed (bracket or tolerance)."""
-
-
-class ConjugateSearchError(RuntimeError):
-    """Numerical conjugate ray search exhausted its budget."""
 
 
 def _as_float_array(x, name="x"):
@@ -74,9 +71,10 @@ def _match(template, a):
 class Potential:
     """Base class: convex ``P >= 0`` with ``P(0) = 0``.
 
-    Subclasses provide ``value`` and ``minimal_slope`` (the minimal-norm
-    subgradient, used as the probing selection and inside the generic
-    bisection resolvent) and may provide closed-form resolvents/conjugates.
+    Subclasses provide ``value``, ``minimal_slope`` (the minimal-norm
+    subgradient, used as the probing selection and inside the reference
+    bisection resolvent), ``slope_derivative`` and the exact routes
+    ``closed_resolvent`` and ``closed_conjugate``.
     """
 
     kind = "base"
@@ -93,22 +91,18 @@ class Potential:
         """Derivative of ``minimal_slope``; ``inf`` where the graph is vertical."""
         raise NotImplementedError
 
-    closed_resolvent_available = False
-
     def closed_resolvent(self, lam, x):
         raise NotImplementedError
 
     def yosida_from_resolvent(self, lam, x, j):
         """Yosida value ``(x - j)/lam`` at ``x`` with resolvent point ``j``.
 
-        The abs and Huber graphs, flat beyond a threshold, override it by a
-        closed form in ``x``: on a flat part ``x - j`` is a constant plus the
-        rounding of ``j``, and dividing by a small ``lam`` makes that
+        The abs, Huber and sampled graphs, which have flat parts, override it
+        by a closed form in ``x``: on a flat part ``x - j`` is a constant plus
+        the rounding of ``j``, and dividing by a small ``lam`` makes that
         rounding break monotonicity and leave the range of the graph.
         """
         return (x - j) / lam
-
-    closed_conjugate_available = False
 
     def closed_conjugate(self, y):
         raise NotImplementedError
@@ -130,8 +124,9 @@ class Potential:
 class PowerPotential(Potential):
     """``P(x) = scale * |x|**p / p`` with ``p > 1``.
 
-    The graph is ``x -> scale * |x|**(p-2) * x``; closed-form resolvents exist
-    for p in {1.5, 2, 4} (quadratic formula, linear, Cardano).
+    The graph is ``x -> scale * |x|**(p-2) * x``; the resolvent has a closed
+    form for p in {1.5, 2, 4} (quadratic formula, linear, Cardano) and is
+    found by bisection for every other p.
     """
 
     kind = "power"
@@ -159,10 +154,6 @@ class PowerPotential(Potential):
         with np.errstate(divide="ignore"):
             return self.scale * (self.p - 1.0) * np.abs(np.asarray(x, dtype=float)) ** (self.p - 2.0)
 
-    @property
-    def closed_resolvent_available(self):
-        return self.p in (1.5, 2.0, 4.0)
-
     def closed_resolvent(self, lam, x):
         x = np.asarray(x, dtype=float)
         c = lam * self.scale
@@ -182,9 +173,7 @@ class PowerPotential(Potential):
             t1 = np.cbrt(a / (2.0 * c) + disc)
             s = pp / (3.0 * t1)
             return np.sign(x) * (a / (c * (t1 * t1 + pp / 3.0 + s * s)))
-        raise NotImplementedError(f"no closed resolvent for p={self.p}")
-
-    closed_conjugate_available = True
+        return _bisect_scalar_graph(self, lam, x)
 
     def closed_conjugate(self, y):
         y = np.asarray(y, dtype=float)
@@ -211,8 +200,6 @@ class AbsPotential(Potential):
     def slope_derivative(self, x):
         return np.where(np.asarray(x, dtype=float) == 0.0, np.inf, 0.0)
 
-    closed_resolvent_available = True
-
     def closed_resolvent(self, lam, x):
         # soft threshold
         x = np.asarray(x, dtype=float)
@@ -220,8 +207,6 @@ class AbsPotential(Potential):
 
     def yosida_from_resolvent(self, lam, x, j):
         return np.clip(x / lam, -self.scale, self.scale)
-
-    closed_conjugate_available = True
 
     def closed_conjugate(self, y):
         y = np.asarray(y, dtype=float)
@@ -256,8 +241,6 @@ class HuberPotential(Potential):
     def slope_derivative(self, x):
         return np.where(np.abs(np.asarray(x, dtype=float)) < self.delta, self.scale, 0.0)
 
-    closed_resolvent_available = True
-
     def closed_resolvent(self, lam, x):
         x = np.asarray(x, dtype=float)
         c = lam * self.scale
@@ -268,8 +251,6 @@ class HuberPotential(Potential):
         bound = self.scale * self.delta
         return np.clip(self.scale * x / (1.0 + lam * self.scale), -bound, bound)
 
-    closed_conjugate_available = True
-
     def closed_conjugate(self, y):
         y = np.asarray(y, dtype=float)
         inside = np.abs(y) <= self.scale * self.delta * (1.0 + DOMAIN_SLACK)
@@ -277,7 +258,7 @@ class HuberPotential(Potential):
 
 
 class ExpCoshPotential(Potential):
-    """``P(x) = scale * (cosh(x) - 1)``; superlinear, no closed resolvent."""
+    """``P(x) = scale * (cosh(x) - 1)``; superlinear, resolvent by Newton."""
 
     kind = "expcosh"
 
@@ -295,7 +276,21 @@ class ExpCoshPotential(Potential):
     def slope_derivative(self, x):
         return self.scale * np.cosh(np.asarray(x, dtype=float))
 
-    closed_conjugate_available = True
+    def closed_resolvent(self, lam, x):
+        # r + c*sinh(r) = |x| by Newton from r0 = min(|x|/(1+c), asinh(|x|/c)),
+        # which is never below the root (sinh r >= r on r >= 0); the residual
+        # is convex and increasing there, so the iterates fall monotonically
+        # to the root and the first one that does not fall ends the search
+        x = np.asarray(x, dtype=float)
+        a = np.abs(x)
+        c = lam * self.scale
+        r = np.minimum(a / (1.0 + c), np.arcsinh(a / c))
+        for _ in range(NEWTON_CAP):
+            nxt = r - (r + c * np.sinh(r) - a) / (1.0 + c * np.cosh(r))
+            if not np.any(nxt < r):
+                return np.sign(x) * r
+            r = np.minimum(nxt, r)
+        raise RootFindError(f"exp-cosh Newton did not settle in {NEWTON_CAP} iterations")
 
     def closed_conjugate(self, y):
         z = np.abs(np.asarray(y, dtype=float)) / self.scale
@@ -334,6 +329,10 @@ class SampledSlopePotential(Potential):
         else:
             gs = gs.copy()
             gs[xs == 0.0] = 0.0
+        # absorb the tolerated dips so that r + lam*g(r) is strictly
+        # increasing, keeping g(0) = 0
+        gs = np.maximum.accumulate(gs)
+        gs = np.where(xs <= 0.0, np.minimum(gs, 0.0), gs)
         self.xs = xs
         self.gs = gs
         # cumulative exact integral of the piecewise-linear derivative,
@@ -373,6 +372,26 @@ class SampledSlopePotential(Potential):
         rates = np.diff(self.gs) / np.diff(self.xs)
         idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, rates.size - 1)
         return np.where((x < self.xs[0]) | (x > self.xs[-1]), 0.0, rates[idx])
+
+    def closed_resolvent(self, lam, x):
+        # r + lam*g(r) is piecewise linear with knots xs + lam*gs, so its
+        # inverse interpolates; beyond the end knots g is constant
+        x = np.asarray(x, dtype=float)
+        knots = self.xs + lam * self.gs
+        return np.interp(x, knots, self.xs) + (x - np.clip(x, knots[0], knots[-1]))
+
+    def yosida_from_resolvent(self, lam, x, j):
+        # g(J) on the same interpolation weights, held flat beyond the ends:
+        # stays in the range of the graph where (x - j)/lam would not
+        return np.interp(x, self.xs + lam * self.gs, self.gs)
+
+    def closed_conjugate(self, y):
+        # the sup of x*y - P(x) is attained where g(x) = y; linear growth
+        # beyond the end breakpoints leaves dom P* = [gs[0], gs[-1]]
+        y = np.asarray(y, dtype=float)
+        x = np.interp(y, self.gs, self.xs)
+        lo, hi = self.gs[[0, -1]] * (1.0 + DOMAIN_SLACK)
+        return np.where((y >= lo) & (y <= hi), y * x - self.value(x), np.inf)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -441,23 +460,23 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
 
 
 def _resolvent_point(pot, lam, x, force_bisect=False):
-    """``J_lam(x)`` on a checked float array: the catalog's closed form where
-    it has one and ``force_bisect`` is off, else bisection.
+    """``J_lam(x)`` on a checked float array: the potential's own exact
+    route, or bisection when ``force_bisect`` asks for the reference.
 
     The only place that picks the route; ``resolvent`` and the solver's
     Yosida maps both evaluate resolvents through it.
     """
-    if pot.closed_resolvent_available and not force_bisect:
-        return pot.closed_resolvent(lam, x)
-    return _bisect_scalar_graph(pot, lam, x)
+    if force_bisect:
+        return _bisect_scalar_graph(pot, lam, x)
+    return pot.closed_resolvent(lam, x)
 
 
 def resolvent(pot, lam, x, *, force_bisect=False):
     """Resolvent ``J_lam(x)``: the unique ``r`` with ``r + lam*dP(r) ∋ x``.
 
-    Closed forms are used when the catalog provides them unless
-    ``force_bisect`` requests the generic bisection route (the two routes are
-    kept independent so they can cross-check each other).
+    Every catalog potential evaluates it by its own exact route;
+    ``force_bisect`` requests the generic bisection route instead (the two
+    routes are kept independent so they can cross-check each other).
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
@@ -488,62 +507,14 @@ def moreau_envelope(pot, lam, x, **kw):
 # conjugacy
 # ---------------------------------------------------------------------------
 
-def _ray_conjugate_scalar(pot, y, decades=(-10.0, 16.0), per_decade=4, refine_iters=240):
-    """sup_x x*y - P(x) by a log-spaced ray scan plus ternary refinement.
-
-    The objective is concave along the ray x = t*sign(y), t >= 0.  Divergence
-    is declared when the running sup keeps growing by more than a factor of
-    10 across the final two scanned decades.
-    """
-    y = float(y)
-    if y == 0.0:
-        return 0.0
-    s = math.copysign(1.0, y)
-    ay = abs(y)
-
-    def f(t):
-        with np.errstate(over="ignore"):
-            return t * ay - float(pot.value(s * t))
-
-    ts = np.logspace(decades[0], decades[1], int((decades[1] - decades[0]) * per_decade) + 1)
-    vals = np.array([f(t) for t in ts])
-    best = int(np.argmax(vals))
-    if best >= vals.size - 1:
-        tail = vals[-1]
-        two_decades_back = vals[-(2 * per_decade + 1)]
-        if tail > 0.0 and (two_decades_back <= 0.0 or tail > 10.0 * two_decades_back):
-            return math.inf
-        raise ConjugateSearchError(
-            "ray search budget exhausted without divergence certificate or interior maximum"
-        )
-    lo = ts[best - 1] if best > 0 else 0.0
-    hi = ts[best + 1]
-    for _ in range(refine_iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    t = 0.5 * (lo + hi)
-    return max(0.0, f(t))
-
-
 def conjugate(pot, y):
     """Fenchel conjugate ``P*(y) = sup_x x*y - P(x)``.
 
-    Closed form for catalog kinds; otherwise an adaptive ray search.  Returns
-    ``inf`` when the supremum diverges (possible for linear-growth
-    potentials).
+    Every catalog potential has an exact conjugate.  Returns ``inf`` when the
+    supremum diverges (outside the range of a linear-growth graph).
     """
     ya = _as_float_array(y, "y")
-    if pot.closed_conjugate_available:
-        return _match(y, np.asarray(pot.closed_conjugate(ya)))
-    flat = np.atleast_1d(ya).ravel()
-    out = np.array([_ray_conjugate_scalar(pot, v) for v in flat])
-    return _match(y, out.reshape(ya.shape))
+    return _match(y, np.asarray(pot.closed_conjugate(ya)))
 
 
 def fenchel_residual(pot, x, y):

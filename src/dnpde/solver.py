@@ -43,8 +43,6 @@ __all__ = [
     "SolverError",
     "StabilityError",
     "InnerSolveError",
-    "implicit_step",
-    "semi_implicit_step",
     "integrate",
     "integrate_batch",
     "run_ensemble",
@@ -280,16 +278,6 @@ def _implicit_step_arrays(cfg, u, forcing):
     return v
 
 
-def _check_stability(cfg, step_index=None):
-    bound = cfg.stability_bound()
-    if bound > 1.0:
-        raise StabilityError(
-            "semi-implicit stability violated: "
-            f"dt*(lambda_max + 1)/lambda_yosida = {bound:.6g} > 1",
-            step_index,
-        )
-
-
 def _semi_implicit_step_arrays(cfg, u, forcing):
     """One semi-implicit step; the caller has checked the stability bound."""
     rhs = forcing
@@ -307,17 +295,6 @@ def _semi_implicit_step_arrays(cfg, u, forcing):
 
     visc_diag = 1.0 + cfg.dt * cfg.visc * sum(2.0 / h**2 for h in cfg.grid.spacing)
     return gridmod.cg_solve(cfg.grid, op, rhs, visc_diag)
-
-
-def implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
-    """One implicit variational step from precomputed forcing."""
-    return GridField(cfg.grid, _implicit_step_arrays(cfg, u_n.values, forcing.values))
-
-
-def semi_implicit_step(cfg, u_n: GridField, forcing: GridField) -> GridField:
-    """One semi-implicit step: monotone terms explicit, viscosity implicit."""
-    _check_stability(cfg)
-    return GridField(cfg.grid, _semi_implicit_step_arrays(cfg, u_n.values, forcing.values))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +338,13 @@ def _run(cfg, u, increments, keep_fields):
     """
     model = cfg.noise
     if cfg.scheme == "semi_implicit":
-        _check_stability(cfg, step_index=1)
+        bound = cfg.stability_bound()
+        if bound > 1.0:
+            raise StabilityError(
+                "semi-implicit stability violated: "
+                f"dt*(lambda_max + 1)/lambda_yosida = {bound:.6g} > 1",
+                step_index=1,
+            )
         step_fn = _semi_implicit_step_arrays
     else:
         step_fn = _implicit_step_arrays
@@ -468,7 +451,7 @@ def _graph_residual(cfg, records):
     worst = 0.0
     lam = cfg.lambda_yosida
     for pot, pick in ((cfg.gamma, "eta"), (cfg.beta, "xi")):
-        if pot is None or not pot.closed_conjugate_available:
+        if pot is None:
             continue
         for rec in records:
             if pick == "eta":

@@ -140,7 +140,7 @@ def fenchel_gap_integrals(traj):
     vol = cfg.grid.node_volume
     dt = cfg.dt
     gap_gamma = gap_beta = None
-    if cfg.gamma is not None and cfg.gamma.closed_conjugate_available:
+    if cfg.gamma is not None:
         total = 0.0
         for rec in traj.records[1:]:
             g = gridmod.grad_arrays(cfg.grid, rec.u)
@@ -148,7 +148,7 @@ def fenchel_gap_integrals(traj):
                 gap = cfg.gamma.value(ga) + cfg.gamma.closed_conjugate(ea) - ea * ga
                 total += dt * vol * float(np.sum(gap))
         gap_gamma = total
-    if cfg.beta is not None and cfg.beta.closed_conjugate_available:
+    if cfg.beta is not None:
         total = 0.0
         for rec in traj.records[1:]:
             gap = cfg.beta.value(rec.u) + cfg.beta.closed_conjugate(rec.xi) - rec.xi * rec.u

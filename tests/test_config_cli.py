@@ -1,6 +1,7 @@
 """Config parsing and CLI contract tests: exit codes, outputs, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -294,7 +295,18 @@ def test_piecewise_potential_from_config(tmp_path):
     beta = cfgmod.build_potential(rc, "beta")
     assert beta.minimal_slope(0.5) == pytest.approx(1.0)
     cfg = write_cfg(tmp_path, text)
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    # the sampled graph has an exact conjugate, so its Fenchel gaps are reported
+    gap = json.loads((out / "demo_summary.json").read_text())["max_fenchel_gap"]
+    assert math.isfinite(gap) and gap <= 1e-8
+    assert cli.main([
+        "sweep", cfg, "--param", "lambda_yosida", "--values", "0.5,0.25", "--out", str(out)
+    ]) == 0
+    lines = (out / "demo_sweep.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    col = cli.SWEEP_HEADER.index("fenchel_gap_beta")
+    assert len(rows) == 2 and all(math.isfinite(float(row[col])) for row in rows)
 
 
 def test_run_2d_config(tmp_path):

@@ -18,6 +18,7 @@ from dnpde.convex import (
     SampledSlopePotential,
 )
 
+_XS = np.linspace(-4.0, 4.0, 81)
 CATALOG = [
     PowerPotential(2.0),
     PowerPotential(1.5),
@@ -25,6 +26,7 @@ CATALOG = [
     AbsPotential(),
     HuberPotential(1.0),
     ExpCoshPotential(),
+    SampledSlopePotential.from_value_samples(_XS, np.abs(_XS)),   # flat beyond |x| = 0.05
 ]
 
 
@@ -151,6 +153,19 @@ def test_oracle_equivalence_bisect_vs_closed():
             a = convex.resolvent(pot, lam, x)
             b = convex.resolvent(pot, lam, x, force_bisect=True)
             assert np.abs(a - b).max() <= 1e-10
+    # the Newton and interpolation routes agree with bisection to rounding
+    xs = np.linspace(-8, 8, 161)
+    for pot in [
+        ExpCoshPotential(),
+        SampledSlopePotential.from_value_samples(xs, np.abs(xs) ** 3 / 3),
+        CATALOG[-1],
+        SampledSlopePotential([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]),
+    ]:
+        x = np.concatenate([[0.0, 1e-300, 3e5, -3e5, 700.0], 5.0 * rng.standard_normal(500)])
+        for lam in (1e-8, 1e-3, 0.5, 10.0):
+            a = convex.resolvent(pot, lam, x)
+            b = convex.resolvent(pot, lam, x, force_bisect=True)
+            assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(x))), (pot, lam)
 
 
 def test_bisection_resolvent_reaches_rounding():
@@ -283,6 +298,7 @@ def test_property_resolvent_nonexpansive(x, y, lam, idx):
 )
 @example(x=0.0, y=0.033376606665925124, idx=2)   # p = 4 closed form at lam*scale = 1e-8
 @example(x=1.0, y=2.0, idx=3)                    # soft threshold: G on the flat part
+@example(x=1.0, y=2.0, idx=6)                    # sampled |x|: G on the flat part
 def test_property_graph_monotone(x, y, idx):
     # the Yosida value at a tiny lambda selects from the graph
     gx = convex.yosida(CATALOG[idx], 1e-8, x)
@@ -291,28 +307,35 @@ def test_property_graph_monotone(x, y, idx):
 
 
 # ---------------------------------------------------------------------------
-# numerical conjugate (ray search)
-# ---------------------------------------------------------------------------
-
-def test_ray_conjugate_matches_closed_forms():
-    for pot, ys in [
-        (PowerPotential(2.0), [0.3, 1.0, -2.5]),
-        (PowerPotential(4.0), [0.5, -3.0]),
-        (ExpCoshPotential(), [0.7, -4.0]),
-    ]:
-        for y in ys:
-            num = convex._ray_conjugate_scalar(pot, y)
-            assert num == pytest.approx(float(pot.closed_conjugate(y)), rel=1e-9, abs=1e-11)
-
-
-def test_ray_conjugate_divergence_certificate():
-    assert convex._ray_conjugate_scalar(AbsPotential(), 2.0) == math.inf
-    assert convex._ray_conjugate_scalar(AbsPotential(), 1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # sampled / piecewise potentials
 # ---------------------------------------------------------------------------
+
+def test_sampled_conjugate_matches_grid_sup():
+    xs = np.linspace(-8, 8, 161)
+    for pot, ys in [
+        (SampledSlopePotential.from_value_samples(xs, np.abs(xs) ** 3 / 3), [0.3, -2.5, 10.0]),
+        (CATALOG[-1], [0.5, -0.99, 1.0]),
+        (SampledSlopePotential([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]), [0.4, -1.0]),
+    ]:
+        for y in ys:
+            oracle = grid_sup_oracle(lambda x: x * y - pot.value(x), -20.0, 20.0)
+            assert convex.conjugate(pot, y) == pytest.approx(oracle, abs=1e-7)
+
+
+def test_sampled_huber_graph_matches_huber_closed_forms():
+    # the three-point graph through (+-delta, +-delta) is the Huber slope
+    delta = 0.7
+    sampled = SampledSlopePotential([-delta, 0.0, delta], [-delta, 0.0, delta])
+    huber = HuberPotential(delta)
+    x = np.concatenate([np.linspace(-30.0, 30.0, 2001), [1e-300, 3e5, -3e5]])
+    for lam in (1e-8, 1e-3, 0.5, 10.0):
+        for fn in (convex.resolvent, convex.yosida):
+            a, b = fn(sampled, lam, x), fn(huber, lam, x)
+            assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(x)))
+    y = np.linspace(-delta, delta, 101)
+    assert np.abs(convex.conjugate(sampled, y) - convex.conjugate(huber, y)).max() <= 1e-15
+    assert convex.conjugate(sampled, 1.01 * delta) == math.inf
+
 
 def test_sampled_potential_from_values(tmp_path):
     xs = np.linspace(-3, 3, 61)

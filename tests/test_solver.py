@@ -47,9 +47,9 @@ def test_config_validation():
 
 def test_implicit_step_zero_fixed_point():
     cfg = heat_cfg(beta=cx.AbsPotential())
-    z = GridField(G16, np.zeros(G16.shape))
-    out = sv.implicit_step(cfg, z, z)
-    assert np.abs(out.values).max() <= 1e-12
+    z = np.zeros(G16.shape)
+    out = sv._implicit_step_arrays(cfg, z, z)
+    assert np.abs(out).max() <= 1e-12
 
 
 def test_implicit_step_eigenmode_recursion_oracle():
@@ -57,10 +57,9 @@ def test_implicit_step_eigenmode_recursion_oracle():
     cfg = heat_cfg()
     e1 = gd.sine_mode(G16, 1)
     a1 = gd.sine_eigenvalue(G16, 1)
-    u = GridField(G16, e1)
-    v = sv.implicit_step(cfg, u, u)
+    v = sv._implicit_step_arrays(cfg, e1, e1)
     factor = 1.0 / (1.0 + cfg.dt * (cfg.visc + 1.0 / (1.0 + cfg.lambda_yosida)) * a1)
-    assert np.abs(v.values - factor * e1).max() <= 1e-9
+    assert np.abs(v - factor * e1).max() <= 1e-9
 
 
 def test_implicit_step_single_node_sign_graph_oracle():
@@ -70,13 +69,13 @@ def test_implicit_step_single_node_sign_graph_oracle():
         grid, None, cx.AbsPotential(), None,
         lambda_yosida=0.2, dt=0.5, horizon=0.5, lambda_visc=0.0,
     )
-    f = GridField(grid, np.array([0.4, -0.1, 0.9]))
-    v = sv.implicit_step(cfg, f, f)
+    f = np.array([0.4, -0.1, 0.9])
+    v = sv._implicit_step_arrays(cfg, f, f)
 
     def beta_lam(r):
         return (r - np.sign(r) * np.maximum(np.abs(r) - 0.2, 0.0)) / 0.2
 
-    for fi, vi in zip(f.values, v.values):
+    for fi, vi in zip(f, v):
         lo, hi = -2.0, 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -106,20 +105,18 @@ def test_semi_implicit_eigenmode_recursion_oracle():
     assert cfg.stability_bound() <= 1.0
     e1 = gd.sine_mode(G8, 1)
     a1 = gd.sine_eigenvalue(G8, 1)
-    u = GridField(G8, e1)
-    v = sv.semi_implicit_step(cfg, u, u)
+    v = sv._semi_implicit_step_arrays(cfg, e1, e1)
     factor = (1.0 - cfg.dt * a1 / (1.0 + cfg.lambda_yosida)) / (1.0 + cfg.dt * cfg.visc * a1)
-    assert np.abs(v.values - factor * e1).max() <= 1e-10
+    assert np.abs(v - factor * e1).max() <= 1e-10
 
 
 def test_semi_implicit_refuses_unstable_step():
     cfg = heat_cfg(scheme="semi_implicit")
     assert cfg.stability_bound() > 1.0
     u = GridField(G16, gd.sine_mode(G16, 1))
-    with pytest.raises(sv.StabilityError):
-        sv.semi_implicit_step(cfg, u, u)
-    with pytest.raises(sv.StabilityError):
+    with pytest.raises(sv.StabilityError) as err:
         sv.integrate(cfg, u)
+    assert err.value.step_index == 1
 
 
 def test_schemes_agree_to_second_order_per_step():
@@ -344,9 +341,9 @@ def test_2d_implicit_eigenmode_recursion_oracle():
         g, cx.PowerPotential(2.0), None, None,
         lambda_yosida=0.5, dt=1 / 64, horizon=1 / 64, lambda_visc=0.1,
     )
-    v = sv.implicit_step(cfg, GridField(g, e11), GridField(g, e11))
+    v = sv._implicit_step_arrays(cfg, e11, e11)
     factor = 1.0 / (1.0 + cfg.dt * (0.1 + 1.0 / 1.5) * a11)
-    assert np.abs(v.values - factor * e11).max() <= 1e-9
+    assert np.abs(v - factor * e11).max() <= 1e-9
 
 
 def test_2d_stochastic_run_with_both_graphs():
@@ -423,6 +420,25 @@ def test_yosida_derivative_matches_difference_quotient(pot):
     assert np.abs(dG - quotient)[smooth].max() <= 1e-4 * (1.0 + 1.0 / lam)
 
 
+def test_catalog_runs_without_bisection(monkeypatch):
+    # every catalog graph has an exact resolvent: bisection is only the reference
+    def refuse(*args, **kw):
+        raise AssertionError("bisection reached from a catalog run")
+
+    monkeypatch.setattr(cx, "_bisect_scalar_graph", refuse)
+    g2 = DirichletGrid((1.0, 1.0), (6, 6))
+    for pot in CATALOG:
+        for gamma, beta in ((pot, None), (None, pot)):
+            for grid, scheme, dt in ((G16, "implicit_opt", 1 / 32), (g2, "semi_implicit", 1e-3)):
+                cfg = sv.SolverConfig(
+                    grid, gamma, beta, None, lambda_yosida=0.5, dt=dt, horizon=2 * dt,
+                    scheme=scheme,
+                )
+                u0 = 3.0 * gd.sine_mode(grid, (1,) * grid.dim)
+                traj = sv.integrate(cfg, GridField(grid, u0))
+                assert traj.max_graph_residual <= 1e-8
+
+
 def test_total_variation_flux_converges_within_default_budget():
     # plain Newton overshoots on the sign-graph flux and takes 335 iterations
     # here; with the secant damping it takes 14 (max_inner = 100)
@@ -432,9 +448,9 @@ def test_total_variation_flux_converges_within_default_budget():
         lambda_yosida=0.01, dt=0.5, horizon=0.5, lambda_visc=0.0,
     )
     rng = np.random.default_rng(5)
-    f = GridField(g, gd.sine_mode(g, 1) + 0.3 * rng.standard_normal(64))
-    v = sv.implicit_step(cfg, f, f)
-    assert _step_residual(cfg, v.values, f.values) <= cfg.eps_inner
+    f = gd.sine_mode(g, 1) + 0.3 * rng.standard_normal(64)
+    v = sv._implicit_step_arrays(cfg, f, f)
+    assert _step_residual(cfg, v, f) <= cfg.eps_inner
 
 
 def _step_residual(cfg, v, forcing):
@@ -469,15 +485,15 @@ def _step_problem(setup):
         lambda_visc=setup["visc"],
     )
     rng = np.random.default_rng(setup["seed"])
-    return cfg, [GridField(grid, 3.0 * rng.standard_normal(grid.shape)) for _ in range(2)]
+    return cfg, [3.0 * rng.standard_normal(grid.shape) for _ in range(2)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(setup=step_setups)
 def test_property_step_is_certified(setup):
     cfg, (f, _) = _step_problem(setup)
-    v = sv.implicit_step(cfg, f, f)
-    assert _step_residual(cfg, v.values, f.values) <= cfg.eps_inner
+    v = sv._implicit_step_arrays(cfg, f, f)
+    assert _step_residual(cfg, v, f) <= cfg.eps_inner
 
 
 @settings(max_examples=40, deadline=None)
@@ -486,10 +502,10 @@ def test_property_step_is_nonexpansive(setup):
     # (S f - S g)/dt + A(S f) - A(S g) = (f - g)/dt with A monotone; each
     # solve is within dt*eps_inner of the exact step
     cfg, (f, g) = _step_problem(setup)
-    sf = sv.implicit_step(cfg, f, f).values
-    sg = sv.implicit_step(cfg, g, g).values
+    sf = sv._implicit_step_arrays(cfg, f, f)
+    sg = sv._implicit_step_arrays(cfg, g, g)
     lhs = gd.norm_h(cfg.grid, sf - sg)
-    assert lhs <= gd.norm_h(cfg.grid, f.values - g.values) + 2 * cfg.dt * cfg.eps_inner
+    assert lhs <= gd.norm_h(cfg.grid, f - g) + 2 * cfg.dt * cfg.eps_inner
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,14 +516,14 @@ def test_property_step_descends_energy(setup):
     # per-step energy inequality with dissipation at the implicit endpoint
     cfg, (f, _) = _step_problem(setup)
     g, lam = cfg.grid, cfg.lambda_yosida
-    v = sv.implicit_step(cfg, f, f).values
+    v = sv._implicit_step_arrays(cfg, f, f)
     faces = gd.grad_arrays(g, v)
     diss = cfg.visc * gd.flux_dot_h(g, faces, faces)
     if cfg.gamma is not None:
         diss += gd.flux_dot_h(g, [cx.yosida(cfg.gamma, lam, ga) for ga in faces], faces)
     if cfg.beta is not None:
         diss += gd.dot_h(g, cx.yosida(cfg.beta, lam, v), v)
-    f_sq = gd.dot_h(g, f.values, f.values)
+    f_sq = gd.dot_h(g, f, f)
     lhs = 0.5 * gd.dot_h(g, v, v) + cfg.dt * diss
     rhs = 0.5 * f_sq + cfg.dt * cfg.eps_inner * gd.norm_h(g, v)
     assert lhs <= rhs + 1e-13 * (1.0 + f_sq)
