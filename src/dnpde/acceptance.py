@@ -67,6 +67,7 @@ def criterion_model(workdir=None, rc=None):
         nb = model.bound
         worst_growth = -math.inf
         worst_lip = -math.inf
+        weight = noisemod.hs_weight(model, grid)
         for _ in range(100):
             u = rng.standard_normal(grid.shape) * rng.uniform(0.0, 3.0)
             v = rng.standard_normal(grid.shape) * rng.uniform(0.0, 3.0)
@@ -74,25 +75,8 @@ def criterion_model(workdir=None, rc=None):
             worst_growth = max(
                 worst_growth, hs_u - nb * (1.0 + float(gridmod.norm_h(grid, u)))
             )
-            hs_diff = math.sqrt(
-                max(
-                    0.0,
-                    sum(
-                        b * b
-                        * float(
-                            gridmod.dot_h(
-                                grid,
-                                (model.gain(u) - model.gain(v)) * ek,
-                                (model.gain(u) - model.gain(v)) * ek,
-                            )
-                        )
-                        for b, ek in zip(
-                            model.amplitudes,
-                            gridmod.sine_eigenpairs(grid, model.mode_count)[1],
-                        )
-                    ),
-                )
-            )
+            ds = model.gain(u) - model.gain(v)
+            hs_diff = math.sqrt(float(gridmod.dot_h(grid, ds * ds, weight)))
             worst_lip = max(
                 worst_lip, hs_diff - nb * float(gridmod.norm_h(grid, u - v))
             )
@@ -234,7 +218,7 @@ def criterion_duality(workdir=None, rc=None):
         lap = gridmod.lap_arrays(grid, u)
         stencil = np.zeros_like(u)
         for ax, h in enumerate(grid.spacing):
-            p = gridmod._pad_axis(u, ax)
+            p = np.pad(u, [(1, 1) if a == ax else (0, 0) for a in range(u.ndim)])
             up = [slice(None)] * u.ndim
             dn = [slice(None)] * u.ndim
             up[ax] = slice(2, None)

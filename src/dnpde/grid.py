@@ -7,6 +7,10 @@ the divergence is defined as its negative adjoint under the h-weighted inner
 products, so summation by parts holds to machine precision and div(grad(u))
 is the classical 3-point / 5-point Dirichlet Laplacian.
 
+Systems ``(I - delta*lap) x = f`` are solved exactly in the sine basis of
+each axis (Buzbee, Golub and Nielson, 1970); Jacobi-scaled CG serves the
+operators whose coefficients vary from node to node.
+
 All array operations accept trailing batch axes after the grid axes.
 """
 
@@ -68,7 +72,7 @@ class DirichletGrid:
     def dim(self):
         return len(self.nodes)
 
-    @property
+    @functools.cached_property
     def spacing(self):
         return tuple(e / (n + 1) for e, n in zip(self.extents, self.nodes))
 
@@ -107,18 +111,17 @@ class GridField:
 # raw array operators (grid axes first, arbitrary trailing batch axes)
 # ---------------------------------------------------------------------------
 
-def _pad_axis(u, axis):
-    pad = [(0, 0)] * u.ndim
-    pad[axis] = (1, 1)
-    return np.pad(u, pad)
-
-
 def grad_arrays(grid, u):
-    """Forward differences onto faces; returns one array per axis."""
+    """Forward differences onto faces, ghost zeros outside; one array per axis."""
     out = []
     for ax, h in enumerate(grid.spacing):
-        p = _pad_axis(u, ax)
-        out.append(np.diff(p, axis=ax) / h)
+        face = np.empty(u.shape[:ax] + (u.shape[ax] + 1,) + u.shape[ax + 1:])
+        fv, uv = np.moveaxis(face, ax, 0), np.moveaxis(u, ax, 0)
+        fv[0] = uv[0]
+        fv[-1] = -uv[-1]
+        np.subtract(uv[1:], uv[:-1], out=fv[1:-1])
+        face /= h
+        out.append(face)
     return out
 
 
@@ -223,6 +226,17 @@ def sine_eigenpairs(grid, K):
     return alphas, modes
 
 
+@functools.lru_cache(maxsize=EIG_CACHE_SIZE)
+def _axis_basis(extent, n):
+    """Eigenvalues of ``-lap`` on one axis and its sine matrix, which is
+    symmetric and its own inverse (cached; callers must not modify them)."""
+    h = extent / (n + 1)
+    alphas = np.array([_axis_eigenvalue(h, n, k) for k in range(1, n + 1)])
+    i = np.arange(1, n + 1)
+    basis = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * np.outer(i, i) / (n + 1))
+    return alphas, basis
+
+
 def lambda_max(grid):
     """Largest eigenvalue of ``-lap``: the top sine mode on every axis."""
     return sum(
@@ -247,22 +261,17 @@ def power_iteration_lambda_max(grid, iters=2000, seed=7):
 # SPD solves
 # ---------------------------------------------------------------------------
 
-def _bexpand(grid, v):
-    """Expand a batch-shaped scalar so it broadcasts against node arrays."""
-    return np.asarray(v)[(None,) * grid.dim + (...,)]
-
-
-def cg_solve(grid, apply_op, b, diag, rtol=CG_RTOL, max_iter=None):
+def cg_solve(grid, apply_op, b, diag):
     """Matrix-free conjugate gradients with Jacobi (diagonal) scaling.
 
     ``apply_op`` maps node arrays to node arrays and must be SPD in the
     h-weighted inner product; ``diag`` is its diagonal (a constant or a node
-    array).  Batched right-hand sides converge when every column passes the
-    relative test; a zero column stays zero.
+    array).  Each batch column stops on its own relative test ``CG_RTOL``
+    and is left untouched afterwards; a zero column stays zero.
     """
     b = np.asarray(b, dtype=float)
-    if max_iter is None:
-        max_iter = 20 * math.prod(grid.nodes)
+    max_iter = 20 * math.prod(grid.nodes)
+    col = (None,) * grid.dim + (...,)   # batch-shaped scalars against node arrays
     bnorm = np.sqrt(_grid_sum(grid, b * b))
     if np.all(bnorm == 0.0):
         return np.zeros_like(b)
@@ -272,26 +281,28 @@ def cg_solve(grid, apply_op, b, diag, rtol=CG_RTOL, max_iter=None):
     p = z.copy()
     rz = _grid_sum(grid, r * z)
     for _ in range(max_iter):
-        done = np.sqrt(_grid_sum(grid, r * r)) <= rtol * bnorm
+        done = np.sqrt(_grid_sum(grid, r * r)) <= CG_RTOL * bnorm
         if np.all(done):
             return x
         ap = apply_op(p)
         pap = _grid_sum(grid, p * ap)
         if np.any((pap <= 0.0) & ~done):
             raise RuntimeError("CG breakdown: operator is not positive definite")
-        alpha = rz / np.where(pap > 0.0, pap, 1.0)   # a zero column has rz = 0
-        x = x + _bexpand(grid, alpha) * p
-        r = r - _bexpand(grid, alpha) * ap
+        alpha = np.where(done, 0.0, rz / np.where(pap > 0.0, pap, 1.0))
+        x = x + alpha[col] * p
+        r = r - alpha[col] * ap
         z = r / diag
         rz_new = _grid_sum(grid, r * z)
         beta = rz_new / np.where(rz > 0.0, rz, 1.0)
-        p = z + _bexpand(grid, beta) * p
+        p = z + beta[col] * p
         rz = rz_new
     raise RuntimeError(f"CG did not converge in {max_iter} iterations")
 
 
 def resolvent_arrays(grid, delta, m, u):
-    """Apply ``(I - delta*lap)**(-m)`` to a node array (batch axes allowed)."""
+    """Apply ``(I - delta*lap)**(-m)`` to a node array (batch axes allowed):
+    sine transform along each axis, scale mode ``(i, j)`` by ``(1 +
+    delta*(alpha_i + alpha_j))**(-m)``, transform back."""
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     if int(m) != m or m < 1:
@@ -299,15 +310,16 @@ def resolvent_arrays(grid, delta, m, u):
     u = np.asarray(u, dtype=float)
     if delta == 0.0:
         return u.copy()
+    bases = [_axis_basis(e, n) for e, n in zip(grid.extents, grid.nodes)]
 
-    def op(v):
-        return v - delta * lap_arrays(grid, v)
+    def transform(v):
+        for ax, (_, basis) in enumerate(bases):
+            v = np.moveaxis(np.tensordot(basis, v, axes=(1, ax)), 0, ax)
+        return v
 
-    diag = 1.0 + delta * sum(2.0 / h**2 for h in grid.spacing)
-    out = u
-    for _ in range(int(m)):
-        out = cg_solve(grid, op, out, diag)
-    return out
+    alphas = functools.reduce(np.add.outer, [a for a, _ in bases])
+    scale = (1.0 + delta * alphas) ** -int(m)
+    return transform(transform(u) * scale[(...,) + (None,) * (u.ndim - grid.dim)])
 
 
 def dual_norm_v0(grid, f):

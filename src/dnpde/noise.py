@@ -31,6 +31,7 @@ __all__ = [
     "aggregate_increments",
     "increment_checksum",
     "apply_b",
+    "hs_weight",
     "hs_norm",
     "default_bound",
     "amplitudes_power_law",
@@ -178,18 +179,13 @@ def increment_checksum(table):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-def _modes(model, grid):
-    alphas, modes = gridmod.sine_eigenpairs(grid, model.mode_count)
-    return alphas, modes
-
-
 def apply_b(model: NoiseModel, grid, u, dw):
     """Apply the diffusion coefficient to an increment vector.
 
     ``u`` is a node array (trailing batch axes allowed), ``dw`` has shape
     (K,) or (K, *batch).  Returns ``sigma(u) .* sum_k b_k dw_k e_k``.
     """
-    _, modes = _modes(model, grid)
+    _, modes = gridmod.sine_eigenpairs(grid, model.mode_count)
     dw = np.asarray(dw, dtype=float)
     if dw.shape[0] != model.mode_count:
         raise ValueError("increment vector length does not match mode count")
@@ -199,15 +195,17 @@ def apply_b(model: NoiseModel, grid, u, dw):
     return model.gain(u) * field
 
 
+def hs_weight(model: NoiseModel, grid):
+    """Node array ``sum_k b_k^2 e_k^2``: ``||B(u)||_HS^2 = <sigma(u)^2, weight>_h``."""
+    _, modes = gridmod.sine_eigenpairs(grid, model.mode_count)
+    return np.tensordot(np.asarray(model.amplitudes) ** 2, modes**2, axes=(0, 0))
+
+
 def hs_norm(model: NoiseModel, grid, u):
     """Hilbert-Schmidt norm of ``B(u)``: sqrt(sum_k b_k^2 ||sigma(u) e_k||^2)."""
-    _, modes = _modes(model, grid)
     s = model.gain(np.asarray(u, dtype=float))
-    total = 0.0
-    for bk, ek in zip(model.amplitudes, modes):
-        ek = ek[(...,) + (None,) * (s.ndim - grid.dim)]
-        total = total + bk * bk * gridmod.dot_h(grid, s * ek, s * ek)
-    return np.sqrt(total)
+    weight = hs_weight(model, grid)[(...,) + (None,) * (s.ndim - grid.dim)]
+    return np.sqrt(gridmod.dot_h(grid, s * s, weight))
 
 
 def default_bound(model: NoiseModel, grid):
@@ -217,9 +215,6 @@ def default_bound(model: NoiseModel, grid):
     at 0 and are L-Lipschitz, so ``HS(u) <= sqrt(max_i sum_k b_k^2 e_k(i)^2)
     * L * ||u||`` bounds both the linear-growth and the Lipschitz condition.
     """
-    _, modes = _modes(model, grid)
     if model.is_additive():
         return float(np.sqrt(sum(b * b for b in model.amplitudes)))
-    b2 = np.asarray(model.amplitudes) ** 2
-    spectral_sum = np.tensordot(b2, np.asarray(modes) ** 2, axes=(0, 0))
-    return float(np.sqrt(spectral_sum.max())) * model.gain.lipschitz
+    return float(np.sqrt(hs_weight(model, grid).max())) * model.gain.lipschitz

@@ -18,10 +18,10 @@ graph is applied facewise through its scalar profile; in 1d this is exactly
 the (possibly multivalued) graph of the problem.
 
 A cheaper semi-implicit variant treats the monotone terms explicitly under a
-stability restriction and shares the same limit as dt and the regularization
-vanish.  Single paths and batches of independent noise paths run through one
-stepping loop; ensembles are integrated in fixed 64-path chunks, one after
-the other.
+stability restriction, solves the viscosity term exactly in the sine basis
+and shares the same limit as dt and the regularization vanish.  Single paths
+and batches of independent noise paths run through one stepping loop;
+ensembles are integrated in fixed 64-path chunks, one after the other.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class SolverConfig:
             raise ValueError("lambda_yosida must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.visc < 0:
+            raise ValueError("lambda_visc must be >= 0")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
         if not self.eps_inner > 0:
@@ -287,14 +289,7 @@ def _semi_implicit_step_arrays(cfg, u, forcing):
         rhs = rhs + cfg.dt * gridmod.div_arrays(cfg.grid, eta)
     if cfg.beta is not None:
         rhs = rhs - cfg.dt * _yosida(cfg.beta, cfg.lambda_yosida, u)
-    if cfg.visc == 0.0:
-        return rhs
-
-    def op(v):
-        return v - cfg.dt * cfg.visc * gridmod.lap_arrays(cfg.grid, v)
-
-    visc_diag = 1.0 + cfg.dt * cfg.visc * sum(2.0 / h**2 for h in cfg.grid.spacing)
-    return gridmod.cg_solve(cfg.grid, op, rhs, visc_diag)
+    return gridmod.resolvent_arrays(cfg.grid, cfg.dt * cfg.visc, 1, rhs)
 
 
 # ---------------------------------------------------------------------------

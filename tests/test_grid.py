@@ -119,12 +119,27 @@ def test_mode_count_guard():
 
 
 def test_laplacian_resolvent_eigen_oracle():
-    delta, m = 0.7, 3
-    e1 = gd.sine_mode(G1, 1)
-    a1 = gd.sine_eigenvalue(G1, 1)
-    out = gd.resolvent_arrays(G1, delta, m, e1)
-    expected = e1 * (1.0 + delta * a1) ** (-m)
-    assert np.abs(out - expected).max() <= 1e-8 * np.abs(expected).max()
+    # mode expansions, scaled mode by mode; the full random expansion on G2 is
+    # where a CG stopped at a relative residual of 1e-12 is off by 4.5e-13
+    delta = 0.7
+    g75 = DirichletGrid((1.0, 2.0), (7, 5))   # non-square: the axes must not be swapped
+    ks = [(1, 1), (2, 3), (7, 2)]
+    cases = [
+        (G1, np.array([gd.sine_eigenvalue(G1, 1)]), gd.sine_mode(G1, 1)[None], np.ones(1)),
+        (
+            g75,
+            np.array([gd.sine_eigenvalue(g75, k) for k in ks]),
+            np.stack([gd.sine_mode(g75, k) for k in ks]),
+            np.array([1.0, -0.5, 0.25]),
+        ),
+        (G2, *gd.sine_eigenpairs(G2, 96), np.random.default_rng(12).standard_normal(96)),
+    ]
+    for grid, alphas, modes, coef in cases:
+        u = np.tensordot(coef, modes, axes=(0, 0))
+        for m in (1, 3):
+            out = gd.resolvent_arrays(grid, delta, m, u)
+            expected = np.tensordot(coef * (1.0 + delta * alphas) ** (-m), modes, axes=(0, 0))
+            assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_laplacian_resolvent_identity_and_contraction():

@@ -100,6 +100,20 @@ def test_hs_norm_values():
     u = rng.standard_normal(GRID.shape)
     assert nz.hs_norm(model, GRID, u) == pytest.approx(0.7, abs=1e-12)
     assert nz.hs_norm(model, GRID, 5 * u) == pytest.approx(0.7, abs=1e-12)
+    g2 = gd.DirichletGrid((1.0, 2.0), (8, 12))
+    model = nz.NoiseModel(nz.amplitudes_power_law(6, 0.5, 1.0), nz.TanhGain())
+    u = rng.standard_normal(g2.shape + (5,))   # trailing path axis
+    s = np.tanh(u)
+    modes = gd.sine_eigenpairs(g2, 6)[1]
+    per_mode = np.sqrt(
+        sum(
+            b * b * gd.dot_h(g2, s * e[..., None], s * e[..., None])
+            for b, e in zip(model.amplitudes, modes)
+        )
+    )
+    hs = nz.hs_norm(model, g2, u)
+    assert hs.shape == (5,)
+    assert np.abs(hs - per_mode).max() <= 1e-14 * per_mode.max()
 
 
 def test_declared_bound_holds_for_catalog_gains():

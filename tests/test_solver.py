@@ -32,6 +32,8 @@ def test_config_validation():
         heat_cfg(lambda_yosida=0.0)
     with pytest.raises(ValueError):
         heat_cfg(dt=-1.0)
+    with pytest.raises(ValueError, match="lambda_visc"):
+        heat_cfg(lambda_visc=-0.1)
     with pytest.raises(ValueError):
         heat_cfg(horizon=1 / 128)
     with pytest.raises(ValueError):
@@ -252,6 +254,21 @@ def test_ensemble_paths_match_integrate():
             traj = sv.integrate(cfg, u0, nz.PathSeed(7, i))
             diff = res.states[..., i] - traj.states()
             sup = np.sqrt(G16.node_volume * (diff**2).sum(axis=1)).max()
+            assert sup <= 1e-14
+    # 2-d: the Newton direction comes from CG, whose converged columns stay
+    # untouched while the others iterate
+    model = nz.NoiseModel((0.4, 0.2, 0.1), nz.AdditiveGain(), 0.5)
+    for n in (8, 12):
+        g = DirichletGrid((1.0, 1.0), (n, n))
+        cfg = heat_cfg(
+            grid=g, gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), noise=model,
+            horizon=4 / 64,
+        )
+        u0 = GridField(g, gd.sine_mode(g, (1, 1)))
+        res = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=6, keep_states=True)
+        for i in range(6):
+            diff = res.states[..., i] - sv.integrate(cfg, u0, nz.PathSeed(7, i)).states()
+            sup = np.sqrt(g.node_volume * (diff**2).sum(axis=(1, 2))).max()
             assert sup <= 1e-14
 
 
