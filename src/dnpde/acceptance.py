@@ -300,7 +300,7 @@ def criterion_energy(workdir=None, rc=None):
         res = solvermod.run_ensemble(
             cfg, np.zeros(grid.shape), master_seed=5150, n_paths=200, fine_dt=1 / 128,
         )
-        er = res.energy_residuals()
+        er = solvermod.energy_residual(res)
         mean = float(np.mean(er))
         se = float(np.std(er, ddof=1) / math.sqrt(er.size))
         bound = 3 * se + c_default * dt

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -88,6 +89,15 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
     return 0
 
 
+@contextlib.contextmanager
+def _sweep_value(param, value):
+    """Turn a sweep value the model refuses into a config error naming it."""
+    try:
+        yield
+    except (ValueError, ConfigError) as err:
+        raise ConfigError(f"{param} sweep value {value!r}: {err}") from None
+
+
 def _sweep_configs(rc, cfg, u0, param, values):
     """Per-value configs, initial data and coupled increment tables."""
     model = cfg.noise
@@ -101,22 +111,27 @@ def _sweep_configs(rc, cfg, u0, param, values):
         else:
             inc = None
         for v in values:
-            runs.append((replace(cfg, lambda_yosida=float(v)), u0, inc))
+            with _sweep_value(param, v):
+                runs.append((replace(cfg, lambda_yosida=float(v)), u0, inc))
     elif param == "dt":
-        dts = [float(v) for v in values]
+        for v in values:
+            with _sweep_value(param, v):
+                runs.append((replace(cfg, dt=float(v)), u0, None))
         if model is not None:
-            tables, checksum = verifymod.coupled_increment_tables(
-                configmod.master_seed(rc), 0, dts, cfg.horizon, model.mode_count
-            )
-        else:
-            tables = [None] * len(dts)
-        for v, table in zip(dts, tables):
-            runs.append((replace(cfg, dt=v), u0, table))
+            dts = [c.dt for c, _, _ in runs]
+            with _sweep_value(param, dts):
+                tables, checksum = verifymod.coupled_increment_tables(
+                    configmod.master_seed(rc), 0, dts, cfg.horizon, model.mode_count
+                )
+            runs = [(c, u0, table) for (c, _, _), table in zip(runs, tables)]
     elif param == "mode_count":
         if model is None:
             raise ConfigError("mode_count sweep needs a [noise] section")
-        if any(not float(v).is_integer() or v < 1 for v in values):
-            raise ConfigError(f"mode_count sweep values must be integers >= 1, got {list(values)}")
+        modes = math.prod(cfg.grid.nodes)
+        if any(not float(v).is_integer() or not 1 <= v <= modes for v in values):
+            raise ConfigError(
+                f"mode_count sweep values must be integers >= 1 and <= {modes}, got {list(values)}"
+            )
         ks = [int(v) for v in values]
         kmax = max(ks)
         if rc.has("noise", "amplitudes"):
@@ -141,10 +156,13 @@ def _sweep_configs(rc, cfg, u0, param, values):
             raise ConfigError("h sweep cannot reuse a file-based initial datum")
         for v in values:
             h = float(v)
-            nodes = tuple(max(3, round(L / h) - 1) for L in cfg.grid.extents)
-            g = gridmod.DirichletGrid(cfg.grid.extents, nodes)
-            noise_v = configmod.build_noise(rc, g)
-            u0_v = configmod.build_u0(rc, g)
+            nodes = tuple(round(L / h) - 1 for L in cfg.grid.extents) if h > 0 else (0,)
+            with _sweep_value(param, v):
+                if min(nodes) < 3:
+                    raise ConfigError("the grid would have fewer than 3 interior nodes")
+                g = gridmod.DirichletGrid(cfg.grid.extents, nodes)
+                noise_v = configmod.build_noise(rc, g)
+                u0_v = configmod.build_u0(rc, g)
             if model is not None:
                 seed = noisemod.PathSeed(configmod.master_seed(rc), 0)
                 inc = noisemod.sample_increments(

@@ -9,6 +9,7 @@ full-line comments start with '#'.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from dnpde import convex, grid as gridmod, noise as noisemod, solver as solvermod
@@ -230,6 +231,11 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     if not rc.has("noise"):
         return None
     K = rc.require("noise", "mode_count")
+    if K > math.prod(grid.nodes):
+        raise ConfigError(
+            f"mode_count {K} exceeds the {math.prod(grid.nodes)} sine modes of the grid",
+            rc.lines["noise"].get("mode_count"),
+        )
     if rc.has("noise", "amplitudes"):
         amps = rc.get("noise", "amplitudes")
         if len(amps) != K:

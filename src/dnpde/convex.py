@@ -464,7 +464,7 @@ def _resolvent_point(pot, lam, x, force_bisect=False):
     route, or bisection when ``force_bisect`` asks for the reference.
 
     The only place that picks the route; ``resolvent`` and the solver's
-    Yosida maps both evaluate resolvents through it.
+    state evaluation both evaluate resolvents through it.
     """
     if force_bisect:
         return _bisect_scalar_graph(pot, lam, x)

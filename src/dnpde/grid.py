@@ -36,7 +36,6 @@ __all__ = [
     "sine_mode",
     "sine_eigenpairs",
     "lambda_max",
-    "power_iteration_lambda_max",
     "cg_solve",
     "dual_norm_v0",
     "node_coordinates",
@@ -242,19 +241,6 @@ def lambda_max(grid):
     return sum(
         _axis_eigenvalue(h, n, n) for h, n in zip(grid.spacing, grid.nodes)
     )
-
-
-def power_iteration_lambda_max(grid, iters=2000, seed=7):
-    """Direct power-iteration estimate of the top eigenvalue of ``-lap``."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.shape)
-    v /= norm_h(grid, v)
-    lam = 0.0
-    for _ in range(iters):
-        w = -lap_arrays(grid, v)
-        lam = dot_h(grid, v, w)
-        v = w / norm_h(grid, w)
-    return float(lam)
 
 
 # ---------------------------------------------------------------------------

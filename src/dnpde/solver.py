@@ -21,7 +21,9 @@ A cheaper semi-implicit variant treats the monotone terms explicitly under a
 stability restriction, solves the viscosity term exactly in the sine basis
 and shares the same limit as dt and the regularization vanish.  Single paths
 and batches of independent noise paths run through one stepping loop;
-ensembles are integrated in fixed 64-path chunks, one after the other.
+ensembles are integrated in fixed 64-path chunks, one after the other.  Each
+state's face gradients, resolvent points and Yosida values are evaluated once
+and shared by the energy ledger, both steps and the graph certificate.
 """
 
 from __future__ import annotations
@@ -101,20 +103,20 @@ class SolverConfig:
     max_inner: int = 100
 
     def __post_init__(self):
-        if not self.lambda_yosida > 0:
-            raise ValueError("lambda_yosida must be positive")
+        if not 0.0 < self.lambda_yosida < np.inf:
+            raise ValueError("lambda_yosida must be positive and finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.visc < 0:
+        if not self.visc >= 0:
             raise ValueError("lambda_visc must be >= 0")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must be at least dt")
+        if not self.dt <= self.horizon < np.inf:
+            raise ValueError("horizon must be finite and at least dt")
         if not self.eps_inner > 0:
             raise ValueError("eps_inner must be positive")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
         if self.scheme not in ("implicit_opt", "semi_implicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"scheme {self.scheme!r} is unknown")
         n = round(self.horizon / self.dt)
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer multiple of dt")
@@ -133,25 +135,38 @@ class SolverConfig:
         return self.dt * (lmax / self.lambda_yosida + 1.0 / self.lambda_yosida)
 
 
-def _yosida(pot, lam, a):
-    return pot.yosida_from_resolvent(lam, a, convex._resolvent_point(pot, lam, a))
+# Node values, their face gradients and, per graph, the resolvent points and
+# Yosida values (eta on the faces, xi at the nodes; None without the graph).
+_State = namedtuple("_State", "u faces j_faces eta j_nodes xi")
 
 
-def _yosida_parts(pot, lam, a):
-    """Moreau envelope, Yosida map ``G`` and two curvatures of ``G`` at ``a``.
+def _state(cfg, u):
+    lam = cfg.lambda_yosida
+    faces = gridmod.grad_arrays(cfg.grid, u)
+    j_faces = eta = j_nodes = xi = None
+    if cfg.gamma is not None:
+        j_faces = tuple(convex._resolvent_point(cfg.gamma, lam, a) for a in faces)
+        eta = tuple(cfg.gamma.yosida_from_resolvent(lam, a, j) for a, j in zip(faces, j_faces))
+    if cfg.beta is not None:
+        j_nodes = convex._resolvent_point(cfg.beta, lam, u)
+        xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
+    return _State(u, faces, j_faces, eta, j_nodes, xi)
 
-    All come from one resolvent point ``J`` (zeros without a potential).  The
-    Newton curvature is ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the
-    graph is vertical.  The secant one, ``max(G', G(a)/a)``, is Kacanov's:
-    where the graph grows at most linearly (abs, Huber, power p < 2) its
-    quadratic model majorizes the envelope, so its steps cannot overshoot.
+
+def _yosida_parts(pot, lam, a, j, G):
+    """Moreau envelope, Yosida value ``G`` and two curvatures of ``G`` at ``a``.
+
+    ``j`` is the resolvent point of ``a`` and ``G`` its Yosida value (all
+    four are zeros without a potential).  The Newton curvature is
+    ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the graph is vertical.
+    The secant one, ``max(G', G(a)/a)``, is Kacanov's: where the graph grows
+    at most linearly (abs, Huber, power p < 2) its quadratic model majorizes
+    the envelope, so its steps cannot overshoot.
     """
     if pot is None:
         z = np.zeros_like(a)
         return z, z, z, z
-    j = convex._resolvent_point(pot, lam, a)
     r = a - j
-    G = pot.yosida_from_resolvent(lam, a, j)
     gp = pot.slope_derivative(j)
     with np.errstate(invalid="ignore", divide="ignore"):
         dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
@@ -159,24 +174,25 @@ def _yosida_parts(pot, lam, a):
     return pot.value(j) + r * r / (2.0 * lam), G, dG, secant
 
 
-# The step objective at one iterate: value and gradient norm per path, the
+# The step objective at one state: value and gradient norm per path, the
 # h-weighted gradient, and (Newton, secant) curvature pairs, one per face axis
 # (viscosity included) and one for the nodes.
 _Eval = namedtuple("_Eval", "value grad grad_norm face_curv node_curv")
 
 
-def _evaluate(cfg, v, forcing):
+def _evaluate(cfg, state, forcing):
     g = cfg.grid
     lam = cfg.lambda_yosida
     axes = tuple(range(g.dim))
+    none = (None,) * g.dim
     flux, face_curv, face_sum = [], [], 0.0
-    for ga in gridmod.grad_arrays(g, v):
-        env, G, dG, sec = _yosida_parts(cfg.gamma, lam, ga)
+    for ga, j, G in zip(state.faces, state.j_faces or none, state.eta or none):
+        env, G, dG, sec = _yosida_parts(cfg.gamma, lam, ga, j, G)
         flux.append(cfg.visc * ga + G)
         face_curv.append((cfg.visc + dG, cfg.visc + sec))
         face_sum = face_sum + np.sum(0.5 * cfg.visc * ga * ga + env, axis=axes)
-    r = v - forcing
-    env, G, dG, sec = _yosida_parts(cfg.beta, lam, v)
+    r = state.u - forcing
+    env, G, dG, sec = _yosida_parts(cfg.beta, lam, state.u, state.j_nodes, state.xi)
     out = r / cfg.dt - gridmod.div_arrays(g, flux) + G
     value = g.node_volume * (np.sum(r * r / (2.0 * cfg.dt) + env, axis=axes) + face_sum)
     return _Eval(value, out, gridmod.norm_h(g, out), tuple(face_curv), (dG, sec))
@@ -232,17 +248,17 @@ def _inner_failure(cfg, gn, what, iterations):
     )
 
 
-def _line_search(cfg, v, forcing, ev, d, todo, it):
+def _line_search(cfg, state, forcing, ev, d, todo, it):
     """Armijo backtracking on ``F``, one step length per path in ``todo``.
 
     Where ``t <grad F, d>`` is below the rounding of ``F``, a step lowering
     ``||grad F||_h`` is taken.  Accepted paths keep their step length, so the
-    last trial holds every path's result."""
+    last trial state holds every path's result."""
     slope = gridmod.dot_h(cfg.grid, ev.grad, d)
     rounding = F_ROUNDING * (1.0 + np.abs(ev.value))
     t = np.ones_like(slope)
     for _ in range(MAX_BACKTRACKS):
-        trial = v + t * d
+        trial = _state(cfg, state.u + t * d)
         new = _evaluate(cfg, trial, forcing)
         armijo = new.value <= ev.value + ARMIJO * t * slope
         flat = (np.abs(t * slope) <= rounding) & (new.grad_norm < ev.grad_norm)
@@ -254,8 +270,8 @@ def _line_search(cfg, v, forcing, ev, d, todo, it):
     raise _inner_failure(cfg, np.where(todo, ev.grad_norm, 0.0), what, it)
 
 
-def _implicit_step_arrays(cfg, u, forcing):
-    """Damped semismooth Newton to the certified gradient-norm tolerance.
+def _implicit_step_arrays(cfg, state, forcing):
+    """Damped semismooth Newton from ``state`` to the state of the certified iterate.
 
     Newton steps overshoot where a graph flattens (total-variation fluxes,
     power p < 2); secant steps cannot.  Each path blends the two curvatures
@@ -264,8 +280,7 @@ def _implicit_step_arrays(cfg, u, forcing):
     1), so Newton takes over near the optimum.  A path meeting ``eps_inner``
     is frozen, so it stops on its own certificate whatever its batch.
     """
-    v = u
-    ev = _evaluate(cfg, v, forcing)
+    ev = _evaluate(cfg, state, forcing)
     if not (np.all(np.isfinite(ev.value)) and np.all(np.isfinite(ev.grad_norm))):
         raise _inner_failure(cfg, ev.grad_norm, "hit a non-finite iterate at iteration 0", 0)
     mu = np.zeros_like(ev.grad_norm)
@@ -275,52 +290,36 @@ def _implicit_step_arrays(cfg, u, forcing):
             raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
         it += 1
         d = np.where(active, _newton_direction(cfg, ev, mu), 0.0)
-        v, ev, t = _line_search(cfg, v, forcing, ev, d, active, it)
+        state, ev, t = _line_search(cfg, state, forcing, ev, d, active, it)
         mu = np.where(t == 1.0, mu / MU_STEP, np.clip(mu * MU_STEP, MU_MIN, 1.0))
-    return v
+    return state
 
 
-def _semi_implicit_step_arrays(cfg, u, forcing):
-    """One semi-implicit step; the caller has checked the stability bound."""
+def _semi_implicit_step_arrays(cfg, state, forcing):
+    """The next state after one semi-implicit step; the caller has checked stability."""
     rhs = forcing
-    if cfg.gamma is not None:
-        g = gridmod.grad_arrays(cfg.grid, u)
-        eta = [_yosida(cfg.gamma, cfg.lambda_yosida, ga) for ga in g]
-        rhs = rhs + cfg.dt * gridmod.div_arrays(cfg.grid, eta)
-    if cfg.beta is not None:
-        rhs = rhs - cfg.dt * _yosida(cfg.beta, cfg.lambda_yosida, u)
-    return gridmod.resolvent_arrays(cfg.grid, cfg.dt * cfg.visc, 1, rhs)
+    if state.eta is not None:
+        rhs = rhs + cfg.dt * gridmod.div_arrays(cfg.grid, state.eta)
+    if state.xi is not None:
+        rhs = rhs - cfg.dt * state.xi
+    return _state(cfg, gridmod.resolvent_arrays(cfg.grid, cfg.dt * cfg.visc, 1, rhs))
 
 
 # ---------------------------------------------------------------------------
 # the stepping loop and its energy ledger
 # ---------------------------------------------------------------------------
 
-def _ledger_row(cfg, u, noise_field):
-    """Ledger scalars of one record (per path), with eta and xi at ``u``.
-
-    ``eta`` is None without a flux graph and ``xi`` None without an
-    absorption graph; their pairings are then zero.
-    """
-    g = cfg.grid
+def _ledger_row(cfg, state, noise_field):
+    """Ledger scalars of one record (per path); a pairing is zero without its graph."""
+    g, u, eta, xi = cfg.grid, state.u, state.eta, state.xi
     zero = np.zeros(u.shape[g.dim:])
-    eta = xi = None
-    pair_eta = pair_xi = zero
-    if cfg.gamma is not None:
-        faces = gridmod.grad_arrays(g, u)
-        eta = tuple(_yosida(cfg.gamma, cfg.lambda_yosida, ga) for ga in faces)
-        pair_eta = gridmod.flux_dot_h(g, eta, faces)
-    if cfg.beta is not None:
-        xi = _yosida(cfg.beta, cfg.lambda_yosida, u)
-        pair_xi = gridmod.dot_h(g, xi, u)
-    row = {
+    return {
         "norm_u_sq": gridmod.dot_h(g, u, u),
-        "pairing_eta_gradu": pair_eta,
-        "pairing_xi_u": pair_xi,
+        "pairing_eta_gradu": zero if eta is None else gridmod.flux_dot_h(g, eta, state.faces),
+        "pairing_xi_u": zero if xi is None else gridmod.dot_h(g, xi, u),
         "hs_sq": zero if cfg.noise is None else noisemod.hs_norm(cfg.noise, g, u) ** 2,
         "stoch_pairing": zero if noise_field is None else gridmod.dot_h(g, u, noise_field),
     }
-    return row, eta, xi
 
 
 def _run(cfg, u, increments, keep_fields):
@@ -329,9 +328,10 @@ def _run(cfg, u, increments, keep_fields):
     ``u`` is a node array with or without a trailing path axis; the grid and
     noise operators broadcast over it, so the loop never looks at the batch
     shape.  Returns the ledger rows, the per-record ``(u, eta, xi)`` (kept
-    by reference, only when ``keep_fields``) and the final state.
+    by reference), the largest Fenchel residual of the run's (resolvent
+    point, Yosida value) pairs and the final node values; the fields and the
+    residual only when ``keep_fields``.
     """
-    model = cfg.noise
     if cfg.scheme == "semi_implicit":
         bound = cfg.stability_bound()
         if bound > 1.0:
@@ -340,31 +340,39 @@ def _run(cfg, u, increments, keep_fields):
                 f"dt*(lambda_max + 1)/lambda_yosida = {bound:.6g} > 1",
                 step_index=1,
             )
-        step_fn = _semi_implicit_step_arrays
-    else:
-        step_fn = _implicit_step_arrays
 
-    rows, fields = [], []
+    rows, fields, worst = [], [], 0.0
 
-    def record(u, noise_field):
-        row, eta, xi = _ledger_row(cfg, u, noise_field)
-        rows.append(row)
-        if keep_fields:
-            fields.append((u, eta, xi))
+    def record(state, noise_field):
+        nonlocal worst
+        rows.append(_ledger_row(cfg, state, noise_field))
+        if not keep_fields:
+            return
+        fields.append((state.u, state.eta, state.xi))
+        graphs = ((cfg.gamma, state.j_faces, state.eta), (cfg.beta, (state.j_nodes,), (state.xi,)))
+        for pot, js, ys in graphs:
+            if pot is not None:
+                for j, y in zip(js, ys):
+                    res = convex.fenchel_residual(pot, j, y)
+                    worst = max(worst, float(np.max(np.abs(res))))
 
+    state = _state(cfg, u)
     for n in range(cfg.n_steps):
         noise_field = None
-        if model is not None:
-            noise_field = noisemod.apply_b(model, cfg.grid, u, increments[n])
-        record(u, noise_field)
-        forcing = u if noise_field is None else u + noise_field
+        if cfg.noise is not None:
+            noise_field = noisemod.apply_b(cfg.noise, cfg.grid, state.u, increments[n])
+        record(state, noise_field)
+        forcing = state.u if noise_field is None else state.u + noise_field
         try:
-            u = step_fn(cfg, u, forcing)
+            if cfg.scheme == "semi_implicit":
+                state = _semi_implicit_step_arrays(cfg, state, forcing)
+            else:
+                state = _implicit_step_arrays(cfg, state, forcing)
         except SolverError as err:
             err.step_index = n + 1
             raise
-    record(u, None)
-    return rows, fields, u
+    record(state, None)
+    return rows, fields, worst, state.u
 
 
 def _check_increments(cfg, increments):
@@ -441,26 +449,6 @@ class Trajectory:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def _graph_residual(cfg, records):
-    """Max Fenchel residual of (resolvent point, Yosida value) over the run."""
-    worst = 0.0
-    lam = cfg.lambda_yosida
-    for pot, pick in ((cfg.gamma, "eta"), (cfg.beta, "xi")):
-        if pot is None:
-            continue
-        for rec in records:
-            if pick == "eta":
-                xs = np.concatenate([c.ravel() for c in gridmod.grad_arrays(cfg.grid, rec.u)])
-                ys = np.concatenate([c.ravel() for c in rec.eta])
-            else:
-                xs = rec.u.ravel()
-                ys = rec.xi.ravel()
-            j = convex.resolvent(pot, lam, xs)
-            res = convex.fenchel_residual(pot, j, ys)
-            worst = max(worst, float(np.max(np.abs(res))) if res.size else 0.0)
-    return worst
-
-
 def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
     """Integrate one path, recording the triplet (u, eta, xi) and the ledger.
 
@@ -474,7 +462,9 @@ def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
             seed, cfg.n_steps, cfg.dt, cfg.noise.mode_count
         )
     increments = _check_increments(cfg, increments)
-    rows, fields, _ = _run(cfg, np.array(u0.values, dtype=float), increments, keep_fields=True)
+    rows, fields, worst, _ = _run(
+        cfg, np.array(u0.values, dtype=float), increments, keep_fields=True
+    )
     no_flux = tuple(np.zeros(s) for s in cfg.grid.face_shapes())
     records = [
         StateRecord(
@@ -483,9 +473,8 @@ def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
         )
         for n, (row, (u, eta, xi)) in enumerate(zip(rows, fields))
     ]
-    traj = Trajectory(cfg, seed, records)
+    traj = Trajectory(cfg, seed, records, max_graph_residual=worst)
     traj.energy_residual = float(energy_residual(traj))
-    traj.max_graph_residual = _graph_residual(cfg, records)
     return traj
 
 
@@ -505,9 +494,6 @@ class BatchResult:
     @property
     def n_paths(self):
         return self.terminal.shape[-1]
-
-    def energy_residuals(self):
-        return energy_residual(self)
 
 
 def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
@@ -535,7 +521,7 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
     else:
         raise ValueError(f"{u0.shape[-1]} initial data for {n_paths} noise paths")
 
-    rows, fields, u = _run(cfg, u, increments, keep_fields=keep_states)
+    rows, fields, _, u = _run(cfg, u, increments, keep_fields=keep_states)
     ledgers = {name: np.stack([row[name] for row in rows]) for name in LEDGER_COLUMNS}
     states = np.stack([f[0] for f in fields]) if keep_states else None
     return BatchResult(cfg, ledgers, u, states)

@@ -135,13 +135,26 @@ def test_run_rejects_jobs_flag(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("line", ["max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10"])
+@pytest.mark.parametrize(
+    "line", ["max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit"]
+)
 def test_run_invalid_inner_limits_exit_2(tmp_path, capsys, line):
     text = BASIC.replace("[solver]", f"[solver]\n{line}")
     cfg = write_cfg(tmp_path, text)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     lineno = text.splitlines().index(line) + 1
     assert f"line {lineno}: {line.split()[0]}" in capsys.readouterr().err
+
+
+def test_run_mode_count_beyond_grid_exits_2(tmp_path, capsys):
+    # 17 modes on 16 nodes used to end in a traceback at the first noise step
+    text = BASIC.replace(
+        "mode_count = 1\namplitudes = 0.5", "mode_count = 17\namp_c = 0.5\namp_q = 1.0"
+    )
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    lineno = text.splitlines().index("mode_count = 17") + 1
+    assert f"line {lineno}: mode_count 17 exceeds the 16 sine modes" in capsys.readouterr().err
 
 
 def test_run_unstable_semi_implicit_exits_3(tmp_path, capsys):
@@ -215,12 +228,24 @@ def test_sweep_bad_values_exits_2(tmp_path, capsys):
     assert "abc" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("values", ["1.5,2.7", "0"])   # 1.5,2.7 used to run K = 1, 2
+@pytest.mark.parametrize("values", ["1.5,2.7", "0", "17"])   # 1.5,2.7 used to run K = 1, 2
 def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values):
     cfg = write_cfg(tmp_path, BASIC)
     out = str(tmp_path / "o")
     assert cli.main(["sweep", cfg, "--param", "mode_count", "--values", values, "--out", out]) == 2
     assert "integers >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, value", [
+    ("h", "-0.1"), ("h", "5"), ("h", "0"), ("h", "0.3"), ("h", "nan"),
+    ("dt", "0"), ("dt", "0.1"), ("dt", "nan"),
+    ("lambda_yosida", "-0.5"), ("lambda_yosida", "nan"), ("lambda_yosida", "inf"),
+])   # h = -0.1, 5 and 0.3 used to run a 3-node grid labelled with that h; the rest crashed
+def test_sweep_out_of_range_values_exit_2(tmp_path, capsys, param, value):
+    cfg = write_cfg(tmp_path, BASIC)
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", cfg, "--param", param, "--values", value, "--out", out]) == 2
+    assert f"{param} sweep value {float(value)!r}: " in capsys.readouterr().err
 
 
 def test_sweep_rows_match_lambda_sweep(tmp_path):

@@ -34,8 +34,14 @@ def test_config_validation():
         heat_cfg(dt=-1.0)
     with pytest.raises(ValueError, match="lambda_visc"):
         heat_cfg(lambda_visc=-0.1)
+    with pytest.raises(ValueError, match="lambda_visc"):
+        heat_cfg(lambda_visc=math.nan)   # used to run and fail at the first step
     with pytest.raises(ValueError):
         heat_cfg(horizon=1 / 128)
+    with pytest.raises(ValueError, match="horizon"):
+        heat_cfg(horizon=math.inf)   # used to raise OverflowError
+    with pytest.raises(ValueError, match="lambda_yosida"):
+        heat_cfg(lambda_yosida=math.inf)
     with pytest.raises(ValueError):
         heat_cfg(scheme="magic")
     with pytest.raises(ValueError):
@@ -50,7 +56,7 @@ def test_config_validation():
 def test_implicit_step_zero_fixed_point():
     cfg = heat_cfg(beta=cx.AbsPotential())
     z = np.zeros(G16.shape)
-    out = sv._implicit_step_arrays(cfg, z, z)
+    out = sv._implicit_step_arrays(cfg, sv._state(cfg, z), z).u
     assert np.abs(out).max() <= 1e-12
 
 
@@ -59,7 +65,7 @@ def test_implicit_step_eigenmode_recursion_oracle():
     cfg = heat_cfg()
     e1 = gd.sine_mode(G16, 1)
     a1 = gd.sine_eigenvalue(G16, 1)
-    v = sv._implicit_step_arrays(cfg, e1, e1)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, e1), e1).u
     factor = 1.0 / (1.0 + cfg.dt * (cfg.visc + 1.0 / (1.0 + cfg.lambda_yosida)) * a1)
     assert np.abs(v - factor * e1).max() <= 1e-9
 
@@ -72,7 +78,7 @@ def test_implicit_step_single_node_sign_graph_oracle():
         lambda_yosida=0.2, dt=0.5, horizon=0.5, lambda_visc=0.0,
     )
     f = np.array([0.4, -0.1, 0.9])
-    v = sv._implicit_step_arrays(cfg, f, f)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, f), f).u
 
     def beta_lam(r):
         return (r - np.sign(r) * np.maximum(np.abs(r) - 0.2, 0.0)) / 0.2
@@ -92,8 +98,8 @@ def test_step_optimality_certificate():
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential())
     rng = np.random.default_rng(3)
     u = rng.standard_normal(G16.shape)
-    v = sv._implicit_step_arrays(cfg, u, u)
-    gnorm = gd.norm_h(G16, sv._evaluate(cfg, v, u).grad)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, u), u).u
+    gnorm = gd.norm_h(G16, sv._evaluate(cfg, sv._state(cfg, v), u).grad)
     assert gnorm <= cfg.eps_inner
 
 
@@ -107,7 +113,7 @@ def test_semi_implicit_eigenmode_recursion_oracle():
     assert cfg.stability_bound() <= 1.0
     e1 = gd.sine_mode(G8, 1)
     a1 = gd.sine_eigenvalue(G8, 1)
-    v = sv._semi_implicit_step_arrays(cfg, e1, e1)
+    v = sv._semi_implicit_step_arrays(cfg, sv._state(cfg, e1), e1).u
     factor = (1.0 - cfg.dt * a1 / (1.0 + cfg.lambda_yosida)) / (1.0 + cfg.dt * cfg.visc * a1)
     assert np.abs(v - factor * e1).max() <= 1e-10
 
@@ -131,8 +137,8 @@ def test_schemes_agree_to_second_order_per_step():
             G8, cx.PowerPotential(2.0), None, None,
             lambda_yosida=0.5, dt=dt, horizon=dt, lambda_visc=0.2,
         )
-        vi = sv._implicit_step_arrays(cfg, u, u)
-        vs = sv._semi_implicit_step_arrays(cfg, u, u)
+        vi = sv._implicit_step_arrays(cfg, sv._state(cfg, u), u).u
+        vs = sv._semi_implicit_step_arrays(cfg, sv._state(cfg, u), u).u
         errs.append(float(gd.norm_h(G8, vi - vs)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9)
@@ -235,7 +241,7 @@ def test_batch_matches_ledger_shape_and_residuals():
     for i in range(3):
         inc = nz.sample_increments(nz.PathSeed(4, i), cfg.n_steps, cfg.dt, 1)
         traj = sv.integrate(cfg, GridField(G16, np.zeros(G16.shape)), nz.PathSeed(4, i), inc)
-        assert res.energy_residuals()[i] == pytest.approx(traj.energy_residual, rel=1e-9, abs=1e-12)
+        assert sv.energy_residual(res)[i] == pytest.approx(traj.energy_residual, rel=1e-9, abs=1e-12)
 
 
 def test_ensemble_paths_match_integrate():
@@ -358,7 +364,7 @@ def test_2d_implicit_eigenmode_recursion_oracle():
         g, cx.PowerPotential(2.0), None, None,
         lambda_yosida=0.5, dt=1 / 64, horizon=1 / 64, lambda_visc=0.1,
     )
-    v = sv._implicit_step_arrays(cfg, e11, e11)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, e11), e11).u
     factor = 1.0 / (1.0 + cfg.dt * (0.1 + 1.0 / 1.5) * a11)
     assert np.abs(v - factor * e11).max() <= 1e-9
 
@@ -424,7 +430,11 @@ CATALOG = [
 def test_yosida_derivative_matches_difference_quotient(pot):
     lam, h = 0.3, 1e-6
     a = np.linspace(-3.1, 2.9, 41) + 1e-3
-    env, G, dG, _ = sv._yosida_parts(pot, lam, a)
+    cfg = sv.SolverConfig(
+        DirichletGrid((1.0,), a.shape), None, pot, None, lambda_yosida=lam, dt=1.0, horizon=1.0,
+    )
+    state = sv._state(cfg, a)   # the absorption graph at the nodes a
+    env, G, dG, _ = sv._yosida_parts(pot, lam, a, state.j_nodes, state.xi)
     assert np.array_equal(G, cx.yosida(pot, lam, a))
     assert np.abs(env - cx.moreau_envelope(pot, lam, a)).max() <= 1e-12
     assert np.all((dG >= 0.0) & (dG <= 1.0 / lam))
@@ -456,6 +466,72 @@ def test_catalog_runs_without_bisection(monkeypatch):
                 assert traj.max_graph_residual <= 1e-8
 
 
+def _counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that logs each call in the returned list."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_state_is_evaluated_once(monkeypatch):
+    # the ledger, the step, the Newton objective and the graph certificate read
+    # one evaluation per state: dim + 1 resolvents (each face axis and the
+    # nodes) for the initial state and for every state a step makes
+    resolvents = _counted(monkeypatch, cx, "_resolvent_point")
+    evaluations = _counted(monkeypatch, sv, "_evaluate")
+    g2 = DirichletGrid((1.0, 1.0), (6, 6))
+    cfg = sv.SolverConfig(
+        g2, cx.PowerPotential(4.0), cx.ExpCoshPotential(), None,
+        lambda_yosida=0.5, dt=1e-3, horizon=4e-3, scheme="semi_implicit",
+    )
+    sv.integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))))
+    assert len(resolvents) == (cfg.n_steps + 1) * 3
+    # implicit: each step evaluates its incoming state, then one new state per
+    # line-search trial
+    resolvents.clear()
+    cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential(), horizon=4 / 64)
+    sv.integrate(cfg, GridField(G16, 1.5 * gd.sine_mode(G16, 1)))
+    trials = len(evaluations) - cfg.n_steps
+    assert trials >= cfg.n_steps
+    assert len(resolvents) == 2 * (1 + trials)
+
+
+def _posthoc_graph_residual(traj):
+    """Largest Fenchel residual of the records' (resolvent, eta/xi) pairs,
+    recomputed from the public resolvent."""
+    cfg, worst = traj.config, 0.0
+    for rec in traj.records:
+        faces = gd.grad_arrays(cfg.grid, rec.u)
+        for pot, xs, ys in ((cfg.gamma, faces, rec.eta), (cfg.beta, [rec.u], [rec.xi])):
+            if pot is not None:
+                xs = np.concatenate([x.ravel() for x in xs])
+                ys = np.concatenate([y.ravel() for y in ys])
+                res = cx.fenchel_residual(pot, cx.resolvent(pot, cfg.lambda_yosida, xs), ys)
+                worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+def test_graph_residual_matches_posthoc_formula():
+    g2 = DirichletGrid((1.0, 1.0), (6, 6))
+    model = nz.NoiseModel((0.4, 0.2), nz.AdditiveGain(), 0.5)
+    runs = [
+        (heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), noise=model),
+         GridField(G16, 1.5 * gd.sine_mode(G16, 1))),
+        (sv.SolverConfig(
+            g2, cx.PowerPotential(4.0), cx.ExpCoshPotential(), model,
+            lambda_yosida=0.5, dt=1e-3, horizon=8e-3, scheme="semi_implicit",
+        ), GridField(g2, 2.0 * gd.sine_mode(g2, (1, 1)))),
+    ]
+    for cfg, u0 in runs:
+        traj = sv.integrate(cfg, u0, nz.PathSeed(11, 0))
+        assert 0.0 < traj.max_graph_residual == _posthoc_graph_residual(traj)
+
+
 def test_total_variation_flux_converges_within_default_budget():
     # plain Newton overshoots on the sign-graph flux and takes 335 iterations
     # here; with the secant damping it takes 14 (max_inner = 100)
@@ -466,7 +542,7 @@ def test_total_variation_flux_converges_within_default_budget():
     )
     rng = np.random.default_rng(5)
     f = gd.sine_mode(g, 1) + 0.3 * rng.standard_normal(64)
-    v = sv._implicit_step_arrays(cfg, f, f)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, f), f).u
     assert _step_residual(cfg, v, f) <= cfg.eps_inner
 
 
@@ -484,7 +560,10 @@ def _step_residual(cfg, v, forcing):
 
 
 step_setups = st.fixed_dictionaries({
-    "nodes": st.integers(3, 16),
+    "shape": st.one_of(   # 1-d, or 2-d up to 6x6, where the Newton direction comes from CG
+        st.tuples(st.integers(3, 16)),
+        st.tuples(st.integers(3, 6), st.integers(3, 6)),
+    ),
     "gamma": st.sampled_from(CATALOG),
     "beta": st.sampled_from(CATALOG + [None]),
     "lam": st.floats(0.01, 1.0),
@@ -495,7 +574,7 @@ step_setups = st.fixed_dictionaries({
 
 
 def _step_problem(setup):
-    grid = DirichletGrid((1.0,), (setup["nodes"],))
+    grid = DirichletGrid((1.0,) * len(setup["shape"]), setup["shape"])
     cfg = sv.SolverConfig(
         grid, setup["gamma"], setup["beta"], None,
         lambda_yosida=setup["lam"], dt=setup["dt"], horizon=setup["dt"],
@@ -509,7 +588,7 @@ def _step_problem(setup):
 @given(setup=step_setups)
 def test_property_step_is_certified(setup):
     cfg, (f, _) = _step_problem(setup)
-    v = sv._implicit_step_arrays(cfg, f, f)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, f), f).u
     assert _step_residual(cfg, v, f) <= cfg.eps_inner
 
 
@@ -519,8 +598,8 @@ def test_property_step_is_nonexpansive(setup):
     # (S f - S g)/dt + A(S f) - A(S g) = (f - g)/dt with A monotone; each
     # solve is within dt*eps_inner of the exact step
     cfg, (f, g) = _step_problem(setup)
-    sf = sv._implicit_step_arrays(cfg, f, f)
-    sg = sv._implicit_step_arrays(cfg, g, g)
+    sf = sv._implicit_step_arrays(cfg, sv._state(cfg, f), f).u
+    sg = sv._implicit_step_arrays(cfg, sv._state(cfg, g), g).u
     lhs = gd.norm_h(cfg.grid, sf - sg)
     assert lhs <= gd.norm_h(cfg.grid, f - g) + 2 * cfg.dt * cfg.eps_inner
 
@@ -533,7 +612,7 @@ def test_property_step_descends_energy(setup):
     # per-step energy inequality with dissipation at the implicit endpoint
     cfg, (f, _) = _step_problem(setup)
     g, lam = cfg.grid, cfg.lambda_yosida
-    v = sv._implicit_step_arrays(cfg, f, f)
+    v = sv._implicit_step_arrays(cfg, sv._state(cfg, f), f).u
     faces = gd.grad_arrays(g, v)
     diss = cfg.visc * gd.flux_dot_h(g, faces, faces)
     if cfg.gamma is not None:
