@@ -440,7 +440,8 @@ def criterion_phi_unique(workdir=None, rc=None):
     lam0, dt0, n_steps = 0.25, 2e-4, 80
     horizon = n_steps * dt0
     dts = [dt0 / 2**level for level in range(3)]
-    tables, _ = verifymod.coupled_increment_tables(909, 0, dts, horizon, model.mode_count)
+    seed = PathSeed(909, 0)
+    tables, _ = noisemod.coupled_increment_tables(seed, dts[-1], dts, horizon, model.mode_count)
 
     phi_d, eta_sup = [], []
     for level in range(3):
@@ -450,7 +451,6 @@ def criterion_phi_unique(workdir=None, rc=None):
             scheme="implicit_opt",
         )
         cfg_b = replace(cfg_a, scheme="semi_implicit")
-        seed = PathSeed(909, 0)
         traj_a = solvermod.integrate(cfg_a, u0, seed, tables[level])
         traj_b = solvermod.integrate(cfg_b, u0, seed, tables[level])
         pa = verifymod.build_phi(traj_a, [horizon])

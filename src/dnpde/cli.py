@@ -98,32 +98,19 @@ def _sweep_value(param, value):
         raise ConfigError(f"{param} sweep value {value!r}: {err}") from None
 
 
-def _sweep_configs(rc, cfg, u0, param, values):
-    """Per-value configs, initial data and coupled increment tables."""
+def _sweep_configs(rc, cfg, u0, param, values, seed):
+    """Per-value configs and initial data, with increment tables cut from one
+    coupled draw of the path ``seed``; returns the runs and the draw's checksum."""
     model = cfg.noise
     runs = []
-    checksum = ""
     if param == "lambda_yosida":
-        if model is not None:
-            seed = noisemod.PathSeed(configmod.master_seed(rc), 0)
-            inc = noisemod.sample_increments(seed, cfg.n_steps, cfg.dt, model.mode_count)
-            checksum = noisemod.increment_checksum(inc)
-        else:
-            inc = None
         for v in values:
             with _sweep_value(param, v):
-                runs.append((replace(cfg, lambda_yosida=float(v)), u0, inc))
+                runs.append((replace(cfg, lambda_yosida=float(v)), u0))
     elif param == "dt":
         for v in values:
             with _sweep_value(param, v):
-                runs.append((replace(cfg, dt=float(v)), u0, None))
-        if model is not None:
-            dts = [c.dt for c, _, _ in runs]
-            with _sweep_value(param, dts):
-                tables, checksum = verifymod.coupled_increment_tables(
-                    configmod.master_seed(rc), 0, dts, cfg.horizon, model.mode_count
-                )
-            runs = [(c, u0, table) for (c, _, _), table in zip(runs, tables)]
+                runs.append((replace(cfg, dt=float(v)), u0))
     elif param == "mode_count":
         if model is None:
             raise ConfigError("mode_count sweep needs a [noise] section")
@@ -142,15 +129,12 @@ def _sweep_configs(rc, cfg, u0, param, values):
             amps = noisemod.amplitudes_power_law(
                 kmax, rc.require("noise", "amp_c"), rc.require("noise", "amp_q")
             )
-        seed = noisemod.PathSeed(configmod.master_seed(rc), 0)
-        inc = noisemod.sample_increments(seed, cfg.n_steps, cfg.dt, kmax)
-        checksum = noisemod.increment_checksum(inc)
         for k in ks:
             sub = noisemod.NoiseModel(tuple(amps[:k]), model.gain, None)
             sub = noisemod.NoiseModel(
                 tuple(amps[:k]), model.gain, noisemod.default_bound(sub, cfg.grid)
             )
-            runs.append((replace(cfg, noise=sub), u0, inc[:, :k]))
+            runs.append((replace(cfg, noise=sub), u0))
     else:   # "h"; cmd_sweep has checked the key
         if rc.get("solver", "u0_kind", "zero") == "file":
             raise ConfigError("h sweep cannot reuse a file-based initial datum")
@@ -160,19 +144,20 @@ def _sweep_configs(rc, cfg, u0, param, values):
             with _sweep_value(param, v):
                 if min(nodes) < 3:
                     raise ConfigError("the grid would have fewer than 3 interior nodes")
+                for n, L in zip(nodes, cfg.grid.extents):
+                    if abs((n + 1) * h - L) > 1e-9 * L:
+                        raise ConfigError(f"h does not divide the extent {L}")
                 g = gridmod.DirichletGrid(cfg.grid.extents, nodes)
-                noise_v = configmod.build_noise(rc, g)
-                u0_v = configmod.build_u0(rc, g)
-            if model is not None:
-                seed = noisemod.PathSeed(configmod.master_seed(rc), 0)
-                inc = noisemod.sample_increments(
-                    seed, cfg.n_steps, cfg.dt, noise_v.mode_count
-                )
-                checksum = noisemod.increment_checksum(inc)
-            else:
-                inc = None
-            runs.append((replace(cfg, grid=g, noise=noise_v), u0_v, inc))
-    return runs, checksum
+                cfg_h = replace(cfg, grid=g, noise=configmod.build_noise(rc, g))
+                runs.append((cfg_h, configmod.build_u0(rc, g)))
+    if model is None:
+        return [(c, u, None) for c, u in runs], ""
+    dts = [c.dt for c, _ in runs]
+    with _sweep_value(param, dts):
+        tables, checksum = noisemod.coupled_increment_tables(
+            seed, min(dts), dts, cfg.horizon, max(c.noise.mode_count for c, _ in runs)
+        )
+    return [(c, u, t[:, : c.noise.mode_count]) for (c, u), t in zip(runs, tables)], checksum
 
 
 def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
@@ -180,19 +165,16 @@ def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
     rc = configmod.load_config(config_path)
     if param not in SWEEP_KEYS:
         raise ConfigError(f"invalid sweep key {param!r}; use one of {SWEEP_KEYS}")
-    if seed_override is not None:
-        rc.master_seed_default = int(seed_override)
-        if rc.has("noise", "master_seed"):
-            rc.sections["noise"]["master_seed"] = int(seed_override)
     cfg, u0 = configmod.build_problem(rc)
     out, prefix = _out_paths(rc, out_dir)
-    seed_val = configmod.master_seed(rc)
-    runs, checksum = _sweep_configs(rc, cfg, u0, param, values)
+    seed_val = configmod.master_seed(rc, seed_override)
+    seed = noisemod.PathSeed(seed_val, 0)
+    runs, checksum = _sweep_configs(rc, cfg, u0, param, values, seed)
 
     rows = []
     failure = None
     try:
-        entries = verifymod.sweep(runs, noisemod.PathSeed(seed_val, 0))
+        entries = verifymod.sweep(runs, seed)
         for value, entry in zip(values, entries):
             rows.append([param, float(value), *entry.row(), checksum, "ok"])
     except SolverError as err:

@@ -101,7 +101,6 @@ class RunConfig:
     sections: dict          # section -> key -> value
     lines: dict             # section -> key -> source line number
     checksum: str
-    master_seed_default: int = 0
 
     def has(self, section, key=None):
         if key is None:
@@ -305,9 +304,7 @@ def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverCon
 def master_seed(rc: RunConfig, override=None):
     if override is not None:
         return int(override)
-    if rc.has("noise", "master_seed"):
-        return rc.get("noise", "master_seed")
-    return rc.master_seed_default
+    return rc.get("noise", "master_seed", 0)
 
 
 def build_problem(rc: RunConfig):

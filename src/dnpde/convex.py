@@ -44,6 +44,8 @@ ROOT_TOL = 1e-12          # bisection width on resolvent points (relative beyond
 BRACKET_CAP = 2.0 ** 60   # maximal bracket half-width before giving up
 NEWTON_CAP = 64           # Newton iterations of the exp-cosh resolvent before giving up
 DOMAIN_SLACK = 1e-9       # roundoff slack on indicator-type conjugate domains
+ORIGIN_TOL = 1e-8         # relative size of a sampled slope at 0 that still counts as 0
+PROBE_SEED = 20260809     # seed of the sample points of validate_potential
 
 
 class RootFindError(RuntimeError):
@@ -310,7 +312,7 @@ class SampledSlopePotential(Potential):
 
     kind = "piecewise"
 
-    def __init__(self, xs, gs, origin_tol=1e-8):
+    def __init__(self, xs, gs):
         xs = np.asarray(xs, dtype=float)
         gs = np.asarray(gs, dtype=float)
         if xs.ndim != 1 or xs.shape != gs.shape or xs.size < 2:
@@ -320,7 +322,7 @@ class SampledSlopePotential(Potential):
         if np.any(np.diff(gs) < -1e-12 * max(1.0, np.abs(gs).max())):
             raise ValueError("derivative samples must be nondecreasing (non-monotone user graph)")
         g0 = float(np.interp(0.0, xs, gs))
-        if abs(g0) > origin_tol * max(1.0, np.abs(gs).max()):
+        if abs(g0) > ORIGIN_TOL * max(1.0, np.abs(gs).max()):
             raise ValueError("derivative must vanish at the origin (minimum of the potential)")
         if 0.0 not in xs:
             i = int(np.searchsorted(xs, 0.0))
@@ -410,14 +412,14 @@ class SampledSlopePotential(Potential):
 # the resolvent machinery
 # ---------------------------------------------------------------------------
 
-def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
+def _bisect_scalar_graph(pot, lam, x):
     """Solve ``r + lam*g(r) = x`` for each entry by safeguarded bisection.
 
     The residual is nondecreasing in ``r``; since 0 belongs to the graph at 0
     the bracket ``[min(x,0), max(x,0)]`` already straddles the root for
     catalog graphs, but the bracket is expanded by doubling as a safeguard.
-    It stops at width ``tol * max(1, |x|)``, then one Newton step kept inside
-    the bracket takes the root to rounding.
+    It stops at width ``ROOT_TOL * max(1, |x|)``, then one Newton step kept
+    inside the bracket takes the root to rounding.
     """
     x = np.asarray(x, dtype=float)
     lo = np.minimum(x, 0.0)
@@ -443,7 +445,7 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
         else:
             raise RootFindError("bracket expansion failed (non-monotone user graph?)")
 
-        width = tol * np.maximum(1.0, np.abs(x))
+        width = ROOT_TOL * np.maximum(1.0, np.abs(x))
         for _ in range(200):
             if np.all(hi - lo <= width):
                 break
@@ -452,7 +454,7 @@ def _bisect_scalar_graph(pot, lam, x, tol=ROOT_TOL):
             lo = np.where(neg, mid, lo)
             hi = np.where(neg, hi, mid)
         else:
-            raise RootFindError(f"bisection did not reach tolerance {tol}")
+            raise RootFindError(f"bisection did not reach tolerance {ROOT_TOL}")
     r = 0.5 * (lo + hi)
     with np.errstate(invalid="ignore", over="ignore"):
         step = resid(r) / (1.0 + lam * np.asarray(pot.slope_derivative(r)))
@@ -560,7 +562,7 @@ class ValidationReport:
         return out
 
 
-def validate_potential(pot, probe_radius, sample_count, seed=20260809):
+def validate_potential(pot, probe_radius, sample_count):
     """Finite sampling probe of the standing assumptions on a potential.
 
     Checks: exact zero at the origin, nonnegativity, convexity on sampled
@@ -571,7 +573,7 @@ def validate_potential(pot, probe_radius, sample_count, seed=20260809):
         raise ValueError("probe_radius must be positive")
     if sample_count < 8:
         raise ValueError("sample_count must be >= 8")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     checks = {}
 
     v0 = float(pot.value(0.0))

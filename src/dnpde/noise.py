@@ -7,7 +7,8 @@ noise, clipped-linear or tanh for diagonal multiplicative noise).
 
 Increments come from counter-based Philox streams keyed by (master seed,
 path index), so every path is bitwise reproducible and paths never share
-state.
+state.  Runs that must see the same Brownian path on different time steps
+draw it once, at the finest step, through ``coupled_increment_tables``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "make_gain",
     "sample_increments",
     "aggregate_increments",
+    "coupled_increment_tables",
     "increment_checksum",
     "apply_b",
     "hs_weight",
@@ -171,6 +173,29 @@ def aggregate_increments(table, factor):
     if factor < 1 or n % factor:
         raise ValueError("factor must divide the number of steps")
     return table.reshape((n // factor, factor) + K).sum(axis=1)
+
+
+def coupled_increment_tables(seed: PathSeed, fine_dt, dt_values, horizon, K):
+    """Increment tables on several time steps that share one Brownian path.
+
+    Increments are drawn once at ``fine_dt`` and summed in groups onto each
+    of ``dt_values``, each a whole multiple of ``fine_dt``, so every level
+    sees the same path.  Returns ``(tables, checksum)`` where the checksum of
+    the fine draw certifies the shared path.
+    """
+    if not fine_dt > 0:
+        raise ValueError("the finest dt must be positive")
+    n_fine = round(horizon / fine_dt)
+    if abs(n_fine * fine_dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be a multiple of the finest dt")
+    base = sample_increments(seed, n_fine, fine_dt, K)
+    tables = []
+    for dt in dt_values:
+        factor = round(dt / fine_dt)
+        if factor < 1 or abs(factor * fine_dt - dt) > 1e-9 * dt:
+            raise ValueError("dt values must be integer multiples of the finest dt")
+        tables.append(aggregate_increments(base, factor))
+    return tables, increment_checksum(base)
 
 
 def increment_checksum(table):

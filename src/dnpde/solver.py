@@ -20,10 +20,10 @@ the (possibly multivalued) graph of the problem.
 A cheaper semi-implicit variant treats the monotone terms explicitly under a
 stability restriction, solves the viscosity term exactly in the sine basis
 and shares the same limit as dt and the regularization vanish.  Single paths
-and batches of independent noise paths run through one stepping loop;
-ensembles are integrated in fixed 64-path chunks, one after the other.  Each
-state's face gradients, resolvent points and Yosida values are evaluated once
-and shared by the energy ledger, both steps and the graph certificate.
+and batches of independent noise paths run through one stepping loop; an
+ensemble is integrated as one batch.  Each state's face gradients, resolvent
+points and Yosida values are evaluated once and shared by the energy ledger,
+both steps and the graph certificate.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "LEDGER_COLUMNS",
 ]
 
-ENSEMBLE_CHUNK = 64   # fixed path-chunk size of run_ensemble
 ARMIJO = 0.1          # sufficient-decrease fraction of the Newton line search
 MU_STEP = 10.0        # factor on a path's damping weight after each line search
 MU_MIN = 0.01         # damping weight after the first shortened step
@@ -528,51 +527,26 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
 
 
 def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None):
-    """Monte Carlo ensemble with per-path counter-based seeds.
+    """Monte Carlo ensemble with per-path counter-based seeds, integrated as
+    one batch.
 
-    Paths are integrated in fixed chunks of ``ENSEMBLE_CHUNK``, one chunk
-    after the other, and reassembled in path order.  When ``fine_dt`` is
-    given, increments are drawn at that resolution and aggregated to the
-    configured dt, coupling ensembles across a dt-refinement ladder to the
-    same Brownian paths.
+    When ``fine_dt`` is given, each path's increments are drawn at that
+    resolution, which must divide dt, and summed onto dt, coupling ensembles
+    across a dt-refinement ladder to the same Brownian paths.
     """
     if cfg.noise is None:
         raise ValueError("ensemble runs need a noise model")
     if n_paths < 1:
         raise ValueError(f"an ensemble needs at least one path, got n_paths={n_paths}")
     K = cfg.noise.mode_count
-    n_steps = cfg.n_steps
-    factor = 1
-    if fine_dt is not None:
-        factor = round(cfg.dt / fine_dt)
-        if factor < 1 or abs(factor * fine_dt - cfg.dt) > 1e-9 * cfg.dt:
-            raise ValueError("fine_dt must divide dt")
-
-    def path_table(i):
-        if factor == 1:
-            return noisemod.sample_increments(
-                noisemod.PathSeed(master_seed, i), n_steps, cfg.dt, K
-            )
-        fine = noisemod.sample_increments(
-            noisemod.PathSeed(master_seed, i), n_steps * factor, fine_dt, K
+    increments = np.empty((cfg.n_steps, K, n_paths))
+    for i in range(n_paths):
+        tables, _ = noisemod.coupled_increment_tables(
+            noisemod.PathSeed(master_seed, i),
+            cfg.dt if fine_dt is None else fine_dt, (cfg.dt,), cfg.horizon, K,
         )
-        return noisemod.aggregate_increments(fine, factor)
-
-    results = []
-    for lo in range(0, n_paths, ENSEMBLE_CHUNK):
-        chunk = range(lo, min(lo + ENSEMBLE_CHUNK, n_paths))
-        inc = np.stack([path_table(i) for i in chunk], axis=-1)
-        results.append(integrate_batch(cfg, u0, inc, keep_states=keep_states))
-
-    ledgers = {
-        name: np.concatenate([r.ledgers[name] for r in results], axis=-1)
-        for name in LEDGER_COLUMNS
-    }
-    terminal = np.concatenate([r.terminal for r in results], axis=-1)
-    states = (
-        np.concatenate([r.states for r in results], axis=-1) if keep_states else None
-    )
-    return BatchResult(cfg, ledgers, terminal, states)
+        increments[..., i] = tables[0]
+    return integrate_batch(cfg, u0, increments, keep_states=keep_states)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from dnpde import convex
 from dnpde import grid as gridmod
 from dnpde import noise as noisemod
 from dnpde import solver as solvermod
@@ -33,7 +34,6 @@ __all__ = [
     "lipschitz_test",
     "apriori_report",
     "build_phi",
-    "coupled_increment_tables",
     "observed_order",
     "trajectory_bounds",
     "fenchel_gap_integrals",
@@ -89,30 +89,6 @@ def observed_order(values, spacings):
     return float(np.polyfit(np.log2(s[mask]), np.log2(v[mask]), 1)[0])
 
 
-def coupled_increment_tables(master_seed, path_index, dt_values, horizon, K):
-    """Increment tables for a dt-refinement ladder sharing one Brownian path.
-
-    Increments are drawn once at the finest level and aggregated by summing
-    groups, so every level sees the same underlying path.  Returns
-    ``(tables, checksum)`` where the checksum certifies the shared path.
-    """
-    dts = [float(d) for d in dt_values]
-    fine = min(dts)
-    n_fine = round(horizon / fine)
-    if abs(n_fine * fine - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a multiple of the finest dt")
-    base = noisemod.sample_increments(
-        noisemod.PathSeed(master_seed, path_index), n_fine, fine, K
-    )
-    tables = []
-    for d in dts:
-        factor = round(d / fine)
-        if abs(factor * fine - d) > 1e-9 * d:
-            raise ValueError("dt values must be integer multiples of the finest dt")
-        tables.append(noisemod.aggregate_increments(base, factor))
-    return tables, noisemod.increment_checksum(base)
-
-
 # ---------------------------------------------------------------------------
 # trajectory functionals
 # ---------------------------------------------------------------------------
@@ -145,13 +121,13 @@ def fenchel_gap_integrals(traj):
         for rec in traj.records[1:]:
             g = gridmod.grad_arrays(cfg.grid, rec.u)
             for ga, ea in zip(g, rec.eta):
-                gap = cfg.gamma.value(ga) + cfg.gamma.closed_conjugate(ea) - ea * ga
+                gap = convex.fenchel_residual(cfg.gamma, ga, ea)
                 total += dt * vol * float(np.sum(gap))
         gap_gamma = total
     if cfg.beta is not None:
         total = 0.0
         for rec in traj.records[1:]:
-            gap = cfg.beta.value(rec.u) + cfg.beta.closed_conjugate(rec.xi) - rec.xi * rec.u
+            gap = convex.fenchel_residual(cfg.beta, rec.u, rec.xi)
             total += dt * vol * float(np.sum(gap))
         gap_beta = total
     return gap_gamma, gap_beta
@@ -284,10 +260,9 @@ def lambda_sweep(base, lambdas, seed, u0=None):
     if u0 is None:
         u0 = GridField(base.grid, np.zeros(base.grid.shape))
     if base.noise is not None:
-        increments = noisemod.sample_increments(
-            seed, base.n_steps, base.dt, base.noise.mode_count
+        (increments,), checksum = noisemod.coupled_increment_tables(
+            seed, base.dt, (base.dt,), base.horizon, base.noise.mode_count
         )
-        checksum = noisemod.increment_checksum(increments)
     else:
         increments, checksum = None, ""
 

@@ -236,16 +236,40 @@ def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values):
     assert "integers >= 1" in capsys.readouterr().err
 
 
+# h = -0.1, 5 and 0.3 used to run a 3-node grid labelled with that h, and h = 0.07 a
+# 13-node grid of spacing 1/14; the rest crashed
 @pytest.mark.parametrize("param, value", [
-    ("h", "-0.1"), ("h", "5"), ("h", "0"), ("h", "0.3"), ("h", "nan"),
+    ("h", "-0.1"), ("h", "5"), ("h", "0"), ("h", "0.3"), ("h", "nan"), ("h", "0.07"),
     ("dt", "0"), ("dt", "0.1"), ("dt", "nan"),
     ("lambda_yosida", "-0.5"), ("lambda_yosida", "nan"), ("lambda_yosida", "inf"),
-])   # h = -0.1, 5 and 0.3 used to run a 3-node grid labelled with that h; the rest crashed
+])
 def test_sweep_out_of_range_values_exit_2(tmp_path, capsys, param, value):
     cfg = write_cfg(tmp_path, BASIC)
     out = str(tmp_path / "o")
     assert cli.main(["sweep", cfg, "--param", param, "--values", value, "--out", out]) == 2
     assert f"{param} sweep value {float(value)!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, values", [
+    ("lambda_yosida", "0.5,0.25"), ("dt", "0.03125,0.015625"), ("h", "0.0625,0.03125"),
+    ("mode_count", "1"),
+])
+def test_sweep_seed_override(tmp_path, param, values):
+    # --seed replaces the config's master seed: passing the config's own seed
+    # changes no byte, another seed draws another path
+    cfg = write_cfg(tmp_path, BASIC)
+    args = ["sweep", cfg, "--param", param, "--values", values, "--out"]
+    assert cli.main(args + [str(tmp_path / "a")]) == 0
+    assert cli.main(args + [str(tmp_path / "b"), "--seed", "20260809"]) == 0
+    assert cli.main(args + [str(tmp_path / "c"), "--seed", "1"]) == 0
+    a, b, c = ((tmp_path / d / "demo_sweep.csv").read_text() for d in "abc")
+    assert a == b
+    checksums = [
+        {line.split(",")[-2] for line in text.splitlines()[3:]} for text in (a, c)
+    ]
+    assert len(checksums[0]) == len(checksums[1]) == 1
+    assert checksums[0] != checksums[1]
+    assert "# master_seed=1\n" in c
 
 
 def test_sweep_rows_match_lambda_sweep(tmp_path):

@@ -58,6 +58,17 @@ def test_aggregate_increments():
         nz.aggregate_increments(a, 5)
 
 
+def test_coupled_increment_tables():
+    seed = nz.PathSeed(99, 0)
+    tables, checksum = nz.coupled_increment_tables(seed, 1 / 64, [1 / 16, 1 / 32, 1 / 64], 0.5, 3)
+    assert [t.shape[0] for t in tables] == [8, 16, 32]
+    assert np.allclose(tables[0], nz.aggregate_increments(tables[2], 4))
+    assert np.allclose(tables[1], nz.aggregate_increments(tables[2], 2))
+    assert checksum == nz.increment_checksum(tables[2])
+    with pytest.raises(ValueError):
+        nz.coupled_increment_tables(seed, 1 / 24, [1 / 16, 1 / 24], 0.5, 3)
+
+
 def test_apply_b_additive_mode_action():
     model = nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 1.0)
     u = np.zeros(GRID.shape)

@@ -254,13 +254,20 @@ def test_ensemble_paths_match_integrate():
     u0 = GridField(G16, gd.sine_mode(G16, 1))
     for gamma, beta in [(cx.PowerPotential(2.0), None), (cx.PowerPotential(4.0), cx.AbsPotential())]:
         cfg = heat_cfg(gamma=gamma, beta=beta, noise=model)
-        res = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=70, keep_states=True)
-        assert res.states.shape == (cfg.n_steps + 1, 16, 70)
-        for i in (0, 1, 63, 64, 65, 66, 67, 68, 69):   # both 64-path chunks
-            traj = sv.integrate(cfg, u0, nz.PathSeed(7, i))
-            diff = res.states[..., i] - traj.states()
-            sup = np.sqrt(G16.node_volume * (diff**2).sum(axis=1)).max()
-            assert sup <= 1e-14
+        # with fine_dt, path i runs on its own table drawn at dt/2 and summed onto dt
+        for fine_dt in (None, cfg.dt / 2):
+            res = sv.run_ensemble(
+                cfg, u0.values, master_seed=7, n_paths=70, keep_states=True, fine_dt=fine_dt
+            )
+            assert res.states.shape == (cfg.n_steps + 1, 16, 70)
+            for i in (0, 1, 63, 64, 65, 66, 67, 68, 69):   # spread over the one 70-path batch
+                seed = nz.PathSeed(7, i)
+                inc = None
+                if fine_dt is not None:
+                    (inc,), _ = nz.coupled_increment_tables(seed, fine_dt, [cfg.dt], cfg.horizon, 2)
+                diff = res.states[..., i] - sv.integrate(cfg, u0, seed, inc).states()
+                sup = np.sqrt(G16.node_volume * (diff**2).sum(axis=1)).max()
+                assert sup <= 1e-14
     # 2-d: the Newton direction comes from CG, whose converged columns stay
     # untouched while the others iterate
     model = nz.NoiseModel((0.4, 0.2, 0.1), nz.AdditiveGain(), 0.5)
@@ -282,6 +289,10 @@ def test_ensemble_rejects_empty():
     cfg = heat_cfg(noise=nz.NoiseModel((0.5,), nz.AdditiveGain(), 0.5))
     with pytest.raises(ValueError, match="at least one path"):
         sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=0)
+    # fine_dt must be positive and divide dt: the others are refused, not run at another dt
+    for fine_dt in (2 * cfg.dt, 0.3 * cfg.dt, cfg.dt / 1.5, 0.0):
+        with pytest.raises(ValueError):
+            sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=2, fine_dt=fine_dt)
 
 
 def test_batch_requires_increments_with_noise():

@@ -65,16 +65,6 @@ def test_sweep_sign_graph_tail_bound():
         assert e.bounds["int_xi_u"] <= 1.5 * math.sqrt(e.bounds["sup_u_sq"]) * cfg.horizon + 1.0
 
 
-def test_coupled_increment_tables():
-    tables, checksum = vf.coupled_increment_tables(99, 0, [1 / 16, 1 / 32, 1 / 64], 0.5, 3)
-    assert [t.shape[0] for t in tables] == [8, 16, 32]
-    assert np.allclose(tables[0], nz.aggregate_increments(tables[2], 4))
-    assert np.allclose(tables[1], nz.aggregate_increments(tables[2], 2))
-    assert checksum == nz.increment_checksum(tables[2])
-    with pytest.raises(ValueError):
-        vf.coupled_increment_tables(99, 0, [1 / 16, 1 / 24], 0.5, 3)
-
-
 def test_lipschitz_identical_data_gives_zero_ratio():
     cfg = base_cfg()
     u0 = GridField(G, gd.sine_mode(G, 1))
