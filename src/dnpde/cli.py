@@ -50,6 +50,9 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
     rc = configmod.load_config(config_path)
     cfg, u0 = configmod.build_problem(rc)
     seed_val = configmod.master_seed(rc, seed_override)
+    dump_every = rc.get("output", "dump_every", 0)
+    if dump_every < 0:
+        raise ConfigError("dump_every must be >= 0", rc.lines["output"]["dump_every"])
     out, prefix = _out_paths(rc, out_dir)
 
     t0 = time.monotonic()
@@ -66,7 +69,6 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
         ],
         _comments(rc, seed_val),
     )
-    dump_every = rc.get("output", "dump_every", 0)
     if dump_every:
         for rec in traj.records[::dump_every]:
             gridmod.write_field(

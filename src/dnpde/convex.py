@@ -526,7 +526,7 @@ def fenchel_residual(pot, x, y):
     """
     xa = _as_float_array(x)
     ya = _as_float_array(y, "y")
-    star = np.asarray(conjugate(pot, ya))
+    star = np.asarray(pot.closed_conjugate(ya))
     if np.any(np.isinf(star)):
         raise ValueError("infinite conjugate: y outside dom P*")
     return _match(x, np.asarray(pot.value(xa)) + star - xa * ya)

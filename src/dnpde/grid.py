@@ -17,6 +17,7 @@ All array operations accept trailing batch axes after the grid axes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,10 +116,10 @@ def grad_arrays(grid, u):
     out = []
     for ax, h in enumerate(grid.spacing):
         face = np.empty(u.shape[:ax] + (u.shape[ax] + 1,) + u.shape[ax + 1:])
-        fv, uv = np.moveaxis(face, ax, 0), np.moveaxis(u, ax, 0)
-        fv[0] = uv[0]
-        fv[-1] = -uv[-1]
-        np.subtract(uv[1:], uv[:-1], out=fv[1:-1])
+        pre = (slice(None),) * ax   # index prefix reaching axis ax
+        face[pre + (0,)] = u[pre + (0,)]
+        face[pre + (-1,)] = -u[pre + (-1,)]
+        np.subtract(u[pre + (np.s_[1:],)], u[pre + (np.s_[:-1],)], out=face[pre + (np.s_[1:-1],)])
         face /= h
         out.append(face)
     return out
@@ -128,7 +129,8 @@ def div_arrays(grid, comps):
     """Negative adjoint of ``grad_arrays`` (backward difference of face values)."""
     acc = None
     for ax, (c, h) in enumerate(zip(comps, grid.spacing)):
-        d = np.diff(c, axis=ax) / h
+        pre = (slice(None),) * ax
+        d = (c[pre + (np.s_[1:],)] - c[pre + (np.s_[:-1],)]) / h
         acc = d if acc is None else acc + d
     return acc
 
@@ -199,41 +201,45 @@ def sine_mode(grid, k):
     return np.multiply.outer(axes[0], axes[1])
 
 
-EIG_CACHE_SIZE = 32   # (grid, K) entries kept by sine_eigenpairs
+EIG_CACHE_SIZE = 32   # entries kept by each cache of sine-basis arrays
 
 
 @functools.lru_cache(maxsize=EIG_CACHE_SIZE)
 def sine_eigenpairs(grid, K):
     """First K eigenpairs sorted by eigenvalue: ``(alphas (K,), modes (K, *nodes))``.
 
-    Results are cached per ``(grid, K)``; callers must not modify the arrays.
+    Results are cached per ``(grid, K)`` and read-only.
     """
-    if grid.dim == 1:
-        indices = [(k,) for k in range(1, grid.nodes[0] + 1)]
-    else:
-        indices = [
-            (k, l)
-            for k in range(1, grid.nodes[0] + 1)
-            for l in range(1, grid.nodes[1] + 1)
-        ]
+    indices = list(itertools.product(*(range(1, n + 1) for n in grid.nodes)))
     if K > len(indices):
         raise ValueError(f"requested {K} modes but the grid supports only {len(indices)}")
     indices.sort(key=lambda ks: (sine_eigenvalue(grid, ks), ks))
     chosen = indices[:K]
     alphas = np.array([sine_eigenvalue(grid, ks) for ks in chosen])
-    modes = np.stack([sine_mode(grid, ks if grid.dim > 1 else ks[0]) for ks in chosen])
+    modes = np.stack([sine_mode(grid, ks) for ks in chosen])
+    alphas.flags.writeable = modes.flags.writeable = False
     return alphas, modes
 
 
 @functools.lru_cache(maxsize=EIG_CACHE_SIZE)
 def _axis_basis(extent, n):
     """Eigenvalues of ``-lap`` on one axis and its sine matrix, which is
-    symmetric and its own inverse (cached; callers must not modify them)."""
+    symmetric and its own inverse (cached, read-only)."""
     h = extent / (n + 1)
     alphas = np.array([_axis_eigenvalue(h, n, k) for k in range(1, n + 1)])
     i = np.arange(1, n + 1)
     basis = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * np.outer(i, i) / (n + 1))
+    alphas.flags.writeable = basis.flags.writeable = False
     return alphas, basis
+
+
+@functools.lru_cache(maxsize=EIG_CACHE_SIZE)
+def _mode_scale(grid, delta, m):
+    """``(1 + delta*(alpha_i + alpha_j))**(-m)`` on the sine modes (cached, read-only)."""
+    alphas = [_axis_basis(e, n)[0] for e, n in zip(grid.extents, grid.nodes)]
+    scale = (1.0 + delta * functools.reduce(np.add.outer, alphas)) ** -m
+    scale.flags.writeable = False
+    return scale
 
 
 def lambda_max(grid):
@@ -287,8 +293,8 @@ def cg_solve(grid, apply_op, b, diag):
 
 def resolvent_arrays(grid, delta, m, u):
     """Apply ``(I - delta*lap)**(-m)`` to a node array (batch axes allowed):
-    sine transform along each axis, scale mode ``(i, j)`` by ``(1 +
-    delta*(alpha_i + alpha_j))**(-m)``, transform back."""
+    sine transform by one matrix product per axis, scale mode ``(i, j)`` by
+    the cached ``(1 + delta*(alpha_i + alpha_j))**(-m)``, transform back."""
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     if int(m) != m or m < 1:
@@ -296,15 +302,18 @@ def resolvent_arrays(grid, delta, m, u):
     u = np.asarray(u, dtype=float)
     if delta == 0.0:
         return u.copy()
-    bases = [_axis_basis(e, n) for e, n in zip(grid.extents, grid.nodes)]
+    bases = [_axis_basis(e, n)[1] for e, n in zip(grid.extents, grid.nodes)]
 
     def transform(v):
-        for ax, (_, basis) in enumerate(bases):
-            v = np.moveaxis(np.tensordot(basis, v, axes=(1, ax)), 0, ax)
-        return v
+        # axis 0 acts on the flattened trailing axes; the sine matrices are symmetric
+        v = (bases[0] @ v.reshape(v.shape[0], -1)).reshape(v.shape)
+        if grid.dim == 1:
+            return v
+        if v.ndim == 2:
+            return v @ bases[1]
+        return np.matmul(bases[1], v.reshape(v.shape[:2] + (-1,))).reshape(v.shape)
 
-    alphas = functools.reduce(np.add.outer, [a for a, _ in bases])
-    scale = (1.0 + delta * alphas) ** -int(m)
+    scale = _mode_scale(grid, float(delta), int(m))
     return transform(transform(u) * scale[(...,) + (None,) * (u.ndim - grid.dim)])
 
 

@@ -13,6 +13,7 @@ draw it once, at the finest step, through ``coupled_increment_tables``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -220,10 +221,14 @@ def apply_b(model: NoiseModel, grid, u, dw):
     return model.gain(u) * field
 
 
+@functools.lru_cache(maxsize=gridmod.EIG_CACHE_SIZE)
 def hs_weight(model: NoiseModel, grid):
-    """Node array ``sum_k b_k^2 e_k^2``: ``||B(u)||_HS^2 = <sigma(u)^2, weight>_h``."""
+    """Node array ``sum_k b_k^2 e_k^2``: ``||B(u)||_HS^2 = <sigma(u)^2, weight>_h``
+    (cached per ``(model, grid)``, read-only)."""
     _, modes = gridmod.sine_eigenpairs(grid, model.mode_count)
-    return np.tensordot(np.asarray(model.amplitudes) ** 2, modes**2, axes=(0, 0))
+    weight = np.tensordot(np.asarray(model.amplitudes) ** 2, modes**2, axes=(0, 0))
+    weight.flags.writeable = False
+    return weight
 
 
 def hs_norm(model: NoiseModel, grid, u):

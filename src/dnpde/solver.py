@@ -224,8 +224,8 @@ def _newton_direction(cfg, ev, mu):
     node = n + mu * (s - n)
     diag = 1.0 / cfg.dt + node
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
-        c = np.moveaxis(c, ax, 0)
-        diag = diag + np.moveaxis(c[1:] + c[:-1], 0, ax) / h**2
+        pre = (slice(None),) * ax
+        diag = diag + (c[pre + (np.s_[1:],)] + c[pre + (np.s_[:-1],)]) / h**2
     if g.dim == 1:
         return _thomas(diag, -coef[0][1:-1] / g.spacing[0] ** 2, -ev.grad)
 
@@ -329,7 +329,8 @@ def _run(cfg, u, increments, keep_fields):
     shape.  Returns the ledger rows, the per-record ``(u, eta, xi)`` (kept
     by reference), the largest Fenchel residual of the run's (resolvent
     point, Yosida value) pairs and the final node values; the fields and the
-    residual only when ``keep_fields``.
+    residual only when ``keep_fields``.  A pair whose residual cannot be
+    evaluated fails the run with a ``SolverError`` at its record's step.
     """
     if cfg.scheme == "semi_implicit":
         bound = cfg.stability_bound()
@@ -342,7 +343,7 @@ def _run(cfg, u, increments, keep_fields):
 
     rows, fields, worst = [], [], 0.0
 
-    def record(state, noise_field):
+    def record(n, state, noise_field):
         nonlocal worst
         rows.append(_ledger_row(cfg, state, noise_field))
         if not keep_fields:
@@ -352,7 +353,10 @@ def _run(cfg, u, increments, keep_fields):
         for pot, js, ys in graphs:
             if pot is not None:
                 for j, y in zip(js, ys):
-                    res = convex.fenchel_residual(pot, j, y)
+                    try:
+                        res = convex.fenchel_residual(pot, j, y)
+                    except ValueError as err:
+                        raise SolverError(f"graph certificate failed: {err}", n) from None
                     worst = max(worst, float(np.max(np.abs(res))))
 
     state = _state(cfg, u)
@@ -360,7 +364,7 @@ def _run(cfg, u, increments, keep_fields):
         noise_field = None
         if cfg.noise is not None:
             noise_field = noisemod.apply_b(cfg.noise, cfg.grid, state.u, increments[n])
-        record(state, noise_field)
+        record(n, state, noise_field)
         forcing = state.u if noise_field is None else state.u + noise_field
         try:
             if cfg.scheme == "semi_implicit":
@@ -370,7 +374,7 @@ def _run(cfg, u, increments, keep_fields):
         except SolverError as err:
             err.step_index = n + 1
             raise
-    record(state, None)
+    record(cfg.n_steps, state, None)
     return rows, fields, worst, state.u
 
 

@@ -165,6 +165,51 @@ def test_run_unstable_semi_implicit_exits_3(tmp_path, capsys):
     assert "stability" in err and ">" in err   # message shows the bound
 
 
+def test_run_negative_dump_every_exits_2(tmp_path, capsys):
+    text = BASIC.replace("prefix = demo", "prefix = demo\ndump_every = -3")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    lineno = text.splitlines().index("dump_every = -3") + 1
+    assert f"config error: line {lineno}: dump_every must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
+def test_run_failed_graph_certificate_exits_3(tmp_path, capsys, scheme):
+    # at amplitude 1e200 the exp-cosh Yosida value leaves dom P*: the record
+    # of step 0 cannot be certified, and the run fails closed
+    text = """\
+[grid]
+dimension = 2
+extent = 1.0
+nodes = 8
+
+[potentials]
+gamma_kind = power
+gamma_p = 4.0
+beta_kind = expcosh
+
+[noise]
+mode_count = 32
+amp_c = 0.5
+amp_q = 1.0
+gain = tanh
+
+[solver]
+lambda_yosida = 0.5
+dt = 0.00006103515625
+horizon = 0.0625
+u0_kind = bump
+u0_amplitude = 1e200
+"""
+    cfg = write_cfg(tmp_path, text + f"scheme = {scheme}\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure at step 0: graph certificate failed: ")
+    assert "infinite conjugate" in err
+
+
 def test_run_seed_override(tmp_path):
     cfg = write_cfg(tmp_path, BASIC)
     a, b = tmp_path / "a", tmp_path / "b"

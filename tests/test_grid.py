@@ -212,6 +212,52 @@ def test_batched_operations_match_loop():
         assert np.abs(r_batch[..., p] - single).max() <= 1e-11
 
 
+def test_face_operators_match_pad_and_diff():
+    # slice stencils are bit-identical to padding with ghost zeros and differencing
+    rng = np.random.default_rng(13)
+    g1_32 = DirichletGrid((1.0,), (32,))
+    for grid, shape in (
+        (G1, G1.shape), (g1_32, (32, 512)), (G2, G2.shape), (G2, G2.shape + (5,)),
+    ):
+        u = rng.standard_normal(shape)
+        faces = gd.grad_arrays(grid, u)
+        div = gd.div_arrays(grid, faces)
+        expected_div = None
+        for ax, (face, h) in enumerate(zip(faces, grid.spacing)):
+            pad = [(0, 0)] * u.ndim
+            pad[ax] = (1, 1)
+            assert np.array_equal(face, np.diff(np.pad(u, pad), axis=ax) / h)
+            d = np.diff(face, axis=ax) / h
+            expected_div = d if expected_div is None else expected_div + d
+        assert np.array_equal(div, expected_div)
+
+
+def test_batched_resolvent_matches_columns_and_oracle():
+    g75 = DirichletGrid((1.0, 2.0), (7, 5))
+    alphas, modes = gd.sine_eigenpairs(g75, 35)
+    coef = np.random.default_rng(14).standard_normal((35, 3))
+    u = np.tensordot(modes, coef, axes=(0, 0))   # (7, 5, 3): three paths
+    for m in (1, 3):
+        out = gd.resolvent_arrays(g75, 0.7, m, u)
+        for p in range(3):
+            assert np.array_equal(out[..., p], gd.resolvent_arrays(g75, 0.7, m, u[..., p]))
+        scaled = coef * ((1.0 + 0.7 * alphas) ** (-m))[:, None]
+        expected = np.tensordot(modes, scaled, axes=(0, 0))
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_cached_sine_arrays_are_read_only():
+    gd.resolvent_arrays(G2, 0.3, 2, np.ones(G2.shape))
+    cached = [
+        *gd.sine_eigenpairs(G2, 4),
+        *gd._axis_basis(G2.extents[0], G2.nodes[0]),
+        gd._mode_scale(G2, 0.3, 2),
+    ]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_cg_batch_with_zero_column():
     rng = np.random.default_rng(11)
     b = np.stack([np.zeros(G2.shape), rng.standard_normal(G2.shape)], axis=-1)

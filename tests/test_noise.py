@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from dnpde import convex as cx
 from dnpde import grid as gd
 from dnpde import noise as nz
+from dnpde.grid import GridField
+from dnpde.noise import PathSeed
+from dnpde.solver import SolverConfig, integrate
 
 GRID = gd.DirichletGrid((1.0,), (24,))
 
@@ -125,6 +129,21 @@ def test_hs_norm_values():
     hs = nz.hs_norm(model, g2, u)
     assert hs.shape == (5,)
     assert np.abs(hs - per_mode).max() <= 1e-14 * per_mode.max()
+
+
+def test_hs_weight_is_cached_and_read_only():
+    g2 = gd.DirichletGrid((1.0, 1.0), (6, 6))
+    model = nz.NoiseModel(nz.amplitudes_power_law(4, 0.5, 1.0), nz.TanhGain(), 1.0)
+    cfg = SolverConfig(
+        g2, cx.PowerPotential(4.0), cx.ExpCoshPotential(), model,
+        lambda_yosida=0.5, dt=1e-3, horizon=8e-3, scheme="semi_implicit",
+    )
+    nz.hs_weight.cache_clear()
+    integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))), PathSeed(3))
+    info = nz.hs_weight.cache_info()
+    assert info.misses == 1 and info.hits == cfg.n_steps
+    with pytest.raises(ValueError):
+        nz.hs_weight(model, g2)[0, 0] = 1.0
 
 
 def test_declared_bound_holds_for_catalog_gains():
