@@ -522,14 +522,19 @@ def conjugate(pot, y):
 def fenchel_residual(pot, x, y):
     """Fenchel-Young residual ``P(x) + P*(y) - x*y`` (always >= 0).
 
-    Vanishes exactly when ``y`` is a subgradient of ``P`` at ``x``.
+    Vanishes exactly when ``y`` is a subgradient of ``P`` at ``x``.  A non-finite
+    residual is refused if x or y is non-finite or y lies outside dom P*.
     """
-    xa = _as_float_array(x)
-    ya = _as_float_array(y, "y")
-    star = np.asarray(pot.closed_conjugate(ya))
-    if np.any(np.isinf(star)):
-        raise ValueError("infinite conjugate: y outside dom P*")
-    return _match(x, np.asarray(pot.value(xa)) + star - xa * ya)
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        star = np.asarray(pot.closed_conjugate(ya))
+        res = np.asarray(pot.value(xa)) + star - xa * ya
+    if not np.isfinite(res).all():
+        _as_float_array(xa)
+        _as_float_array(ya, "y")
+        if np.isinf(star).any():
+            raise ValueError("infinite conjugate: y outside dom P*")
+    return _match(x, res)
 
 
 # ---------------------------------------------------------------------------

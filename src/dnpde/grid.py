@@ -27,6 +27,8 @@ __all__ = [
     "DirichletGrid",
     "GridField",
     "grad_arrays",
+    "grad_buffer",
+    "face_views",
     "div_arrays",
     "lap_arrays",
     "dot_h",
@@ -85,10 +87,14 @@ class DirichletGrid:
         return self.nodes
 
     def face_shapes(self):
-        return tuple(
-            tuple(n + 1 if a == ax else n for a, n in enumerate(self.nodes))
-            for ax in range(self.dim)
-        )
+        return tuple(shape for _, shape, _, _ in self.face_layout)
+
+    @functools.cached_property
+    def face_layout(self):
+        """Per axis ``(h, shape, offset, size)`` of its block of a face buffer."""
+        shapes = [tuple(n + (a == ax) for a, n in enumerate(self.nodes)) for ax in range(self.dim)]
+        sizes = [math.prod(s) for s in shapes]
+        return tuple(zip(self.spacing, shapes, itertools.accumulate([0] + sizes), sizes))
 
 
 @dataclass(frozen=True)
@@ -111,18 +117,28 @@ class GridField:
 # raw array operators (grid axes first, arbitrary trailing batch axes)
 # ---------------------------------------------------------------------------
 
-def grad_arrays(grid, u):
-    """Forward differences onto faces, ghost zeros outside; one array per axis."""
-    out = []
-    for ax, h in enumerate(grid.spacing):
-        face = np.empty(u.shape[:ax] + (u.shape[ax] + 1,) + u.shape[ax + 1:])
+def face_views(grid, buf):
+    """Per-axis views of a face buffer ``(faces, *batch)`` laid out by ``face_layout``."""
+    return [buf[o : o + n].reshape(s + buf.shape[1:]) for _, s, o, n in grid.face_layout]
+
+
+def grad_buffer(grid, u):
+    """Forward differences, ghost zeros outside, in one C-contiguous face buffer: (buf, views)."""
+    _, _, off, size = grid.face_layout[-1]
+    buf = np.empty((off + size,) + u.shape[grid.dim:])
+    faces = face_views(grid, buf)
+    for ax, (face, (h, *_)) in enumerate(zip(faces, grid.face_layout)):
         pre = (slice(None),) * ax   # index prefix reaching axis ax
         face[pre + (0,)] = u[pre + (0,)]
         face[pre + (-1,)] = -u[pre + (-1,)]
         np.subtract(u[pre + (np.s_[1:],)], u[pre + (np.s_[:-1],)], out=face[pre + (np.s_[1:-1],)])
         face /= h
-        out.append(face)
-    return out
+    return buf, faces
+
+
+def grad_arrays(grid, u):
+    """Forward differences onto faces, ghost zeros outside; one array per axis."""
+    return grad_buffer(grid, u)[1]
 
 
 def div_arrays(grid, comps):
@@ -140,7 +156,7 @@ def lap_arrays(grid, u):
 
 
 def _grid_sum(grid, a):
-    return np.sum(a, axis=tuple(range(grid.dim)))
+    return np.add.reduce(a, axis=tuple(range(grid.dim)))   # np.sum without its wrapper
 
 
 def dot_h(grid, a, b):
@@ -177,11 +193,16 @@ def _axis_mode(extent, n, k):
     return math.sqrt(2.0 / extent) * vec
 
 
-def sine_eigenvalue(grid, k):
-    """Eigenvalue of ``-lap`` for mode index k (int in 1d, pair in 2d, 1-based)."""
+def _mode_index(grid, k):
     ks = (k,) if np.isscalar(k) else tuple(k)
     if len(ks) != grid.dim:
         raise ValueError("mode index arity does not match grid dimension")
+    return ks
+
+
+def sine_eigenvalue(grid, k):
+    """Eigenvalue of ``-lap`` for mode index k (int in 1d, pair in 2d, 1-based)."""
+    ks = _mode_index(grid, k)
     for kk, n in zip(ks, grid.nodes):
         if not 1 <= kk <= n:
             raise ValueError(f"mode index {kk} out of range 1..{n}")
@@ -192,7 +213,7 @@ def sine_eigenvalue(grid, k):
 
 def sine_mode(grid, k):
     """h-orthonormal sine eigenvector for mode index k."""
-    ks = (k,) if np.isscalar(k) else tuple(k)
+    ks = _mode_index(grid, k)
     axes = [
         _axis_mode(e, n, kk) for e, n, kk in zip(grid.extents, grid.nodes, ks)
     ]

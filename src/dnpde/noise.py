@@ -216,9 +216,9 @@ def apply_b(model: NoiseModel, grid, u, dw):
     if dw.shape[0] != model.mode_count:
         raise ValueError("increment vector length does not match mode count")
     coeff = np.asarray(model.amplitudes)[(slice(None),) + (None,) * (dw.ndim - 1)] * dw
-    # (K, *nodes) x (K, *batch) -> (*nodes, *batch)
-    field = np.tensordot(modes, coeff, axes=(0, 0))
-    return model.gain(u) * field
+    # (K, *nodes) x (K, *batch) -> (*nodes, *batch) as one matrix product
+    field = modes.reshape(len(modes), -1).T @ coeff.reshape(len(modes), -1)
+    return model.gain(u) * field.reshape(modes.shape[1:] + dw.shape[1:])
 
 
 @functools.lru_cache(maxsize=gridmod.EIG_CACHE_SIZE)

@@ -22,8 +22,9 @@ stability restriction, solves the viscosity term exactly in the sine basis
 and shares the same limit as dt and the regularization vanish.  Single paths
 and batches of independent noise paths run through one stepping loop; an
 ensemble is integrated as one batch.  Each state's face gradients, resolvent
-points and Yosida values are evaluated once and shared by the energy ledger,
-both steps and the graph certificate.
+points and Yosida values are evaluated once, every face axis in one face
+buffer, and shared by the energy ledger, both steps and the graph
+certificate, which checks each graph by one Fenchel residual.
 """
 
 from __future__ import annotations
@@ -135,21 +136,25 @@ class SolverConfig:
 
 
 # Node values, their face gradients and, per graph, the resolvent points and
-# Yosida values (eta on the faces, xi at the nodes; None without the graph).
-_State = namedtuple("_State", "u faces j_faces eta j_nodes xi")
+# Yosida values (None without the graph): face buffers ``*_buf`` of every axis
+# (``faces`` and ``eta`` are per-axis views) and node arrays ``j_nodes``, ``xi``.
+_State = namedtuple("_State", "u face_buf faces j_buf eta_buf eta j_nodes xi")
 
 
 def _state(cfg, u):
-    lam = cfg.lambda_yosida
-    faces = gridmod.grad_arrays(cfg.grid, u)
-    j_faces = eta = j_nodes = xi = None
-    if cfg.gamma is not None:
-        j_faces = tuple(convex._resolvent_point(cfg.gamma, lam, a) for a in faces)
-        eta = tuple(cfg.gamma.yosida_from_resolvent(lam, a, j) for a, j in zip(faces, j_faces))
-    if cfg.beta is not None:
-        j_nodes = convex._resolvent_point(cfg.beta, lam, u)
-        xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
-    return _State(u, faces, j_faces, eta, j_nodes, xi)
+    # overflow here is reported by what reads the state: certificate, inner solve, ledger
+    g, lam = cfg.grid, cfg.lambda_yosida
+    face_buf, faces = gridmod.grad_buffer(g, u)
+    j_buf = eta_buf = eta = j_nodes = xi = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.gamma is not None:
+            j_buf = convex._resolvent_point(cfg.gamma, lam, face_buf)
+            eta_buf = cfg.gamma.yosida_from_resolvent(lam, face_buf, j_buf)
+            eta = gridmod.face_views(g, eta_buf)
+        if cfg.beta is not None:
+            j_nodes = convex._resolvent_point(cfg.beta, lam, u)
+            xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
+    return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi)
 
 
 def _yosida_parts(pot, lam, a, j, G):
@@ -174,8 +179,8 @@ def _yosida_parts(pot, lam, a, j, G):
 
 
 # The step objective at one state: value and gradient norm per path, the
-# h-weighted gradient, and (Newton, secant) curvature pairs, one per face axis
-# (viscosity included) and one for the nodes.
+# h-weighted gradient, and two (Newton, secant) curvature pairs, one on the
+# face buffer (viscosity included) and one at the nodes.
 _Eval = namedtuple("_Eval", "value grad grad_norm face_curv node_curv")
 
 
@@ -183,18 +188,17 @@ def _evaluate(cfg, state, forcing):
     g = cfg.grid
     lam = cfg.lambda_yosida
     axes = tuple(range(g.dim))
-    none = (None,) * g.dim
-    flux, face_curv, face_sum = [], [], 0.0
-    for ga, j, G in zip(state.faces, state.j_faces or none, state.eta or none):
-        env, G, dG, sec = _yosida_parts(cfg.gamma, lam, ga, j, G)
-        flux.append(cfg.visc * ga + G)
-        face_curv.append((cfg.visc + dG, cfg.visc + sec))
-        face_sum = face_sum + np.sum(0.5 * cfg.visc * ga * ga + env, axis=axes)
+    ga = state.face_buf
+    env, G, dG, sec = _yosida_parts(cfg.gamma, lam, ga, state.j_buf, state.eta_buf)
+    flux = gridmod.face_views(g, cfg.visc * ga + G)
+    face_curv = (cfg.visc + dG, cfg.visc + sec)
+    face_env = gridmod.face_views(g, 0.5 * cfg.visc * ga * ga + env)
+    face_sum = sum(np.sum(e, axis=axes) for e in face_env)
     r = state.u - forcing
     env, G, dG, sec = _yosida_parts(cfg.beta, lam, state.u, state.j_nodes, state.xi)
     out = r / cfg.dt - gridmod.div_arrays(g, flux) + G
     value = g.node_volume * (np.sum(r * r / (2.0 * cfg.dt) + env, axis=axes) + face_sum)
-    return _Eval(value, out, gridmod.norm_h(g, out), tuple(face_curv), (dG, sec))
+    return _Eval(value, out, gridmod.norm_h(g, out), face_curv, (dG, sec))
 
 
 def _thomas(diag, off, rhs):
@@ -219,7 +223,8 @@ def _newton_direction(cfg, ev, mu):
     ``H`` takes each curvature as ``newton + mu * (secant - newton)``.
     """
     g = cfg.grid
-    coef = [n + mu * (s - n) for n, s in ev.face_curv]
+    n, s = ev.face_curv
+    coef = gridmod.face_views(g, n + mu * (s - n))
     n, s = ev.node_curv
     node = n + mu * (s - n)
     diag = 1.0 / cfg.dt + node
@@ -344,20 +349,19 @@ def _run(cfg, u, increments, keep_fields):
     rows, fields, worst = [], [], 0.0
 
     def record(n, state, noise_field):
+        # the certificate goes first, so a record it refuses gets no ledger row
         nonlocal worst
-        rows.append(_ledger_row(cfg, state, noise_field))
-        if not keep_fields:
-            return
-        fields.append((state.u, state.eta, state.xi))
-        graphs = ((cfg.gamma, state.j_faces, state.eta), (cfg.beta, (state.j_nodes,), (state.xi,)))
-        for pot, js, ys in graphs:
-            if pot is not None:
-                for j, y in zip(js, ys):
+        if keep_fields:
+            graphs = ((cfg.gamma, state.j_buf, state.eta_buf), (cfg.beta, state.j_nodes, state.xi))
+            for pot, j, y in graphs:
+                if pot is not None:
                     try:
                         res = convex.fenchel_residual(pot, j, y)
                     except ValueError as err:
                         raise SolverError(f"graph certificate failed: {err}", n) from None
-                    worst = max(worst, float(np.max(np.abs(res))))
+                    worst = max(worst, float(np.abs(res).max()))
+            fields.append((state.u, state.eta, state.xi))
+        rows.append(_ledger_row(cfg, state, noise_field))
 
     state = _state(cfg, u)
     for n in range(cfg.n_steps):

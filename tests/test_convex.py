@@ -118,6 +118,34 @@ def test_conjugate_examples():
     assert convex.conjugate(AbsPotential(), 0.5) == 0.0
 
 
+@pytest.mark.parametrize("pot", CATALOG, ids=lambda p: p.kind)
+def test_fenchel_residual_refusals(pot):
+    # one finiteness test on the residual, then the cause of a failure
+    y_out = 2.0 * np.max(np.abs(pot.minimal_slope(np.linspace(-50.0, 50.0, 11))))
+    bounded = not np.isfinite(pot.closed_conjugate(y_out))
+    cases = [
+        ((math.nan, 0.5), "non-finite input 'x'"),
+        ((math.inf, 0.5), "non-finite input 'x'"),
+        ((0.5, math.nan), "non-finite input 'y'"),
+        ((0.5, -math.inf), "non-finite input 'y'"),
+        ((math.nan, math.inf), "non-finite input 'x'"),
+    ]
+    if bounded:
+        cases.append(((0.5, y_out), "infinite conjugate: y outside dom P\\*"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (x, y), msg in cases:
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                convex.fenchel_residual(pot, x, y)
+            xs, ys = np.full(5, 0.25), np.full(5, 0.1)
+            xs[3], ys[3] = x, y
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                convex.fenchel_residual(pot, xs, ys)
+        res = convex.fenchel_residual(pot, np.full(5, 0.25), np.full(5, 0.1))
+        assert res.shape == (5,) and np.all(np.isfinite(res))
+        assert isinstance(convex.fenchel_residual(pot, 0.25, 0.1), float)
+
+
 def test_fenchel_examples():
     assert convex.fenchel_residual(PowerPotential(2.0), 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
     assert convex.fenchel_residual(PowerPotential(2.0), 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)

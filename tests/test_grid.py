@@ -131,6 +131,13 @@ def test_mode_count_guard():
         gd.sine_eigenvalue(G1, 0)
 
 
+@pytest.mark.parametrize("fn", [gd.sine_eigenvalue, gd.sine_mode])
+def test_mode_index_arity_guard(fn):
+    for grid, k in ((G2, 1), (G2, (1, 2, 3)), (G1, (1, 1))):
+        with pytest.raises(ValueError, match="arity does not match grid dimension"):
+            fn(grid, k)
+
+
 def test_laplacian_resolvent_eigen_oracle():
     # mode expansions, scaled mode by mode; the full random expansion on G2 is
     # where a CG stopped at a relative residual of 1e-12 is off by 4.5e-13
@@ -212,24 +219,42 @@ def test_batched_operations_match_loop():
         assert np.abs(r_batch[..., p] - single).max() <= 1e-11
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
 def test_face_operators_match_pad_and_diff():
-    # slice stencils are bit-identical to padding with ghost zeros and differencing
+    # slice stencils are bit-identical to padding with ghost zeros and
+    # differencing; every axis's faces are a C-contiguous block of one face
+    # buffer, at the place the grid's cached face layout gives
     rng = np.random.default_rng(13)
     g1_32 = DirichletGrid((1.0,), (32,))
+    g75 = DirichletGrid((1.0, 2.0), (7, 5))
     for grid, shape in (
         (G1, G1.shape), (g1_32, (32, 512)), (G2, G2.shape), (G2, G2.shape + (5,)),
+        (g75, g75.shape),
     ):
+        assert grid.face_layout is grid.face_layout
         u = rng.standard_normal(shape)
         faces = gd.grad_arrays(grid, u)
+        buf, views = gd.grad_buffer(grid, u)
+        assert buf.flags.c_contiguous
+        assert buf.shape == (sum(size for *_, size in grid.face_layout),) + shape[grid.dim:]
+        row = buf[0].nbytes   # one face, all batch columns
         div = gd.div_arrays(grid, faces)
         expected_div = None
-        for ax, (face, h) in enumerate(zip(faces, grid.spacing)):
+        for ax, (face, view, (h, _, off, _)) in enumerate(zip(faces, views, grid.face_layout)):
+            assert face.flags.c_contiguous and view.flags.c_contiguous
+            assert _address(face) == _address(faces[0]) + off * row
+            assert _address(view) == _address(buf) + off * row
+            assert np.array_equal(view, face)
             pad = [(0, 0)] * u.ndim
             pad[ax] = (1, 1)
             assert np.array_equal(face, np.diff(np.pad(u, pad), axis=ax) / h)
             d = np.diff(face, axis=ax) / h
             expected_div = d if expected_div is None else expected_div + d
         assert np.array_equal(div, expected_div)
+        assert all(np.array_equal(v, f) for v, f in zip(gd.face_views(grid, buf), faces))
 
 
 def test_batched_resolvent_matches_columns_and_oracle():

@@ -107,6 +107,21 @@ def test_apply_b_multiplicative_pointwise_oracle():
     assert np.all(zero_out == 0.0)
 
 
+def test_apply_b_matches_tensordot():
+    rng = np.random.default_rng(16)
+    model = nz.NoiseModel((0.5, 0.25, 0.1, 0.05), nz.TanhGain(), 1.0)
+    g2 = gd.DirichletGrid((1.0, 2.0), (7, 5))
+    for grid, dw_shape in ((GRID, (4,)), (g2, (4,)), (GRID, (4, 6)), (g2, (4, 3, 2))):
+        dw = rng.standard_normal(dw_shape)
+        u = rng.standard_normal(grid.shape + dw_shape[1:])
+        _, modes = gd.sine_eigenpairs(grid, 4)
+        coeff = np.asarray(model.amplitudes)[(slice(None),) + (None,) * (dw.ndim - 1)] * dw
+        expected = model.gain(u) * np.tensordot(modes, coeff, axes=(0, 0))
+        out = nz.apply_b(model, grid, u, dw)
+        assert out.shape == expected.shape
+        assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
 def test_hs_norm_values():
     model = nz.NoiseModel((0.0, 0.0), nz.AdditiveGain(), 1.0)
     assert nz.hs_norm(model, GRID, np.zeros(GRID.shape)) == 0.0

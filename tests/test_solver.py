@@ -491,8 +491,8 @@ def _counted(monkeypatch, module, name):
 
 def test_each_state_is_evaluated_once(monkeypatch):
     # the ledger, the step, the Newton objective and the graph certificate read
-    # one evaluation per state: dim + 1 resolvents (each face axis and the
-    # nodes) for the initial state and for every state a step makes
+    # one evaluation per state: 2 resolvents (the face buffer of every axis and
+    # the nodes) for the initial state and for every state a step makes
     resolvents = _counted(monkeypatch, cx, "_resolvent_point")
     evaluations = _counted(monkeypatch, sv, "_evaluate")
     g2 = DirichletGrid((1.0, 1.0), (6, 6))
@@ -501,7 +501,7 @@ def test_each_state_is_evaluated_once(monkeypatch):
         lambda_yosida=0.5, dt=1e-3, horizon=4e-3, scheme="semi_implicit",
     )
     sv.integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))))
-    assert len(resolvents) == (cfg.n_steps + 1) * 3
+    assert len(resolvents) == (cfg.n_steps + 1) * 2
     # implicit: each step evaluates its incoming state, then one new state per
     # line-search trial
     resolvents.clear()
