@@ -322,6 +322,14 @@ def criterion_energy(workdir=None, rc=None):
 # 6. a-priori ledger bounds uniform in the regularization
 # ---------------------------------------------------------------------------
 
+def _lambda_sweep(base, lambdas, u0, seed):
+    """Sweep entries of ``base`` at each lambda along the one path ``seed``."""
+    _, entries = verifymod.sweep(
+        [(replace(base, lambda_yosida=lam), u0) for lam in lambdas], seed
+    )
+    return list(entries)
+
+
 def criterion_apriori(workdir=None, rc=None):
     grid = DirichletGrid((1.0,), (32,))
     model = NoiseModel((0.1, 0.05), AdditiveGain(), 0.2)
@@ -331,13 +339,13 @@ def criterion_apriori(workdir=None, rc=None):
     )
     u0 = GridField(grid, 1.2 * gridmod.sine_mode(grid, 1))
     lambdas = [2.0**-k for k in range(2, 8)]   # 1/4 .. 1/128
-    rep = verifymod.lambda_sweep(base, lambdas, PathSeed(4242, 0), u0=u0)
-    ap = verifymod.apriori_report([e.trajectory for e in rep.entries])
+    entries = _lambda_sweep(base, lambdas, u0, PathSeed(4242, 0))
+    ap = verifymod.apriori_report(entries)
     assertions = list(ap.assertions)
 
     worst_tail_increase = -math.inf
     worst_tail_ratio = 0.0
-    for e in rep.entries:
+    for e in entries:
         for tails in (e.tails_eta, e.tails_xi):
             if tails.size > 1:
                 worst_tail_increase = max(worst_tail_increase, float(np.diff(tails).max()))
@@ -369,9 +377,9 @@ def criterion_cauchy(workdir=None, rc=None):
         lambda_yosida=0.25, dt=1 / 64, horizon=0.5,
     )
     u0 = GridField(grid, gridmod.sine_mode(grid, 1))
-    rep = verifymod.lambda_sweep(base, lambdas, PathSeed(42, 0), u0=u0)
-    inc = float(np.diff(rep.cauchy).max())
-    order = verifymod.observed_order(rep.cauchy, lambdas[:-1])
+    cauchy = [e.cauchy_prev for e in _lambda_sweep(base, lambdas, u0, PathSeed(42, 0))[1:]]
+    inc = float(np.diff(cauchy).max())
+    order = verifymod.observed_order(cauchy, lambdas[:-1])
     assertions.append(Assertion("quadratic_cauchy_decreasing", inc, 0.0, inc < 0.0))
     assertions.append(Assertion("quadratic_cauchy_order", order, 0.9, order >= 0.9))
 
@@ -380,8 +388,8 @@ def criterion_cauchy(workdir=None, rc=None):
         lambda_yosida=0.25, dt=1 / 64, horizon=0.25,
     )
     u02 = GridField(grid, 1.2 * gridmod.sine_mode(grid, 1))
-    rep2 = verifymod.lambda_sweep(base2, lambdas, PathSeed(42, 0), u0=u02)
-    inc2 = float(np.diff(rep2.cauchy).max())
+    cauchy2 = [e.cauchy_prev for e in _lambda_sweep(base2, lambdas, u02, PathSeed(42, 0))[1:]]
+    inc2 = float(np.diff(cauchy2).max())
     assertions.append(Assertion("power4_sign_cauchy_decreasing", inc2, 0.0, inc2 < 0.0))
     return CriterionResult(7, "cauchy", assertions)
 
@@ -455,7 +463,7 @@ def criterion_phi_unique(workdir=None, rc=None):
         traj_b = solvermod.integrate(cfg_b, u0, seed, tables[level])
         pa = verifymod.build_phi(traj_a, [horizon])
         pb = verifymod.build_phi(traj_b, [horizon])
-        phi_d.append(float(gridmod.dual_norm_v0(grid, pa.values[0] - pb.values[0])))
+        phi_d.append(float(gridmod.dual_norm_v0(grid, pa[0] - pb[0])))
         worst = 0.0
         for ra, rb in zip(traj_a.records, traj_b.records):
             for ea, eb in zip(ra.eta, rb.eta):

@@ -2,7 +2,8 @@
 
 All file outputs are deterministic for a fixed config and seed (CSV with 17
 significant digits, LF endings, comment header carrying the config checksum
-and master seed); wall-clock timing goes to stdout only.
+and master seed); wall-clock timing goes to stdout only.  A sweep builds each
+value with ``config.build_problem`` and runs them all through ``verify.sweep``.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 solver
 failure.
@@ -100,66 +101,44 @@ def _sweep_value(param, value):
         raise ConfigError(f"{param} sweep value {value!r}: {err}") from None
 
 
-def _sweep_configs(rc, cfg, u0, param, values, seed):
-    """Per-value configs and initial data, with increment tables cut from one
-    coupled draw of the path ``seed``; returns the runs and the draw's checksum."""
-    model = cfg.noise
-    runs = []
-    if param == "lambda_yosida":
-        for v in values:
-            with _sweep_value(param, v):
-                runs.append((replace(cfg, lambda_yosida=float(v)), u0))
-    elif param == "dt":
-        for v in values:
-            with _sweep_value(param, v):
-                runs.append((replace(cfg, dt=float(v)), u0))
-    elif param == "mode_count":
-        if model is None:
+def _override(rc, section, **values):
+    """A copy of ``rc`` with ``values`` set in ``section``; their source lines
+    are dropped, since the values no longer come from the file."""
+    sections = {**rc.sections, section: {**rc.sections[section], **values}}
+    lines = {**rc.lines, section: {k: n for k, n in rc.lines[section].items() if k not in values}}
+    return replace(rc, sections=sections, lines=lines)
+
+
+def _sweep_configs(rc, grid, param, values):
+    """One ``(cfg, u0)`` per value, each built by ``config.build_problem`` on
+    ``rc`` with the swept key overridden, so every value passes a run's checks."""
+    if param == "mode_count":
+        if not rc.has("noise"):
             raise ConfigError("mode_count sweep needs a [noise] section")
-        modes = math.prod(cfg.grid.nodes)
+        modes = math.prod(grid.nodes)
         if any(not float(v).is_integer() or not 1 <= v <= modes for v in values):
             raise ConfigError(
                 f"mode_count sweep values must be integers >= 1 and <= {modes}, got {list(values)}"
             )
-        ks = [int(v) for v in values]
-        kmax = max(ks)
-        if rc.has("noise", "amplitudes"):
-            amps = rc.get("noise", "amplitudes")
-            if len(amps) < kmax:
-                raise ConfigError("amplitudes list shorter than swept mode_count")
-        else:
-            amps = noisemod.amplitudes_power_law(
-                kmax, rc.require("noise", "amp_c"), rc.require("noise", "amp_q")
-            )
-        for k in ks:
-            sub = noisemod.NoiseModel(tuple(amps[:k]), model.gain, None)
-            sub = noisemod.NoiseModel(
-                tuple(amps[:k]), model.gain, noisemod.default_bound(sub, cfg.grid)
-            )
-            runs.append((replace(cfg, noise=sub), u0))
-    else:   # "h"; cmd_sweep has checked the key
-        if rc.get("solver", "u0_kind", "zero") == "file":
-            raise ConfigError("h sweep cannot reuse a file-based initial datum")
-        for v in values:
-            h = float(v)
-            nodes = tuple(round(L / h) - 1 for L in cfg.grid.extents) if h > 0 else (0,)
-            with _sweep_value(param, v):
-                if min(nodes) < 3:
-                    raise ConfigError("the grid would have fewer than 3 interior nodes")
-                for n, L in zip(nodes, cfg.grid.extents):
+    runs = []
+    for v in values:
+        with _sweep_value(param, v):
+            if param == "mode_count":
+                noise = {"mode_count": int(v)}
+                if rc.has("noise", "amplitudes"):
+                    noise["amplitudes"] = rc.get("noise", "amplitudes")[: int(v)]
+                sub = _override(rc, "noise", **noise)
+            elif param == "h":   # cmd_sweep has checked the key
+                h = float(v)
+                nodes = tuple(round(L / h) - 1 for L in grid.extents) if h > 0 else (0,)
+                for n, L in zip(nodes, grid.extents):
                     if abs((n + 1) * h - L) > 1e-9 * L:
                         raise ConfigError(f"h does not divide the extent {L}")
-                g = gridmod.DirichletGrid(cfg.grid.extents, nodes)
-                cfg_h = replace(cfg, grid=g, noise=configmod.build_noise(rc, g))
-                runs.append((cfg_h, configmod.build_u0(rc, g)))
-    if model is None:
-        return [(c, u, None) for c, u in runs], ""
-    dts = [c.dt for c, _ in runs]
-    with _sweep_value(param, dts):
-        tables, checksum = noisemod.coupled_increment_tables(
-            seed, min(dts), dts, cfg.horizon, max(c.noise.mode_count for c, _ in runs)
-        )
-    return [(c, u, t[:, : c.noise.mode_count]) for (c, u), t in zip(runs, tables)], checksum
+                sub = _override(rc, "grid", nodes=nodes)
+            else:
+                sub = _override(rc, "solver", **{param: float(v)})
+            runs.append(configmod.build_problem(sub))
+    return runs
 
 
 def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
@@ -167,16 +146,16 @@ def cmd_sweep(config_path, param, values, seed_override=None, out_dir=None):
     rc = configmod.load_config(config_path)
     if param not in SWEEP_KEYS:
         raise ConfigError(f"invalid sweep key {param!r}; use one of {SWEEP_KEYS}")
-    cfg, u0 = configmod.build_problem(rc)
+    cfg, _ = configmod.build_problem(rc)
     out, prefix = _out_paths(rc, out_dir)
     seed_val = configmod.master_seed(rc, seed_override)
-    seed = noisemod.PathSeed(seed_val, 0)
-    runs, checksum = _sweep_configs(rc, cfg, u0, param, values, seed)
+    runs = _sweep_configs(rc, cfg.grid, param, values)
+    with _sweep_value(param, list(values)):
+        checksum, entries = verifymod.sweep(runs, noisemod.PathSeed(seed_val, 0))
 
     rows = []
     failure = None
     try:
-        entries = verifymod.sweep(runs, seed)
         for value, entry in zip(values, entries):
             rows.append([param, float(value), *entry.row(), checksum, "ok"])
     except SolverError as err:
@@ -283,14 +262,9 @@ def main(argv=None):
                 raise ConfigError("empty sweep value list")
             return cmd_sweep(args.config, args.param, values, args.seed, args.out)
         if args.command == "verify":
-            select = (
-                [tok for tok in args.select.split(",")] if args.select else None
-            )
+            select = args.select.split(",") if args.select else None
             return cmd_verify(args.config, select, args.out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except SolverError as err:

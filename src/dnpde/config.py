@@ -230,6 +230,8 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     if not rc.has("noise"):
         return None
     K = rc.require("noise", "mode_count")
+    if K < 1:
+        raise ConfigError("mode_count must be >= 1", rc.lines["noise"].get("mode_count"))
     if K > math.prod(grid.nodes):
         raise ConfigError(
             f"mode_count {K} exceeds the {math.prod(grid.nodes)} sine modes of the grid",
@@ -258,26 +260,30 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
         gain = noisemod.make_gain(gain_kind, **gain_params)
     except ValueError as err:
         raise ConfigError(str(err), rc.lines["noise"].get("gain")) from None
-    model = noisemod.NoiseModel(amps, gain, rc.get("noise", "n_b"))
-    if model.bound is None:
-        model = noisemod.NoiseModel(amps, gain, noisemod.default_bound(model, grid))
-    return model
+    n_b = rc.get("noise", "n_b")
+    if n_b is None:
+        n_b = noisemod.default_bound(noisemod.NoiseModel(amps, gain), grid)
+    elif not n_b > 0:
+        raise ConfigError("n_b must be positive", rc.lines["noise"].get("n_b"))
+    return noisemod.NoiseModel(amps, gain, n_b)
 
 
 def build_u0(rc: RunConfig, grid) -> gridmod.GridField:
     kind = rc.get("solver", "u0_kind", "zero")
+    amplitude = rc.get("solver", "u0_amplitude", 1.0)
+    if not math.isfinite(amplitude):
+        raise ConfigError("u0_amplitude must be finite", rc.lines["solver"].get("u0_amplitude"))
+    key = {"eigenmode": "u0_mode", "file": "u0_path"}.get(kind, "u0_kind")   # what a refusal names
     try:
         return solvermod.initial_datum(
             grid,
             kind,
             mode=rc.get("solver", "u0_mode", 1),
-            amplitude=rc.get("solver", "u0_amplitude", 1.0),
-            path=rc.get("solver", "u0_path"),
+            amplitude=amplitude,
+            path=rc.require("solver", "u0_path") if kind == "file" else None,
         )
     except (ValueError, OSError) as err:
-        raise ConfigError(
-            f"invalid initial datum: {err}", rc.lines["solver"].get("u0_kind")
-        ) from None
+        raise ConfigError(f"{key}: {err}", rc.lines["solver"].get(key)) from None
 
 
 def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverConfig:

@@ -197,15 +197,15 @@ def _mode_index(grid, k):
     ks = (k,) if np.isscalar(k) else tuple(k)
     if len(ks) != grid.dim:
         raise ValueError("mode index arity does not match grid dimension")
+    for kk, n in zip(ks, grid.nodes):
+        if not 1 <= kk <= n:
+            raise ValueError(f"mode index {kk} out of range 1..{n}")
     return ks
 
 
 def sine_eigenvalue(grid, k):
     """Eigenvalue of ``-lap`` for mode index k (int in 1d, pair in 2d, 1-based)."""
     ks = _mode_index(grid, k)
-    for kk, n in zip(ks, grid.nodes):
-        if not 1 <= kk <= n:
-            raise ValueError(f"mode index {kk} out of range 1..{n}")
     return sum(
         _axis_eigenvalue(h, n, kk) for h, n, kk in zip(grid.spacing, grid.nodes, ks)
     )
@@ -382,7 +382,9 @@ def read_field(path, grid=None) -> GridField:
     with open(path) as fh:
         header = fh.readline().split()
         body = [float(line) for line in fh if line.strip()]
-    d = int(header[0])
+    d = int(header[0]) if header else 0
+    if d < 1 or len(header) < 1 + 2 * d:
+        raise ValueError(f"{path}: missing or short grid header")
     extents = tuple(float(t) for t in header[1 : 1 + d])
     nodes = tuple(int(t) for t in header[1 + d : 1 + 2 * d])
     file_grid = DirichletGrid(extents, nodes)

@@ -436,7 +436,6 @@ class StateRecord:
 @dataclass
 class Trajectory:
     config: SolverConfig
-    seed: noisemod.PathSeed | None
     records: list
     energy_residual: float = 0.0
     max_graph_residual: float | None = None
@@ -480,7 +479,7 @@ def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
         )
         for n, (row, (u, eta, xi)) in enumerate(zip(rows, fields))
     ]
-    traj = Trajectory(cfg, seed, records, max_graph_residual=worst)
+    traj = Trajectory(cfg, records, max_graph_residual=worst)
     traj.energy_residual = float(energy_residual(traj))
     return traj
 

@@ -6,12 +6,15 @@ a-priori ledger bounds uniform in the regularization, uniform-integrability
 tail profiles, Fenchel gaps, the Lipschitz dependence of the solution map on
 the initial datum, and the distinguished role of the combination
 ``-div(eta) + xi`` (unique in the limit) versus its factors (not unique).
+
+``sweep`` is the one routine that runs a family of configs along one coupled
+noise path; ``dnpde sweep`` and criteria 6 and 7 both call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +27,9 @@ from dnpde.grid import GridField
 __all__ = [
     "Assertion",
     "SweepEntry",
-    "SweepReport",
-    "PhiFunctional",
     "LipschitzReport",
     "AprioriReport",
     "sweep",
-    "lambda_sweep",
     "cauchy_distance",
     "lipschitz_test",
     "apriori_report",
@@ -145,14 +145,12 @@ def tail_profiles(traj):
     tails_eta = np.zeros(len(levels))
     tails_xi = np.zeros(len(levels))
     for rec in traj.records[1:]:
-        for ea in rec.eta:
-            a = np.abs(ea)
-            for i, M in enumerate(levels):
-                tails_eta[i] += dt * vol * float(a[a > M].sum())
-        if rec.xi is not None:
-            a = np.abs(rec.xi)
-            for i, M in enumerate(levels):
-                tails_xi[i] += dt * vol * float(a[a > M].sum())
+        xi = () if rec.xi is None else (rec.xi,)
+        for tails, arrays in ((tails_eta, rec.eta), (tails_xi, xi)):
+            for arr in arrays:
+                a = np.abs(arr)
+                for i, M in enumerate(levels):
+                    tails[i] += dt * vol * float(a[a > M].sum())
     return tails_eta, tails_xi
 
 
@@ -217,14 +215,36 @@ class SweepEntry:
 
 
 def sweep(runs, seed):
-    """Integrate each ``(cfg, u0, increments)`` in order, yielding one entry per run.
+    """Integrate each ``(cfg, u0)`` in order along one coupled noise path.
 
-    A ``SolverError`` propagates from the failing run, so a caller keeps the
-    entries already yielded.
+    The path ``seed`` is drawn here, once, at the finest dt with the largest
+    mode count, so a dt list that cannot share it raises ``ValueError`` before
+    any run; each run gets it summed onto its dt and cut to its modes.
+    Returns ``(checksum, entries)``: ``entries`` yields one ``SweepEntry`` per
+    run, and a failing run raises a ``SolverError`` that names it.
     """
+    cfgs = [cfg for cfg, _ in runs]
+    if cfgs[0].noise is None:
+        tables, checksum = [None] * len(runs), ""
+    else:
+        dts = [cfg.dt for cfg in cfgs]
+        tables, checksum = noisemod.coupled_increment_tables(
+            seed, min(dts), dts, cfgs[0].horizon, max(c.noise.mode_count for c in cfgs)
+        )
+        tables = [t[:, : c.noise.mode_count] for c, t in zip(cfgs, tables)]
+    return checksum, _sweep_entries(runs, tables, seed)
+
+
+def _sweep_entries(runs, tables, seed):
     prev = None
-    for cfg, u0, increments in runs:
-        traj = solvermod.integrate(cfg, u0, seed, increments)
+    for i, ((cfg, u0), increments) in enumerate(zip(runs, tables)):
+        try:
+            traj = solvermod.integrate(cfg, u0, seed, increments)
+        except solvermod.SolverError as err:
+            raise solvermod.SolverError(
+                f"sweep run {i} (lambda={cfg.lambda_yosida}, dt={cfg.dt}) failed: {err}",
+                err.step_index,
+            ) from err
         gap_g, gap_b = fenchel_gap_integrals(traj)
         tails_eta, tails_xi = tail_profiles(traj)
         yield SweepEntry(
@@ -234,50 +254,6 @@ def sweep(runs, seed):
         prev = traj
 
 
-@dataclass
-class SweepReport:
-    entries: list
-    increments_checksum: str
-
-    @property
-    def cauchy(self):
-        """sup_t distance between consecutive lambda runs."""
-        return [e.cauchy_prev for e in self.entries[1:]]
-
-
-def lambda_sweep(base, lambdas, seed, u0=None):
-    """Integrate the same noise path across a halving sequence of lambdas.
-
-    Reports Cauchy distances between consecutive runs, the four a-priori
-    ledger bounds, Fenchel-gap integrals and tail profiles per lambda.
-    """
-    lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas):
-        raise ValueError("lambdas must be positive")
-    for a, b in zip(lambdas, lambdas[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ValueError("lambdas must decrease with consecutive ratio 2")
-    if u0 is None:
-        u0 = GridField(base.grid, np.zeros(base.grid.shape))
-    if base.noise is not None:
-        (increments,), checksum = noisemod.coupled_increment_tables(
-            seed, base.dt, (base.dt,), base.horizon, base.noise.mode_count
-        )
-    else:
-        increments, checksum = None, ""
-
-    runs = [(replace(base, lambda_yosida=lam), u0, increments) for lam in lambdas]
-    entries = []
-    try:
-        for entry in sweep(runs, seed):
-            entries.append(entry)
-    except solvermod.SolverError as err:
-        raise solvermod.SolverError(
-            f"sweep run at lambda={lambdas[len(entries)]} failed: {err}", err.step_index
-        ) from err
-    return SweepReport(entries, checksum)
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz dependence on the initial datum
 # ---------------------------------------------------------------------------
@@ -285,9 +261,6 @@ def lambda_sweep(base, lambdas, seed, u0=None):
 @dataclass
 class LipschitzReport:
     ratio: float
-    c_lip: float
-    sup_distances: np.ndarray     # per path
-    initial_distance: float
     pathwise_ok: bool | None      # additive-noise contraction check (None if n/a)
     assertions: list
 
@@ -340,21 +313,12 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
         assertions.append(
             Assertion("pathwise_contraction_excess", worst, 0.0, pathwise_ok)
         )
-    return LipschitzReport(ratio, float(c_lip), sup_d, d0, pathwise_ok, assertions)
+    return LipschitzReport(ratio, pathwise_ok, assertions)
 
 
 # ---------------------------------------------------------------------------
 # Phi = -div(eta) + xi
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PhiFunctional:
-    """Time integral of ``-div(eta) + xi`` at checkpoint times (0 at t=0)."""
-
-    grid: gridmod.DirichletGrid
-    times: np.ndarray
-    values: np.ndarray   # (len(times), *nodes)
-
 
 def _checkpoint_indices(cfg, checkpoints):
     idx = []
@@ -366,7 +330,9 @@ def _checkpoint_indices(cfg, checkpoints):
     return idx
 
 
-def build_phi(traj, checkpoints) -> PhiFunctional:
+def build_phi(traj, checkpoints):
+    """Time integral of ``-div(eta) + xi`` at each checkpoint time (0 at t=0),
+    as one ``(len(checkpoints), *nodes)`` array."""
     cfg = traj.config
     idx = _checkpoint_indices(cfg, checkpoints)
     want = set(idx)
@@ -379,8 +345,7 @@ def build_phi(traj, checkpoints) -> PhiFunctional:
         acc = acc + cfg.dt * term
         if rec.index in want:
             snaps[rec.index] = acc.copy()
-    values = np.stack([snaps[k] for k in idx])
-    return PhiFunctional(cfg.grid, np.asarray(checkpoints, dtype=float), values)
+    return np.stack([snaps[k] for k in idx])
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +354,7 @@ def build_phi(traj, checkpoints) -> PhiFunctional:
 
 @dataclass
 class AprioriReport:
-    rows: list                  # (lambda, bounds dict) per trajectory
     ensemble: dict              # mean of each quantity
-    slopes: dict                # relative regression slope vs ln(lambda), or None
     assertions: list
 
     @property
@@ -399,16 +362,16 @@ class AprioriReport:
         return all(a.passed for a in self.assertions)
 
 
-def apriori_report(trajs):
-    """Tabulate the four a-priori quantities per trajectory.
+def apriori_report(entries):
+    """Tabulate the four a-priori quantities of each sweep entry.
 
     Finiteness is asserted always; across a lambda-indexed family the
     relative regression slope of each quantity against ln(lambda) must not be
     materially negative (no growth as the regularization vanishes).
     """
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    rows = [(t.config.lambda_yosida, trajectory_bounds(t)) for t in trajs]
+    if not entries:
+        raise ValueError("need at least one sweep entry")
+    rows = [(e.trajectory.config.lambda_yosida, e.bounds) for e in entries]
     ensemble = {
         name: float(np.mean([b[name] for _, b in rows])) for name in BOUND_NAMES
     }
@@ -418,17 +381,14 @@ def apriori_report(trajs):
         Assertion("bounds_finite", worst_finite, math.inf, math.isfinite(worst_finite))
     )
     lams = np.array([lam for lam, _ in rows])
-    slopes = {}
     if len(set(lams.tolist())) > 1:
         for name in BOUND_NAMES:
             vals = np.array([b[name] for _, b in rows])
-            slopes[name] = float(np.polyfit(np.log(lams), vals, 1)[0])
+            slope = float(np.polyfit(np.log(lams), vals, 1)[0])
             assertions.append(
                 Assertion(
-                    f"slope_{name}",
-                    slopes[name],
-                    APRIORI_SLOPE_THRESHOLD,
-                    slopes[name] >= APRIORI_SLOPE_THRESHOLD,
+                    f"slope_{name}", slope, APRIORI_SLOPE_THRESHOLD,
+                    slope >= APRIORI_SLOPE_THRESHOLD,
                 )
             )
-    return AprioriReport(rows, ensemble, slopes, assertions)
+    return AprioriReport(ensemble, assertions)

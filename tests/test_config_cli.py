@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -136,11 +137,25 @@ def test_run_rejects_jobs_flag(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "line", ["max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit"]
-)
-def test_run_invalid_inner_limits_exit_2(tmp_path, capsys, line):
-    text = BASIC.replace("[solver]", f"[solver]\n{line}")
+# mode_count = 0, n_b = -1 and an empty u0_path file used to end in a traceback,
+# u0_mode = 0 and 99 used to run on a zero and an aliased datum, and a non-finite
+# u0_amplitude must be named, not the mode it scales
+@pytest.mark.parametrize("line", [
+    "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
+    "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
+    "u0_amplitude = nan",
+])
+def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
+    # the line goes into its key's section, in place of the key where BASIC sets it
+    key = line.split()[0]
+    section = next(name for name, keys in cfgmod.SCHEMA.items() if key in keys)
+    text = BASIC.replace("amplitudes = 0.5", "amp_c = 0.5\namp_q = 1.0")
+    if key == "u0_path":
+        text = text.replace("u0_kind = eigenmode", "u0_kind = file")
+    text = "".join(l for l in text.splitlines(True) if not l.startswith(f"{key} = "))
+    text = text.replace(f"[{section}]", f"[{section}]\n{line}")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.txt").write_text("")
     cfg = write_cfg(tmp_path, text)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     lineno = text.splitlines().index(line) + 1
@@ -321,7 +336,7 @@ def test_sweep_seed_override(tmp_path, param, values):
 
 
 def test_sweep_rows_match_lambda_sweep(tmp_path):
-    # `dnpde sweep` and verify.lambda_sweep run one routine: same numbers, bit for bit
+    # `dnpde sweep` rows are verify.sweep's entries on the build_problem config, bit for bit
     cfg = write_cfg(tmp_path, BASIC)
     out = tmp_path / "out"
     lams = [0.5, 0.25, 0.125]
@@ -332,11 +347,13 @@ def test_sweep_rows_match_lambda_sweep(tmp_path):
     header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
     assert header == cli.SWEEP_HEADER
     base, u0 = cfgmod.build_problem(cfgmod.load_config(cfg))
-    rep = vf.lambda_sweep(base, lams, nz.PathSeed(20260809, 0), u0=u0)
-    assert len(rows) == len(rep.entries) == len(lams)
-    for row, entry in zip(rows, rep.entries):
+    runs = [(replace(base, lambda_yosida=lam), u0) for lam in lams]
+    checksum, entries = vf.sweep(runs, nz.PathSeed(20260809, 0))
+    entries = list(entries)
+    assert len(rows) == len(entries) == len(lams)
+    for row, entry in zip(rows, entries):
         assert [float(c).hex() for c in row[2:-2]] == [float(v).hex() for v in entry.row()]
-        assert row[-2:] == [rep.increments_checksum, "ok"]
+        assert row[-2:] == [checksum, "ok"]
 
 
 def test_sweep_inner_failure_flushes_partial(tmp_path, capsys):

@@ -138,6 +138,20 @@ def test_mode_index_arity_guard(fn):
             fn(grid, k)
 
 
+@pytest.mark.parametrize("fn", [gd.sine_eigenvalue, gd.sine_mode])
+def test_mode_index_range_guard(fn):
+    # on 16 nodes mode 35 aliases mode 1, mode 33 is -mode 1 and mode 0 is zero
+    for k in (0, 17, 33, 35, -1):
+        with pytest.raises(ValueError, match=f"mode index {k} out of range 1..16"):
+            fn(G1, k)
+    n0, n1 = G2.nodes
+    for k in ((0, 1), (1, n1 + 1), (n0 + 1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            fn(G2, k)
+    fn(G1, 16)   # the last mode of each axis is in range
+    fn(G2, (n0, n1))
+
+
 def test_laplacian_resolvent_eigen_oracle():
     # mode expansions, scaled mode by mode; the full random expansion on G2 is
     # where a CG stopped at a relative residual of 1e-12 is off by 4.5e-13
@@ -308,3 +322,8 @@ def test_field_io_roundtrip(tmp_path):
         assert np.array_equal(back.values, field.values)
     with pytest.raises(ValueError):
         gd.read_field(tmp_path / "field_1d.txt", grid=G2)
+    for header in ("", "\n1.0\n", "2 1.0 1.0 4\n"):   # no header, no header line, short
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header)
+        with pytest.raises(ValueError, match="missing or short grid header"):
+            gd.read_field(bad)
