@@ -2,8 +2,9 @@
 
 Each criterion is a self-contained desk-scale experiment with pinned
 tolerances, returning a list of assertions (measured value, threshold,
-pass/fail).  The same functions back the ``verify`` CLI command and the
-acceptance test module.
+pass/fail); ``run_criteria`` names each list by its ``CRITERIA`` entry.  The
+same functions back the ``verify`` CLI command and the acceptance test
+module.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def criterion_model(workdir=None, rc=None):
         )
     if not assertions:
         assertions.append(Assertion("nothing_to_validate", 0.0, 0.0, True))
-    return CriterionResult(0, "model", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +136,11 @@ def criterion_convex_oracle(workdir=None, rc=None):
             )
         else:
             orders.append(2.0)   # both errors at the floor: exact to roundoff
-    return CriterionResult(
-        1,
-        "convex_oracle",
-        [
-            Assertion("resolvent_bisect_vs_closed", worst_res, 1e-10, worst_res <= 1e-10),
-            Assertion("yosida_identity", worst_yos, 1e-10, worst_yos <= 1e-10),
-            Assertion("envelope_fd_order", min(orders), 1.9, min(orders) >= 1.9),
-        ],
-    )
+    return [
+        Assertion("resolvent_bisect_vs_closed", worst_res, 1e-10, worst_res <= 1e-10),
+        Assertion("yosida_identity", worst_yos, 1e-10, worst_yos <= 1e-10),
+        Assertion("envelope_fd_order", min(orders), 1.9, min(orders) >= 1.9),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +180,13 @@ def criterion_fenchel(workdir=None, rc=None):
             res.append(np.asarray(convex.fenchel_residual(pot, x, g)))
         res = np.stack(res)
         worst_increase = max(worst_increase, float(np.diff(res, axis=0).max()))
-    return CriterionResult(
-        2,
-        "fenchel",
-        [
-            Assertion("fenchel_min_residual", min_residual, -1e-8, min_residual >= -1e-8),
-            Assertion("residual_at_yosida_pair", worst_pair, 1e-8, worst_pair <= 1e-8),
-            Assertion(
-                "lambda_halving_monotone", worst_increase, 1e-12, worst_increase <= 1e-12
-            ),
-        ],
-    )
+    return [
+        Assertion("fenchel_min_residual", min_residual, -1e-8, min_residual >= -1e-8),
+        Assertion("residual_at_yosida_pair", worst_pair, 1e-8, worst_pair <= 1e-8),
+        Assertion(
+            "lambda_halving_monotone", worst_increase, 1e-12, worst_increase <= 1e-12
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +219,12 @@ def criterion_duality(workdir=None, rc=None):
             stencil = stencil + (p[tuple(up)] - 2 * u + p[tuple(dn)]) / h**2
         scale = np.abs(lap).max()
         worst_stencil = max(worst_stencil, float(np.abs(lap - stencil).max()) / scale)
-    return CriterionResult(
-        3,
-        "duality",
-        [
-            Assertion("summation_by_parts_rel", worst_adj, 1e-12, worst_adj <= 1e-12),
-            Assertion(
-                "div_grad_is_stencil_rel", worst_stencil, 1e-13, worst_stencil <= 1e-13
-            ),
-        ],
-    )
+    return [
+        Assertion("summation_by_parts_rel", worst_adj, 1e-12, worst_adj <= 1e-12),
+        Assertion(
+            "div_grad_is_stencil_rel", worst_stencil, 1e-13, worst_stencil <= 1e-13
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def criterion_ou_moment(workdir=None, rc=None):
         assertions.append(
             Assertion(f"ou_moment_dt_1over{round(1/dt)}", diff, tol, diff <= tol)
         )
-    return CriterionResult(4, "ou_moment", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +269,11 @@ def criterion_energy(workdir=None, rc=None):
         lambda_yosida=0.1, dt=1 / 64, horizon=0.5, lambda_visc=0.05,
     )
     u0 = GridField(grid, 1.2 * gridmod.sine_mode(grid, 1))
-    traj = solvermod.integrate(cfg, u0)
-    worst = -math.inf
-    for prev, cur in zip(traj.records, traj.records[1:]):
-        lhs = 0.5 * cur.norm_u_sq + cfg.dt * (cur.pairing_eta_gradu + cur.pairing_xi_u)
-        rhs = 0.5 * prev.norm_u_sq + cfg.eps_inner * math.sqrt(cur.norm_u_sq)
-        worst = max(worst, lhs - rhs)
+    led = solvermod.integrate(cfg, u0).ledgers
+    norm_sq = led["norm_u_sq"]
+    lhs = 0.5 * norm_sq[1:] + cfg.dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:])
+    rhs = 0.5 * norm_sq[:-1] + cfg.eps_inner * np.sqrt(norm_sq[1:])
+    worst = float((lhs - rhs).max())
     assertions = [Assertion("per_step_energy_slack", worst, 0.0, worst <= 0.0)]
 
     # stochastic path-mean residual: O(dt), fitted constant stable under halving
@@ -300,7 +288,7 @@ def criterion_energy(workdir=None, rc=None):
         res = solvermod.run_ensemble(
             cfg, np.zeros(grid.shape), master_seed=5150, n_paths=200, fine_dt=1 / 128,
         )
-        er = solvermod.energy_residual(res)
+        er = res.energy_residual
         mean = float(np.mean(er))
         se = float(np.std(er, ddof=1) / math.sqrt(er.size))
         bound = 3 * se + c_default * dt
@@ -315,7 +303,7 @@ def criterion_energy(workdir=None, rc=None):
     assertions.append(
         Assertion("fitted_C_stability", ratio, 2.0, 0.5 <= ratio <= 2.0)
     )
-    return CriterionResult(5, "energy", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +347,7 @@ def criterion_apriori(workdir=None, rc=None):
     assertions.append(
         Assertion("tail_maxlevel_ratio", worst_tail_ratio, 0.01, worst_tail_ratio <= 0.01)
     )
-    return CriterionResult(6, "apriori", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +379,7 @@ def criterion_cauchy(workdir=None, rc=None):
     cauchy2 = [e.cauchy_prev for e in _lambda_sweep(base2, lambdas, u02, PathSeed(42, 0))[1:]]
     inc2 = float(np.diff(cauchy2).max())
     assertions.append(Assertion("power4_sign_cauchy_decreasing", inc2, 0.0, inc2 < 0.0))
-    return CriterionResult(7, "cauchy", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +421,7 @@ def criterion_lipschitz(workdir=None, rc=None):
             "multiplicative_ratio_vs_e", rep_m.ratio, math.e, rep_m.ratio <= math.e
         )
     )
-    return CriterionResult(8, "lipschitz", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +468,7 @@ def criterion_phi_unique(workdir=None, rc=None):
     assertions.append(
         Assertion("eta_vs_phi_separation", separation, 1.0, separation >= 1.0)
     )
-    return CriterionResult(9, "phi_unique", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +554,7 @@ def criterion_repro(workdir=None, rc=None):
         assertions.append(
             Assertion(f"{name}_byte_identical", float(mismatched), 0.0, bool(ok))
         )
-    return CriterionResult(10, "repro", assertions)
+    return assertions
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +605,9 @@ def resolve_selection(tokens):
 
 
 def run_criteria(ids, workdir=None, rc=None):
+    """One ``CriterionResult`` per id, named from ``CRITERIA``."""
     results = []
     for cid in ids:
         name, fn = CRITERIA[cid]
-        results.append(fn(workdir=workdir, rc=rc))
+        results.append(CriterionResult(cid, name, fn(workdir=workdir, rc=rc)))
     return results

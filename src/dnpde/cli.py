@@ -61,13 +61,11 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
     traj = solvermod.integrate(cfg, u0, path_seed)
     wall = time.monotonic() - t0
 
+    columns = [traj.ledgers[c].tolist() for c in solvermod.LEDGER_COLUMNS]
     verifymod.write_report_csv(
         os.path.join(out, f"{prefix}_trajectory.csv"),
         ["step", "t", *solvermod.LEDGER_COLUMNS],
-        [
-            [rec.index, rec.t, *(getattr(rec, c) for c in solvermod.LEDGER_COLUMNS)]
-            for rec in traj.records
-        ],
+        [[rec.index, rec.t, *row] for rec, *row in zip(traj.records, *columns)],
         _comments(rc, seed_val),
     )
     if dump_every:
@@ -81,7 +79,7 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
         "master_seed": seed_val,
         "n_steps": cfg.n_steps,
         "scheme": cfg.scheme,
-        "terminal_norm": math.sqrt(traj.records[-1].norm_u_sq),
+        "terminal_norm": math.sqrt(traj.ledgers["norm_u_sq"][-1]),
         "terminal_energy_residual": traj.energy_residual,
         "max_fenchel_gap": traj.max_graph_residual,
     }

@@ -12,6 +12,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from dnpde import convex, grid as gridmod, noise as noisemod, solver as solvermod
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -229,21 +231,24 @@ def build_potential(rc: RunConfig, role) -> convex.Potential | None:
 def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     if not rc.has("noise"):
         return None
+    line = rc.lines["noise"].get
     K = rc.require("noise", "mode_count")
     if K < 1:
-        raise ConfigError("mode_count must be >= 1", rc.lines["noise"].get("mode_count"))
+        raise ConfigError("mode_count must be >= 1", line("mode_count"))
     if K > math.prod(grid.nodes):
         raise ConfigError(
             f"mode_count {K} exceeds the {math.prod(grid.nodes)} sine modes of the grid",
-            rc.lines["noise"].get("mode_count"),
+            line("mode_count"),
         )
     if rc.has("noise", "amplitudes"):
         amps = rc.get("noise", "amplitudes")
         if len(amps) != K:
             raise ConfigError(
                 f"amplitudes list has {len(amps)} entries, mode_count is {K}",
-                rc.lines["noise"].get("amplitudes"),
+                line("amplitudes"),
             )
+        if not all(map(math.isfinite, amps)) or not any(amps):
+            raise ConfigError("amplitudes must be finite and not all zero", line("amplitudes"))
     else:
         c = rc.get("noise", "amp_c")
         q = rc.get("noise", "amp_q")
@@ -251,7 +256,12 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
             raise ConfigError(
                 "noise needs either 'amplitudes' or the power law 'amp_c'/'amp_q'"
             )
-        amps = noisemod.amplitudes_power_law(K, c, q)
+        if not 0 < c < math.inf:
+            raise ConfigError("amp_c must be positive and finite", line("amp_c"))
+        with np.errstate(over="ignore"):
+            amps = noisemod.amplitudes_power_law(K, c, q)
+        if not (math.isfinite(q) and all(map(math.isfinite, amps))):
+            raise ConfigError("amp_q must be finite and give finite amplitudes", line("amp_q"))
     gain_kind = rc.get("noise", "gain", "additive")
     gain_params = {}
     if gain_kind == "clipped" and rc.has("noise", "gain_limit"):
@@ -259,12 +269,12 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     try:
         gain = noisemod.make_gain(gain_kind, **gain_params)
     except ValueError as err:
-        raise ConfigError(str(err), rc.lines["noise"].get("gain")) from None
+        raise ConfigError(str(err), line("gain")) from None
     n_b = rc.get("noise", "n_b")
     if n_b is None:
         n_b = noisemod.default_bound(noisemod.NoiseModel(amps, gain), grid)
-    elif not n_b > 0:
-        raise ConfigError("n_b must be positive", rc.lines["noise"].get("n_b"))
+    elif not 0 < n_b < math.inf:
+        raise ConfigError("n_b must be positive and finite", line("n_b"))
     return noisemod.NoiseModel(amps, gain, n_b)
 
 

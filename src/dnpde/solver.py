@@ -20,11 +20,14 @@ the (possibly multivalued) graph of the problem.
 A cheaper semi-implicit variant treats the monotone terms explicitly under a
 stability restriction, solves the viscosity term exactly in the sine basis
 and shares the same limit as dt and the regularization vanish.  Single paths
-and batches of independent noise paths run through one stepping loop; an
+and batches of independent noise paths run through one stepping loop into one
+result type, ``Trajectory``, whose ledger columns carry the batch axes; an
 ensemble is integrated as one batch.  Each state's face gradients, resolvent
 points and Yosida values are evaluated once, every face axis in one face
 buffer, and shared by the energy ledger, both steps and the graph
-certificate, which checks each graph by one Fenchel residual.
+certificate, which checks each graph by one Fenchel residual.  A record whose
+certificate cannot be evaluated or whose ledger row is not finite fails the
+run at its step.
 """
 
 from __future__ import annotations
@@ -310,32 +313,73 @@ def _semi_implicit_step_arrays(cfg, state, forcing):
 
 
 # ---------------------------------------------------------------------------
-# the stepping loop and its energy ledger
+# the stepping loop, its energy ledger and the run result
 # ---------------------------------------------------------------------------
 
-def _ledger_row(cfg, state, noise_field):
-    """Ledger scalars of one record (per path); a pairing is zero without its graph."""
+@dataclass
+class StateRecord:
+    index: int
+    t: float
+    u: np.ndarray
+    eta: tuple          # face arrays, gamma_lam(grad u)
+    xi: np.ndarray | None
+
+
+@dataclass
+class Trajectory:
+    """The result of one run, a single path or a batch of paths.
+
+    ``ledgers`` maps each of ``LEDGER_COLUMNS`` to an array of shape
+    ``(n_records, *batch)``; ``records`` holds the kept ``StateRecord``s
+    (always for ``integrate``, for a batch only with ``keep_states``) and
+    ``max_graph_residual`` their largest Fenchel residual (None when no record
+    was kept); ``energy_residual`` is a float for one path and an array per
+    path for a batch.
+    """
+
+    config: SolverConfig
+    ledgers: dict
+    records: list
+    terminal: np.ndarray              # (*nodes, *batch)
+    max_graph_residual: float | None = None
+    energy_residual: float | np.ndarray = 0.0
+
+    @property
+    def grid(self):
+        return self.config.grid
+
+    def states(self):
+        return np.stack([r.u for r in self.records])
+
+
+def _write_ledger_row(cfg, state, noise_field, ledgers, n):
+    """Write record ``n``'s ledger scalars (per path) into the ``ledgers``
+    columns; a pairing without its graph or noise stays zero."""
     g, u, eta, xi = cfg.grid, state.u, state.eta, state.xi
-    zero = np.zeros(u.shape[g.dim:])
-    return {
-        "norm_u_sq": gridmod.dot_h(g, u, u),
-        "pairing_eta_gradu": zero if eta is None else gridmod.flux_dot_h(g, eta, state.faces),
-        "pairing_xi_u": zero if xi is None else gridmod.dot_h(g, xi, u),
-        "hs_sq": zero if cfg.noise is None else noisemod.hs_norm(cfg.noise, g, u) ** 2,
-        "stoch_pairing": zero if noise_field is None else gridmod.dot_h(g, u, noise_field),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):   # _run refuses a non-finite row
+        ledgers["norm_u_sq"][n] = gridmod.dot_h(g, u, u)
+        if eta is not None:
+            ledgers["pairing_eta_gradu"][n] = gridmod.flux_dot_h(g, eta, state.faces)
+        if xi is not None:
+            ledgers["pairing_xi_u"][n] = gridmod.dot_h(g, xi, u)
+        if cfg.noise is not None:
+            ledgers["hs_sq"][n] = noisemod.hs_norm(cfg.noise, g, u) ** 2
+        if noise_field is not None:
+            ledgers["stoch_pairing"][n] = gridmod.dot_h(g, u, noise_field)
 
 
 def _run(cfg, u, increments, keep_fields):
-    """The stepping loop shared by ``integrate`` and ``integrate_batch``.
+    """The stepping loop behind ``integrate`` and ``integrate_batch``; returns
+    the run's ``Trajectory``.
 
     ``u`` is a node array with or without a trailing path axis; the grid and
     noise operators broadcast over it, so the loop never looks at the batch
-    shape.  Returns the ledger rows, the per-record ``(u, eta, xi)`` (kept
-    by reference), the largest Fenchel residual of the run's (resolvent
-    point, Yosida value) pairs and the final node values; the fields and the
-    residual only when ``keep_fields``.  A pair whose residual cannot be
-    evaluated fails the run with a ``SolverError`` at its record's step.
+    shape.  Each record's ledger row is written in place into columns of
+    shape ``(n_records, *batch)``, views of one store; with ``keep_fields``
+    the record is kept (its arrays by reference) and its (resolvent point,
+    Yosida value) pairs are certified by their Fenchel residual.  A pair whose
+    residual cannot be evaluated, or a non-finite ledger value, fails the run
+    with a ``SolverError`` at its record's step.
     """
     if cfg.scheme == "semi_implicit":
         bound = cfg.stability_bound()
@@ -346,7 +390,13 @@ def _run(cfg, u, increments, keep_fields):
                 step_index=1,
             )
 
-    rows, fields, worst = [], [], 0.0
+    g, batch = cfg.grid, u.shape[cfg.grid.dim:]
+    store = np.zeros((len(LEDGER_COLUMNS), cfg.n_steps + 1) + batch)
+    ledgers = dict(zip(LEDGER_COLUMNS, store))
+    no_flux = None   # eta of the kept records without a flux graph
+    if cfg.gamma is None:
+        no_flux = tuple(np.zeros(s + batch) for s in g.face_shapes())
+    records, worst = [], 0.0
 
     def record(n, state, noise_field):
         # the certificate goes first, so a record it refuses gets no ledger row
@@ -360,14 +410,17 @@ def _run(cfg, u, increments, keep_fields):
                     except ValueError as err:
                         raise SolverError(f"graph certificate failed: {err}", n) from None
                     worst = max(worst, float(np.abs(res).max()))
-            fields.append((state.u, state.eta, state.xi))
-        rows.append(_ledger_row(cfg, state, noise_field))
+            records.append(StateRecord(n, n * cfg.dt, state.u, state.eta or no_flux, state.xi))
+        _write_ledger_row(cfg, state, noise_field, ledgers, n)
+        if not np.isfinite(store[:, n]).all():
+            bad = [name for name, col in ledgers.items() if not np.isfinite(col[n]).all()]
+            raise SolverError(f"energy ledger is not finite: {', '.join(bad)}", n)
 
     state = _state(cfg, u)
     for n in range(cfg.n_steps):
         noise_field = None
         if cfg.noise is not None:
-            noise_field = noisemod.apply_b(cfg.noise, cfg.grid, state.u, increments[n])
+            noise_field = noisemod.apply_b(cfg.noise, g, state.u, increments[n])
         record(n, state, noise_field)
         forcing = state.u if noise_field is None else state.u + noise_field
         try:
@@ -379,7 +432,10 @@ def _run(cfg, u, increments, keep_fields):
             err.step_index = n + 1
             raise
     record(cfg.n_steps, state, None)
-    return rows, fields, worst, state.u
+    traj = Trajectory(cfg, ledgers, records, state.u, worst if keep_fields else None)
+    residual = energy_residual(traj)
+    traj.energy_residual = float(residual) if np.ndim(residual) == 0 else residual
+    return traj
 
 
 def _check_increments(cfg, increments):
@@ -400,11 +456,11 @@ def _check_increments(cfg, increments):
 def energy_residual(result):
     """Discrete energy-ledger residual of the squared-norm identity.
 
-    ``result`` is a ``Trajectory`` (returns a float) or a ``BatchResult``
-    (returns one residual per path).  Dissipation pairings enter at the
-    implicit endpoints, the quadratic variation and the stochastic pairing
-    at the explicit ones.  For a single path this is noise of order
-    sqrt(dt); averaged over paths it is O(dt).
+    Returns one residual per path of ``result``'s ledgers (a scalar for a
+    single path).  Dissipation pairings enter at the implicit endpoints, the
+    quadratic variation and the stochastic pairing at the explicit ones.
+    For a single path this is noise of order sqrt(dt); averaged over paths
+    it is O(dt).
     """
     led = result.ledgers
     dt = result.config.dt
@@ -416,44 +472,8 @@ def energy_residual(result):
 
 
 # ---------------------------------------------------------------------------
-# single trajectories
+# single paths and batches
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StateRecord:
-    index: int
-    t: float
-    u: np.ndarray
-    eta: tuple          # face arrays, gamma_lam(grad u)
-    xi: np.ndarray | None
-    norm_u_sq: float
-    pairing_eta_gradu: float
-    pairing_xi_u: float
-    hs_sq: float
-    stoch_pairing: float
-
-
-@dataclass
-class Trajectory:
-    config: SolverConfig
-    records: list
-    energy_residual: float = 0.0
-    max_graph_residual: float | None = None
-
-    @property
-    def grid(self):
-        return self.config.grid
-
-    @property
-    def ledgers(self):
-        return {name: self.ledger_column(name) for name in LEDGER_COLUMNS}
-
-    def states(self):
-        return np.stack([r.u for r in self.records])
-
-    def ledger_column(self, name):
-        return np.array([getattr(r, name) for r in self.records])
-
 
 def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
     """Integrate one path, recording the triplet (u, eta, xi) and the ledger.
@@ -468,48 +488,17 @@ def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
             seed, cfg.n_steps, cfg.dt, cfg.noise.mode_count
         )
     increments = _check_increments(cfg, increments)
-    rows, fields, worst, _ = _run(
-        cfg, np.array(u0.values, dtype=float), increments, keep_fields=True
-    )
-    no_flux = tuple(np.zeros(s) for s in cfg.grid.face_shapes())
-    records = [
-        StateRecord(
-            n, n * cfg.dt, u, no_flux if eta is None else eta, xi,
-            **{name: float(row[name]) for name in LEDGER_COLUMNS},
-        )
-        for n, (row, (u, eta, xi)) in enumerate(zip(rows, fields))
-    ]
-    traj = Trajectory(cfg, records, max_graph_residual=worst)
-    traj.energy_residual = float(energy_residual(traj))
-    return traj
+    return _run(cfg, np.array(u0.values, dtype=float), increments, keep_fields=True)
 
 
-# ---------------------------------------------------------------------------
-# batched Monte Carlo integration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BatchResult:
-    """Per-path ledgers (rows = record index, columns = path) and end state."""
-
-    config: SolverConfig
-    ledgers: dict
-    terminal: np.ndarray              # (*nodes, n_paths)
-    states: np.ndarray | None = None  # (n_records, *nodes, n_paths) if kept
-
-    @property
-    def n_paths(self):
-        return self.terminal.shape[-1]
-
-
-def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
-    """Integrate many paths at once.
+def integrate_batch(cfg, u0, increments, keep_states=False) -> Trajectory:
+    """Integrate many paths at once; the result's arrays carry a trailing path axis.
 
     ``u0`` has shape (*nodes,) or (*nodes, P); ``increments`` has shape
     (n_steps, K, P) (or None for deterministic runs, in which case P comes
     from u0).  Paths evolve independently; the inner optimizer stops when
     every path satisfies the gradient tolerance, so each path's step is
-    certified individually.
+    certified individually.  Records are kept only with ``keep_states``.
     """
     g = cfg.grid
     increments = _check_increments(cfg, increments)
@@ -526,11 +515,7 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> BatchResult:
         u = u0.copy()
     else:
         raise ValueError(f"{u0.shape[-1]} initial data for {n_paths} noise paths")
-
-    rows, fields, _, u = _run(cfg, u, increments, keep_fields=keep_states)
-    ledgers = {name: np.stack([row[name] for row in rows]) for name in LEDGER_COLUMNS}
-    states = np.stack([f[0] for f in fields]) if keep_states else None
-    return BatchResult(cfg, ledgers, u, states)
+    return _run(cfg, u, increments, keep_fields=keep_states)
 
 
 def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None):

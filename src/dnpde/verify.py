@@ -95,9 +95,9 @@ def observed_order(values, spacings):
 
 def trajectory_bounds(traj):
     """The four a-priori ledger quantities of one run (right-endpoint sums)."""
-    cfg = traj.config
+    cfg, led = traj.config, traj.ledgers
     dt = cfg.dt
-    sup_u_sq = float(max(r.norm_u_sq for r in traj.records))
+    sup_u_sq = float(led["norm_u_sq"].max())
     grad_sq = 0.0
     for rec in traj.records[1:]:
         g = gridmod.grad_arrays(cfg.grid, rec.u)
@@ -105,8 +105,8 @@ def trajectory_bounds(traj):
     return {
         "sup_u_sq": sup_u_sq,
         "visc_grad_sq": cfg.visc * grad_sq,
-        "int_eta_gradu": dt * float(sum(r.pairing_eta_gradu for r in traj.records[1:])),
-        "int_xi_u": dt * float(sum(r.pairing_xi_u for r in traj.records[1:])),
+        "int_eta_gradu": dt * float(sum(led["pairing_eta_gradu"][1:])),
+        "int_xi_u": dt * float(sum(led["pairing_xi_u"][1:])),
     }
 
 
@@ -261,7 +261,6 @@ def _sweep_entries(runs, tables, seed):
 @dataclass
 class LipschitzReport:
     ratio: float
-    pathwise_ok: bool | None      # additive-noise contraction check (None if n/a)
     assertions: list
 
     @property
@@ -275,6 +274,7 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     Reports ``R = sqrt(mean_path sup_t ||u_a - u_b||^2) / ||u0_a - u0_b||``
     against the Gronwall constant ``exp((1 + N_B^2) T)``; for additive noise
     the per-step contraction of the implicit scheme is asserted pathwise.
+    Without noise both data run as one-path batches.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -284,14 +284,12 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     )
     c_lip = math.exp((1.0 + nb**2) * cfg.horizon)
 
-    if cfg.noise is not None:
-        res_a = solvermod.run_ensemble(cfg, u0_a.values, master_seed, n_paths, keep_states=True)
-        res_b = solvermod.run_ensemble(cfg, u0_b.values, master_seed, n_paths, keep_states=True)
-        diff = res_a.states - res_b.states
-    else:
-        ta = solvermod.integrate(cfg, u0_a)
-        tb = solvermod.integrate(cfg, u0_b)
-        diff = (ta.states() - tb.states())[..., None]
+    def run(u0):
+        if cfg.noise is None:
+            return solvermod.integrate_batch(cfg, u0.values, None, keep_states=True)
+        return solvermod.run_ensemble(cfg, u0.values, master_seed, n_paths, keep_states=True)
+
+    diff = run(u0_a).states() - run(u0_b).states()
     axes = tuple(range(1, 1 + cfg.grid.dim))
     dist = np.sqrt(cfg.grid.node_volume * np.sum(diff * diff, axis=axes))  # (N+1, P)
     sup_d = dist.max(axis=0)
@@ -304,16 +302,14 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     assertions = [
         Assertion("lipschitz_ratio", ratio, float(c_lip), ratio <= c_lip)
     ]
-    pathwise_ok = None
     if cfg.noise is None or cfg.noise.is_additive():
         steps = np.arange(dist.shape[0])[:, None]
         allowed = d0 + 10.0 * cfg.eps_inner * steps
         worst = float((dist - allowed).max())
-        pathwise_ok = worst <= 0.0
         assertions.append(
-            Assertion("pathwise_contraction_excess", worst, 0.0, pathwise_ok)
+            Assertion("pathwise_contraction_excess", worst, 0.0, worst <= 0.0)
         )
-    return LipschitzReport(ratio, pathwise_ok, assertions)
+    return LipschitzReport(ratio, assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,6 @@ def build_phi(traj, checkpoints):
 
 @dataclass
 class AprioriReport:
-    ensemble: dict              # mean of each quantity
     assertions: list
 
     @property
@@ -372,9 +367,6 @@ def apriori_report(entries):
     if not entries:
         raise ValueError("need at least one sweep entry")
     rows = [(e.trajectory.config.lambda_yosida, e.bounds) for e in entries]
-    ensemble = {
-        name: float(np.mean([b[name] for _, b in rows])) for name in BOUND_NAMES
-    }
     assertions = []
     worst_finite = max(max(b.values()) for _, b in rows)
     assertions.append(
@@ -391,4 +383,4 @@ def apriori_report(entries):
                     slope >= APRIORI_SLOPE_THRESHOLD,
                 )
             )
-    return AprioriReport(ensemble, assertions)
+    return AprioriReport(assertions)

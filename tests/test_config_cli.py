@@ -137,13 +137,16 @@ def test_run_rejects_jobs_flag(tmp_path):
     assert info.value.code == 2
 
 
-# mode_count = 0, n_b = -1 and an empty u0_path file used to end in a traceback,
-# u0_mode = 0 and 99 used to run on a zero and an aliased datum, and a non-finite
-# u0_amplitude must be named, not the mode it scales
+# mode_count = 0, n_b = -1, an empty u0_path file and a nan or zero noise
+# amplitude used to end in a traceback, an infinite amplitude failed at step 1,
+# n_b = inf made the declared bound vacuous, u0_mode = 0 and 99 used to run on a
+# zero and an aliased datum, and a non-finite u0_amplitude must be named, not
+# the mode it scales
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
-    "u0_amplitude = nan",
+    "u0_amplitude = nan", "amp_q = nan", "amp_c = nan", "amplitudes = nan", "amp_c = 0",
+    "amp_c = inf", "amplitudes = inf", "n_b = inf",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it

@@ -1,6 +1,8 @@
 """Solver tests: per-mode recursion oracles, energy dissipation, coupling."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +172,7 @@ def test_scheme_agreement_in_trajectory_norm():
 def test_integrate_zero_equilibrium():
     cfg = heat_cfg(beta=cx.AbsPotential())
     traj = sv.integrate(cfg, GridField(G16, np.zeros(G16.shape)))
-    assert all(r.norm_u_sq == 0.0 for r in traj.records)
+    assert np.all(traj.ledgers["norm_u_sq"] == 0.0)
     assert traj.energy_residual == 0.0
 
 
@@ -178,11 +180,11 @@ def test_integrate_deterministic_dissipation():
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), lambda_visc=0.0, lambda_yosida=0.1)
     u0 = GridField(G16, 1.5 * gd.sine_mode(G16, 1))
     traj = sv.integrate(cfg, u0)
-    norms = traj.ledger_column("norm_u_sq")
+    norms = traj.ledgers["norm_u_sq"]
     assert np.all(np.diff(norms) < 0)
     # ledger pairings nonnegative (graphs through the origin)
-    assert traj.ledger_column("pairing_eta_gradu").min() >= -1e-10
-    assert traj.ledger_column("pairing_xi_u").min() >= -1e-10
+    assert traj.ledgers["pairing_eta_gradu"].min() >= -1e-10
+    assert traj.ledgers["pairing_xi_u"].min() >= -1e-10
     # graph consistency at every recorded step
     assert traj.max_graph_residual <= 1e-8
 
@@ -201,9 +203,10 @@ def test_energy_residual_heat_sign_and_order():
 def test_per_step_energy_inequality():
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), lambda_visc=0.05)
     traj = sv.integrate(cfg, GridField(G16, 1.2 * gd.sine_mode(G16, 1)))
-    for prev, cur in zip(traj.records, traj.records[1:]):
-        lhs = 0.5 * cur.norm_u_sq + cfg.dt * (cur.pairing_eta_gradu + cur.pairing_xi_u)
-        assert lhs <= 0.5 * prev.norm_u_sq + cfg.eps_inner * math.sqrt(cur.norm_u_sq) + 1e-14
+    led = traj.ledgers
+    norm_sq = led["norm_u_sq"]
+    lhs = 0.5 * norm_sq[1:] + cfg.dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:])
+    assert np.all(lhs <= 0.5 * norm_sq[:-1] + cfg.eps_inner * np.sqrt(norm_sq[1:]) + 1e-14)
 
 
 def test_deterministic_contraction():
@@ -224,7 +227,7 @@ def test_integrate_stochastic_determinism_and_ledger():
     t1 = sv.integrate(cfg, u0, seed)
     t2 = sv.integrate(cfg, u0, seed)
     assert np.array_equal(t1.states(), t2.states())
-    assert t1.records[0].hs_sq == pytest.approx(0.4**2 + 0.2**2)
+    assert t1.ledgers["hs_sq"][0] == pytest.approx(0.4**2 + 0.2**2)
     with pytest.raises(ValueError):
         sv.integrate(cfg, u0)   # seed required with noise
     with pytest.raises(ValueError):
@@ -235,13 +238,36 @@ def test_batch_matches_ledger_shape_and_residuals():
     model = nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4)
     cfg = heat_cfg(noise=model, horizon=0.125)
     res = sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=4, n_paths=3)
-    assert res.n_paths == 3
+    assert res.terminal.shape[-1] == 3
     assert res.ledgers["norm_u_sq"].shape == (cfg.n_steps + 1, 3)
     # batched residuals equal the single-path residuals path by path
     for i in range(3):
         inc = nz.sample_increments(nz.PathSeed(4, i), cfg.n_steps, cfg.dt, 1)
         traj = sv.integrate(cfg, GridField(G16, np.zeros(G16.shape)), nz.PathSeed(4, i), inc)
-        assert sv.energy_residual(res)[i] == pytest.approx(traj.energy_residual, rel=1e-9, abs=1e-12)
+        assert res.energy_residual[i] == pytest.approx(traj.energy_residual, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
+def test_batch_with_overflowing_ledger_fails_closed(scheme):
+    # a batch certifies no graph, so at amplitude 1e200 its ledger row of
+    # step 0 overflows; the run is refused there, with no numpy warning
+    g = DirichletGrid((1.0, 1.0), (8, 8))
+    model = nz.NoiseModel(nz.amplitudes_power_law(32, 0.5, 1.0), nz.TanhGain(), 1.0)
+    cfg = sv.SolverConfig(
+        g, cx.PowerPotential(4.0), cx.ExpCoshPotential(), None,
+        lambda_yosida=0.5, dt=2**-14, horizon=4 * 2**-14, scheme=scheme,
+    )
+    u0 = sv.initial_datum(g, "bump", amplitude=1e200).values
+    runs = [
+        lambda: sv.integrate_batch(cfg, u0, None, keep_states=False),
+        lambda: sv.run_ensemble(replace(cfg, noise=model), u0, master_seed=1, n_paths=3),
+    ]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(sv.SolverError, match="ledger is not finite: norm_u_sq") as info:
+                run()
+        assert info.value.step_index == 0
 
 
 def test_ensemble_paths_match_integrate():
@@ -259,13 +285,14 @@ def test_ensemble_paths_match_integrate():
             res = sv.run_ensemble(
                 cfg, u0.values, master_seed=7, n_paths=70, keep_states=True, fine_dt=fine_dt
             )
-            assert res.states.shape == (cfg.n_steps + 1, 16, 70)
+            states = res.states()
+            assert states.shape == (cfg.n_steps + 1, 16, 70)
             for i in (0, 1, 63, 64, 65, 66, 67, 68, 69):   # spread over the one 70-path batch
                 seed = nz.PathSeed(7, i)
                 inc = None
                 if fine_dt is not None:
                     (inc,), _ = nz.coupled_increment_tables(seed, fine_dt, [cfg.dt], cfg.horizon, 2)
-                diff = res.states[..., i] - sv.integrate(cfg, u0, seed, inc).states()
+                diff = states[..., i] - sv.integrate(cfg, u0, seed, inc).states()
                 sup = np.sqrt(G16.node_volume * (diff**2).sum(axis=1)).max()
                 assert sup <= 1e-14
     # 2-d: the Newton direction comes from CG, whose converged columns stay
@@ -279,10 +306,31 @@ def test_ensemble_paths_match_integrate():
         )
         u0 = GridField(g, gd.sine_mode(g, (1, 1)))
         res = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=6, keep_states=True)
+        states = res.states()
         for i in range(6):
-            diff = res.states[..., i] - sv.integrate(cfg, u0, nz.PathSeed(7, i)).states()
+            diff = states[..., i] - sv.integrate(cfg, u0, nz.PathSeed(7, i)).states()
             sup = np.sqrt(g.node_volume * (diff**2).sum(axis=(1, 2))).max()
             assert sup <= 1e-14
+
+
+def test_one_path_batch_matches_integrate():
+    # one result type: in 1-d a one-path batch keeping its records is the
+    # single path bit for bit, ledgers, states and certificate alike (2-d
+    # sine transforms round by batch shape, see the test above)
+    model = nz.NoiseModel((0.4, 0.2, 0.1), nz.TanhGain(), 0.5)
+    base = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential(), noise=model)
+    for cfg in (base, replace(base, scheme="semi_implicit", dt=2**-12, horizon=2**-9)):
+        u0 = GridField(G16, 1.2 * gd.sine_mode(G16, 1))
+        inc = nz.sample_increments(nz.PathSeed(9, 0), cfg.n_steps, cfg.dt, 3)
+        one = sv.integrate(cfg, u0, increments=inc)
+        batch = sv.integrate_batch(cfg, u0.values, inc[..., None], keep_states=True)
+        for name in sv.LEDGER_COLUMNS:
+            assert np.array_equal(batch.ledgers[name][:, 0], one.ledgers[name])
+        assert np.array_equal(batch.states()[..., 0], one.states())
+        assert np.array_equal(batch.terminal[..., 0], one.terminal)
+        assert batch.max_graph_residual == one.max_graph_residual
+        assert batch.energy_residual[0] == one.energy_residual
+        assert sv.integrate_batch(cfg, u0.values, inc[..., None]).max_graph_residual is None
 
 
 def test_ensemble_rejects_empty():
@@ -356,7 +404,7 @@ def test_bisection_only_potentials_in_stepper():
     )
     traj = sv.integrate(cfg, GridField(G16, 1.5 * gd.sine_mode(G16, 1)), nz.PathSeed(3, 0))
     assert traj.max_graph_residual <= 1e-8
-    assert traj.ledger_column("pairing_eta_gradu").min() >= -1e-10
+    assert traj.ledgers["pairing_eta_gradu"].min() >= -1e-10
 
     xs = np.linspace(-8, 8, 161)
     pot = cx.SampledSlopePotential.from_value_samples(xs, np.abs(xs) ** 3 / 3)
@@ -364,7 +412,7 @@ def test_bisection_only_potentials_in_stepper():
         G16, pot, None, None, lambda_yosida=0.25, dt=1 / 32, horizon=0.125,
     )
     traj2 = sv.integrate(cfg2, GridField(G16, gd.sine_mode(G16, 1)))
-    assert np.all(np.diff(traj2.ledger_column("norm_u_sq")) < 0)
+    assert np.all(np.diff(traj2.ledgers["norm_u_sq"]) < 0)
 
 
 def test_2d_implicit_eigenmode_recursion_oracle():
@@ -390,8 +438,8 @@ def test_2d_stochastic_run_with_both_graphs():
     u0 = GridField(g, 1.2 * gd.sine_mode(g, (1, 1)))
     traj = sv.integrate(cfg, u0, nz.PathSeed(55, 0))
     assert traj.max_graph_residual <= 1e-8
-    assert traj.ledger_column("pairing_eta_gradu").min() >= -1e-10
-    assert traj.ledger_column("pairing_xi_u").min() >= -1e-10
+    assert traj.ledgers["pairing_eta_gradu"].min() >= -1e-10
+    assert traj.ledgers["pairing_xi_u"].min() >= -1e-10
     rerun = sv.integrate(cfg, u0, nz.PathSeed(55, 0))
     assert np.array_equal(traj.states(), rerun.states())
 
@@ -414,10 +462,10 @@ def test_trajectory_csv_format(tmp_path):
     assert lines[2] == "step,t," + ",".join(sv.LEDGER_COLUMNS)
     traj = sv.integrate(heat_cfg(horizon=3 / 64), GridField(G16, gd.sine_mode(G16, 1)))
     assert len(lines) == 3 + traj.config.n_steps + 1
-    for line, rec in zip(lines[3:], traj.records):
+    for n, (line, rec) in enumerate(zip(lines[3:], traj.records)):
         row = line.split(",")
         assert row[0] == str(rec.index)
-        expected = [rec.t, *(getattr(rec, c) for c in sv.LEDGER_COLUMNS)]
+        expected = [rec.t, *(traj.ledgers[c][n] for c in sv.LEDGER_COLUMNS)]
         assert [float(v) for v in row[1:]] == expected
 
 

@@ -112,10 +112,17 @@ def test_lipschitz_additive_contraction():
     cfg = base_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential())
     u0a = GridField(G, gd.sine_mode(G, 1))
     u0b = sv.initial_datum(G, "bump", amplitude=0.6)
-    rep = vf.lipschitz_test(cfg, u0a, u0b, n_paths=4, master_seed=17)
-    assert rep.pathwise_ok
-    assert rep.ratio <= 1.0 + 1e-9
-    assert rep.all_passed
+    for noise in (cfg.noise, None):   # without noise both data run as one-path batches
+        rep = vf.lipschitz_test(replace(cfg, noise=noise), u0a, u0b, n_paths=4, master_seed=17)
+        ratio, pathwise = rep.assertions
+        assert (ratio.name, pathwise.name) == ("lipschitz_ratio", "pathwise_contraction_excess")
+        assert pathwise.passed
+        assert rep.ratio <= 1.0 + 1e-9
+        assert rep.all_passed
+    diff = sv.integrate(replace(cfg, noise=None), u0a).states() - sv.integrate(
+        replace(cfg, noise=None), u0b).states()
+    sup = np.sqrt(G.node_volume * (diff**2).sum(axis=1)).max()
+    assert rep.ratio == sup / gd.norm_h(G, u0a.values - u0b.values)
 
 
 def phi_and_eta_distance(cfg_a, cfg_b, checkpoints):
@@ -171,7 +178,7 @@ def test_apriori_report_zero_and_slope_guard():
     cfg = base_cfg(noise=None)
     _, entries = lambda_sweep(cfg, (0.5, 0.25, 0.125), nz.PathSeed(1))
     rep = vf.apriori_report(entries)
-    assert all(v == 0.0 for v in rep.ensemble.values())
+    assert all(e.bounds[name] == 0.0 for e in entries for name in vf.BOUND_NAMES)
     assert rep.all_passed
     with pytest.raises(ValueError):
         vf.apriori_report([])
