@@ -507,6 +507,40 @@ prefix = repro
 """
 
 
+# the 2-d run path: semi-implicit on 8x8 with the exp-cosh graph, a tanh gain
+# and state dumps
+_REPRO_2D_CONFIG = """\
+[grid]
+dimension = 2
+extent = 1.0
+nodes = 8
+
+[potentials]
+gamma_kind = power
+gamma_p = 4.0
+beta_kind = expcosh
+
+[noise]
+mode_count = 8
+amp_c = 0.5
+amp_q = 1.0
+gain = tanh
+master_seed = 20260809
+
+[solver]
+lambda_yosida = 0.5
+dt = 0.000244140625
+horizon = 0.0078125
+scheme = semi_implicit
+u0_kind = bump
+u0_amplitude = 1.0
+
+[output]
+prefix = repro2d
+dump_every = 8
+"""
+
+
 def _tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -527,13 +561,16 @@ def criterion_repro(workdir=None, rc=None):
     base = workdir or tempfile.mkdtemp(prefix="dnpde-repro-")
     os.makedirs(base, exist_ok=True)
     cfg_path = os.path.join(base, "repro.cfg")
-    with open(cfg_path, "w", newline="\n") as fh:
-        fh.write(_REPRO_CONFIG)
+    cfg_2d_path = os.path.join(base, "repro_2d.cfg")
+    for path, text in ((cfg_path, _REPRO_CONFIG), (cfg_2d_path, _REPRO_2D_CONFIG)):
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
     commands = {
         "run": ["run", cfg_path],
         "sweep": ["sweep", cfg_path, "--param", "lambda_yosida", "--values", "0.2,0.1"],
         "verify": ["verify", cfg_path, "--select", "convex_oracle"],
+        "run_2d": ["run", cfg_2d_path],
     }
     assertions = []
     for name, argv in commands.items():

@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from dnpde import config as configmod
 from dnpde import grid as gridmod
 from dnpde import noise as noisemod
@@ -47,7 +49,8 @@ def _out_paths(rc, out_dir):
 
 
 def cmd_run(config_path, seed_override=None, out_dir=None):
-    """Run one simulation; write the trajectory CSV and a run summary."""
+    """Run one simulation; write the trajectory CSV, a run summary and every
+    ``dump_every``-th state, the only states the run holds."""
     rc = configmod.load_config(config_path)
     cfg, u0 = configmod.build_problem(rc)
     seed_val = configmod.master_seed(rc, seed_override)
@@ -58,22 +61,21 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
 
     t0 = time.monotonic()
     path_seed = noisemod.PathSeed(seed_val, 0) if cfg.noise is not None else None
-    traj = solvermod.integrate(cfg, u0, path_seed)
+    traj = solvermod.integrate(cfg, u0, path_seed, keep_every=dump_every)
     wall = time.monotonic() - t0
 
-    columns = [traj.ledgers[c].tolist() for c in solvermod.LEDGER_COLUMNS]
+    table = np.column_stack([traj.ledgers[c] for c in solvermod.LEDGER_COLUMNS])
     verifymod.write_report_csv(
         os.path.join(out, f"{prefix}_trajectory.csv"),
         ["step", "t", *solvermod.LEDGER_COLUMNS],
-        [[rec.index, rec.t, *row] for rec, *row in zip(traj.records, *columns)],
+        ([n, n * cfg.dt, *row.tolist()] for n, row in enumerate(table)),
         _comments(rc, seed_val),
     )
-    if dump_every:
-        for rec in traj.records[::dump_every]:
-            gridmod.write_field(
-                gridmod.GridField(cfg.grid, rec.u),
-                os.path.join(out, f"{prefix}_state_{rec.index:06d}.txt"),
-            )
+    for rec in traj.records:   # the states kept are the dumps
+        gridmod.write_field(
+            gridmod.GridField(cfg.grid, rec.u),
+            os.path.join(out, f"{prefix}_state_{rec.index:06d}.txt"),
+        )
     summary = {
         "config_checksum": rc.checksum,
         "master_seed": seed_val,

@@ -228,6 +228,12 @@ def build_potential(rc: RunConfig, role) -> convex.Potential | None:
     )
 
 
+def _finite_square_sum(amps):
+    """Whether sum b_k**2, the noise's Hilbert-Schmidt scale, is finite."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.sum(np.square(amps))))
+
+
 def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     if not rc.has("noise"):
         return None
@@ -249,6 +255,8 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
             )
         if not all(map(math.isfinite, amps)) or not any(amps):
             raise ConfigError("amplitudes must be finite and not all zero", line("amplitudes"))
+        if not _finite_square_sum(amps):
+            raise ConfigError("amplitudes must have a finite sum of squares", line("amplitudes"))
     else:
         c = rc.get("noise", "amp_c")
         q = rc.get("noise", "amp_q")
@@ -262,6 +270,9 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
             amps = noisemod.amplitudes_power_law(K, c, q)
         if not (math.isfinite(q) and all(map(math.isfinite, amps))):
             raise ConfigError("amp_q must be finite and give finite amplitudes", line("amp_q"))
+        if not _finite_square_sum(amps):
+            key = "amp_c" if not _finite_square_sum((c,)) else "amp_q"
+            raise ConfigError(f"{key} must give amplitudes with a finite sum of squares", line(key))
     gain_kind = rc.get("noise", "gain", "additive")
     gain_params = {}
     if gain_kind == "clipped" and rc.has("noise", "gain_limit"):

@@ -289,7 +289,7 @@ class ExpCoshPotential(Potential):
         r = np.minimum(a / (1.0 + c), np.arcsinh(a / c))
         for _ in range(NEWTON_CAP):
             nxt = r - (r + c * np.sinh(r) - a) / (1.0 + c * np.cosh(r))
-            if not np.any(nxt < r):
+            if not (nxt < r).any():
                 return np.sign(x) * r
             r = np.minimum(nxt, r)
         raise RootFindError(f"exp-cosh Newton did not settle in {NEWTON_CAP} iterations")

@@ -28,6 +28,10 @@ buffer, and shared by the energy ledger, both steps and the graph
 certificate, which checks each graph by one Fenchel residual.  A record whose
 certificate cannot be evaluated or whose ledger row is not finite fails the
 run at its step.
+
+Certifying a record and keeping it are separate: a single path certifies
+every record but keeps only every ``keep_every``-th state, so a run that
+writes a few dumps holds those states and the ledger, not the whole path.
 """
 
 from __future__ import annotations
@@ -330,11 +334,14 @@ class Trajectory:
     """The result of one run, a single path or a batch of paths.
 
     ``ledgers`` maps each of ``LEDGER_COLUMNS`` to an array of shape
-    ``(n_records, *batch)``; ``records`` holds the kept ``StateRecord``s
-    (always for ``integrate``, for a batch only with ``keep_states``) and
-    ``max_graph_residual`` their largest Fenchel residual (None when no record
-    was kept); ``energy_residual`` is a float for one path and an array per
-    path for a batch.
+    ``(n_records, *batch)``, one row per record.  ``records`` holds the kept
+    ``StateRecord``s: for ``integrate`` those whose index is a multiple of
+    ``keep_every`` (every record by default, none for 0), for a batch all of
+    them with ``keep_states`` and none without.  ``max_graph_residual`` is the
+    largest Fenchel residual over every certified record, kept or not: every
+    record of ``integrate`` and of a batch with ``keep_states``; it is None
+    for a batch without.  ``energy_residual`` is a float for one path and an
+    array per path for a batch.
     """
 
     config: SolverConfig
@@ -368,16 +375,17 @@ def _write_ledger_row(cfg, state, noise_field, ledgers, n):
             ledgers["stoch_pairing"][n] = gridmod.dot_h(g, u, noise_field)
 
 
-def _run(cfg, u, increments, keep_fields):
+def _run(cfg, u, increments, certify, keep_every):
     """The stepping loop behind ``integrate`` and ``integrate_batch``; returns
     the run's ``Trajectory``.
 
     ``u`` is a node array with or without a trailing path axis; the grid and
     noise operators broadcast over it, so the loop never looks at the batch
     shape.  Each record's ledger row is written in place into columns of
-    shape ``(n_records, *batch)``, views of one store; with ``keep_fields``
-    the record is kept (its arrays by reference) and its (resolvent point,
-    Yosida value) pairs are certified by their Fenchel residual.  A pair whose
+    shape ``(n_records, *batch)``, views of one store.  With ``certify`` every
+    record's (resolvent point, Yosida value) pairs are certified by their
+    Fenchel residual; a record whose index is a multiple of ``keep_every``
+    (none for 0) is also kept, its arrays by reference.  A pair whose
     residual cannot be evaluated, or a non-finite ledger value, fails the run
     with a ``SolverError`` at its record's step.
     """
@@ -401,7 +409,7 @@ def _run(cfg, u, increments, keep_fields):
     def record(n, state, noise_field):
         # the certificate goes first, so a record it refuses gets no ledger row
         nonlocal worst
-        if keep_fields:
+        if certify:
             graphs = ((cfg.gamma, state.j_buf, state.eta_buf), (cfg.beta, state.j_nodes, state.xi))
             for pot, j, y in graphs:
                 if pot is not None:
@@ -410,6 +418,7 @@ def _run(cfg, u, increments, keep_fields):
                     except ValueError as err:
                         raise SolverError(f"graph certificate failed: {err}", n) from None
                     worst = max(worst, float(np.abs(res).max()))
+        if keep_every and n % keep_every == 0:
             records.append(StateRecord(n, n * cfg.dt, state.u, state.eta or no_flux, state.xi))
         _write_ledger_row(cfg, state, noise_field, ledgers, n)
         if not np.isfinite(store[:, n]).all():
@@ -432,7 +441,7 @@ def _run(cfg, u, increments, keep_fields):
             err.step_index = n + 1
             raise
     record(cfg.n_steps, state, None)
-    traj = Trajectory(cfg, ledgers, records, state.u, worst if keep_fields else None)
+    traj = Trajectory(cfg, ledgers, records, state.u, worst if certify else None)
     residual = energy_residual(traj)
     traj.energy_residual = float(residual) if np.ndim(residual) == 0 else residual
     return traj
@@ -475,20 +484,24 @@ def energy_residual(result):
 # single paths and batches
 # ---------------------------------------------------------------------------
 
-def integrate(cfg, u0: GridField, seed=None, increments=None) -> Trajectory:
-    """Integrate one path, recording the triplet (u, eta, xi) and the ledger.
+def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> Trajectory:
+    """Integrate one path, recording the ledger and certifying every record.
 
+    The triplet (u, eta, xi) is kept for the records whose index is a
+    multiple of ``keep_every`` (every record by default, none for 0).
     Deterministic given (cfg, u0, seed); the noise increment table can also
     be passed explicitly for coupled-path studies.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum does not live on the solver grid")
+    if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
+        raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
     if cfg.noise is not None and increments is None and seed is not None:
         increments = noisemod.sample_increments(
             seed, cfg.n_steps, cfg.dt, cfg.noise.mode_count
         )
     increments = _check_increments(cfg, increments)
-    return _run(cfg, np.array(u0.values, dtype=float), increments, keep_fields=True)
+    return _run(cfg, np.array(u0.values, dtype=float), increments, True, keep_every)
 
 
 def integrate_batch(cfg, u0, increments, keep_states=False) -> Trajectory:
@@ -498,7 +511,8 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> Trajectory:
     (n_steps, K, P) (or None for deterministic runs, in which case P comes
     from u0).  Paths evolve independently; the inner optimizer stops when
     every path satisfies the gradient tolerance, so each path's step is
-    certified individually.  Records are kept only with ``keep_states``.
+    certified individually.  With ``keep_states`` every record is certified
+    and kept; without, none is.
     """
     g = cfg.grid
     increments = _check_increments(cfg, increments)
@@ -515,7 +529,7 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> Trajectory:
         u = u0.copy()
     else:
         raise ValueError(f"{u0.shape[-1]} initial data for {n_paths} noise paths")
-    return _run(cfg, u, increments, keep_fields=keep_states)
+    return _run(cfg, u, increments, keep_states, int(keep_states))
 
 
 def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None):

@@ -1,7 +1,10 @@
 """Config parsing and CLI contract tests: exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,6 +13,7 @@ import pytest
 from dnpde import cli, config as cfgmod
 from dnpde import noise as nz
 from dnpde import verify as vf
+from dnpde.grid import DirichletGrid
 
 BASIC = """\
 [grid]
@@ -140,13 +144,13 @@ def test_run_rejects_jobs_flag(tmp_path):
 # mode_count = 0, n_b = -1, an empty u0_path file and a nan or zero noise
 # amplitude used to end in a traceback, an infinite amplitude failed at step 1,
 # n_b = inf made the declared bound vacuous, u0_mode = 0 and 99 used to run on a
-# zero and an aliased datum, and a non-finite u0_amplitude must be named, not
-# the mode it scales
+# zero and an aliased datum, a non-finite u0_amplitude must be named, not the
+# mode it scales, and an amplitude whose square overflows failed at step 0
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
     "u0_amplitude = nan", "amp_q = nan", "amp_c = nan", "amplitudes = nan", "amp_c = 0",
-    "amp_c = inf", "amplitudes = inf", "n_b = inf",
+    "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it
@@ -194,11 +198,9 @@ def test_run_negative_dump_every_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
-def test_run_failed_graph_certificate_exits_3(tmp_path, capsys, scheme):
-    # at amplitude 1e200 the exp-cosh Yosida value leaves dom P*: the record
-    # of step 0 cannot be certified, and the run fails closed
-    text = """\
+# the benchmark's 2-d semi-implicit run at 8x8: p=4 gamma, exp-cosh beta, 32
+# tanh-gain modes, dt = 2**-14
+SEMI_2D = """\
 [grid]
 dimension = 2
 extent = 1.0
@@ -218,17 +220,61 @@ gain = tanh
 [solver]
 lambda_yosida = 0.5
 dt = 0.00006103515625
-horizon = 0.0625
 u0_kind = bump
-u0_amplitude = 1e200
 """
-    cfg = write_cfg(tmp_path, text + f"scheme = {scheme}\n")
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
+def test_run_failed_graph_certificate_exits_3(tmp_path, capsys, scheme):
+    # at amplitude 1e200 the exp-cosh Yosida value leaves dom P*: the record
+    # of step 0 cannot be certified, and the run fails closed
+    text = SEMI_2D + f"horizon = 0.0625\nu0_amplitude = 1e200\nscheme = {scheme}\n"
+    cfg = write_cfg(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)   # no overflow warning escapes
         assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure at step 0: graph certificate failed: ")
     assert "infinite conjugate" in err
+
+
+def test_run_without_dumps_certifies_every_record(tmp_path):
+    text = BASIC.replace("prefix = demo", "prefix = demo\ndump_every = 0")
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["demo_summary.json", "demo_trajectory.csv"]
+    summary = json.loads((out / "demo_summary.json").read_text())
+    assert summary["max_fenchel_gap"] is not None
+    rows = (out / "demo_trajectory.csv").read_text().splitlines()[3:]
+    assert [r.split(",")[0] for r in rows] == [str(n) for n in range(summary["n_steps"] + 1)]
+
+
+def _run_peak(tmp_path, horizon):
+    """Traced peak of one 2-d ``dnpde run`` dumping every 64th state, above the
+    memory traced before it."""
+    text = SEMI_2D + f"horizon = {horizon}\nscheme = semi_implicit\n[output]\ndump_every = 64\n"
+    cfg = write_cfg(tmp_path, text)
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_run_memory_is_flat_in_the_step_count(tmp_path):
+    # the ledger and the increment table grow with the step count (about 270 B
+    # a step here), the states do not: holding every state would add a whole
+    # state (2,176 B of arrays on 8x8, 3.3 kB traced) per step
+    tracemalloc.start()
+    try:
+        _run_peak(tmp_path, 1 / 128)   # warm the eigenpair and HS-weight caches
+        one = _run_peak(tmp_path, 1 / 128)    # 128 steps
+        four = _run_peak(tmp_path, 1 / 32)    # 512 steps
+    finally:
+        tracemalloc.stop()
+    g = DirichletGrid((1.0, 1.0), (8, 8))
+    state_bytes = 8 * (2 * math.prod(g.shape) + sum(math.prod(s) for s in g.face_shapes()))
+    assert (four - one) / (512 - 128) <= 0.25 * state_bytes
 
 
 def test_run_seed_override(tmp_path):

@@ -591,6 +591,60 @@ def test_graph_residual_matches_posthoc_formula():
         assert 0.0 < traj.max_graph_residual == _posthoc_graph_residual(traj)
 
 
+def _stride_run(kind):
+    """A 10-step run with both graphs and noise, 1-d implicit or 2-d semi-implicit."""
+    model = nz.NoiseModel((0.4, 0.2), nz.AdditiveGain(), 0.5)
+    if kind == "1d_implicit":
+        cfg = heat_cfg(
+            gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), noise=model, horizon=10 / 64,
+        )
+        return cfg, GridField(G16, 1.5 * gd.sine_mode(G16, 1))
+    g2 = DirichletGrid((1.0, 1.0), (6, 6))
+    cfg = sv.SolverConfig(
+        g2, cx.PowerPotential(4.0), cx.ExpCoshPotential(), model,
+        lambda_yosida=0.5, dt=1e-3, horizon=1e-2, scheme="semi_implicit",
+    )
+    return cfg, GridField(g2, 2.0 * gd.sine_mode(g2, (1, 1)))
+
+
+@pytest.mark.parametrize("kind", ["1d_implicit", "2d_semi_implicit"])
+def test_keep_every_keeps_a_stride_of_a_certified_run(kind):
+    # keeping fewer records changes what is held, not what is computed
+    cfg, u0 = _stride_run(kind)
+    full = sv.integrate(cfg, u0, nz.PathSeed(11, 0))
+    for keep_every in (4, 0):
+        part = sv.integrate(cfg, u0, nz.PathSeed(11, 0), keep_every=keep_every)
+        for c in sv.LEDGER_COLUMNS:
+            assert np.array_equal(part.ledgers[c], full.ledgers[c])
+        assert np.array_equal(part.terminal, full.terminal)
+        assert part.energy_residual == full.energy_residual
+        assert part.max_graph_residual == full.max_graph_residual > 0.0
+        kept = range(0, cfg.n_steps + 1, keep_every) if keep_every else []
+        assert [r.index for r in part.records] == list(kept)
+        for r in part.records:
+            assert np.array_equal(r.u, full.records[r.index].u)
+    with pytest.raises(ValueError, match="keep_every"):
+        sv.integrate(cfg, u0, nz.PathSeed(11, 0), keep_every=-1)
+
+
+def test_certificate_failure_at_an_unkept_record_fails_the_run(monkeypatch):
+    # one graph, so the fourth certificate is the step-3 record's, which a
+    # stride of 4 does not keep
+    calls, inner = [], cx.fenchel_residual
+
+    def refuse_fourth(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise ValueError("refused")
+        return inner(*args)
+
+    monkeypatch.setattr(cx, "fenchel_residual", refuse_fourth)
+    cfg = heat_cfg(horizon=8 / 64)
+    with pytest.raises(sv.SolverError, match="graph certificate failed: refused") as err:
+        sv.integrate(cfg, GridField(G16, gd.sine_mode(G16, 1)), keep_every=4)
+    assert err.value.step_index == 3
+
+
 def test_total_variation_flux_converges_within_default_budget():
     # plain Newton overshoots on the sign-graph flux and takes 335 iterations
     # here; with the secant damping it takes 14 (max_inner = 100)
