@@ -13,8 +13,9 @@ staggered grids carry one normal gradient component per face, so a flux
 graph is applied face by face through its profile.  Every catalog potential
 has an exact resolvent and an exact conjugate of its own (closed forms, a
 monotone Newton iteration for exp-cosh, interpolation for sampled graphs).
-Safeguarded bisection is the independent reference route (``force_bisect``)
-and serves power potentials with p outside {1.5, 2, 4}.
+Safeguarded bisection is the independent reference route (``force_bisect``
+of ``resolvent``, the only place that picks the route) and serves power
+potentials with p outside {1.5, 2, 4}; the solver calls ``closed_resolvent``.
 """
 
 from __future__ import annotations
@@ -461,18 +462,6 @@ def _bisect_scalar_graph(pot, lam, x):
     return np.clip(r - np.nan_to_num(step, posinf=0.0, neginf=0.0), lo, hi)
 
 
-def _resolvent_point(pot, lam, x, force_bisect=False):
-    """``J_lam(x)`` on a checked float array: the potential's own exact
-    route, or bisection when ``force_bisect`` asks for the reference.
-
-    The only place that picks the route; ``resolvent`` and the solver's
-    state evaluation both evaluate resolvents through it.
-    """
-    if force_bisect:
-        return _bisect_scalar_graph(pot, lam, x)
-    return pot.closed_resolvent(lam, x)
-
-
 def resolvent(pot, lam, x, *, force_bisect=False):
     """Resolvent ``J_lam(x)``: the unique ``r`` with ``r + lam*dP(r) ∋ x``.
 
@@ -483,7 +472,9 @@ def resolvent(pot, lam, x, *, force_bisect=False):
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     xa = _as_float_array(x)
-    return _match(x, _resolvent_point(pot, lam, xa, force_bisect))
+    if force_bisect:
+        return _match(x, _bisect_scalar_graph(pot, lam, xa))
+    return _match(x, pot.closed_resolvent(lam, xa))
 
 
 def yosida(pot, lam, x, **kw):

@@ -24,10 +24,10 @@ and batches of independent noise paths run through one stepping loop into one
 result type, ``Trajectory``, whose ledger columns carry the batch axes; an
 ensemble is integrated as one batch.  Each state's face gradients, resolvent
 points and Yosida values are evaluated once, every face axis in one face
-buffer, and shared by the energy ledger, both steps and the graph
-certificate, which checks each graph by one Fenchel residual.  A record whose
-certificate cannot be evaluated or whose ledger row is not finite fails the
-run at its step.
+buffer, and shared by the energy ledger, both steps, the graph certificate,
+which checks each graph by one Fenchel residual, and the kept record, which
+``verify`` reads.  A record whose certificate cannot be evaluated or whose
+ledger row is not finite fails the run at its step.
 
 Certifying a record and keeping it are separate: a single path certifies
 every record but keeps only every ``keep_every``-th state, so a run that
@@ -124,7 +124,10 @@ class SolverConfig:
             raise ValueError("max_inner must be at least 1")
         if self.scheme not in ("implicit_opt", "semi_implicit"):
             raise ValueError(f"scheme {self.scheme!r} is unknown")
-        n = round(self.horizon / self.dt)
+        steps = self.horizon / self.dt
+        if not steps <= np.iinfo(np.intp).max:
+            raise ValueError(f"dt {self.dt!r} gives {steps:.3g} steps, more than an array holds")
+        n = round(steps)
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer multiple of dt")
 
@@ -155,11 +158,11 @@ def _state(cfg, u):
     j_buf = eta_buf = eta = j_nodes = xi = None
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.gamma is not None:
-            j_buf = convex._resolvent_point(cfg.gamma, lam, face_buf)
+            j_buf = cfg.gamma.closed_resolvent(lam, face_buf)
             eta_buf = cfg.gamma.yosida_from_resolvent(lam, face_buf, j_buf)
             eta = gridmod.face_views(g, eta_buf)
         if cfg.beta is not None:
-            j_nodes = convex._resolvent_point(cfg.beta, lam, u)
+            j_nodes = cfg.beta.closed_resolvent(lam, u)
             xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
     return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi)
 
@@ -325,6 +328,7 @@ class StateRecord:
     index: int
     t: float
     u: np.ndarray
+    faces: list         # face arrays, grad u
     eta: tuple          # face arrays, gamma_lam(grad u)
     xi: np.ndarray | None
 
@@ -419,7 +423,9 @@ def _run(cfg, u, increments, certify, keep_every):
                         raise SolverError(f"graph certificate failed: {err}", n) from None
                     worst = max(worst, float(np.abs(res).max()))
         if keep_every and n % keep_every == 0:
-            records.append(StateRecord(n, n * cfg.dt, state.u, state.eta or no_flux, state.xi))
+            records.append(
+                StateRecord(n, n * cfg.dt, state.u, state.faces, state.eta or no_flux, state.xi)
+            )
         _write_ledger_row(cfg, state, noise_field, ledgers, n)
         if not np.isfinite(store[:, n]).all():
             bad = [name for name, col in ledgers.items() if not np.isfinite(col[n]).all()]
@@ -487,7 +493,7 @@ def energy_residual(result):
 def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> Trajectory:
     """Integrate one path, recording the ledger and certifying every record.
 
-    The triplet (u, eta, xi) is kept for the records whose index is a
+    The record (u, faces, eta, xi) is kept for the records whose index is a
     multiple of ``keep_every`` (every record by default, none for 0).
     Deterministic given (cfg, u0, seed); the noise increment table can also
     be passed explicitly for coupled-path studies.

@@ -9,6 +9,8 @@ the initial datum, and the distinguished role of the combination
 
 ``sweep`` is the one routine that runs a family of configs along one coupled
 noise path; ``dnpde sweep`` and criteria 6 and 7 both call it.
+``record_integrals`` and ``phi_integral`` each walk a run's records once,
+reading the face gradients the run kept with them.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ from dnpde.grid import GridField
 __all__ = [
     "Assertion",
     "SweepEntry",
-    "LipschitzReport",
-    "AprioriReport",
     "sweep",
     "cauchy_distance",
     "lipschitz_test",
     "apriori_report",
-    "build_phi",
+    "phi_integral",
     "observed_order",
-    "trajectory_bounds",
-    "fenchel_gap_integrals",
-    "tail_profiles",
+    "record_integrals",
     "write_report_csv",
     "DEFAULT_TAIL_LEVELS",
     "SWEEP_COLUMNS",
@@ -93,65 +91,50 @@ def observed_order(values, spacings):
 # trajectory functionals
 # ---------------------------------------------------------------------------
 
-def trajectory_bounds(traj):
-    """The four a-priori ledger quantities of one run (right-endpoint sums)."""
+def _steps(traj):
+    """Records ``1..N`` of a run that kept every record."""
+    if len(traj.records) != traj.config.n_steps + 1:
+        raise ValueError("the run's integrals need every record kept (keep_every=1)")
+    return traj.records[1:]
+
+
+def record_integrals(traj):
+    """The run's time integrals, right-endpoint sums in one walk over its records.
+
+    Returns ``(bounds, gap_gamma, gap_beta, tails_eta, tails_xi)``: ``bounds``
+    maps ``BOUND_NAMES`` to the four a-priori ledger quantities; each graph's
+    Fenchel gap is integrated over space and time (None without the graph);
+    the tails are tau(M) = integral of |.| over {|.| > M} for eta (faces) and
+    xi (nodes), M over ``DEFAULT_TAIL_LEVELS``.
+    """
     cfg, led = traj.config, traj.ledgers
     dt = cfg.dt
-    sup_u_sq = float(led["norm_u_sq"].max())
+    w = dt * cfg.grid.node_volume
     grad_sq = 0.0
-    for rec in traj.records[1:]:
-        g = gridmod.grad_arrays(cfg.grid, rec.u)
-        grad_sq += dt * float(gridmod.flux_dot_h(cfg.grid, g, g))
-    return {
-        "sup_u_sq": sup_u_sq,
-        "visc_grad_sq": cfg.visc * grad_sq,
-        "int_eta_gradu": dt * float(sum(led["pairing_eta_gradu"][1:])),
-        "int_xi_u": dt * float(sum(led["pairing_xi_u"][1:])),
-    }
-
-
-def fenchel_gap_integrals(traj):
-    """Time-space integrals of the Fenchel gaps for both graphs (or None)."""
-    cfg = traj.config
-    vol = cfg.grid.node_volume
-    dt = cfg.dt
-    gap_gamma = gap_beta = None
-    if cfg.gamma is not None:
-        total = 0.0
-        for rec in traj.records[1:]:
-            g = gridmod.grad_arrays(cfg.grid, rec.u)
-            for ga, ea in zip(g, rec.eta):
-                gap = convex.fenchel_residual(cfg.gamma, ga, ea)
-                total += dt * vol * float(np.sum(gap))
-        gap_gamma = total
-    if cfg.beta is not None:
-        total = 0.0
-        for rec in traj.records[1:]:
-            gap = convex.fenchel_residual(cfg.beta, rec.u, rec.xi)
-            total += dt * vol * float(np.sum(gap))
-        gap_beta = total
-    return gap_gamma, gap_beta
-
-
-def tail_profiles(traj):
-    """tau(M) = integral of |.| over {|.| > M} for eta (faces) and xi (nodes).
-
-    M runs over ``DEFAULT_TAIL_LEVELS``.
-    """
-    levels = DEFAULT_TAIL_LEVELS
-    cfg = traj.config
-    vol = cfg.grid.node_volume
-    dt = cfg.dt
-    tails_eta = np.zeros(len(levels))
-    tails_xi = np.zeros(len(levels))
-    for rec in traj.records[1:]:
+    gap_gamma = None if cfg.gamma is None else 0.0
+    gap_beta = None if cfg.beta is None else 0.0
+    tails_eta = np.zeros(len(DEFAULT_TAIL_LEVELS))
+    tails_xi = np.zeros(len(DEFAULT_TAIL_LEVELS))
+    for rec in _steps(traj):
+        grad_sq += dt * float(gridmod.flux_dot_h(cfg.grid, rec.faces, rec.faces))
+        if cfg.gamma is not None:
+            for ga, ea in zip(rec.faces, rec.eta):
+                gap_gamma += w * float(np.sum(convex.fenchel_residual(cfg.gamma, ga, ea)))
+        if cfg.beta is not None:
+            gap_beta += w * float(np.sum(convex.fenchel_residual(cfg.beta, rec.u, rec.xi)))
         xi = () if rec.xi is None else (rec.xi,)
         for tails, arrays in ((tails_eta, rec.eta), (tails_xi, xi)):
             for arr in arrays:
                 a = np.abs(arr)
-                for i, M in enumerate(levels):
-                    tails[i] += dt * vol * float(a[a > M].sum())
-    return tails_eta, tails_xi
+                for i, M in enumerate(DEFAULT_TAIL_LEVELS):
+                    tails[i] += w * float(a[a > M].sum())
+    bounds = {
+        "sup_u_sq": float(led["norm_u_sq"].max()),
+        "visc_grad_sq": cfg.visc * grad_sq,
+        "int_eta_gradu": dt * float(sum(led["pairing_eta_gradu"][1:])),
+        "int_xi_u": dt * float(sum(led["pairing_xi_u"][1:])),
+    }
+    return bounds, gap_gamma, gap_beta, tails_eta, tails_xi
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +228,7 @@ def _sweep_entries(runs, tables, seed):
                 f"sweep run {i} (lambda={cfg.lambda_yosida}, dt={cfg.dt}) failed: {err}",
                 err.step_index,
             ) from err
-        gap_g, gap_b = fenchel_gap_integrals(traj)
-        tails_eta, tails_xi = tail_profiles(traj)
-        yield SweepEntry(
-            traj, cauchy_distance(prev, traj), trajectory_bounds(traj),
-            gap_g, gap_b, tails_eta, tails_xi,
-        )
+        yield SweepEntry(traj, cauchy_distance(prev, traj), *record_integrals(traj))
         prev = traj
 
 
@@ -258,23 +236,14 @@ def _sweep_entries(runs, tables, seed):
 # Lipschitz dependence on the initial datum
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LipschitzReport:
-    ratio: float
-    assertions: list
-
-    @property
-    def all_passed(self):
-        return all(a.passed for a in self.assertions)
-
-
 def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     """Couple both initial data to identical noise paths and compare.
 
     Reports ``R = sqrt(mean_path sup_t ||u_a - u_b||^2) / ||u0_a - u0_b||``
     against the Gronwall constant ``exp((1 + N_B^2) T)``; for additive noise
     the per-step contraction of the implicit scheme is asserted pathwise.
-    Without noise both data run as one-path batches.
+    Without noise both data run as one-path batches.  Returns
+    ``(ratio, assertions)``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -309,56 +278,31 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
         assertions.append(
             Assertion("pathwise_contraction_excess", worst, 0.0, worst <= 0.0)
         )
-    return LipschitzReport(ratio, assertions)
+    return ratio, assertions
 
 
 # ---------------------------------------------------------------------------
 # Phi = -div(eta) + xi
 # ---------------------------------------------------------------------------
 
-def _checkpoint_indices(cfg, checkpoints):
-    idx = []
-    for t in checkpoints:
-        k = round(t / cfg.dt)
-        if abs(k * cfg.dt - t) > 1e-9 * max(1.0, cfg.horizon) or not 0 <= k <= cfg.n_steps:
-            raise ValueError(f"checkpoint {t} does not lie on the time grid")
-        idx.append(k)
-    return idx
-
-
-def build_phi(traj, checkpoints):
-    """Time integral of ``-div(eta) + xi`` at each checkpoint time (0 at t=0),
-    as one ``(len(checkpoints), *nodes)`` array."""
+def phi_integral(traj):
+    """Time integral of ``-div(eta) + xi`` over the horizon, a node array."""
     cfg = traj.config
-    idx = _checkpoint_indices(cfg, checkpoints)
-    want = set(idx)
     acc = np.zeros(cfg.grid.shape)
-    snaps = {0: acc.copy()} if 0 in want else {}
-    for rec in traj.records[1:]:
+    for rec in _steps(traj):
         term = -gridmod.div_arrays(cfg.grid, rec.eta)
         if rec.xi is not None:
             term = term + rec.xi
         acc = acc + cfg.dt * term
-        if rec.index in want:
-            snaps[rec.index] = acc.copy()
-    return np.stack([snaps[k] for k in idx])
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # a-priori bound table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AprioriReport:
-    assertions: list
-
-    @property
-    def all_passed(self):
-        return all(a.passed for a in self.assertions)
-
-
 def apriori_report(entries):
-    """Tabulate the four a-priori quantities of each sweep entry.
+    """Assertions on the four a-priori quantities of the sweep entries.
 
     Finiteness is asserted always; across a lambda-indexed family the
     relative regression slope of each quantity against ln(lambda) must not be
@@ -383,4 +327,4 @@ def apriori_report(entries):
                     slope >= APRIORI_SLOPE_THRESHOLD,
                 )
             )
-    return AprioriReport(assertions)
+    return assertions

@@ -145,12 +145,14 @@ def test_run_rejects_jobs_flag(tmp_path):
 # amplitude used to end in a traceback, an infinite amplitude failed at step 1,
 # n_b = inf made the declared bound vacuous, u0_mode = 0 and 99 used to run on a
 # zero and an aliased datum, a non-finite u0_amplitude must be named, not the
-# mode it scales, and an amplitude whose square overflows failed at step 0
+# mode it scales, an amplitude whose square overflows failed at step 0, and a
+# dt giving more steps than an array holds ended in a traceback
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
     "u0_amplitude = nan", "amp_q = nan", "amp_c = nan", "amplitudes = nan", "amp_c = 0",
     "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
+    "dt = 1e-320", "dt = 1e-300",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it
@@ -352,7 +354,7 @@ def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values):
 # 13-node grid of spacing 1/14; the rest crashed
 @pytest.mark.parametrize("param, value", [
     ("h", "-0.1"), ("h", "5"), ("h", "0"), ("h", "0.3"), ("h", "nan"), ("h", "0.07"),
-    ("dt", "0"), ("dt", "0.1"), ("dt", "nan"),
+    ("dt", "0"), ("dt", "0.1"), ("dt", "nan"), ("dt", "1e-320"),
     ("lambda_yosida", "-0.5"), ("lambda_yosida", "nan"), ("lambda_yosida", "inf"),
 ])
 def test_sweep_out_of_range_values_exit_2(tmp_path, capsys, param, value):

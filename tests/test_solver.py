@@ -541,7 +541,8 @@ def test_each_state_is_evaluated_once(monkeypatch):
     # the ledger, the step, the Newton objective and the graph certificate read
     # one evaluation per state: 2 resolvents (the face buffer of every axis and
     # the nodes) for the initial state and for every state a step makes
-    resolvents = _counted(monkeypatch, cx, "_resolvent_point")
+    fluxes = _counted(monkeypatch, cx.PowerPotential, "closed_resolvent")
+    sources = _counted(monkeypatch, cx.ExpCoshPotential, "closed_resolvent")
     evaluations = _counted(monkeypatch, sv, "_evaluate")
     g2 = DirichletGrid((1.0, 1.0), (6, 6))
     cfg = sv.SolverConfig(
@@ -549,15 +550,16 @@ def test_each_state_is_evaluated_once(monkeypatch):
         lambda_yosida=0.5, dt=1e-3, horizon=4e-3, scheme="semi_implicit",
     )
     sv.integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))))
-    assert len(resolvents) == (cfg.n_steps + 1) * 2
+    assert len(fluxes) == len(sources) == cfg.n_steps + 1
     # implicit: each step evaluates its incoming state, then one new state per
     # line-search trial
-    resolvents.clear()
+    fluxes.clear()
+    sources.clear()
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential(), horizon=4 / 64)
     sv.integrate(cfg, GridField(G16, 1.5 * gd.sine_mode(G16, 1)))
     trials = len(evaluations) - cfg.n_steps
     assert trials >= cfg.n_steps
-    assert len(resolvents) == 2 * (1 + trials)
+    assert len(fluxes) == len(sources) == 1 + trials
 
 
 def _posthoc_graph_residual(traj):
@@ -625,6 +627,22 @@ def test_keep_every_keeps_a_stride_of_a_certified_run(kind):
             assert np.array_equal(r.u, full.records[r.index].u)
     with pytest.raises(ValueError, match="keep_every"):
         sv.integrate(cfg, u0, nz.PathSeed(11, 0), keep_every=-1)
+
+
+@pytest.mark.parametrize("kind", ["1d_implicit", "2d_semi_implicit"])
+def test_records_carry_their_face_gradients(kind):
+    # a kept record holds the face gradients its state was evaluated with,
+    # single paths and batches alike
+    cfg, u0 = _stride_run(kind)
+    for traj in (
+        sv.integrate(cfg, u0, nz.PathSeed(11, 0)),
+        sv.run_ensemble(cfg, u0.values, 11, n_paths=3, keep_states=True),
+    ):
+        assert len(traj.records) == cfg.n_steps + 1
+        for rec in traj.records:
+            want = gd.grad_arrays(cfg.grid, rec.u)
+            assert len(rec.faces) == len(want) == cfg.grid.dim
+            assert all(np.array_equal(f, w) for f, w in zip(rec.faces, want))
 
 
 def test_certificate_failure_at_an_unkept_record_fails_the_run(monkeypatch):

@@ -103,9 +103,9 @@ def test_sweep_sign_graph_tail_bound():
 def test_lipschitz_identical_data_gives_zero_ratio():
     cfg = base_cfg()
     u0 = GridField(G, gd.sine_mode(G, 1))
-    rep = vf.lipschitz_test(cfg, u0, u0, n_paths=2, master_seed=8)
-    assert rep.ratio == 0.0
-    assert rep.all_passed
+    ratio, assertions = vf.lipschitz_test(cfg, u0, u0, n_paths=2, master_seed=8)
+    assert ratio == 0.0
+    assert all(a.passed for a in assertions)
 
 
 def test_lipschitz_additive_contraction():
@@ -113,36 +113,36 @@ def test_lipschitz_additive_contraction():
     u0a = GridField(G, gd.sine_mode(G, 1))
     u0b = sv.initial_datum(G, "bump", amplitude=0.6)
     for noise in (cfg.noise, None):   # without noise both data run as one-path batches
-        rep = vf.lipschitz_test(replace(cfg, noise=noise), u0a, u0b, n_paths=4, master_seed=17)
-        ratio, pathwise = rep.assertions
-        assert (ratio.name, pathwise.name) == ("lipschitz_ratio", "pathwise_contraction_excess")
-        assert pathwise.passed
-        assert rep.ratio <= 1.0 + 1e-9
-        assert rep.all_passed
+        ratio, assertions = vf.lipschitz_test(
+            replace(cfg, noise=noise), u0a, u0b, n_paths=4, master_seed=17
+        )
+        bound, pathwise = assertions
+        assert (bound.name, pathwise.name) == ("lipschitz_ratio", "pathwise_contraction_excess")
+        assert bound.passed and pathwise.passed
+        assert ratio <= 1.0 + 1e-9
     diff = sv.integrate(replace(cfg, noise=None), u0a).states() - sv.integrate(
         replace(cfg, noise=None), u0b).states()
     sup = np.sqrt(G.node_volume * (diff**2).sum(axis=1)).max()
-    assert rep.ratio == sup / gd.norm_h(G, u0a.values - u0b.values)
+    assert ratio == sup / gd.norm_h(G, u0a.values - u0b.values)
 
 
-def phi_and_eta_distance(cfg_a, cfg_b, checkpoints):
+def phi_and_eta_distance(cfg_a, cfg_b):
     u0 = GridField(G, gd.sine_mode(G, 1))
     ta = sv.integrate(cfg_a, u0, nz.PathSeed(5))
     tb = sv.integrate(cfg_b, u0, nz.PathSeed(5))
-    pa, pb = vf.build_phi(ta, checkpoints), vf.build_phi(tb, checkpoints)
-    phi = [gd.dual_norm_v0(G, a - b) for a, b in zip(pa, pb)]
+    phi = gd.dual_norm_v0(G, vf.phi_integral(ta) - vf.phi_integral(tb))
     eta = max(
         float(np.abs(ea - eb).max())
         for ra, rb in zip(ta.records, tb.records)
         for ea, eb in zip(ra.eta, rb.eta)
     )
-    return np.array(phi), eta
+    return phi, eta
 
 
 def test_phi_identical_configs_zero_distance():
     cfg = base_cfg(beta=cx.AbsPotential())
-    phi, eta = phi_and_eta_distance(cfg, replace(cfg), [0.125, 0.25])
-    assert np.all(phi == 0.0)
+    phi, eta = phi_and_eta_distance(cfg, replace(cfg))
+    assert phi == 0.0
     assert eta == 0.0
 
 
@@ -151,35 +151,128 @@ def test_phi_accepts_equal_but_distinct_configs():
     cfg_a = base_cfg(beta=cx.AbsPotential())
     cfg_b = base_cfg(beta=cx.AbsPotential())
     assert cfg_a == cfg_b
-    phi, _ = phi_and_eta_distance(cfg_a, cfg_b, [0.25])
-    assert np.all(phi == 0.0)
+    phi, _ = phi_and_eta_distance(cfg_a, cfg_b)
+    assert phi == 0.0
 
 
-def test_build_phi_rejects_off_grid_checkpoint():
-    traj = sv.integrate(base_cfg(), GridField(G, gd.sine_mode(G, 1)), nz.PathSeed(5))
-    with pytest.raises(ValueError):
-        vf.build_phi(traj, [0.1234])
-    with pytest.raises(ValueError):
-        vf.build_phi(traj, [0.5])   # beyond the horizon
+def test_integrals_refuse_a_run_without_every_record():
+    # a strided run has lost the records between its kept ones
+    traj = sv.integrate(base_cfg(), GridField(G, gd.sine_mode(G, 1)), nz.PathSeed(5), keep_every=4)
+    with pytest.raises(ValueError, match="every record"):
+        vf.phi_integral(traj)
+    with pytest.raises(ValueError, match="every record"):
+        vf.record_integrals(traj)
 
 
-def test_build_phi_linearity_and_zero_at_origin():
-    cfg = base_cfg(beta=cx.AbsPotential())
-    traj = sv.integrate(cfg, GridField(G, gd.sine_mode(G, 1)), nz.PathSeed(6))
-    phi = vf.build_phi(traj, [0.0, 0.125, 0.25])
-    assert phi.shape == (3, *G.shape)
-    assert np.all(phi[0] == 0.0)
-    # cumulative: later checkpoint contains the earlier one plus more terms
-    mid = vf.build_phi(traj, [0.125])[0]
-    assert np.array_equal(phi[1], mid)
+def test_phi_integral_closes_the_step_balance():
+    # summing the implicit steps (u_n - u_{n-1})/dt - visc lap u_n - div eta_n
+    # + xi_n = r_n, |r_n|_h <= eps_inner, gives u_N - u_0 - dt visc sum lap u_n
+    # + Phi = dt sum r_n, whose h-norm is at most horizon * eps_inner
+    cfg = base_cfg(beta=cx.AbsPotential(), noise=None, lambda_visc=0.1)
+    u0 = GridField(G, 1.5 * gd.sine_mode(G, 1))
+    traj = sv.integrate(cfg, u0)
+    lap = sum(gd.lap_arrays(G, rec.u) for rec in traj.records[1:])
+    phi = vf.phi_integral(traj)
+    assert gd.norm_h(G, phi) > 1.0
+    balance = traj.terminal - u0.values - cfg.dt * cfg.visc * lap + phi
+    assert gd.norm_h(G, balance) <= 2.0 * cfg.horizon * cfg.eps_inner
+
+
+def _reference_integrals(traj):
+    """``record_integrals`` and ``phi_integral`` as separate walks that rebuild
+    each record's face gradients by ``grad_arrays(rec.u)``."""
+    cfg, led = traj.config, traj.ledgers
+    dt, vol, recs = cfg.dt, cfg.grid.node_volume, traj.records[1:]
+    grad_sq = 0.0
+    for rec in recs:
+        g = gd.grad_arrays(cfg.grid, rec.u)
+        grad_sq += dt * float(gd.flux_dot_h(cfg.grid, g, g))
+    bounds = {
+        "sup_u_sq": float(led["norm_u_sq"].max()),
+        "visc_grad_sq": cfg.visc * grad_sq,
+        "int_eta_gradu": dt * float(sum(led["pairing_eta_gradu"][1:])),
+        "int_xi_u": dt * float(sum(led["pairing_xi_u"][1:])),
+    }
+    gap_gamma = gap_beta = None
+    if cfg.gamma is not None:
+        gap_gamma = 0.0
+        for rec in recs:
+            for ga, ea in zip(gd.grad_arrays(cfg.grid, rec.u), rec.eta):
+                gap_gamma += dt * vol * float(np.sum(cx.fenchel_residual(cfg.gamma, ga, ea)))
+    if cfg.beta is not None:
+        gap_beta = 0.0
+        for rec in recs:
+            gap_beta += dt * vol * float(np.sum(cx.fenchel_residual(cfg.beta, rec.u, rec.xi)))
+    tails_eta = np.zeros(len(vf.DEFAULT_TAIL_LEVELS))
+    tails_xi = np.zeros(len(vf.DEFAULT_TAIL_LEVELS))
+    for rec in recs:
+        xi = () if rec.xi is None else (rec.xi,)
+        for tails, arrays in ((tails_eta, rec.eta), (tails_xi, xi)):
+            for arr in arrays:
+                a = np.abs(arr)
+                for i, M in enumerate(vf.DEFAULT_TAIL_LEVELS):
+                    tails[i] += dt * vol * float(a[a > M].sum())
+    phi = np.zeros(cfg.grid.shape)
+    for rec in recs:
+        term = -gd.div_arrays(cfg.grid, rec.eta)
+        phi = phi + cfg.dt * (term if rec.xi is None else term + rec.xi)
+    return (bounds, gap_gamma, gap_beta, tails_eta, tails_xi), phi
+
+
+GRAPHS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _assert_matches_reference(traj, got=None):
+    (bounds, *rest), phi = _reference_integrals(traj)
+    got_bounds, *got_rest = vf.record_integrals(traj) if got is None else got
+    assert got_bounds == bounds
+    for got, want in zip(got_rest, rest):
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+    assert np.array_equal(vf.phi_integral(traj), phi)
+
+
+@pytest.mark.parametrize("gamma, beta", GRAPHS)
+def test_walk_matches_per_record_recomputation_1d(gamma, beta):
+    # every sum bit for bit, on the trajectories of a lambda sweep
+    cfg = base_cfg(
+        gamma=cx.PowerPotential(4.0) if gamma else None,
+        beta=cx.ExpCoshPotential() if beta else None,
+    )
+    u0 = GridField(G, 1.5 * gd.sine_mode(G, 1))
+    _, entries = lambda_sweep(cfg, [0.5, 0.25], nz.PathSeed(21), u0=u0)
+    for e in entries:
+        _assert_matches_reference(e.trajectory)
+        _assert_matches_reference(e.trajectory, (
+            e.bounds, e.fenchel_gap_gamma, e.fenchel_gap_beta, e.tails_eta, e.tails_xi,
+        ))
+        assert (e.fenchel_gap_gamma is None) != gamma
+        assert (e.tails_eta[0] > 0.0) == gamma and (e.tails_xi[0] > 0.0) == beta
+
+
+@pytest.mark.parametrize("gamma, beta", GRAPHS)
+def test_walk_matches_per_record_recomputation_2d(gamma, beta):
+    g2 = DirichletGrid((1.0, 1.0), (6, 6))
+    cfg = sv.SolverConfig(
+        g2, cx.PowerPotential(4.0) if gamma else None, cx.ExpCoshPotential() if beta else None,
+        nz.NoiseModel((0.4, 0.2), nz.AdditiveGain(), 0.5),
+        lambda_yosida=0.5, dt=1e-3, horizon=1e-2, scheme="semi_implicit",
+    )
+    traj = sv.integrate(cfg, GridField(g2, 2.0 * gd.sine_mode(g2, (1, 1))), nz.PathSeed(11, 0))
+    _assert_matches_reference(traj)
 
 
 def test_apriori_report_zero_and_slope_guard():
     cfg = base_cfg(noise=None)
     _, entries = lambda_sweep(cfg, (0.5, 0.25, 0.125), nz.PathSeed(1))
-    rep = vf.apriori_report(entries)
+    assertions = vf.apriori_report(entries)
     assert all(e.bounds[name] == 0.0 for e in entries for name in vf.BOUND_NAMES)
-    assert rep.all_passed
+    assert [a.name for a in assertions] == ["bounds_finite"] + [
+        f"slope_{name}" for name in vf.BOUND_NAMES
+    ]
+    assert all(a.passed for a in assertions)
     with pytest.raises(ValueError):
         vf.apriori_report([])
 
