@@ -4,7 +4,8 @@ Each criterion is a self-contained desk-scale experiment with pinned
 tolerances, returning a list of assertions (measured value, threshold,
 pass/fail); ``run_criteria`` names each list by its ``CRITERIA`` entry.  The
 same functions back the ``verify`` CLI command and the acceptance test
-module.
+module.  Criteria 4-9 build their problems from one config text with
+``config.build_problem`` overrides, the factory of ``dnpde run`` and ``sweep``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dnpde import convex, noise as noisemod, solver as solvermod, verify as verifymod
-from dnpde import grid as gridmod
+from dnpde import config as configmod, convex, noise as noisemod, solver as solvermod
+from dnpde import grid as gridmod, verify as verifymod
 from dnpde.convex import AbsPotential, ExpCoshPotential, HuberPotential, PowerPotential
 from dnpde.grid import DirichletGrid, GridField
-from dnpde.noise import AdditiveGain, ClippedLinearGain, NoiseModel, PathSeed
-from dnpde.solver import SolverConfig
+from dnpde.noise import PathSeed
 from dnpde.verify import Assertion
 
 __all__ = ["CriterionResult", "CRITERIA", "resolve_selection", "run_criteria"]
@@ -47,8 +47,6 @@ class CriterionResult:
 
 def criterion_model(workdir=None, rc=None):
     """Validate the configured potentials and the declared HS noise bound."""
-    from dnpde import config as configmod
-
     if rc is None:
         rc = configmod.parse_config(_REPRO_CONFIG, "<builtin>")
     grid = configmod.build_grid(rc)
@@ -57,8 +55,8 @@ def criterion_model(workdir=None, rc=None):
         pot = configmod.build_potential(rc, role)
         if pot is None:
             continue
-        report = convex.validate_potential(pot, probe_radius=10.0, sample_count=64)
-        failures = sum(not c.passed for c in report.checks.values())
+        checks = convex.validate_potential(pot, probe_radius=10.0, sample_count=64)
+        failures = sum(not c.passed for c in checks.values())
         assertions.append(
             Assertion(f"{role}_potential_valid", float(failures), 0.0, failures == 0)
         )
@@ -227,25 +225,55 @@ def criterion_duality(workdir=None, rc=None):
     ]
 
 
+# The trajectory criteria's problems: one config text, parsed once; each
+# criterion builds from it with ``config.build_problem`` section overrides and
+# varies lambda, dt, horizon and scheme with ``dataclasses.replace``.
+_TRAJECTORY_CONFIG = """\
+[grid]
+dimension = 1
+extent = 1.0
+nodes = 32
+
+[potentials]
+gamma_kind = power
+gamma_p = 4.0
+beta_kind = abs
+
+[noise]
+mode_count = 2
+amplitudes = 0.3,0.15
+n_b = 0.4
+
+[solver]
+lambda_yosida = 0.25
+dt = 0.015625
+horizon = 0.5
+u0_kind = eigenmode
+u0_amplitude = 1.2
+"""
+
+_TRAJECTORY = configmod.parse_config(_TRAJECTORY_CONFIG, "<trajectory criteria>")
+
+_LINEAR = {"gamma_p": 2.0, "beta_kind": "none"}   # gamma = identity, no beta
+
+
 # ---------------------------------------------------------------------------
 # 4. exact linear SPDE moments
 # ---------------------------------------------------------------------------
 
 def criterion_ou_moment(workdir=None, rc=None):
-    grid = DirichletGrid((1.0,), (32,))
-    model = NoiseModel((0.5,), AdditiveGain(), 0.5)
+    base, u0 = configmod.build_problem(
+        _TRAJECTORY, potentials=_LINEAR, noise={"mode_count": 1, "amplitudes": (0.5,), "n_b": 0.5},
+        solver={"lambda_visc": 0.0, "u0_amplitude": 1.0},
+    )
     lam = 1.0
-    alpha1 = gridmod.sine_eigenvalue(grid, 1)
+    alpha1 = gridmod.sine_eigenvalue(base.grid, 1)
     a = (0.0 + 1.0 / (1.0 + lam)) * alpha1
-    u0 = gridmod.sine_mode(grid, 1)
     exact = math.exp(-2 * a) * 1.0 + 0.5**2 * (1 - math.exp(-2 * a)) / (2 * a)
     assertions = []
     for dt in (1 / 64, 1 / 128):
-        cfg = SolverConfig(
-            grid, PowerPotential(2.0), None, model,
-            lambda_yosida=lam, dt=dt, horizon=1.0, lambda_visc=0.0,
-        )
-        res = solvermod.run_ensemble(cfg, u0, master_seed=777, n_paths=200)
+        cfg = replace(base, lambda_yosida=lam, dt=dt, horizon=1.0)
+        res = solvermod.run_ensemble(cfg, u0.values, master_seed=777, n_paths=200)
         term = res.ledgers["norm_u_sq"][-1]
         mean = float(term.mean())
         se = float(term.std(ddof=1) / math.sqrt(term.size))
@@ -263,12 +291,8 @@ def criterion_ou_moment(workdir=None, rc=None):
 
 def criterion_energy(workdir=None, rc=None):
     # deterministic per-step inequality
-    grid = DirichletGrid((1.0,), (32,))
-    cfg = SolverConfig(
-        grid, PowerPotential(4.0), AbsPotential(), None,
-        lambda_yosida=0.1, dt=1 / 64, horizon=0.5, lambda_visc=0.05,
-    )
-    u0 = GridField(grid, 1.2 * gridmod.sine_mode(grid, 1))
+    cfg, u0 = configmod.build_problem(_TRAJECTORY, solver={"lambda_visc": 0.05})
+    cfg = replace(cfg, noise=None, lambda_yosida=0.1)
     led = solvermod.integrate(cfg, u0).ledgers
     norm_sq = led["norm_u_sq"]
     lhs = 0.5 * norm_sq[1:] + cfg.dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:])
@@ -277,16 +301,17 @@ def criterion_energy(workdir=None, rc=None):
     assertions = [Assertion("per_step_energy_slack", worst, 0.0, worst <= 0.0)]
 
     # stochastic path-mean residual: O(dt), fitted constant stable under halving
-    model = NoiseModel((1.0,), AdditiveGain(), 1.0)
+    base, u0 = configmod.build_problem(
+        _TRAJECTORY, potentials={**_LINEAR, "gamma_scale": 5.0},
+        noise={"mode_count": 1, "amplitudes": (1.0,), "n_b": 1.0},
+        solver={"lambda_visc": 0.0, "u0_kind": "zero"},
+    )
     c_default = 10.0
     fitted = []
     for dt in (1 / 64, 1 / 128):
-        cfg = SolverConfig(
-            grid, PowerPotential(2.0, scale=5.0), None, model,
-            lambda_yosida=0.2, dt=dt, horizon=1.0, lambda_visc=0.0,
-        )
+        cfg = replace(base, lambda_yosida=0.2, dt=dt, horizon=1.0)
         res = solvermod.run_ensemble(
-            cfg, np.zeros(grid.shape), master_seed=5150, n_paths=200, fine_dt=1 / 128,
+            cfg, u0.values, master_seed=5150, n_paths=200, fine_dt=1 / 128,
         )
         er = res.energy_residual
         mean = float(np.mean(er))
@@ -319,13 +344,10 @@ def _lambda_sweep(base, lambdas, u0, seed):
 
 
 def criterion_apriori(workdir=None, rc=None):
-    grid = DirichletGrid((1.0,), (32,))
-    model = NoiseModel((0.1, 0.05), AdditiveGain(), 0.2)
-    base = SolverConfig(
-        grid, PowerPotential(4.0), AbsPotential(), model,
-        lambda_yosida=0.25, dt=1 / 64, horizon=0.5, lambda_visc=0.01,
+    base, u0 = configmod.build_problem(
+        _TRAJECTORY, noise={"amplitudes": (0.1, 0.05), "n_b": 0.2},
+        solver={"lambda_visc": 0.01},
     )
-    u0 = GridField(grid, 1.2 * gridmod.sine_mode(grid, 1))
     lambdas = [2.0**-k for k in range(2, 8)]   # 1/4 .. 1/128
     entries = _lambda_sweep(base, lambdas, u0, PathSeed(4242, 0))
     assertions = verifymod.apriori_report(entries)
@@ -354,27 +376,21 @@ def criterion_apriori(workdir=None, rc=None):
 # ---------------------------------------------------------------------------
 
 def criterion_cauchy(workdir=None, rc=None):
-    grid = DirichletGrid((1.0,), (32,))
     lambdas = [2.0**-k for k in range(2, 8)]
     assertions = []
 
-    model = NoiseModel((0.4, 0.2), AdditiveGain(), 0.5)
-    base = SolverConfig(
-        grid, PowerPotential(2.0), None, model,
-        lambda_yosida=0.25, dt=1 / 64, horizon=0.5,
+    noise = {"amplitudes": (0.4, 0.2), "n_b": 0.5}
+    base, u0 = configmod.build_problem(
+        _TRAJECTORY, potentials=_LINEAR, noise=noise, solver={"u0_amplitude": 1.0}
     )
-    u0 = GridField(grid, gridmod.sine_mode(grid, 1))
     cauchy = [e.cauchy_prev for e in _lambda_sweep(base, lambdas, u0, PathSeed(42, 0))[1:]]
     inc = float(np.diff(cauchy).max())
     order = verifymod.observed_order(cauchy, lambdas[:-1])
     assertions.append(Assertion("quadratic_cauchy_decreasing", inc, 0.0, inc < 0.0))
     assertions.append(Assertion("quadratic_cauchy_order", order, 0.9, order >= 0.9))
 
-    base2 = SolverConfig(
-        grid, PowerPotential(4.0), AbsPotential(), model,
-        lambda_yosida=0.25, dt=1 / 64, horizon=0.25,
-    )
-    u02 = GridField(grid, 1.2 * gridmod.sine_mode(grid, 1))
+    base2, u02 = configmod.build_problem(_TRAJECTORY, noise=noise)
+    base2 = replace(base2, horizon=0.25)
     cauchy2 = [e.cauchy_prev for e in _lambda_sweep(base2, lambdas, u02, PathSeed(42, 0))[1:]]
     inc2 = float(np.diff(cauchy2).max())
     assertions.append(Assertion("power4_sign_cauchy_decreasing", inc2, 0.0, inc2 < 0.0))
@@ -386,29 +402,23 @@ def criterion_cauchy(workdir=None, rc=None):
 # ---------------------------------------------------------------------------
 
 def criterion_lipschitz(workdir=None, rc=None):
-    grid = DirichletGrid((1.0,), (32,))
     assertions = []
 
-    model = NoiseModel((0.3, 0.15), AdditiveGain(), 0.4)
-    cfg = SolverConfig(
-        grid, PowerPotential(4.0), AbsPotential(), model,
-        lambda_yosida=0.25, dt=1 / 64, horizon=0.5,
+    cfg, u0_a = configmod.build_problem(_TRAJECTORY, solver={"u0_amplitude": 1.0})
+    _, u0_b = configmod.build_problem(
+        _TRAJECTORY, solver={"u0_kind": "bump", "u0_amplitude": 0.7}
     )
-    u0_a = GridField(grid, gridmod.sine_mode(grid, 1))
-    u0_b = solvermod.initial_datum(grid, "bump", amplitude=0.7)
     _, additive = verifymod.lipschitz_test(cfg, u0_a, u0_b, n_paths=8, master_seed=31337)
     for a in additive:
         assertions.append(replace(a, name=f"additive_{a.name}"))
 
     amps = tuple(0.5 / k for k in range(1, 5))
-    mult = NoiseModel(amps, ClippedLinearGain(1.0), 1.0)
-    nb_valid = noisemod.default_bound(NoiseModel(amps, ClippedLinearGain(1.0)), grid)
+    mult = {"mode_count": 4, "amplitudes": amps, "gain": "clipped", "n_b": 1.0}
+    cfg_m, _ = configmod.build_problem(_TRAJECTORY, potentials=_LINEAR, noise=mult)
+    cfg_m = replace(cfg_m, lambda_yosida=0.5)
+    nb_valid = noisemod.default_bound(cfg_m.noise, cfg_m.grid)
     assertions.append(
         Assertion("declared_NB_valid", nb_valid, 1.0, nb_valid <= 1.0)
-    )
-    cfg_m = SolverConfig(
-        grid, PowerPotential(2.0), None, mult,
-        lambda_yosida=0.5, dt=1 / 64, horizon=0.5,
     )
     ratio_m, _ = verifymod.lipschitz_test(cfg_m, u0_a, u0_b, n_paths=200, master_seed=90125)
     assertions.append(
@@ -422,23 +432,22 @@ def criterion_lipschitz(workdir=None, rc=None):
 # ---------------------------------------------------------------------------
 
 def criterion_phi_unique(workdir=None, rc=None):
-    grid = DirichletGrid((1.0,), (16,))
-    model = NoiseModel((0.3, 0.15), AdditiveGain(), 0.4)
+    base, _ = configmod.build_problem(
+        _TRAJECTORY, grid={"nodes": (16,)}, potentials={"gamma_kind": "abs", "beta_kind": "none"}
+    )
+    grid = base.grid
     xs = gridmod.node_coordinates(grid)[0]
-    u0 = GridField(grid, 0.5 * np.clip(8 * xs * (1 - xs), 0.0, 1.0))
+    u0 = GridField(grid, 0.5 * np.clip(8 * xs * (1 - xs), 0.0, 1.0))   # a clipped bump
     lam0, dt0, n_steps = 0.25, 2e-4, 80
     horizon = n_steps * dt0
     dts = [dt0 / 2**level for level in range(3)]
     seed = PathSeed(909, 0)
-    tables, _ = noisemod.coupled_increment_tables(seed, dts[-1], dts, horizon, model.mode_count)
+    K = base.noise.mode_count
+    tables, _ = noisemod.coupled_increment_tables(seed, dts[-1], dts, horizon, K)
 
     phi_d, eta_sup = [], []
     for level in range(3):
-        cfg_a = SolverConfig(
-            grid, AbsPotential(), None, model,
-            lambda_yosida=lam0 / 2**level, dt=dts[level], horizon=horizon,
-            scheme="implicit_opt",
-        )
+        cfg_a = replace(base, lambda_yosida=lam0 / 2**level, dt=dts[level], horizon=horizon)
         cfg_b = replace(cfg_a, scheme="semi_implicit")
         traj_a = solvermod.integrate(cfg_a, u0, seed, tables[level])
         traj_b = solvermod.integrate(cfg_b, u0, seed, tables[level])

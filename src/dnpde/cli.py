@@ -3,7 +3,9 @@
 All file outputs are deterministic for a fixed config and seed (CSV with 17
 significant digits, LF endings, comment header carrying the config checksum
 and master seed); wall-clock timing goes to stdout only.  A sweep builds each
-value with ``config.build_problem`` and runs them all through ``verify.sweep``.
+value with ``config.build_problem``, the swept key passed as an override
+keyword (``solver=`` for lambda_yosida and dt, ``grid=`` for the nodes of h,
+``noise=`` for mode_count), and runs them all through ``verify.sweep``.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 solver
 failure.
@@ -18,7 +20,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -101,17 +102,10 @@ def _sweep_value(param, value):
         raise ConfigError(f"{param} sweep value {value!r}: {err}") from None
 
 
-def _override(rc, section, **values):
-    """A copy of ``rc`` with ``values`` set in ``section``; their source lines
-    are dropped, since the values no longer come from the file."""
-    sections = {**rc.sections, section: {**rc.sections[section], **values}}
-    lines = {**rc.lines, section: {k: n for k, n in rc.lines[section].items() if k not in values}}
-    return replace(rc, sections=sections, lines=lines)
-
-
 def _sweep_configs(rc, grid, param, values):
     """One ``(cfg, u0)`` per value, each built by ``config.build_problem`` on
-    ``rc`` with the swept key overridden, so every value passes a run's checks."""
+    ``rc`` with the swept key as an override, so every value passes a run's
+    checks."""
     if param == "mode_count":
         if not rc.has("noise"):
             raise ConfigError("mode_count sweep needs a [noise] section")
@@ -127,17 +121,16 @@ def _sweep_configs(rc, grid, param, values):
                 noise = {"mode_count": int(v)}
                 if rc.has("noise", "amplitudes"):
                     noise["amplitudes"] = rc.get("noise", "amplitudes")[: int(v)]
-                sub = _override(rc, "noise", **noise)
+                runs.append(configmod.build_problem(rc, noise=noise))
             elif param == "h":   # cmd_sweep has checked the key
                 h = float(v)
                 nodes = tuple(round(L / h) - 1 for L in grid.extents) if h > 0 else (0,)
                 for n, L in zip(nodes, grid.extents):
                     if abs((n + 1) * h - L) > 1e-9 * L:
                         raise ConfigError(f"h does not divide the extent {L}")
-                sub = _override(rc, "grid", nodes=nodes)
+                runs.append(configmod.build_problem(rc, grid={"nodes": nodes}))
             else:
-                sub = _override(rc, "solver", **{param: float(v)})
-            runs.append(configmod.build_problem(sub))
+                runs.append(configmod.build_problem(rc, solver={param: float(v)}))
     return runs
 
 

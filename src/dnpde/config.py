@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -322,10 +322,9 @@ def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverCon
             eps_inner=rc.get("solver", "eps_inner", 1e-10),
             max_inner=rc.get("solver", "max_inner", 100),
         )
-    except ValueError as err:
-        lines = rc.lines["solver"]
-        key = next((k for k in lines if str(err).startswith(k)), "dt")
-        raise ConfigError(str(err), lines.get(key)) from None
+    except ValueError as err:   # the message leads with the key it refuses
+        key = next((k for k in SCHEMA["solver"] if str(err).startswith(k)), None)
+        raise ConfigError(str(err), rc.lines["solver"].get(key)) from None
 
 
 def master_seed(rc: RunConfig, override=None):
@@ -334,8 +333,21 @@ def master_seed(rc: RunConfig, override=None):
     return rc.get("noise", "master_seed", 0)
 
 
-def build_problem(rc: RunConfig):
-    """Grid, potentials, noise, solver config and initial datum in one call."""
+def build_problem(rc: RunConfig, **overrides):
+    """Grid, potentials, noise, solver config and initial datum in one call.
+
+    Each keyword names a section and maps keys to parsed values that replace
+    the file's, e.g. ``solver={"lambda_visc": 0.01}``; their source lines are
+    dropped, so a refusal of such a value names no line.  An unknown section
+    or key raises ``ConfigError``; ``rc`` itself is not changed.
+    """
+    sections, lines = dict(rc.sections), dict(rc.lines)
+    for section, values in overrides.items():
+        if section not in SCHEMA or not set(values) <= set(SCHEMA[section]):
+            raise ConfigError(f"unknown section or key in override {section}={values!r}")
+        sections[section] = {**sections.get(section, {}), **values}
+        lines[section] = {k: n for k, n in lines.get(section, {}).items() if k not in values}
+    rc = replace(rc, sections=sections, lines=lines)
     grid = build_grid(rc)
     gamma = build_potential(rc, "gamma")
     beta = build_potential(rc, "beta")

@@ -38,7 +38,6 @@ __all__ = [
     "conjugate",
     "fenchel_residual",
     "validate_potential",
-    "ValidationReport",
 ]
 
 ROOT_TOL = 1e-12          # bisection width on resolvent points (relative beyond |x| = 1)
@@ -540,30 +539,13 @@ class CheckResult:
     where: object = None   # the offending sample point, when there is one
 
 
-@dataclass
-class ValidationReport:
-    checks: dict
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks.values())
-
-    def lines(self):
-        out = []
-        for name, c in self.checks.items():
-            loc = "" if c.where is None else f" at x={np.asarray(c.where)}"
-            out.append(
-                f"{'PASS' if c.passed else 'FAIL'} {name}: worst={c.worst:.6g}{loc} {c.detail}"
-            )
-        return out
-
-
 def validate_potential(pot, probe_radius, sample_count):
     """Finite sampling probe of the standing assumptions on a potential.
 
     Checks: exact zero at the origin, nonnegativity, convexity on sampled
     triples (1e-12 relative slack) and the symmetry ratio against
-    ``symmetry_bound``.  Failures are report entries, never exceptions.
+    ``symmetry_bound``.  Returns one ``CheckResult`` per check name; failures
+    are entries, never exceptions.
     """
     if not probe_radius > 0.0:
         raise ValueError("probe_radius must be positive")
@@ -606,4 +588,4 @@ def validate_potential(pot, probe_radius, sample_count):
         f"max P(x)/P(-x) vs C_sym={pot.symmetry_bound:g}",
         where,
     )
-    return ValidationReport(checks)
+    return checks

@@ -4,9 +4,14 @@ Each test prints one PASS/FAIL line per criterion (run ``pytest -s`` to see
 them live); failures carry the offending assertion lines.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from dnpde import acceptance
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -22,3 +27,12 @@ def test_criterion(cid, tmp_path):
     assert result.passed, "\n".join(
         a.line() for a in result.assertions if not a.passed
     )
+
+
+def test_readme_table_matches_criteria():
+    # the README's acceptance table lists the registry's criteria, in order
+    section = README.read_text().partition("## Acceptance suite")[2]
+    rows = re.findall(r"^\| (\d+) \| `(\w+)` \|", section, re.M)
+    assert [(int(cid), name) for cid, name in rows] == [
+        (cid, name) for cid, (name, _) in acceptance.CRITERIA.items()
+    ]

@@ -95,6 +95,37 @@ def test_missing_section_and_key_errors():
     assert "[solver]" in str(err.value)
 
 
+def test_build_problem_refuses_unknown_override():
+    rc = cfgmod.parse_config(BASIC)
+    for overrides in ({"solvers": {"dt": 0.1}}, {"solver": {"lambda": 0.1}}, {"grid": {"h": 0.1}}):
+        with pytest.raises(cfgmod.ConfigError, match="unknown"):
+            cfgmod.build_problem(rc, **overrides)
+
+
+def test_build_problem_leaves_config_unmutated():
+    # one parsed config is shared by every build that overrides it
+    rc = cfgmod.parse_config(BASIC)
+    sections = {k: dict(v) for k, v in rc.sections.items()}
+    lines = {k: dict(v) for k, v in rc.lines.items()}
+    cfg, _ = cfgmod.build_problem(
+        rc, grid={"nodes": (8,)}, solver={"lambda_yosida": 0.25}, verify={"families": ("all",)}
+    )
+    assert cfg.grid.nodes == (8,) and cfg.lambda_yosida == 0.25
+    assert rc.sections == sections and rc.lines == lines
+    assert not rc.has("verify")
+
+
+def test_override_equal_to_file_value_builds_equal_problem():
+    rc = cfgmod.parse_config(BASIC)
+    cfg, u0 = cfgmod.build_problem(rc)
+    cfg2, u02 = cfgmod.build_problem(
+        rc, grid={"nodes": (16,)}, noise={"amplitudes": (0.5,)},
+        solver={"lambda_yosida": 0.5, "dt": 0.03125, "u0_amplitude": 1.0},
+    )
+    assert cfg2 == cfg
+    assert u02.grid == u0.grid and u02.values.tobytes() == u0.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cmd_run
 # ---------------------------------------------------------------------------
@@ -361,7 +392,10 @@ def test_sweep_out_of_range_values_exit_2(tmp_path, capsys, param, value):
     cfg = write_cfg(tmp_path, BASIC)
     out = str(tmp_path / "o")
     assert cli.main(["sweep", cfg, "--param", param, "--values", value, "--out", out]) == 2
-    assert f"{param} sweep value {float(value)!r}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{param} sweep value {float(value)!r}: " in err
+    if param == "lambda_yosida":   # the swept key has no line, and no other key's line stands in
+        assert "line" not in err.partition(f"{float(value)!r}: ")[2]
 
 
 @pytest.mark.parametrize("param, values", [

@@ -400,8 +400,8 @@ def test_sampled_linear_growth_conjugate_diverges():
 # ---------------------------------------------------------------------------
 
 def test_validate_quadratic_passes():
-    rep = convex.validate_potential(PowerPotential(2.0), 10.0, 64)
-    assert rep.all_passed, rep.lines()
+    checks = convex.validate_potential(PowerPotential(2.0), 10.0, 64)
+    assert all(c.passed for c in checks.values()), checks
 
 
 def test_validate_shifted_potential_fails_origin():
@@ -409,8 +409,8 @@ def test_validate_shifted_potential_fails_origin():
         def value(self, x):
             return super().value(x) + 0.1
 
-    rep = convex.validate_potential(Shifted(2.0), 5.0, 32)
-    assert not rep.checks["origin"].passed
+    checks = convex.validate_potential(Shifted(2.0), 5.0, 32)
+    assert not checks["origin"].passed
 
 
 def test_validate_rejects_bad_probe_parameters():
@@ -421,5 +421,5 @@ def test_validate_rejects_bad_probe_parameters():
 
 
 def test_symmetry_bound_respected():
-    rep = convex.validate_potential(PowerPotential(3.0), 10.0, 128)
-    assert rep.checks["symmetry"].passed   # even potential: ratio 1 <= 1e6
+    checks = convex.validate_potential(PowerPotential(3.0), 10.0, 128)
+    assert checks["symmetry"].passed   # even potential: ratio 1 <= 1e6
