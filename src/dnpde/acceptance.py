@@ -443,7 +443,7 @@ def criterion_phi_unique(workdir=None, rc=None):
     dts = [dt0 / 2**level for level in range(3)]
     seed = PathSeed(909, 0)
     K = base.noise.mode_count
-    tables, _ = noisemod.coupled_increment_tables(seed, dts[-1], dts, horizon, K)
+    tables = noisemod.coupled_increment_tables(seed, dts[-1], dts, horizon, K)
 
     phi_d, eta_sup = [], []
     for level in range(3):

@@ -35,7 +35,6 @@ __all__ = [
     "resolvent",
     "yosida",
     "moreau_envelope",
-    "conjugate",
     "fenchel_residual",
     "validate_potential",
 ]
@@ -498,16 +497,6 @@ def moreau_envelope(pot, lam, x, **kw):
 # ---------------------------------------------------------------------------
 # conjugacy
 # ---------------------------------------------------------------------------
-
-def conjugate(pot, y):
-    """Fenchel conjugate ``P*(y) = sup_x x*y - P(x)``.
-
-    Every catalog potential has an exact conjugate.  Returns ``inf`` when the
-    supremum diverges (outside the range of a linear-growth graph).
-    """
-    ya = _as_float_array(y, "y")
-    return _match(y, np.asarray(pot.closed_conjugate(ya)))
-
 
 def fenchel_residual(pot, x, y):
     """Fenchel-Young residual ``P(x) + P*(y) - x*y`` (always >= 0).

@@ -182,8 +182,8 @@ def coupled_increment_tables(seed: PathSeed, fine_dt, dt_values, horizon, K):
 
     Increments are drawn once at ``fine_dt`` and summed in groups onto each
     of ``dt_values``, each a whole multiple of ``fine_dt``, so every level
-    sees the same path.  Returns ``(tables, checksum)`` where the checksum of
-    the fine draw certifies the shared path.
+    sees the same path.  Returns the tables in the order of ``dt_values``; a
+    level at ``fine_dt`` is the fine draw bit for bit.
     """
     if not fine_dt > 0:
         raise ValueError("the finest dt must be positive")
@@ -197,7 +197,7 @@ def coupled_increment_tables(seed: PathSeed, fine_dt, dt_values, horizon, K):
         if factor < 1 or abs(factor * fine_dt - dt) > 1e-9 * dt:
             raise ValueError("dt values must be integer multiples of the finest dt")
         tables.append(aggregate_increments(base, factor))
-    return tables, increment_checksum(base)
+    return tables
 
 
 def increment_checksum(table):

@@ -29,9 +29,8 @@ which checks each graph by one Fenchel residual, and the kept record, which
 ``verify`` reads.  A record whose certificate cannot be evaluated or whose
 ledger row is not finite fails the run at its step.
 
-Certifying a record and keeping it are separate: a single path certifies
-every record but keeps only every ``keep_every``-th state, so a run that
-writes a few dumps holds those states and the ledger, not the whole path.
+Every record of every run is certified, and every ``keep_every``-th record
+is kept, so a run holds its ledger and the states it was asked for.
 """
 
 from __future__ import annotations
@@ -120,8 +119,8 @@ class SolverConfig:
             raise ValueError("horizon must be finite and at least dt")
         if not self.eps_inner > 0:
             raise ValueError("eps_inner must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
+        if not (isinstance(self.max_inner, (int, np.integer)) and self.max_inner >= 1):
+            raise ValueError(f"max_inner must be an integer >= 1, got {self.max_inner!r}")
         if self.scheme not in ("implicit_opt", "semi_implicit"):
             raise ValueError(f"scheme {self.scheme!r} is unknown")
         steps = self.horizon / self.dt
@@ -339,20 +338,17 @@ class Trajectory:
 
     ``ledgers`` maps each of ``LEDGER_COLUMNS`` to an array of shape
     ``(n_records, *batch)``, one row per record.  ``records`` holds the kept
-    ``StateRecord``s: for ``integrate`` those whose index is a multiple of
-    ``keep_every`` (every record by default, none for 0), for a batch all of
-    them with ``keep_states`` and none without.  ``max_graph_residual`` is the
-    largest Fenchel residual over every certified record, kept or not: every
-    record of ``integrate`` and of a batch with ``keep_states``; it is None
-    for a batch without.  ``energy_residual`` is a float for one path and an
-    array per path for a batch.
+    ``StateRecord``s, those whose index is a multiple of ``keep_every`` (none
+    for 0).  ``max_graph_residual`` is the largest Fenchel residual over
+    every record, kept or not.  ``energy_residual`` is a float for one path
+    and an array per path for a batch.
     """
 
     config: SolverConfig
     ledgers: dict
     records: list
     terminal: np.ndarray              # (*nodes, *batch)
-    max_graph_residual: float | None = None
+    max_graph_residual: float
     energy_residual: float | np.ndarray = 0.0
 
     @property
@@ -379,20 +375,22 @@ def _write_ledger_row(cfg, state, noise_field, ledgers, n):
             ledgers["stoch_pairing"][n] = gridmod.dot_h(g, u, noise_field)
 
 
-def _run(cfg, u, increments, certify, keep_every):
+def _run(cfg, u, increments, keep_every):
     """The stepping loop behind ``integrate`` and ``integrate_batch``; returns
     the run's ``Trajectory``.
 
     ``u`` is a node array with or without a trailing path axis; the grid and
     noise operators broadcast over it, so the loop never looks at the batch
     shape.  Each record's ledger row is written in place into columns of
-    shape ``(n_records, *batch)``, views of one store.  With ``certify`` every
-    record's (resolvent point, Yosida value) pairs are certified by their
-    Fenchel residual; a record whose index is a multiple of ``keep_every``
-    (none for 0) is also kept, its arrays by reference.  A pair whose
-    residual cannot be evaluated, or a non-finite ledger value, fails the run
-    with a ``SolverError`` at its record's step.
+    shape ``(n_records, *batch)``, views of one store.  Every record's
+    (resolvent point, Yosida value) pairs are certified by their Fenchel
+    residual; a record whose index is a multiple of ``keep_every`` (none for
+    0) is also kept, its arrays by reference.  A pair whose residual cannot
+    be evaluated, or a non-finite ledger value, fails the run with a
+    ``SolverError`` at its record's step.
     """
+    if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
+        raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
     if cfg.scheme == "semi_implicit":
         bound = cfg.stability_bound()
         if bound > 1.0:
@@ -413,15 +411,14 @@ def _run(cfg, u, increments, certify, keep_every):
     def record(n, state, noise_field):
         # the certificate goes first, so a record it refuses gets no ledger row
         nonlocal worst
-        if certify:
-            graphs = ((cfg.gamma, state.j_buf, state.eta_buf), (cfg.beta, state.j_nodes, state.xi))
-            for pot, j, y in graphs:
-                if pot is not None:
-                    try:
-                        res = convex.fenchel_residual(pot, j, y)
-                    except ValueError as err:
-                        raise SolverError(f"graph certificate failed: {err}", n) from None
-                    worst = max(worst, float(np.abs(res).max()))
+        graphs = ((cfg.gamma, state.j_buf, state.eta_buf), (cfg.beta, state.j_nodes, state.xi))
+        for pot, j, y in graphs:
+            if pot is not None:
+                try:
+                    res = convex.fenchel_residual(pot, j, y)
+                except ValueError as err:
+                    raise SolverError(f"graph certificate failed: {err}", n) from None
+                worst = max(worst, float(np.abs(res).max()))
         if keep_every and n % keep_every == 0:
             records.append(
                 StateRecord(n, n * cfg.dt, state.u, state.faces, state.eta or no_flux, state.xi)
@@ -447,24 +444,24 @@ def _run(cfg, u, increments, certify, keep_every):
             err.step_index = n + 1
             raise
     record(cfg.n_steps, state, None)
-    traj = Trajectory(cfg, ledgers, records, state.u, worst if certify else None)
+    traj = Trajectory(cfg, ledgers, records, state.u, worst)
     residual = energy_residual(traj)
     traj.energy_residual = float(residual) if np.ndim(residual) == 0 else residual
     return traj
 
 
-def _check_increments(cfg, increments):
-    """The increment table a run uses: None without noise, else validated."""
+def _check_increments(cfg, increments, batch):
+    """The increment table a run uses: None without noise, else validated as
+    ``(n_steps, K)``, or ``(n_steps, K, P)`` for a ``batch``."""
     if cfg.noise is None:
         return None
     if increments is None:
         raise ValueError("the config carries noise but no increment table or PathSeed was given")
     increments = np.asarray(increments, dtype=float)
-    if increments.shape[:2] != (cfg.n_steps, cfg.noise.mode_count):
-        raise ValueError(
-            f"increment table of shape {increments.shape} does not cover "
-            f"{cfg.n_steps} steps of {cfg.noise.mode_count} modes"
-        )
+    n, K = cfg.n_steps, cfg.noise.mode_count
+    if increments.shape[:2] != (n, K) or increments.ndim != 2 + batch:
+        want = f"({n}, {K}, P)" if batch else f"({n}, {K})"
+        raise ValueError(f"increment table of shape {increments.shape} is not {want}")
     return increments
 
 
@@ -500,28 +497,26 @@ def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> T
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum does not live on the solver grid")
-    if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
-        raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
     if cfg.noise is not None and increments is None and seed is not None:
         increments = noisemod.sample_increments(
             seed, cfg.n_steps, cfg.dt, cfg.noise.mode_count
         )
-    increments = _check_increments(cfg, increments)
-    return _run(cfg, np.array(u0.values, dtype=float), increments, True, keep_every)
+    increments = _check_increments(cfg, increments, False)
+    return _run(cfg, np.array(u0.values, dtype=float), increments, keep_every)
 
 
-def integrate_batch(cfg, u0, increments, keep_states=False) -> Trajectory:
+def integrate_batch(cfg, u0, increments, keep_every=0) -> Trajectory:
     """Integrate many paths at once; the result's arrays carry a trailing path axis.
 
     ``u0`` has shape (*nodes,) or (*nodes, P); ``increments`` has shape
     (n_steps, K, P) (or None for deterministic runs, in which case P comes
     from u0).  Paths evolve independently; the inner optimizer stops when
     every path satisfies the gradient tolerance, so each path's step is
-    certified individually.  With ``keep_states`` every record is certified
-    and kept; without, none is.
+    certified individually.  Records are kept as by ``integrate``, none by
+    default.
     """
     g = cfg.grid
-    increments = _check_increments(cfg, increments)
+    increments = _check_increments(cfg, increments, True)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape[: g.dim] != g.shape or u0.ndim > g.dim + 1:
         raise ValueError(f"initial data of shape {u0.shape} do not fit grid {g.shape}")
@@ -535,10 +530,10 @@ def integrate_batch(cfg, u0, increments, keep_states=False) -> Trajectory:
         u = u0.copy()
     else:
         raise ValueError(f"{u0.shape[-1]} initial data for {n_paths} noise paths")
-    return _run(cfg, u, increments, keep_states, int(keep_states))
+    return _run(cfg, u, increments, keep_every)
 
 
-def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None):
+def run_ensemble(cfg, u0, master_seed, n_paths, keep_every=0, fine_dt=None):
     """Monte Carlo ensemble with per-path counter-based seeds, integrated as
     one batch.
 
@@ -553,12 +548,11 @@ def run_ensemble(cfg, u0, master_seed, n_paths, keep_states=False, fine_dt=None)
     K = cfg.noise.mode_count
     increments = np.empty((cfg.n_steps, K, n_paths))
     for i in range(n_paths):
-        tables, _ = noisemod.coupled_increment_tables(
+        increments[..., i] = noisemod.coupled_increment_tables(
             noisemod.PathSeed(master_seed, i),
             cfg.dt if fine_dt is None else fine_dt, (cfg.dt,), cfg.horizon, K,
-        )
-        increments[..., i] = tables[0]
-    return integrate_batch(cfg, u0, increments, keep_states=keep_states)
+        )[0]
+    return integrate_batch(cfg, u0, increments, keep_every)
 
 
 # ---------------------------------------------------------------------------

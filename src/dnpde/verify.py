@@ -203,17 +203,20 @@ def sweep(runs, seed):
     The path ``seed`` is drawn here, once, at the finest dt with the largest
     mode count, so a dt list that cannot share it raises ``ValueError`` before
     any run; each run gets it summed onto its dt and cut to its modes.
-    Returns ``(checksum, entries)``: ``entries`` yields one ``SweepEntry`` per
-    run, and a failing run raises a ``SolverError`` that names it.
+    Returns ``(checksum, entries)``: ``checksum`` is the SHA-256 of that draw
+    (its finest level, before any cut), ``entries`` yields one ``SweepEntry``
+    per run, and a failing run raises a ``SolverError`` that names it.
     """
     cfgs = [cfg for cfg, _ in runs]
     if cfgs[0].noise is None:
         tables, checksum = [None] * len(runs), ""
     else:
         dts = [cfg.dt for cfg in cfgs]
-        tables, checksum = noisemod.coupled_increment_tables(
-            seed, min(dts), dts, cfgs[0].horizon, max(c.noise.mode_count for c in cfgs)
+        fine = dts.index(min(dts))
+        tables = noisemod.coupled_increment_tables(
+            seed, dts[fine], dts, cfgs[0].horizon, max(c.noise.mode_count for c in cfgs)
         )
+        checksum = noisemod.increment_checksum(tables[fine])
         tables = [t[:, : c.noise.mode_count] for c, t in zip(cfgs, tables)]
     return checksum, _sweep_entries(runs, tables, seed)
 
@@ -255,8 +258,8 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
 
     def run(u0):
         if cfg.noise is None:
-            return solvermod.integrate_batch(cfg, u0.values, None, keep_states=True)
-        return solvermod.run_ensemble(cfg, u0.values, master_seed, n_paths, keep_states=True)
+            return solvermod.integrate_batch(cfg, u0.values, None, keep_every=1)
+        return solvermod.run_ensemble(cfg, u0.values, master_seed, n_paths, keep_every=1)
 
     diff = run(u0_a).states() - run(u0_b).states()
     axes = tuple(range(1, 1 + cfg.grid.dim))

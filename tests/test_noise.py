@@ -64,11 +64,12 @@ def test_aggregate_increments():
 
 def test_coupled_increment_tables():
     seed = nz.PathSeed(99, 0)
-    tables, checksum = nz.coupled_increment_tables(seed, 1 / 64, [1 / 16, 1 / 32, 1 / 64], 0.5, 3)
+    tables = nz.coupled_increment_tables(seed, 1 / 64, [1 / 16, 1 / 32, 1 / 64], 0.5, 3)
     assert [t.shape[0] for t in tables] == [8, 16, 32]
     assert np.allclose(tables[0], nz.aggregate_increments(tables[2], 4))
     assert np.allclose(tables[1], nz.aggregate_increments(tables[2], 2))
-    assert checksum == nz.increment_checksum(tables[2])
+    # the finest level is the fine draw bit for bit
+    assert np.array_equal(tables[2], nz.sample_increments(seed, 32, 1 / 64, 3))
     with pytest.raises(ValueError):
         nz.coupled_increment_tables(seed, 1 / 24, [1 / 16, 1 / 24], 0.5, 3)
 

@@ -52,6 +52,8 @@ def test_config_validation():
         heat_cfg(eps_inner=0.0)
     with pytest.raises(ValueError):
         heat_cfg(max_inner=0)
+    with pytest.raises(ValueError, match="^max_inner"):
+        heat_cfg(max_inner=1.5)   # used to run with no Newton cap
     assert heat_cfg(lambda_visc=None).visc == 0.5   # tied to lambda_yosida
 
 
@@ -247,27 +249,39 @@ def test_batch_matches_ledger_shape_and_residuals():
         assert res.energy_residual[i] == pytest.approx(traj.energy_residual, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
-def test_batch_with_overflowing_ledger_fails_closed(scheme):
-    # a batch certifies no graph, so at amplitude 1e200 its ledger row of
-    # step 0 overflows; the run is refused there, with no numpy warning
+def _refuse_overflowing_batch(scheme, gamma, beta, message):
+    """A batch without and an ensemble with noise, both from amplitude 1e200,
+    fail with ``message`` at step 0, with no numpy warning."""
     g = DirichletGrid((1.0, 1.0), (8, 8))
     model = nz.NoiseModel(nz.amplitudes_power_law(32, 0.5, 1.0), nz.TanhGain(), 1.0)
     cfg = sv.SolverConfig(
-        g, cx.PowerPotential(4.0), cx.ExpCoshPotential(), None,
-        lambda_yosida=0.5, dt=2**-14, horizon=4 * 2**-14, scheme=scheme,
+        g, gamma, beta, None, lambda_yosida=0.5, dt=2**-14, horizon=4 * 2**-14, scheme=scheme,
     )
     u0 = sv.initial_datum(g, "bump", amplitude=1e200).values
     runs = [
-        lambda: sv.integrate_batch(cfg, u0, None, keep_states=False),
+        lambda: sv.integrate_batch(cfg, u0, None),
         lambda: sv.run_ensemble(replace(cfg, noise=model), u0, master_seed=1, n_paths=3),
     ]
     for run in runs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(sv.SolverError, match="ledger is not finite: norm_u_sq") as info:
+            with pytest.raises(sv.SolverError, match=message) as info:
                 run()
         assert info.value.step_index == 0
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
+def test_batch_with_overflowing_ledger_fails_closed(scheme):
+    # without graphs, the ledger row of step 0 overflows at amplitude 1e200
+    _refuse_overflowing_batch(scheme, None, None, "ledger is not finite: norm_u_sq")
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "implicit_opt"])
+def test_batch_keeping_nothing_certifies_its_overflowing_graphs(scheme):
+    # a batch that keeps no record still certifies each one, so with both
+    # graphs at amplitude 1e200 the step-0 record is refused before its ledger row
+    graphs = cx.PowerPotential(4.0), cx.ExpCoshPotential()
+    _refuse_overflowing_batch(scheme, *graphs, "graph certificate failed")
 
 
 def test_ensemble_paths_match_integrate():
@@ -283,7 +297,7 @@ def test_ensemble_paths_match_integrate():
         # with fine_dt, path i runs on its own table drawn at dt/2 and summed onto dt
         for fine_dt in (None, cfg.dt / 2):
             res = sv.run_ensemble(
-                cfg, u0.values, master_seed=7, n_paths=70, keep_states=True, fine_dt=fine_dt
+                cfg, u0.values, master_seed=7, n_paths=70, keep_every=1, fine_dt=fine_dt
             )
             states = res.states()
             assert states.shape == (cfg.n_steps + 1, 16, 70)
@@ -291,7 +305,7 @@ def test_ensemble_paths_match_integrate():
                 seed = nz.PathSeed(7, i)
                 inc = None
                 if fine_dt is not None:
-                    (inc,), _ = nz.coupled_increment_tables(seed, fine_dt, [cfg.dt], cfg.horizon, 2)
+                    (inc,) = nz.coupled_increment_tables(seed, fine_dt, [cfg.dt], cfg.horizon, 2)
                 diff = states[..., i] - sv.integrate(cfg, u0, seed, inc).states()
                 sup = np.sqrt(G16.node_volume * (diff**2).sum(axis=1)).max()
                 assert sup <= 1e-14
@@ -305,7 +319,7 @@ def test_ensemble_paths_match_integrate():
             horizon=4 / 64,
         )
         u0 = GridField(g, gd.sine_mode(g, (1, 1)))
-        res = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=6, keep_states=True)
+        res = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=6, keep_every=1)
         states = res.states()
         for i in range(6):
             diff = states[..., i] - sv.integrate(cfg, u0, nz.PathSeed(7, i)).states()
@@ -323,14 +337,16 @@ def test_one_path_batch_matches_integrate():
         u0 = GridField(G16, 1.2 * gd.sine_mode(G16, 1))
         inc = nz.sample_increments(nz.PathSeed(9, 0), cfg.n_steps, cfg.dt, 3)
         one = sv.integrate(cfg, u0, increments=inc)
-        batch = sv.integrate_batch(cfg, u0.values, inc[..., None], keep_states=True)
+        batch = sv.integrate_batch(cfg, u0.values, inc[..., None], keep_every=1)
         for name in sv.LEDGER_COLUMNS:
             assert np.array_equal(batch.ledgers[name][:, 0], one.ledgers[name])
         assert np.array_equal(batch.states()[..., 0], one.states())
         assert np.array_equal(batch.terminal[..., 0], one.terminal)
         assert batch.max_graph_residual == one.max_graph_residual
         assert batch.energy_residual[0] == one.energy_residual
-        assert sv.integrate_batch(cfg, u0.values, inc[..., None]).max_graph_residual is None
+        kept_none = sv.integrate_batch(cfg, u0.values, inc[..., None])
+        assert kept_none.records == []
+        assert kept_none.max_graph_residual == one.max_graph_residual
 
 
 def test_ensemble_rejects_empty():
@@ -627,6 +643,8 @@ def test_keep_every_keeps_a_stride_of_a_certified_run(kind):
             assert np.array_equal(r.u, full.records[r.index].u)
     with pytest.raises(ValueError, match="keep_every"):
         sv.integrate(cfg, u0, nz.PathSeed(11, 0), keep_every=-1)
+    with pytest.raises(ValueError, match="keep_every"):
+        sv.integrate_batch(cfg, u0.values, np.zeros((cfg.n_steps, 2, 3)), keep_every=-1)
 
 
 @pytest.mark.parametrize("kind", ["1d_implicit", "2d_semi_implicit"])
@@ -636,7 +654,7 @@ def test_records_carry_their_face_gradients(kind):
     cfg, u0 = _stride_run(kind)
     for traj in (
         sv.integrate(cfg, u0, nz.PathSeed(11, 0)),
-        sv.run_ensemble(cfg, u0.values, 11, n_paths=3, keep_states=True),
+        sv.run_ensemble(cfg, u0.values, 11, n_paths=3, keep_every=1),
     ):
         assert len(traj.records) == cfg.n_steps + 1
         for rec in traj.records:
@@ -647,7 +665,7 @@ def test_records_carry_their_face_gradients(kind):
 
 def test_certificate_failure_at_an_unkept_record_fails_the_run(monkeypatch):
     # one graph, so the fourth certificate is the step-3 record's, which a
-    # stride of 4 does not keep
+    # stride of 4 does not keep, nor a batch by default
     calls, inner = [], cx.fenchel_residual
 
     def refuse_fourth(*args):
@@ -657,10 +675,30 @@ def test_certificate_failure_at_an_unkept_record_fails_the_run(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(cx, "fenchel_residual", refuse_fourth)
-    cfg = heat_cfg(horizon=8 / 64)
-    with pytest.raises(sv.SolverError, match="graph certificate failed: refused") as err:
-        sv.integrate(cfg, GridField(G16, gd.sine_mode(G16, 1)), keep_every=4)
-    assert err.value.step_index == 3
+    cfg = heat_cfg(horizon=8 / 64, noise=nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4))
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    for run in (
+        lambda: sv.integrate(cfg, u0, nz.PathSeed(2, 0), keep_every=4),
+        lambda: sv.run_ensemble(cfg, u0.values, master_seed=2, n_paths=3),
+    ):
+        calls.clear()
+        with pytest.raises(sv.SolverError, match="graph certificate failed: refused") as err:
+            run()
+        assert err.value.step_index == 3
+
+
+def test_increment_table_shape_matches_the_entry_point():
+    # a single path takes (n_steps, K) and a batch (n_steps, K, P); a
+    # (n_steps, 16) batch table on 16 nodes used to run 16 paths, path j
+    # forced by the constant field[j], and other shapes failed at step 0 in numpy
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    for K in (16, 2):
+        cfg = heat_cfg(noise=nz.NoiseModel(nz.amplitudes_power_law(K, 0.5, 1.0), nz.AdditiveGain()))
+        head = rf"^increment table of shape \(16, {K}"   # 16 steps
+        with pytest.raises(ValueError, match=rf"{head}\) is not \(16, {K}, P\)$"):
+            sv.integrate_batch(cfg, u0.values, np.zeros((16, K)))
+        with pytest.raises(ValueError, match=rf"{head}, 3\) is not \(16, {K}\)$"):
+            sv.integrate(cfg, u0, increments=np.zeros((16, K, 3)))
 
 
 def test_total_variation_flux_converges_within_default_budget():

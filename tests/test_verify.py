@@ -65,8 +65,8 @@ def test_sweep_draws_one_path_cut_per_run():
     one = nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4)
     runs = [(base_cfg(dt=1 / 32, noise=one), u0), (base_cfg(), u0)]
     checksum, entries = vf.sweep(runs, nz.PathSeed(4))
-    (table,), fine_sum = nz.coupled_increment_tables(nz.PathSeed(4), 1 / 64, [1 / 32], 0.25, 2)
-    assert checksum == fine_sum
+    (table,) = nz.coupled_increment_tables(nz.PathSeed(4), 1 / 64, [1 / 32], 0.25, 2)
+    assert checksum == nz.increment_checksum(nz.sample_increments(nz.PathSeed(4), 16, 1 / 64, 2))
     coarse = next(entries).trajectory
     direct = sv.integrate(runs[0][0], u0, nz.PathSeed(4), table[:, :1])
     assert np.array_equal(coarse.states(), direct.states())
