@@ -26,7 +26,11 @@ ensemble is integrated as one batch.  Each state's face gradients, resolvent
 points and Yosida values are evaluated once, every face axis in one face
 buffer, and shared by the energy ledger, both steps, the graph certificate,
 which checks each graph by one Fenchel residual, and the kept record, which
-``verify`` reads.  A record whose certificate cannot be evaluated or whose
+``verify`` reads.  On the implicit path a state also carries the step
+objective's terms that do not depend on the forcing (both envelopes, the
+drift and the Newton and secant curvatures), computed once per state, so a
+step's first evaluation, of the state the previous step accepted, adds only
+the forcing terms.  A record whose certificate cannot be evaluated or whose
 ledger row is not finite fails the run at its step.
 
 Every record of every run is certified, and every ``keep_every``-th record
@@ -113,8 +117,8 @@ class SolverConfig:
             raise ValueError("lambda_yosida must be positive and finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.visc >= 0:
-            raise ValueError("lambda_visc must be >= 0")
+        if not 0.0 <= self.visc < np.inf:
+            raise ValueError("lambda_visc must be >= 0 and finite")
         if not self.dt <= self.horizon < np.inf:
             raise ValueError("horizon must be finite and at least dt")
         if not self.eps_inner > 0:
@@ -144,28 +148,6 @@ class SolverConfig:
         return self.dt * (lmax / self.lambda_yosida + 1.0 / self.lambda_yosida)
 
 
-# Node values, their face gradients and, per graph, the resolvent points and
-# Yosida values (None without the graph): face buffers ``*_buf`` of every axis
-# (``faces`` and ``eta`` are per-axis views) and node arrays ``j_nodes``, ``xi``.
-_State = namedtuple("_State", "u face_buf faces j_buf eta_buf eta j_nodes xi")
-
-
-def _state(cfg, u):
-    # overflow here is reported by what reads the state: certificate, inner solve, ledger
-    g, lam = cfg.grid, cfg.lambda_yosida
-    face_buf, faces = gridmod.grad_buffer(g, u)
-    j_buf = eta_buf = eta = j_nodes = xi = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.gamma is not None:
-            j_buf = cfg.gamma.closed_resolvent(lam, face_buf)
-            eta_buf = cfg.gamma.yosida_from_resolvent(lam, face_buf, j_buf)
-            eta = gridmod.face_views(g, eta_buf)
-        if cfg.beta is not None:
-            j_nodes = cfg.beta.closed_resolvent(lam, u)
-            xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
-    return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi)
-
-
 def _yosida_parts(pot, lam, a, j, G):
     """Moreau envelope, Yosida value ``G`` and two curvatures of ``G`` at ``a``.
 
@@ -187,27 +169,58 @@ def _yosida_parts(pot, lam, a, j, G):
     return pot.value(j) + r * r / (2.0 * lam), G, dG, secant
 
 
+# Node values, their face gradients and, per graph, the resolvent points and
+# Yosida values (None without the graph): face buffers ``*_buf`` of every axis
+# (``faces`` and ``eta`` are per-axis views) and node arrays ``j_nodes``, ``xi``;
+# ``terms`` holds the step objective's state-only terms (None semi-implicitly).
+_State = namedtuple("_State", "u face_buf faces j_buf eta_buf eta j_nodes xi terms")
+
+# The terms of the step objective that depend on the state alone: the face sum
+# of the viscous and flux envelopes, the divergence of the flux, the envelope
+# and Yosida value of beta at the nodes, and two (Newton, secant) curvature
+# pairs, one on the face buffer (viscosity included) and one at the nodes.
+_Terms = namedtuple("_Terms", "face_sum div node_env node_G face_curv node_curv")
+
+
+def _state(cfg, u):
+    # overflow here is reported by what reads the state: certificate, inner solve, ledger
+    g, lam = cfg.grid, cfg.lambda_yosida
+    face_buf, faces = gridmod.grad_buffer(g, u)
+    j_buf = eta_buf = eta = j_nodes = xi = terms = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.gamma is not None:
+            j_buf = cfg.gamma.closed_resolvent(lam, face_buf)
+            eta_buf = cfg.gamma.yosida_from_resolvent(lam, face_buf, j_buf)
+            eta = gridmod.face_views(g, eta_buf)
+        if cfg.beta is not None:
+            j_nodes = cfg.beta.closed_resolvent(lam, u)
+            xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
+        if cfg.scheme == "implicit_opt":
+            env, G, dG, sec = _yosida_parts(cfg.gamma, lam, face_buf, j_buf, eta_buf)
+            flux = gridmod.face_views(g, cfg.visc * face_buf + G)
+            face_env = gridmod.face_views(g, 0.5 * cfg.visc * face_buf * face_buf + env)
+            face_sum = sum(np.sum(e, axis=tuple(range(g.dim))) for e in face_env)
+            face_curv = (cfg.visc + dG, cfg.visc + sec)
+            env, G, dG, sec = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
+            terms = _Terms(face_sum, gridmod.div_arrays(g, flux), env, G, face_curv, (dG, sec))
+    return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi, terms)
+
+
 # The step objective at one state: value and gradient norm per path, the
-# h-weighted gradient, and two (Newton, secant) curvature pairs, one on the
-# face buffer (viscosity included) and one at the nodes.
+# h-weighted gradient, and the state's two curvature pairs.
 _Eval = namedtuple("_Eval", "value grad grad_norm face_curv node_curv")
 
 
 def _evaluate(cfg, state, forcing):
-    g = cfg.grid
-    lam = cfg.lambda_yosida
-    axes = tuple(range(g.dim))
-    ga = state.face_buf
-    env, G, dG, sec = _yosida_parts(cfg.gamma, lam, ga, state.j_buf, state.eta_buf)
-    flux = gridmod.face_views(g, cfg.visc * ga + G)
-    face_curv = (cfg.visc + dG, cfg.visc + sec)
-    face_env = gridmod.face_views(g, 0.5 * cfg.visc * ga * ga + env)
-    face_sum = sum(np.sum(e, axis=axes) for e in face_env)
+    """The step objective at ``state``: its cached state-only terms plus the
+    terms of ``forcing``."""
+    g, s = cfg.grid, state.terms
     r = state.u - forcing
-    env, G, dG, sec = _yosida_parts(cfg.beta, lam, state.u, state.j_nodes, state.xi)
-    out = r / cfg.dt - gridmod.div_arrays(g, flux) + G
-    value = g.node_volume * (np.sum(r * r / (2.0 * cfg.dt) + env, axis=axes) + face_sum)
-    return _Eval(value, out, gridmod.norm_h(g, out), face_curv, (dG, sec))
+    out = r / cfg.dt - s.div + s.node_G
+    value = g.node_volume * (
+        np.sum(r * r / (2.0 * cfg.dt) + s.node_env, axis=tuple(range(g.dim))) + s.face_sum
+    )
+    return _Eval(value, out, gridmod.norm_h(g, out), s.face_curv, s.node_curv)
 
 
 def _thomas(diag, off, rhs):

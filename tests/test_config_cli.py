@@ -176,14 +176,15 @@ def test_run_rejects_jobs_flag(tmp_path):
 # amplitude used to end in a traceback, an infinite amplitude failed at step 1,
 # n_b = inf made the declared bound vacuous, u0_mode = 0 and 99 used to run on a
 # zero and an aliased datum, a non-finite u0_amplitude must be named, not the
-# mode it scales, an amplitude whose square overflows failed at step 0, and a
-# dt giving more steps than an array holds ended in a traceback
+# mode it scales, an amplitude whose square overflows failed at step 0, a dt
+# giving more steps than an array holds ended in a traceback, and an infinite
+# lambda_visc failed at step 1
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
     "u0_amplitude = nan", "amp_q = nan", "amp_c = nan", "amplitudes = nan", "amp_c = 0",
     "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
-    "dt = 1e-320", "dt = 1e-300",
+    "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it

@@ -38,6 +38,8 @@ def test_config_validation():
         heat_cfg(lambda_visc=-0.1)
     with pytest.raises(ValueError, match="lambda_visc"):
         heat_cfg(lambda_visc=math.nan)   # used to run and fail at the first step
+    with pytest.raises(ValueError, match="lambda_visc"):
+        heat_cfg(lambda_visc=math.inf)   # used to run and fail at the first step
     with pytest.raises(ValueError):
         heat_cfg(horizon=1 / 128)
     with pytest.raises(ValueError, match="horizon"):
@@ -559,6 +561,8 @@ def test_each_state_is_evaluated_once(monkeypatch):
     # the nodes) for the initial state and for every state a step makes
     fluxes = _counted(monkeypatch, cx.PowerPotential, "closed_resolvent")
     sources = _counted(monkeypatch, cx.ExpCoshPotential, "closed_resolvent")
+    flux_curvs = _counted(monkeypatch, cx.PowerPotential, "slope_derivative")
+    source_curvs = _counted(monkeypatch, cx.ExpCoshPotential, "slope_derivative")
     evaluations = _counted(monkeypatch, sv, "_evaluate")
     g2 = DirichletGrid((1.0, 1.0), (6, 6))
     cfg = sv.SolverConfig(
@@ -567,8 +571,11 @@ def test_each_state_is_evaluated_once(monkeypatch):
     )
     sv.integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))))
     assert len(fluxes) == len(sources) == cfg.n_steps + 1
+    # a semi-implicit step needs no step objective, so no envelope or curvature
+    assert len(flux_curvs) == len(source_curvs) == len(evaluations) == 0
     # implicit: each step evaluates its incoming state, then one new state per
-    # line-search trial
+    # line-search trial; the state-only terms (envelopes, curvatures) are
+    # computed once per state, the incoming one's by the trial that made it
     fluxes.clear()
     sources.clear()
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential(), horizon=4 / 64)
@@ -576,6 +583,25 @@ def test_each_state_is_evaluated_once(monkeypatch):
     trials = len(evaluations) - cfg.n_steps
     assert trials >= cfg.n_steps
     assert len(fluxes) == len(sources) == 1 + trials
+    assert len(flux_curvs) == len(source_curvs) == 1 + trials
+
+
+def test_state_terms_are_not_written_by_an_evaluation():
+    # an evaluation adds its forcing to the state's cached terms without
+    # writing into them: the same state at f1, f2, f1 evaluates as a fresh one
+    cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential())
+    rng = np.random.default_rng(18)
+    u = 1.5 * gd.sine_mode(G16, 1) + 0.1 * rng.standard_normal(G16.shape)
+    f1, f2 = (u + 0.05 * rng.standard_normal(G16.shape) for _ in range(2))
+    state = sv._state(cfg, u)
+    first, _, third = (sv._evaluate(cfg, state, f) for f in (f1, f2, f1))
+    fresh = sv._evaluate(cfg, sv._state(cfg, u.copy()), f1)
+
+    def arrays(ev):
+        return [ev.value, ev.grad, ev.grad_norm, *ev.face_curv, *ev.node_curv]
+
+    for ev in (third, fresh):
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(first), arrays(ev)))
 
 
 def _posthoc_graph_residual(traj):
