@@ -48,14 +48,14 @@ class CriterionResult:
 def criterion_model(workdir=None, rc=None):
     """Validate the configured potentials and the declared HS noise bound."""
     if rc is None:
-        rc = configmod.parse_config(_REPRO_CONFIG, "<builtin>")
+        rc = configmod.parse_config(_REPRO_CONFIG)
     grid = configmod.build_grid(rc)
     assertions = []
     for role in ("gamma", "beta"):
         pot = configmod.build_potential(rc, role)
         if pot is None:
             continue
-        checks = convex.validate_potential(pot, probe_radius=10.0, sample_count=64)
+        checks = convex.validate_potential(pot)
         failures = sum(not c.passed for c in checks.values())
         assertions.append(
             Assertion(f"{role}_potential_valid", float(failures), 0.0, failures == 0)
@@ -252,7 +252,7 @@ u0_kind = eigenmode
 u0_amplitude = 1.2
 """
 
-_TRAJECTORY = configmod.parse_config(_TRAJECTORY_CONFIG, "<trajectory criteria>")
+_TRAJECTORY = configmod.parse_config(_TRAJECTORY_CONFIG)
 
 _LINEAR = {"gamma_p": 2.0, "beta_kind": "none"}   # gamma = identity, no beta
 

@@ -99,7 +99,6 @@ SCHEMA = {
 class RunConfig:
     """Parsed config: per-section typed values plus source lines and checksum."""
 
-    path: str
     sections: dict          # section -> key -> value
     lines: dict             # section -> key -> source line number
     checksum: str
@@ -122,7 +121,7 @@ class RunConfig:
         return self.sections[section][key]
 
 
-def parse_config(text, path="<config>"):
+def parse_config(text):
     sections: dict = {}
     lines: dict = {}
     current = None
@@ -158,12 +157,12 @@ def parse_config(text, path="<config>"):
         sections[current][key] = parsed
         lines[current][key] = lineno
     checksum = hashlib.sha256(text.encode()).hexdigest()
-    return RunConfig(path, sections, lines, checksum)
+    return RunConfig(sections, lines, checksum)
 
 
 def load_config(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), str(path))
+        return parse_config(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,9 @@ def build_grid(rc: RunConfig) -> gridmod.DirichletGrid:
         )
     try:
         return gridmod.DirichletGrid(tuple(extent), tuple(nodes))
-    except ValueError as err:
-        raise ConfigError(str(err), rc.lines["grid"].get("nodes")) from None
+    except ValueError as err:   # name the key the message is about
+        key = next((k for k in ("extent", "dimension") if k in str(err)), "nodes")
+        raise ConfigError(str(err), rc.lines["grid"].get(key)) from None
 
 
 def build_potential(rc: RunConfig, role) -> convex.Potential | None:

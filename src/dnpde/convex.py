@@ -45,6 +45,9 @@ NEWTON_CAP = 64           # Newton iterations of the exp-cosh resolvent before g
 DOMAIN_SLACK = 1e-9       # roundoff slack on indicator-type conjugate domains
 ORIGIN_TOL = 1e-8         # relative size of a sampled slope at 0 that still counts as 0
 PROBE_SEED = 20260809     # seed of the sample points of validate_potential
+PROBE_RADIUS = 10.0       # validate_potential samples in [-PROBE_RADIUS, PROBE_RADIUS]
+PROBE_COUNT = 64          # sample points per check of validate_potential
+SYMMETRY_BOUND = 1e6      # largest P(x)/P(-x) that validate_potential accepts (C_sym)
 
 
 class RootFindError(RuntimeError):
@@ -56,6 +59,11 @@ def _as_float_array(x, name="x"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite input {name!r}")
     return a
+
+
+def _check_scale(scale):
+    if not 0.0 < scale < np.inf:
+        raise ValueError("scale must be positive and finite")
 
 
 def _match(template, a):
@@ -78,9 +86,7 @@ class Potential:
     ``closed_resolvent`` and ``closed_conjugate``.
     """
 
-    kind = "base"
     scale = 1.0
-    symmetry_bound = 1e6   # default C_sym when the user states none
 
     def value(self, x):
         raise NotImplementedError
@@ -119,7 +125,7 @@ class Potential:
         return hash(self._key())
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(kind={self.kind!r}, scale={self.scale})"
+        return f"{type(self).__name__}(scale={self.scale})"
 
 
 class PowerPotential(Potential):
@@ -130,13 +136,10 @@ class PowerPotential(Potential):
     found by bisection for every other p.
     """
 
-    kind = "power"
-
     def __init__(self, p, scale=1.0):
-        if not p > 1.0:
-            raise ValueError("power potential needs p > 1 (use AbsPotential for p = 1)")
-        if not scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 1.0 < p < np.inf:
+            raise ValueError("power potential needs a finite p > 1 (use AbsPotential for p = 1)")
+        _check_scale(scale)
         self.p = float(p)
         self.scale = float(scale)
 
@@ -185,11 +188,8 @@ class PowerPotential(Potential):
 class AbsPotential(Potential):
     """``P(x) = scale * |x|``; the graph is the scaled sign, multivalued at 0."""
 
-    kind = "abs"
-
     def __init__(self, scale=1.0):
-        if not scale > 0.0:
-            raise ValueError("scale must be positive")
+        _check_scale(scale)
         self.scale = float(scale)
 
     def value(self, x):
@@ -218,11 +218,10 @@ class AbsPotential(Potential):
 class HuberPotential(Potential):
     """Quadratic inside ``|x| <= delta``, linear outside (scaled)."""
 
-    kind = "huber"
-
     def __init__(self, delta=1.0, scale=1.0):
-        if not delta > 0.0 or not scale > 0.0:
-            raise ValueError("delta and scale must be positive")
+        if not delta > 0.0:
+            raise ValueError("delta must be positive")
+        _check_scale(scale)
         self.delta = float(delta)
         self.scale = float(scale)
 
@@ -261,11 +260,8 @@ class HuberPotential(Potential):
 class ExpCoshPotential(Potential):
     """``P(x) = scale * (cosh(x) - 1)``; superlinear, resolvent by Newton."""
 
-    kind = "expcosh"
-
     def __init__(self, scale=1.0):
-        if not scale > 0.0:
-            raise ValueError("scale must be positive")
+        _check_scale(scale)
         self.scale = float(scale)
 
     def value(self, x):
@@ -308,8 +304,6 @@ class SampledSlopePotential(Potential):
     inserted automatically; construction fails if the given derivative does
     not vanish at 0 (the potential could not attain its minimum there).
     """
-
-    kind = "piecewise"
 
     def __init__(self, xs, gs):
         xs = np.asarray(xs, dtype=float)
@@ -475,21 +469,21 @@ def resolvent(pot, lam, x, *, force_bisect=False):
     return _match(x, pot.closed_resolvent(lam, xa))
 
 
-def yosida(pot, lam, x, **kw):
+def yosida(pot, lam, x):
     """Yosida map ``G_lam(x) = (x - J_lam(x)) / lam``: monotone, (1/lam)-Lipschitz."""
     xa = _as_float_array(x)
-    j = resolvent(pot, lam, xa, **kw)
+    j = resolvent(pot, lam, xa)
     return _match(x, pot.yosida_from_resolvent(lam, xa, j))
 
 
-def moreau_envelope(pot, lam, x, **kw):
+def moreau_envelope(pot, lam, x):
     """Moreau envelope ``P_lam(x) = min_r P(r) + |x-r|^2/(2 lam)``.
 
     Evaluated through the resolvent: ``P(J_lam x) + |x - J_lam x|^2/(2 lam)``.
     Its gradient is the Yosida map of the subdifferential.
     """
     xa = _as_float_array(x)
-    j = resolvent(pot, lam, xa, **kw)
+    j = resolvent(pot, lam, xa)
     d = xa - j
     return _match(x, pot.value(j) + d * d / (2.0 * lam))
 
@@ -528,32 +522,29 @@ class CheckResult:
     where: object = None   # the offending sample point, when there is one
 
 
-def validate_potential(pot, probe_radius, sample_count):
+def validate_potential(pot):
     """Finite sampling probe of the standing assumptions on a potential.
 
-    Checks: exact zero at the origin, nonnegativity, convexity on sampled
-    triples (1e-12 relative slack) and the symmetry ratio against
-    ``symmetry_bound``.  Returns one ``CheckResult`` per check name; failures
-    are entries, never exceptions.
+    Checks, at ``PROBE_COUNT`` points of ``[-PROBE_RADIUS, PROBE_RADIUS]``:
+    exact zero at the origin, nonnegativity, convexity on sampled triples
+    (1e-12 relative slack) and the symmetry ratio against ``SYMMETRY_BOUND``.
+    Returns one ``CheckResult`` per check name; failures are entries, never
+    exceptions.
     """
-    if not probe_radius > 0.0:
-        raise ValueError("probe_radius must be positive")
-    if sample_count < 8:
-        raise ValueError("sample_count must be >= 8")
     rng = np.random.default_rng(PROBE_SEED)
     checks = {}
 
     v0 = float(pot.value(0.0))
     checks["origin"] = CheckResult(v0 == 0.0, v0, "P(0) must be exactly 0")
 
-    xs = probe_radius * (2.0 * rng.random(sample_count) - 1.0)
+    xs = PROBE_RADIUS * (2.0 * rng.random(PROBE_COUNT) - 1.0)
     vals = np.asarray(pot.value(xs))
     k = int(np.argmin(vals))
     worst = float(vals[k])
     checks["nonnegative"] = CheckResult(worst >= 0.0, worst, "min sampled value", xs[k])
 
-    ys = probe_radius * (2.0 * rng.random(sample_count) - 1.0)
-    theta = rng.random(sample_count)
+    ys = PROBE_RADIUS * (2.0 * rng.random(PROBE_COUNT) - 1.0)
+    theta = rng.random(PROBE_COUNT)
     mix = theta * xs + (1.0 - theta) * ys
     lhs = np.asarray(pot.value(mix))
     rhs = theta * vals + (1.0 - theta) * np.asarray(pot.value(ys))
@@ -572,9 +563,9 @@ def validate_potential(pot, probe_radius, sample_count):
     else:
         ratio, where = 0.0, None
     checks["symmetry"] = CheckResult(
-        ratio <= pot.symmetry_bound,
+        ratio <= SYMMETRY_BOUND,
         ratio,
-        f"max P(x)/P(-x) vs C_sym={pot.symmetry_bound:g}",
+        f"max P(x)/P(-x) vs C_sym={SYMMETRY_BOUND:g}",
         where,
     )
     return checks

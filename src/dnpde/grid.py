@@ -38,7 +38,6 @@ __all__ = [
     "sine_eigenvalue",
     "sine_mode",
     "sine_eigenpairs",
-    "lambda_max",
     "cg_solve",
     "dual_norm_v0",
     "node_coordinates",
@@ -65,8 +64,8 @@ class DirichletGrid:
         object.__setattr__(self, "nodes", nodes)
         if len(extents) != len(nodes) or len(extents) not in (1, 2):
             raise ValueError("grid dimension must be 1 or 2")
-        if any(e <= 0 for e in extents):
-            raise ValueError("extents must be positive")
+        if not all(0.0 < e < math.inf for e in extents):
+            raise ValueError("extents must be positive and finite")
         if any(n < 3 for n in nodes):
             raise ValueError("need at least 3 interior nodes per axis")
 
@@ -261,13 +260,6 @@ def _mode_scale(grid, delta, m):
     scale = (1.0 + delta * functools.reduce(np.add.outer, alphas)) ** -m
     scale.flags.writeable = False
     return scale
-
-
-def lambda_max(grid):
-    """Largest eigenvalue of ``-lap``: the top sine mode on every axis."""
-    return sum(
-        _axis_eigenvalue(h, n, n) for h, n in zip(grid.spacing, grid.nodes)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "PathSeed",
     "make_gain",
     "sample_increments",
-    "aggregate_increments",
     "coupled_increment_tables",
     "increment_checksum",
     "apply_b",
@@ -46,7 +45,6 @@ _MASK64 = (1 << 64) - 1
 class Gain:
     """Scalar gain ``sigma`` with stated Lipschitz constant."""
 
-    kind = "base"
     lipschitz = 1.0
 
     def __call__(self, u):
@@ -65,7 +63,6 @@ class Gain:
 class AdditiveGain(Gain):
     """sigma == 1: additive noise."""
 
-    kind = "additive"
     lipschitz = 0.0
 
     def __call__(self, u):
@@ -75,7 +72,6 @@ class AdditiveGain(Gain):
 class ClippedLinearGain(Gain):
     """sigma(u) = clip(u, -limit, limit); 1-Lipschitz, bounded."""
 
-    kind = "clipped"
     lipschitz = 1.0
 
     def __init__(self, limit=1.0):
@@ -93,7 +89,6 @@ class ClippedLinearGain(Gain):
 class TanhGain(Gain):
     """sigma(u) = tanh(u): bounded and smooth, 1-Lipschitz."""
 
-    kind = "tanh"
     lipschitz = 1.0
 
     def __call__(self, u):
@@ -168,21 +163,13 @@ def sample_increments(seed: PathSeed, n_steps, dt, K):
     return z
 
 
-def aggregate_increments(table, factor):
-    """Sum consecutive groups of ``factor`` rows: couples dt levels to one path."""
-    table = np.asarray(table)
-    n, K = table.shape[0], table.shape[1:]
-    if factor < 1 or n % factor:
-        raise ValueError("factor must divide the number of steps")
-    return table.reshape((n // factor, factor) + K).sum(axis=1)
-
-
 def coupled_increment_tables(seed: PathSeed, fine_dt, dt_values, horizon, K):
     """Increment tables on several time steps that share one Brownian path.
 
-    Increments are drawn once at ``fine_dt`` and summed in groups onto each
-    of ``dt_values``, each a whole multiple of ``fine_dt``, so every level
-    sees the same path.  Returns the tables in the order of ``dt_values``; a
+    Increments are drawn once at ``fine_dt`` and summed in consecutive groups
+    of ``dt / fine_dt`` rows onto each ``dt`` of ``dt_values``, each a whole
+    multiple of ``fine_dt`` that divides the horizon, so every level sees the
+    same path.  Returns the tables in the order of ``dt_values``; a
     level at ``fine_dt`` is the fine draw bit for bit.
     """
     if not fine_dt > 0:
@@ -196,7 +183,9 @@ def coupled_increment_tables(seed: PathSeed, fine_dt, dt_values, horizon, K):
         factor = round(dt / fine_dt)
         if factor < 1 or abs(factor * fine_dt - dt) > 1e-9 * dt:
             raise ValueError("dt values must be integer multiples of the finest dt")
-        tables.append(aggregate_increments(base, factor))
+        if n_fine % factor:
+            raise ValueError(f"dt {dt!r} does not divide the horizon")
+        tables.append(base.reshape((n_fine // factor, factor, -1)).sum(axis=1))
     return tables
 
 

@@ -26,12 +26,13 @@ ensemble is integrated as one batch.  Each state's face gradients, resolvent
 points and Yosida values are evaluated once, every face axis in one face
 buffer, and shared by the energy ledger, both steps, the graph certificate,
 which checks each graph by one Fenchel residual, and the kept record, which
-``verify`` reads.  On the implicit path a state also carries the step
-objective's terms that do not depend on the forcing (both envelopes, the
-drift and the Newton and secant curvatures), computed once per state, so a
-step's first evaluation, of the state the previous step accepted, adds only
-the forcing terms.  A record whose certificate cannot be evaluated or whose
-ledger row is not finite fails the run at its step.
+``verify`` reads; a record's ``eta`` is None without a flux graph and its
+``xi`` None without an absorption graph.  On the implicit path a state also
+carries the step objective's terms that do not depend on the forcing (both
+envelopes, the drift and the Newton and secant curvatures), computed once per
+state, so a step's first evaluation, of the state the previous step accepted,
+adds only the forcing terms.  A record whose certificate cannot be evaluated
+or whose ledger row is not finite fails the run at its step.
 
 Every record of every run is certified, and every ``keep_every``-th record
 is kept, so a run holds its ledger and the states it was asked for.
@@ -59,7 +60,6 @@ __all__ = [
     "integrate",
     "integrate_batch",
     "run_ensemble",
-    "energy_residual",
     "initial_datum",
     "LEDGER_COLUMNS",
 ]
@@ -121,8 +121,8 @@ class SolverConfig:
             raise ValueError("lambda_visc must be >= 0 and finite")
         if not self.dt <= self.horizon < np.inf:
             raise ValueError("horizon must be finite and at least dt")
-        if not self.eps_inner > 0:
-            raise ValueError("eps_inner must be positive")
+        if not 0.0 < self.eps_inner < np.inf:
+            raise ValueError("eps_inner must be positive and finite")
         if not (isinstance(self.max_inner, (int, np.integer)) and self.max_inner >= 1):
             raise ValueError(f"max_inner must be an integer >= 1, got {self.max_inner!r}")
         if self.scheme not in ("implicit_opt", "semi_implicit"):
@@ -143,8 +143,10 @@ class SolverConfig:
         return round(self.horizon / self.dt)
 
     def stability_bound(self):
-        """Semi-implicit restriction: dt*(lambda_max/lam + 1/lam) <= 1."""
-        lmax = gridmod.lambda_max(self.grid)
+        """Semi-implicit restriction: dt*(lambda_max/lam + 1/lam) <= 1, where
+        lambda_max, the top sine mode on every axis, is the largest eigenvalue
+        of ``-lap``."""
+        lmax = gridmod.sine_eigenvalue(self.grid, self.grid.nodes)
         return self.dt * (lmax / self.lambda_yosida + 1.0 / self.lambda_yosida)
 
 
@@ -337,12 +339,11 @@ def _semi_implicit_step_arrays(cfg, state, forcing):
 
 @dataclass
 class StateRecord:
-    index: int
-    t: float
+    index: int                  # step number; the record's time is index * dt
     u: np.ndarray
-    faces: list         # face arrays, grad u
-    eta: tuple          # face arrays, gamma_lam(grad u)
-    xi: np.ndarray | None
+    faces: list                 # face arrays, grad u
+    eta: list | None            # face arrays, gamma_lam(grad u); None without gamma
+    xi: np.ndarray | None       # beta_lam(u); None without beta
 
 
 @dataclass
@@ -353,8 +354,9 @@ class Trajectory:
     ``(n_records, *batch)``, one row per record.  ``records`` holds the kept
     ``StateRecord``s, those whose index is a multiple of ``keep_every`` (none
     for 0).  ``max_graph_residual`` is the largest Fenchel residual over
-    every record, kept or not.  ``energy_residual`` is a float for one path
-    and an array per path for a batch.
+    every record, kept or not.  ``energy_residual``, the discrete residual of
+    the squared-norm identity, is a float for one path and an array per path
+    for a batch.
     """
 
     config: SolverConfig
@@ -362,11 +364,7 @@ class Trajectory:
     records: list
     terminal: np.ndarray              # (*nodes, *batch)
     max_graph_residual: float
-    energy_residual: float | np.ndarray = 0.0
-
-    @property
-    def grid(self):
-        return self.config.grid
+    energy_residual: float | np.ndarray
 
     def states(self):
         return np.stack([r.u for r in self.records])
@@ -386,6 +384,23 @@ def _write_ledger_row(cfg, state, noise_field, ledgers, n):
             ledgers["hs_sq"][n] = noisemod.hs_norm(cfg.noise, g, u) ** 2
         if noise_field is not None:
             ledgers["stoch_pairing"][n] = gridmod.dot_h(g, u, noise_field)
+
+
+def _energy_residual(dt, led):
+    """Discrete energy-ledger residual of the squared-norm identity.
+
+    Returns one residual per path of the ledgers ``led`` (a scalar for a
+    single path).  Dissipation pairings enter at the implicit endpoints, the
+    quadratic variation and the stochastic pairing at the explicit ones.
+    For a single path this is noise of order sqrt(dt); averaged over paths
+    it is O(dt).
+    """
+    half = 0.5 * (led["norm_u_sq"][-1] - led["norm_u_sq"][0])
+    diss = dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:]).sum(axis=0)
+    quad = 0.5 * dt * led["hs_sq"][:-1].sum(axis=0)
+    mart = led["stoch_pairing"][:-1].sum(axis=0)
+    res = half + diss - quad - mart
+    return float(res) if np.ndim(res) == 0 else res
 
 
 def _run(cfg, u, increments, keep_every):
@@ -416,9 +431,6 @@ def _run(cfg, u, increments, keep_every):
     g, batch = cfg.grid, u.shape[cfg.grid.dim:]
     store = np.zeros((len(LEDGER_COLUMNS), cfg.n_steps + 1) + batch)
     ledgers = dict(zip(LEDGER_COLUMNS, store))
-    no_flux = None   # eta of the kept records without a flux graph
-    if cfg.gamma is None:
-        no_flux = tuple(np.zeros(s + batch) for s in g.face_shapes())
     records, worst = [], 0.0
 
     def record(n, state, noise_field):
@@ -433,9 +445,7 @@ def _run(cfg, u, increments, keep_every):
                     raise SolverError(f"graph certificate failed: {err}", n) from None
                 worst = max(worst, float(np.abs(res).max()))
         if keep_every and n % keep_every == 0:
-            records.append(
-                StateRecord(n, n * cfg.dt, state.u, state.faces, state.eta or no_flux, state.xi)
-            )
+            records.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
         _write_ledger_row(cfg, state, noise_field, ledgers, n)
         if not np.isfinite(store[:, n]).all():
             bad = [name for name, col in ledgers.items() if not np.isfinite(col[n]).all()]
@@ -457,10 +467,7 @@ def _run(cfg, u, increments, keep_every):
             err.step_index = n + 1
             raise
     record(cfg.n_steps, state, None)
-    traj = Trajectory(cfg, ledgers, records, state.u, worst)
-    residual = energy_residual(traj)
-    traj.energy_residual = float(residual) if np.ndim(residual) == 0 else residual
-    return traj
+    return Trajectory(cfg, ledgers, records, state.u, worst, _energy_residual(cfg.dt, ledgers))
 
 
 def _check_increments(cfg, increments, batch):
@@ -478,24 +485,6 @@ def _check_increments(cfg, increments, batch):
     return increments
 
 
-def energy_residual(result):
-    """Discrete energy-ledger residual of the squared-norm identity.
-
-    Returns one residual per path of ``result``'s ledgers (a scalar for a
-    single path).  Dissipation pairings enter at the implicit endpoints, the
-    quadratic variation and the stochastic pairing at the explicit ones.
-    For a single path this is noise of order sqrt(dt); averaged over paths
-    it is O(dt).
-    """
-    led = result.ledgers
-    dt = result.config.dt
-    half = 0.5 * (led["norm_u_sq"][-1] - led["norm_u_sq"][0])
-    diss = dt * (led["pairing_eta_gradu"][1:] + led["pairing_xi_u"][1:]).sum(axis=0)
-    quad = 0.5 * dt * led["hs_sq"][:-1].sum(axis=0)
-    mart = led["stoch_pairing"][:-1].sum(axis=0)
-    return half + diss - quad - mart
-
-
 # ---------------------------------------------------------------------------
 # single paths and batches
 # ---------------------------------------------------------------------------
@@ -503,10 +492,10 @@ def energy_residual(result):
 def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> Trajectory:
     """Integrate one path, recording the ledger and certifying every record.
 
-    The record (u, faces, eta, xi) is kept for the records whose index is a
-    multiple of ``keep_every`` (every record by default, none for 0).
-    Deterministic given (cfg, u0, seed); the noise increment table can also
-    be passed explicitly for coupled-path studies.
+    The record (index, u, faces, eta, xi) is kept for the records whose
+    index is a multiple of ``keep_every`` (every record by default, none for
+    0).  Deterministic given (cfg, u0, seed); the noise increment table can
+    also be passed explicitly for coupled-path studies.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum does not live on the solver grid")

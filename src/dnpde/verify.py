@@ -10,7 +10,8 @@ the initial datum, and the distinguished role of the combination
 ``sweep`` is the one routine that runs a family of configs along one coupled
 noise path; ``dnpde sweep`` and criteria 6 and 7 both call it.
 ``record_integrals`` and ``phi_integral`` each walk a run's records once,
-reading the face gradients the run kept with them.
+reading the face gradients the run kept with them; a missing graph (``eta``
+or ``xi`` None) adds nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Assertion",
     "SweepEntry",
     "sweep",
-    "cauchy_distance",
     "lipschitz_test",
     "apriori_report",
     "phi_integral",
@@ -122,8 +122,9 @@ def record_integrals(traj):
                 gap_gamma += w * float(np.sum(convex.fenchel_residual(cfg.gamma, ga, ea)))
         if cfg.beta is not None:
             gap_beta += w * float(np.sum(convex.fenchel_residual(cfg.beta, rec.u, rec.xi)))
+        eta = () if rec.eta is None else rec.eta
         xi = () if rec.xi is None else (rec.xi,)
-        for tails, arrays in ((tails_eta, rec.eta), (tails_xi, xi)):
+        for tails, arrays in ((tails_eta, eta), (tails_xi, xi)):
             for arr in arrays:
                 a = np.abs(arr)
                 for i, M in enumerate(DEFAULT_TAIL_LEVELS):
@@ -154,9 +155,10 @@ SWEEP_COLUMNS = (
 )
 
 
-def cauchy_distance(prev, cur):
+def _cauchy_distance(prev, cur):
     """sup-in-time state distance at shared times, NaN when not comparable."""
-    if prev is None or prev.grid != cur.grid:
+    grid = cur.config.grid
+    if prev is None or prev.config.grid != grid:
         return math.nan
     dt_a, dt_b = prev.config.dt, cur.config.dt
     coarse = max(dt_a, dt_b)
@@ -167,8 +169,8 @@ def cauchy_distance(prev, cur):
     sa = prev.states()[::ra]
     sb = cur.states()[::rb]
     n = min(len(sa), len(sb))
-    axes = tuple(range(1, 1 + cur.grid.dim))
-    d = np.sqrt(cur.grid.node_volume * np.sum((sa[:n] - sb[:n]) ** 2, axis=axes))
+    axes = tuple(range(1, 1 + grid.dim))
+    d = np.sqrt(grid.node_volume * np.sum((sa[:n] - sb[:n]) ** 2, axis=axes))
     return float(d.max())
 
 
@@ -231,7 +233,7 @@ def _sweep_entries(runs, tables, seed):
                 f"sweep run {i} (lambda={cfg.lambda_yosida}, dt={cfg.dt}) failed: {err}",
                 err.step_index,
             ) from err
-        yield SweepEntry(traj, cauchy_distance(prev, traj), *record_integrals(traj))
+        yield SweepEntry(traj, _cauchy_distance(prev, traj), *record_integrals(traj))
         prev = traj
 
 
@@ -293,7 +295,7 @@ def phi_integral(traj):
     cfg = traj.config
     acc = np.zeros(cfg.grid.shape)
     for rec in _steps(traj):
-        term = -gridmod.div_arrays(cfg.grid, rec.eta)
+        term = 0.0 if rec.eta is None else -gridmod.div_arrays(cfg.grid, rec.eta)
         if rec.xi is not None:
             term = term + rec.xi
         acc = acc + cfg.dt * term

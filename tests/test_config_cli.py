@@ -177,14 +177,17 @@ def test_run_rejects_jobs_flag(tmp_path):
 # n_b = inf made the declared bound vacuous, u0_mode = 0 and 99 used to run on a
 # zero and an aliased datum, a non-finite u0_amplitude must be named, not the
 # mode it scales, an amplitude whose square overflows failed at step 0, a dt
-# giving more steps than an array holds ended in a traceback, and an infinite
-# lambda_visc failed at step 1
+# giving more steps than an array holds ended in a traceback, an infinite
+# lambda_visc failed at step 1, an infinite eps_inner ran without a single
+# inner iteration, every step returning its incoming state, and an infinite or
+# nan extent ended in a traceback about the declared noise bound
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
     "u0_amplitude = nan", "amp_q = nan", "amp_c = nan", "amplitudes = nan", "amp_c = 0",
     "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
-    "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf",
+    "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf", "eps_inner = inf",
+    "extent = inf", "extent = nan",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it
@@ -201,6 +204,22 @@ def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     lineno = text.splitlines().index(line) + 1
     assert f"line {lineno}: {line.split()[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gamma_p", "gamma_scale", "beta_scale"])
+def test_run_non_finite_potential_exits_2(tmp_path, capsys, key):
+    # an infinite p or scale used to build a potential and fail the run (exit 3)
+    role = key.split("_")[0]
+    text = BASIC.replace("gamma_p = 2.0", "gamma_p = 2.0\nbeta_kind = expcosh")
+    if key == "gamma_p":
+        text = text.replace("gamma_p = 2.0", "gamma_p = inf")
+    else:
+        text = text.replace("[potentials]", f"[potentials]\n{key} = inf")
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    kind_line = next(line for line in text.splitlines() if line.startswith(f"{role}_kind"))
+    lineno = text.splitlines().index(kind_line) + 1
+    assert f"line {lineno}: invalid {role} potential: " in capsys.readouterr().err
 
 
 def test_run_mode_count_beyond_grid_exits_2(tmp_path, capsys):

@@ -19,6 +19,15 @@ from dnpde.convex import (
 )
 
 _XS = np.linspace(-4.0, 4.0, 81)
+
+# parametrize ids of the catalog classes
+_IDS = {
+    PowerPotential: "power",
+    AbsPotential: "abs",
+    HuberPotential: "huber",
+    ExpCoshPotential: "expcosh",
+    SampledSlopePotential: "piecewise",
+}
 CATALOG = [
     PowerPotential(2.0),
     PowerPotential(1.5),
@@ -117,7 +126,7 @@ def test_conjugate_examples():
     assert AbsPotential().closed_conjugate(0.5) == 0.0
 
 
-@pytest.mark.parametrize("pot", CATALOG, ids=lambda p: p.kind)
+@pytest.mark.parametrize("pot", CATALOG, ids=lambda p: _IDS[type(p)])
 def test_fenchel_residual_refusals(pot):
     # one finiteness test on the residual, then the cause of a failure
     y_out = 2.0 * np.max(np.abs(pot.minimal_slope(np.linspace(-50.0, 50.0, 11))))
@@ -388,6 +397,21 @@ def test_sampled_potential_rejects_bad_input():
         SampledSlopePotential([-1.0, 1.0], [0.5, 1.0])      # slope(0) != 0
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_catalog_rejects_non_finite_parameters(bad):
+    # an infinite p or scale used to build a potential whose runs fail
+    builds = [
+        lambda: PowerPotential(bad),
+        lambda: PowerPotential(2.0, scale=bad),
+        lambda: AbsPotential(scale=bad),
+        lambda: HuberPotential(1.0, scale=bad),
+        lambda: ExpCoshPotential(scale=bad),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_sampled_linear_growth_conjugate_diverges():
     pot = SampledSlopePotential([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0])
     assert pot.closed_conjugate(3.0) == math.inf
@@ -399,7 +423,7 @@ def test_sampled_linear_growth_conjugate_diverges():
 # ---------------------------------------------------------------------------
 
 def test_validate_quadratic_passes():
-    checks = convex.validate_potential(PowerPotential(2.0), 10.0, 64)
+    checks = convex.validate_potential(PowerPotential(2.0))
     assert all(c.passed for c in checks.values()), checks
 
 
@@ -408,17 +432,10 @@ def test_validate_shifted_potential_fails_origin():
         def value(self, x):
             return super().value(x) + 0.1
 
-    checks = convex.validate_potential(Shifted(2.0), 5.0, 32)
+    checks = convex.validate_potential(Shifted(2.0))
     assert not checks["origin"].passed
 
 
-def test_validate_rejects_bad_probe_parameters():
-    with pytest.raises(ValueError):
-        convex.validate_potential(PowerPotential(2.0), -1.0, 64)
-    with pytest.raises(ValueError):
-        convex.validate_potential(PowerPotential(2.0), 1.0, 4)
-
-
 def test_symmetry_bound_respected():
-    checks = convex.validate_potential(PowerPotential(3.0), 10.0, 128)
+    checks = convex.validate_potential(PowerPotential(3.0))
     assert checks["symmetry"].passed   # even potential: ratio 1 <= 1e6

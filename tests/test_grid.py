@@ -1,5 +1,7 @@
 """Grid tests: exact discrete duality, spectral formulas, SPD solves, IO."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ def test_grid_validation():
         DirichletGrid((-1.0,), (8,))
     with pytest.raises(ValueError):
         DirichletGrid((1.0, 1.0, 1.0), (4, 4, 4))
+    for bad in (math.inf, math.nan):   # used to build a grid with spacing inf or nan
+        with pytest.raises(ValueError, match="^extents must be positive and finite"):
+            DirichletGrid((1.0, bad), (8, 8))
     assert G2.spacing == (1.0 / 9, 2.0 / 13)
     assert G2.node_volume == pytest.approx((1.0 / 9) * (2.0 / 13))
 
@@ -118,8 +123,9 @@ def _power_iteration_lambda_max(grid, iters, seed=7):
 
 
 def test_lambda_max_matches_power_iteration():
+    # the top sine mode on every axis, as the semi-implicit stability bound reads it
     for g in (G1, G2):
-        direct = gd.lambda_max(g)
+        direct = gd.sine_eigenvalue(g, g.nodes)
         power = _power_iteration_lambda_max(g, iters=3000)
         assert abs(direct - power) <= 1e-8 * direct
 

@@ -53,25 +53,22 @@ def test_increment_independence():
         assert abs(lag) <= se
 
 
-def test_aggregate_increments():
-    a = nz.sample_increments(nz.PathSeed(5), 64, 0.01, 3)
-    agg = nz.aggregate_increments(a, 4)
-    assert agg.shape == (16, 3)
-    assert np.allclose(agg[0], a[:4].sum(axis=0))
-    with pytest.raises(ValueError):
-        nz.aggregate_increments(a, 5)
-
-
 def test_coupled_increment_tables():
     seed = nz.PathSeed(99, 0)
     tables = nz.coupled_increment_tables(seed, 1 / 64, [1 / 16, 1 / 32, 1 / 64], 0.5, 3)
-    assert [t.shape[0] for t in tables] == [8, 16, 32]
-    assert np.allclose(tables[0], nz.aggregate_increments(tables[2], 4))
-    assert np.allclose(tables[1], nz.aggregate_increments(tables[2], 2))
+    assert [t.shape for t in tables] == [(8, 3), (16, 3), (32, 3)]
+    # each coarse step sums the fine steps it covers
+    fine = tables[2]
+    assert np.allclose(tables[0][0], fine[:4].sum(axis=0))
+    assert np.allclose(tables[0], fine.reshape(8, 4, 3).sum(axis=1))
+    assert np.allclose(tables[1], fine.reshape(16, 2, 3).sum(axis=1))
     # the finest level is the fine draw bit for bit
-    assert np.array_equal(tables[2], nz.sample_increments(seed, 32, 1 / 64, 3))
+    assert np.array_equal(fine, nz.sample_increments(seed, 32, 1 / 64, 3))
     with pytest.raises(ValueError):
         nz.coupled_increment_tables(seed, 1 / 24, [1 / 16, 1 / 24], 0.5, 3)
+    # a dt that is a multiple of the fine dt but does not divide the horizon
+    with pytest.raises(ValueError, match="does not divide the horizon"):
+        nz.coupled_increment_tables(seed, 1 / 64, [5 / 64], 0.5, 3)
 
 
 def test_apply_b_additive_mode_action():

@@ -52,6 +52,8 @@ def test_config_validation():
         heat_cfg(horizon=0.99 * 1 / 64 * 7)   # not a multiple of dt
     with pytest.raises(ValueError):
         heat_cfg(eps_inner=0.0)
+    with pytest.raises(ValueError, match="^eps_inner"):
+        heat_cfg(eps_inner=math.inf)   # used to run with no inner iteration at all
     with pytest.raises(ValueError):
         heat_cfg(max_inner=0)
     with pytest.raises(ValueError, match="^max_inner"):
@@ -483,7 +485,7 @@ def test_trajectory_csv_format(tmp_path):
     for n, (line, rec) in enumerate(zip(lines[3:], traj.records)):
         row = line.split(",")
         assert row[0] == str(rec.index)
-        expected = [rec.t, *(traj.ledgers[c][n] for c in sv.LEDGER_COLUMNS)]
+        expected = [rec.index * traj.config.dt, *(traj.ledgers[c][n] for c in sv.LEDGER_COLUMNS)]
         assert [float(v) for v in row[1:]] == expected
 
 
@@ -501,9 +503,16 @@ CATALOG = [
     cx.ExpCoshPotential(),
     cx.SampledSlopePotential.from_value_samples(_XS, np.abs(_XS) ** 3 / 3),
 ]
+_IDS = {   # parametrize ids of the catalog classes
+    cx.PowerPotential: "power",
+    cx.AbsPotential: "abs",
+    cx.HuberPotential: "huber",
+    cx.ExpCoshPotential: "expcosh",
+    cx.SampledSlopePotential: "piecewise",
+}
 
 
-@pytest.mark.parametrize("pot", CATALOG, ids=lambda p: f"{p.kind}{getattr(p, 'p', '')}")
+@pytest.mark.parametrize("pot", CATALOG, ids=lambda p: f"{_IDS[type(p)]}{getattr(p, 'p', '')}")
 def test_yosida_derivative_matches_difference_quotient(pot):
     lam, h = 0.3, 1e-6
     a = np.linspace(-3.1, 2.9, 41) + 1e-3

@@ -203,18 +203,21 @@ def _reference_integrals(traj):
         gap_beta = 0.0
         for rec in recs:
             gap_beta += dt * vol * float(np.sum(cx.fenchel_residual(cfg.beta, rec.u, rec.xi)))
+    # a run without a flux graph keeps no eta; here it counts as zero faces
+    no_flux = [np.zeros(s) for s in cfg.grid.face_shapes()]
     tails_eta = np.zeros(len(vf.DEFAULT_TAIL_LEVELS))
     tails_xi = np.zeros(len(vf.DEFAULT_TAIL_LEVELS))
     for rec in recs:
+        eta = no_flux if rec.eta is None else rec.eta
         xi = () if rec.xi is None else (rec.xi,)
-        for tails, arrays in ((tails_eta, rec.eta), (tails_xi, xi)):
+        for tails, arrays in ((tails_eta, eta), (tails_xi, xi)):
             for arr in arrays:
                 a = np.abs(arr)
                 for i, M in enumerate(vf.DEFAULT_TAIL_LEVELS):
                     tails[i] += dt * vol * float(a[a > M].sum())
     phi = np.zeros(cfg.grid.shape)
     for rec in recs:
-        term = -gd.div_arrays(cfg.grid, rec.eta)
+        term = -gd.div_arrays(cfg.grid, no_flux if rec.eta is None else rec.eta)
         phi = phi + cfg.dt * (term if rec.xi is None else term + rec.xi)
     return (bounds, gap_gamma, gap_beta, tails_eta, tails_xi), phi
 
@@ -249,6 +252,7 @@ def test_walk_matches_per_record_recomputation_1d(gamma, beta):
             e.bounds, e.fenchel_gap_gamma, e.fenchel_gap_beta, e.tails_eta, e.tails_xi,
         ))
         assert (e.fenchel_gap_gamma is None) != gamma
+        assert all((rec.eta is None) != gamma for rec in e.trajectory.records)
         assert (e.tails_eta[0] > 0.0) == gamma and (e.tails_xi[0] > 0.0) == beta
 
 
