@@ -53,6 +53,18 @@ def test_increment_independence():
         assert abs(lag) <= se
 
 
+def test_aggregate_increments():
+    # a coarse table sums consecutive groups of the fine draw
+    agg, a = nz.coupled_increment_tables(nz.PathSeed(5), 0.01, [0.04, 0.01], 0.64, 3)
+    assert agg.shape == (16, 3)
+    assert np.array_equal(a, nz.sample_increments(nz.PathSeed(5), 64, 0.01, 3))
+    assert np.allclose(agg[0], a[:4].sum(axis=0))
+    assert np.allclose(agg, a.reshape(16, 4, 3).sum(axis=1))
+    # a group size that does not divide the fine step count
+    with pytest.raises(ValueError, match="does not divide the horizon"):
+        nz.coupled_increment_tables(nz.PathSeed(5), 0.01, [0.05], 0.64, 3)
+
+
 def test_coupled_increment_tables():
     seed = nz.PathSeed(99, 0)
     tables = nz.coupled_increment_tables(seed, 1 / 64, [1 / 16, 1 / 32, 1 / 64], 0.5, 3)
