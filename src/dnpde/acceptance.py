@@ -134,10 +134,23 @@ def criterion_convex_oracle(workdir=None, rc=None):
             )
         else:
             orders.append(2.0)   # both errors at the floor: exact to roundoff
+
+    # the Newton and interpolation routes, on a generator of their own
+    rng = np.random.default_rng(12)
+    samples = np.linspace(-4.0, 4.0, 81)
+    worst_cat = 0.0
+    sampled_abs = convex.SampledSlopePotential.from_value_samples(samples, np.abs(samples))
+    for pot in (ExpCoshPotential(), sampled_abs):
+        x = rng.uniform(-10.0, 10.0, 1000)
+        for lam in (1.0, 0.1, 0.01):
+            j_closed = convex.resolvent(pot, lam, x)
+            j_bisect = convex.resolvent(pot, lam, x, force_bisect=True)
+            worst_cat = max(worst_cat, float(np.abs(j_closed - j_bisect).max()))
     return [
         Assertion("resolvent_bisect_vs_closed", worst_res, 1e-10, worst_res <= 1e-10),
         Assertion("yosida_identity", worst_yos, 1e-10, worst_yos <= 1e-10),
         Assertion("envelope_fd_order", min(orders), 1.9, min(orders) >= 1.9),
+        Assertion("resolvent_bisect_vs_expcosh_sampled", worst_cat, 1e-10, worst_cat <= 1e-10),
     ]
 
 

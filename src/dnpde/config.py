@@ -4,11 +4,17 @@ Unknown sections or keys are rejected with line-numbered messages, as are
 type errors: a silent typo in a regularization parameter would invalidate an
 entire experiment.  Values are plain scalars or comma-separated lists;
 full-line comments start with '#'.
+
+Potentials and gains are built from the kind tables ``POTENTIAL_KINDS`` and
+``GAIN_KINDS``, whose constructors' parameter names are the key suffixes
+(``gamma_p`` is ``PowerPotential.p``); a kind ignores keys it does not take.
+A refused value is reported at the line of the key its message leads with.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, replace
 
@@ -38,6 +44,29 @@ def _parse_strs(s):
     return tuple(tok.strip() for tok in s.split(",") if tok.strip())
 
 
+# kind -> constructor; the constructor's parameter names are the key suffixes
+POTENTIAL_KINDS = {
+    "power": convex.PowerPotential,
+    "abs": convex.AbsPotential,
+    "huber": convex.HuberPotential,
+    "expcosh": convex.ExpCoshPotential,
+    "sampled": convex.SampledSlopePotential.from_file,
+    "piecewise": convex.SampledSlopePotential,
+}
+GAIN_KINDS = {
+    "additive": noisemod.AdditiveGain,
+    "clipped": noisemod.ClippedLinearGain,
+    "tanh": noisemod.TanhGain,
+}
+_PARAM_PARSERS = {"path": str, "xs": _parse_floats, "slopes": _parse_floats}   # else float
+
+
+def _param_keys(kinds, stem):
+    """``<stem>_<parameter>`` -> parser for every constructor parameter of ``kinds``."""
+    params = dict.fromkeys(p for ctor in kinds.values() for p in inspect.signature(ctor).parameters)
+    return {f"{stem}_{name}": _PARAM_PARSERS.get(name, float) for name in params}
+
+
 # section -> key -> parser
 SCHEMA = {
     "grid": {
@@ -46,20 +75,8 @@ SCHEMA = {
         "nodes": _parse_ints,
     },
     "potentials": {
-        "gamma_kind": str,
-        "gamma_p": float,
-        "gamma_scale": float,
-        "gamma_delta": float,
-        "gamma_path": str,
-        "gamma_xs": _parse_floats,
-        "gamma_slopes": _parse_floats,
-        "beta_kind": str,
-        "beta_p": float,
-        "beta_scale": float,
-        "beta_delta": float,
-        "beta_path": str,
-        "beta_xs": _parse_floats,
-        "beta_slopes": _parse_floats,
+        key: parser for role in ("gamma", "beta")
+        for key, parser in {f"{role}_kind": str, **_param_keys(POTENTIAL_KINDS, role)}.items()
     },
     "noise": {
         "mode_count": int,
@@ -67,7 +84,7 @@ SCHEMA = {
         "amp_c": float,
         "amp_q": float,
         "gain": str,
-        "gain_limit": float,
+        **_param_keys(GAIN_KINDS, "gain"),
         "n_b": float,
         "master_seed": int,
     },
@@ -190,48 +207,40 @@ def build_grid(rc: RunConfig) -> gridmod.DirichletGrid:
         raise ConfigError(str(err), rc.lines["grid"].get(key)) from None
 
 
+def _refusal(rc, section, err, keys, default=None, prefix=""):
+    """``ConfigError`` for a builder's ``ValueError``, at the line of the key
+    that its message leads with (``keys``: first word -> key), else of
+    ``default``."""
+    message = str(err)
+    key = keys.get(message.split(" ", 1)[0], default)
+    return ConfigError(prefix + message, rc.lines.get(section, {}).get(key))
+
+
+def _build_kind(rc, section, kind_key, kind, kinds, noun, prefix=""):
+    """``kinds[kind]`` built from the keys ``<stem>_<parameter>`` that its
+    constructor takes (``<stem>``: ``kind_key`` less ``_kind``)."""
+    if kind not in kinds:
+        raise ConfigError(f"unknown {noun} kind {kind!r}", rc.lines.get(section, {}).get(kind_key))
+    params = inspect.signature(kinds[kind]).parameters
+    keys = {name: f"{kind_key.removesuffix('_kind')}_{name}" for name in params}
+    args = {
+        name: rc.require(section, key) for name, key in keys.items()
+        if rc.has(section, key) or params[name].default is inspect.Parameter.empty
+    }
+    try:
+        return kinds[kind](**args)
+    except ValueError as err:
+        raise _refusal(rc, section, err, keys, kind_key, prefix) from None
+
+
 def build_potential(rc: RunConfig, role) -> convex.Potential | None:
     kind = rc.get("potentials", f"{role}_kind", "none")
     if kind == "none":
         return None
-    params = {}
-    if rc.has("potentials", f"{role}_scale"):
-        params["scale"] = rc.get("potentials", f"{role}_scale")
-    try:
-        if kind == "power":
-            return convex.PowerPotential(rc.require("potentials", f"{role}_p"), **params)
-        if kind == "abs":
-            return convex.AbsPotential(**params)
-        if kind == "huber":
-            return convex.HuberPotential(
-                rc.get("potentials", f"{role}_delta", 1.0), **params
-            )
-        if kind == "expcosh":
-            return convex.ExpCoshPotential(**params)
-        if kind == "sampled":
-            return convex.SampledSlopePotential.from_file(
-                rc.require("potentials", f"{role}_path")
-            )
-        if kind == "piecewise":
-            return convex.SampledSlopePotential(
-                rc.require("potentials", f"{role}_xs"),
-                rc.require("potentials", f"{role}_slopes"),
-            )
-    except ValueError as err:
-        raise ConfigError(
-            f"invalid {role} potential: {err}",
-            rc.lines.get("potentials", {}).get(f"{role}_kind"),
-        ) from None
-    raise ConfigError(
-        f"unknown potential kind {kind!r}",
-        rc.lines.get("potentials", {}).get(f"{role}_kind"),
+    return _build_kind(
+        rc, "potentials", f"{role}_kind", kind, POTENTIAL_KINDS, "potential",
+        f"invalid {role} potential: ",
     )
-
-
-def _finite_square_sum(amps):
-    """Whether sum b_k**2, the noise's Hilbert-Schmidt scale, is finite."""
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.sum(np.square(amps))))
 
 
 def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
@@ -253,10 +262,8 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
                 f"amplitudes list has {len(amps)} entries, mode_count is {K}",
                 line("amplitudes"),
             )
-        if not all(map(math.isfinite, amps)) or not any(amps):
-            raise ConfigError("amplitudes must be finite and not all zero", line("amplitudes"))
-        if not _finite_square_sum(amps):
-            raise ConfigError("amplitudes must have a finite sum of squares", line("amplitudes"))
+        if not any(amps):
+            raise ConfigError("amplitudes must not be all zero", line("amplitudes"))
     else:
         c = rc.get("noise", "amp_c")
         q = rc.get("noise", "amp_q")
@@ -268,25 +275,22 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
             raise ConfigError("amp_c must be positive and finite", line("amp_c"))
         with np.errstate(over="ignore"):
             amps = noisemod.amplitudes_power_law(K, c, q)
+            squares = np.square(amps)
+            square_sum = squares.sum()   # the noise's Hilbert-Schmidt scale
         if not (math.isfinite(q) and all(map(math.isfinite, amps))):
             raise ConfigError("amp_q must be finite and give finite amplitudes", line("amp_q"))
-        if not _finite_square_sum(amps):
-            key = "amp_c" if not _finite_square_sum((c,)) else "amp_q"
+        if not np.isfinite(square_sum):
+            key = "amp_c" if np.isinf(squares[0]) else "amp_q"   # b_1 = c
             raise ConfigError(f"{key} must give amplitudes with a finite sum of squares", line(key))
-    gain_kind = rc.get("noise", "gain", "additive")
-    gain_params = {}
-    if gain_kind == "clipped" and rc.has("noise", "gain_limit"):
-        gain_params["limit"] = rc.get("noise", "gain_limit")
-    try:
-        gain = noisemod.make_gain(gain_kind, **gain_params)
-    except ValueError as err:
-        raise ConfigError(str(err), line("gain")) from None
+    gain = _build_kind(rc, "noise", "gain", rc.get("noise", "gain", "additive"), GAIN_KINDS, "gain")
     n_b = rc.get("noise", "n_b")
-    if n_b is None:
-        n_b = noisemod.default_bound(noisemod.NoiseModel(amps, gain), grid)
-    elif not 0 < n_b < math.inf:
+    if n_b is not None and not 0 < n_b < math.inf:
         raise ConfigError("n_b must be positive and finite", line("n_b"))
-    return noisemod.NoiseModel(amps, gain, n_b)
+    try:   # the model refuses non-finite amplitudes and sums of squares
+        model = noisemod.NoiseModel(amps, gain)
+        return replace(model, bound=noisemod.default_bound(model, grid) if n_b is None else n_b)
+    except ValueError as err:
+        raise _refusal(rc, "noise", err, {"amplitudes": "amplitudes"}) from None
 
 
 def build_u0(rc: RunConfig, grid) -> gridmod.GridField:
@@ -323,8 +327,7 @@ def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverCon
             max_inner=rc.get("solver", "max_inner", 100),
         )
     except ValueError as err:   # the message leads with the key it refuses
-        key = next((k for k in SCHEMA["solver"] if str(err).startswith(k)), None)
-        raise ConfigError(str(err), rc.lines["solver"].get(key)) from None
+        raise _refusal(rc, "solver", err, {k: k for k in SCHEMA["solver"]}) from None
 
 
 def master_seed(rc: RunConfig, override=None):

@@ -10,9 +10,13 @@ never need an arbitrary selection rule.
 
 Potentials are scalar profiles and act elementwise on arrays: the solver's
 staggered grids carry one normal gradient component per face, so a flux
-graph is applied face by face through its profile.  Every catalog potential
-has an exact resolvent and an exact conjugate of its own (closed forms, a
-monotone Newton iteration for exp-cosh, interpolation for sampled graphs).
+graph is applied face by face through its profile.  The power, abs, Huber
+and exp-cosh potentials are frozen dataclasses whose fields are their
+parameters: floats, checked on construction, with equality, hash and repr
+from the fields; ``config`` passes its keys to them by these names.  Every
+catalog potential has an exact resolvent and an exact conjugate of its own
+(closed forms, a monotone Newton iteration for exp-cosh, interpolation for
+sampled graphs).
 Safeguarded bisection is the independent reference route (``force_bisect``
 of ``resolvent``, the only place that picks the route) and serves power
 potentials with p outside {1.5, 2, 4}; the solver calls ``closed_resolvent``.
@@ -20,7 +24,7 @@ potentials with p outside {1.5, 2, 4}; the solver calls ``closed_resolvent``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,9 +65,11 @@ def _as_float_array(x, name="x"):
     return a
 
 
-def _check_scale(scale):
-    if not 0.0 < scale < np.inf:
-        raise ValueError("scale must be positive and finite")
+def _require_finite(**arrays):
+    """Refuse the first array holding a non-finite entry, by its name."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def _match(template, a):
@@ -82,24 +88,19 @@ class Potential:
 
     Subclasses provide ``value``, ``minimal_slope`` (the minimal-norm
     subgradient, used as the probing selection and inside the reference
-    bisection resolvent), ``slope_derivative`` and the exact routes
-    ``closed_resolvent`` and ``closed_conjugate``.
+    bisection resolvent), ``slope_derivative`` (its derivative, ``inf`` where
+    the graph is vertical) and the exact routes ``closed_resolvent`` and
+    ``closed_conjugate``.
     """
 
-    scale = 1.0
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def minimal_slope(self, x):
-        raise NotImplementedError
-
-    def slope_derivative(self, x):
-        """Derivative of ``minimal_slope``; ``inf`` where the graph is vertical."""
-        raise NotImplementedError
-
-    def closed_resolvent(self, lam, x):
-        raise NotImplementedError
+    def __post_init__(self):
+        # catalog dataclasses: every field is a positive, finite float, and a
+        # refusal leads with the field's name
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{f.name} must be positive and finite")
+            object.__setattr__(self, f.name, value)
 
     def yosida_from_resolvent(self, lam, x, j):
         """Yosida value ``(x - j)/lam`` at ``x`` with resolvent point ``j``.
@@ -111,23 +112,8 @@ class Potential:
         """
         return (x - j) / lam
 
-    def closed_conjugate(self, y):
-        raise NotImplementedError
 
-    def _key(self):
-        """Value identity of the potential (used for config comparisons)."""
-        return (type(self).__name__, self.scale)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(scale={self.scale})"
-
-
+@dataclass(frozen=True)
 class PowerPotential(Potential):
     """``P(x) = scale * |x|**p / p`` with ``p > 1``.
 
@@ -136,15 +122,13 @@ class PowerPotential(Potential):
     found by bisection for every other p.
     """
 
-    def __init__(self, p, scale=1.0):
-        if not 1.0 < p < np.inf:
-            raise ValueError("power potential needs a finite p > 1 (use AbsPotential for p = 1)")
-        _check_scale(scale)
-        self.p = float(p)
-        self.scale = float(scale)
+    p: float
+    scale: float = 1.0
 
-    def _key(self):
-        return (type(self).__name__, self.p, self.scale)
+    def __post_init__(self):
+        if not 1.0 < self.p < np.inf:
+            raise ValueError("p must be finite and > 1 (use AbsPotential for p = 1)")
+        super().__post_init__()
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -185,12 +169,11 @@ class PowerPotential(Potential):
         return self.scale ** (1.0 - q) * np.abs(y) ** q / q
 
 
+@dataclass(frozen=True)
 class AbsPotential(Potential):
     """``P(x) = scale * |x|``; the graph is the scaled sign, multivalued at 0."""
 
-    def __init__(self, scale=1.0):
-        _check_scale(scale)
-        self.scale = float(scale)
+    scale: float = 1.0
 
     def value(self, x):
         return self.scale * np.abs(np.asarray(x, dtype=float))
@@ -215,18 +198,12 @@ class AbsPotential(Potential):
         return np.where(inside, 0.0, np.inf)
 
 
+@dataclass(frozen=True)
 class HuberPotential(Potential):
     """Quadratic inside ``|x| <= delta``, linear outside (scaled)."""
 
-    def __init__(self, delta=1.0, scale=1.0):
-        if not delta > 0.0:
-            raise ValueError("delta must be positive")
-        _check_scale(scale)
-        self.delta = float(delta)
-        self.scale = float(scale)
-
-    def _key(self):
-        return (type(self).__name__, self.delta, self.scale)
+    delta: float = 1.0
+    scale: float = 1.0
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -257,12 +234,11 @@ class HuberPotential(Potential):
         return np.where(inside, y * y / (2.0 * self.scale), np.inf)
 
 
+@dataclass(frozen=True)
 class ExpCoshPotential(Potential):
     """``P(x) = scale * (cosh(x) - 1)``; superlinear, resolvent by Newton."""
 
-    def __init__(self, scale=1.0):
-        _check_scale(scale)
-        self.scale = float(scale)
+    scale: float = 1.0
 
     def value(self, x):
         return self.scale * (np.cosh(np.asarray(x, dtype=float)) - 1.0)
@@ -297,7 +273,7 @@ class ExpCoshPotential(Potential):
 class SampledSlopePotential(Potential):
     """Potential defined by a piecewise-linear monotone derivative.
 
-    ``xs``/``gs`` are breakpoints of the derivative, which is interpolated
+    ``xs``/``slopes`` are breakpoints of the derivative, which is interpolated
     linearly between them and extended by its end values outside the range.
     The potential itself is the exact integral of the derivative from 0, so
     ``P(0) = 0`` holds exactly.  A breakpoint at the origin with zero slope is
@@ -305,18 +281,19 @@ class SampledSlopePotential(Potential):
     not vanish at 0 (the potential could not attain its minimum there).
     """
 
-    def __init__(self, xs, gs):
+    def __init__(self, xs, slopes):
         xs = np.asarray(xs, dtype=float)
-        gs = np.asarray(gs, dtype=float)
+        gs = np.asarray(slopes, dtype=float)
         if xs.ndim != 1 or xs.shape != gs.shape or xs.size < 2:
             raise ValueError("need matching 1-d breakpoint arrays with >= 2 points")
+        _require_finite(xs=xs, slopes=gs)
         if np.any(np.diff(xs) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ValueError("xs must be strictly increasing")
         if np.any(np.diff(gs) < -1e-12 * max(1.0, np.abs(gs).max())):
-            raise ValueError("derivative samples must be nondecreasing (non-monotone user graph)")
+            raise ValueError("slopes must be nondecreasing (non-monotone user graph)")
         g0 = float(np.interp(0.0, xs, gs))
         if abs(g0) > ORIGIN_TOL * max(1.0, np.abs(gs).max()):
-            raise ValueError("derivative must vanish at the origin (minimum of the potential)")
+            raise ValueError("slopes must vanish at the origin (minimum of the potential)")
         if 0.0 not in xs:
             i = int(np.searchsorted(xs, 0.0))
             xs = np.insert(xs, i, 0.0)
@@ -329,15 +306,19 @@ class SampledSlopePotential(Potential):
         gs = np.maximum.accumulate(gs)
         gs = np.where(xs <= 0.0, np.minimum(gs, 0.0), gs)
         self.xs = xs
-        self.gs = gs
+        self.slopes = gs
         # cumulative exact integral of the piecewise-linear derivative,
         # anchored so that the origin breakpoint carries exactly 0
         seg = np.diff(xs) * 0.5 * (gs[:-1] + gs[1:])
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         self._cum = cum - cum[int(np.searchsorted(xs, 0.0))]
 
-    def _key(self):
-        return (type(self).__name__, self.xs.tobytes(), self.gs.tobytes())
+    def __eq__(self, other):
+        pair = self.xs.tobytes(), self.slopes.tobytes()
+        return type(other) is type(self) and pair == (other.xs.tobytes(), other.slopes.tobytes())
+
+    def __hash__(self):
+        return hash((self.xs.tobytes(), self.slopes.tobytes()))
 
     @classmethod
     def from_value_samples(cls, xs, values):
@@ -346,6 +327,7 @@ class SampledSlopePotential(Potential):
         values = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != values.shape or xs.size < 3:
             raise ValueError("need >= 3 value samples")
+        _require_finite(xs=xs, values=values)
         if np.any(np.diff(xs) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
         slopes = np.diff(values) / np.diff(xs)
@@ -354,43 +336,46 @@ class SampledSlopePotential(Potential):
 
     @classmethod
     def from_file(cls, path):
-        data = np.loadtxt(path, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError(f"{path}: expected two columns (x, P(x))")
-        return cls.from_value_samples(data[:, 0], data[:, 1])
+        try:
+            data = np.loadtxt(path, dtype=float)
+            if data.ndim != 2 or data.shape[1] != 2:
+                raise ValueError("expected two columns (x, P(x))")
+            return cls.from_value_samples(data[:, 0], data[:, 1])
+        except ValueError as err:   # a refused file's message leads with `path`
+            raise ValueError(f"path {path}: {err}") from None
 
     def minimal_slope(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.gs)
+        return np.interp(np.asarray(x, dtype=float), self.xs, self.slopes)
 
     def slope_derivative(self, x):
         x = np.asarray(x, dtype=float)
-        rates = np.diff(self.gs) / np.diff(self.xs)
+        rates = np.diff(self.slopes) / np.diff(self.xs)
         idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, rates.size - 1)
         return np.where((x < self.xs[0]) | (x > self.xs[-1]), 0.0, rates[idx])
 
     def closed_resolvent(self, lam, x):
-        # r + lam*g(r) is piecewise linear with knots xs + lam*gs, so its
+        # r + lam*g(r) is piecewise linear with knots xs + lam*slopes, so its
         # inverse interpolates; beyond the end knots g is constant
         x = np.asarray(x, dtype=float)
-        knots = self.xs + lam * self.gs
+        knots = self.xs + lam * self.slopes
         return np.interp(x, knots, self.xs) + (x - np.clip(x, knots[0], knots[-1]))
 
     def yosida_from_resolvent(self, lam, x, j):
         # g(J) on the same interpolation weights, held flat beyond the ends:
         # stays in the range of the graph where (x - j)/lam would not
-        return np.interp(x, self.xs + lam * self.gs, self.gs)
+        return np.interp(x, self.xs + lam * self.slopes, self.slopes)
 
     def closed_conjugate(self, y):
         # the sup of x*y - P(x) is attained where g(x) = y; linear growth
-        # beyond the end breakpoints leaves dom P* = [gs[0], gs[-1]]
+        # beyond the end breakpoints leaves dom P* = [slopes[0], slopes[-1]]
         y = np.asarray(y, dtype=float)
-        x = np.interp(y, self.gs, self.xs)
-        lo, hi = self.gs[[0, -1]] * (1.0 + DOMAIN_SLACK)
+        x = np.interp(y, self.slopes, self.xs)
+        lo, hi = self.slopes[[0, -1]] * (1.0 + DOMAIN_SLACK)
         return np.where((y >= lo) & (y <= hi), y * x - self.value(x), np.inf)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        xs, gs, cum = self.xs, self.gs, self._cum
+        xs, gs, cum = self.xs, self.slopes, self._cum
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
         x0 = xs[idx]
         rate = (gs[idx + 1] - gs[idx]) / (xs[idx + 1] - xs[idx])

@@ -28,7 +28,6 @@ __all__ = [
     "TanhGain",
     "NoiseModel",
     "PathSeed",
-    "make_gain",
     "sample_increments",
     "coupled_increment_tables",
     "increment_checksum",
@@ -43,23 +42,16 @@ _MASK64 = (1 << 64) - 1
 
 
 class Gain:
-    """Scalar gain ``sigma`` with stated Lipschitz constant."""
+    """Scalar gain ``sigma`` with stated Lipschitz constant; the catalog gains
+    are frozen dataclasses whose fields are their parameters."""
 
     lipschitz = 1.0
 
     def __call__(self, u):
         raise NotImplementedError
 
-    def _key(self):
-        return (type(self).__name__,)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
+@dataclass(frozen=True)
 class AdditiveGain(Gain):
     """sigma == 1: additive noise."""
 
@@ -69,40 +61,27 @@ class AdditiveGain(Gain):
         return np.ones_like(np.asarray(u, dtype=float))
 
 
+@dataclass(frozen=True)
 class ClippedLinearGain(Gain):
     """sigma(u) = clip(u, -limit, limit); 1-Lipschitz, bounded."""
 
-    lipschitz = 1.0
+    limit: float = 1.0
 
-    def __init__(self, limit=1.0):
-        if not limit > 0:
+    def __post_init__(self):
+        if not self.limit > 0:
             raise ValueError("limit must be positive")
-        self.limit = float(limit)
-
-    def _key(self):
-        return (type(self).__name__, self.limit)
+        object.__setattr__(self, "limit", float(self.limit))
 
     def __call__(self, u):
         return np.clip(u, -self.limit, self.limit)
 
 
+@dataclass(frozen=True)
 class TanhGain(Gain):
     """sigma(u) = tanh(u): bounded and smooth, 1-Lipschitz."""
 
-    lipschitz = 1.0
-
     def __call__(self, u):
         return np.tanh(u)
-
-
-def make_gain(kind, **params):
-    if kind == "additive":
-        return AdditiveGain()
-    if kind == "clipped":
-        return ClippedLinearGain(**params)
-    if kind == "tanh":
-        return TanhGain()
-    raise ValueError(f"unknown gain kind {kind!r}")
 
 
 def amplitudes_power_law(K, c, q):
@@ -123,9 +102,12 @@ class NoiseModel:
         amps = tuple(float(a) for a in self.amplitudes)
         if not amps:
             raise ValueError("need at least one mode amplitude")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(np.square(amps))):
+                raise ValueError("amplitudes must be finite with a finite sum of squares")
         object.__setattr__(self, "amplitudes", amps)
-        if self.bound is not None and not self.bound > 0:
-            raise ValueError("declared bound must be positive")
+        if self.bound is not None and not 0 < self.bound < np.inf:
+            raise ValueError("declared bound must be positive and finite")
 
     @property
     def mode_count(self):

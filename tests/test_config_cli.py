@@ -1,6 +1,7 @@
 """Config parsing and CLI contract tests: exit codes, outputs, determinism."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from dnpde import cli, config as cfgmod
+from dnpde import convex as cx
 from dnpde import noise as nz
 from dnpde import verify as vf
 from dnpde.grid import DirichletGrid
@@ -206,20 +208,54 @@ def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     assert f"line {lineno}: {line.split()[0]}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["gamma_p", "gamma_scale", "beta_scale"])
-def test_run_non_finite_potential_exits_2(tmp_path, capsys, key):
-    # an infinite p or scale used to build a potential and fail the run (exit 3)
-    role = key.split("_")[0]
-    text = BASIC.replace("gamma_p = 2.0", "gamma_p = 2.0\nbeta_kind = expcosh")
+# an infinite p or scale used to build a potential and fail the run (exit 3), and
+# a non-finite breakpoint, slope or value sample failed its graph certificate
+# (exit 3); each refusal names the line of the key it refuses
+@pytest.mark.parametrize("line", [
+    pytest.param("gamma_p = inf", id="gamma_p"),
+    pytest.param("gamma_scale = inf", id="gamma_scale"),
+    pytest.param("beta_scale = inf", id="beta_scale"),
+    pytest.param("beta_xs = -1,0,nan", id="beta_xs"),
+    pytest.param("beta_slopes = -1,0,inf", id="beta_slopes"),
+    pytest.param("beta_path = samples.txt", id="beta_path"),
+])
+def test_run_non_finite_potential_exits_2(tmp_path, monkeypatch, capsys, line):
+    key = line.split()[0]
+    role, param = key.split("_")
+    beta = {
+        "xs": "beta_kind = piecewise\nbeta_slopes = -1,0,1",
+        "slopes": "beta_kind = piecewise\nbeta_xs = -1,0,1",
+        "path": "beta_kind = sampled",
+    }.get(param, "beta_kind = expcosh")
+    text = BASIC.replace("gamma_p = 2.0", f"gamma_p = 2.0\n{beta}")
     if key == "gamma_p":
-        text = text.replace("gamma_p = 2.0", "gamma_p = inf")
+        text = text.replace("gamma_p = 2.0", line)
     else:
-        text = text.replace("[potentials]", f"[potentials]\n{key} = inf")
+        text = text.replace("[potentials]", f"[potentials]\n{line}")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "samples.txt").write_text("-1 1\n0 0\n1 inf\n")
     cfg = write_cfg(tmp_path, text)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    kind_line = next(line for line in text.splitlines() if line.startswith(f"{role}_kind"))
-    lineno = text.splitlines().index(kind_line) + 1
-    assert f"line {lineno}: invalid {role} potential: " in capsys.readouterr().err
+    lineno = text.splitlines().index(line) + 1
+    assert f"line {lineno}: invalid {role} potential: {param} " in capsys.readouterr().err
+
+
+# the last line is the refused one; p = 1, delta = 0 and limit = 0 used to be
+# reported at the line of their kind
+@pytest.mark.parametrize("lines, message", [
+    (("gamma_kind = power", "gamma_p = 1.0"), "invalid gamma potential: p must be"),
+    (("beta_kind = huber", "beta_delta = 0"), "invalid beta potential: delta must be"),
+    (("gain = clipped", "gain_limit = 0"), "limit must be positive"),
+    (("gain = bogus",), "unknown gain kind 'bogus'"),
+], ids=["gamma_p", "beta_delta", "gain_limit", "gain"])
+def test_refused_catalog_value_names_its_line(tmp_path, capsys, lines, message):
+    section = "noise" if lines[0].startswith("gain") else "potentials"
+    text = BASIC.replace("gamma_kind = power\ngamma_p = 2.0\n", "").replace("gain = additive\n", "")
+    text = text.replace(f"[{section}]", "\n".join((f"[{section}]", *lines)))
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    lineno = text.splitlines().index(lines[-1]) + 1
+    assert f"line {lineno}: {message}" in capsys.readouterr().err
 
 
 def test_run_mode_count_beyond_grid_exits_2(tmp_path, capsys):
@@ -526,6 +562,58 @@ def test_piecewise_potential_from_config(tmp_path):
     rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
     col = cli.SWEEP_HEADER.index("fenchel_gap_beta")
     assert len(rows) == 2 and all(math.isfinite(float(row[col])) for row in rows)
+
+
+def test_kind_tables_cover_the_catalog():
+    # every catalog class is reachable from a kind table (from_file is bound to its class)
+    def subclasses(module, base):
+        return {
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, base) and obj is not base
+        }
+
+    def reachable(kinds):
+        return {getattr(ctor, "__self__", ctor) for ctor in kinds.values()}
+
+    assert subclasses(cx, cx.Potential) == reachable(cfgmod.POTENTIAL_KINDS)
+    assert subclasses(nz, nz.Gain) == reachable(cfgmod.GAIN_KINDS)
+    params = {
+        name for ctor in cfgmod.POTENTIAL_KINDS.values()
+        for name in inspect.signature(ctor).parameters
+    }
+    assert set(cfgmod.SCHEMA["potentials"]) == {
+        f"{role}_{name}" for role in ("gamma", "beta") for name in params | {"kind"}
+    }
+
+
+def test_kind_from_config_equals_direct_build(tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("-1 1\n0 0\n2 4\n")
+    potentials = [
+        ("power\ngamma_p = 3.0\ngamma_scale = 2.0", cx.PowerPotential(3.0, 2.0)),
+        ("abs\ngamma_scale = 0.5", cx.AbsPotential(0.5)),
+        ("huber\ngamma_delta = 0.25\ngamma_scale = 2.0", cx.HuberPotential(0.25, 2.0)),
+        ("expcosh\ngamma_scale = 3.0", cx.ExpCoshPotential(3.0)),
+        (f"sampled\ngamma_path = {samples}", cx.SampledSlopePotential.from_file(samples)),
+        (
+            "piecewise\ngamma_xs = -1,0,2\ngamma_slopes = -1,0,3",
+            cx.SampledSlopePotential([-1.0, 0.0, 2.0], [-1.0, 0.0, 3.0]),
+        ),
+    ]
+    for keys, direct in potentials:
+        rc = cfgmod.parse_config(f"[potentials]\ngamma_kind = {keys}\n")
+        built = cfgmod.build_potential(rc, "gamma")
+        assert built == direct and hash(built) == hash(direct)
+    assert cx.PowerPotential(3.0) != cx.PowerPotential(3.0, 2.0)
+    gains = [
+        ("additive", nz.AdditiveGain()),
+        ("clipped\ngain_limit = 0.5", nz.ClippedLinearGain(0.5)),
+        ("tanh", nz.TanhGain()),
+    ]
+    grid = DirichletGrid((1.0,), (8,))
+    for keys, direct in gains:
+        rc = cfgmod.parse_config(f"[noise]\nmode_count = 1\namplitudes = 0.5\ngain = {keys}\n")
+        assert cfgmod.build_noise(rc, grid).gain == direct
 
 
 def test_run_2d_config(tmp_path):

@@ -388,13 +388,27 @@ def test_sampled_potential_from_values(tmp_path):
     assert j == pytest.approx(2.0 / 1.5, abs=1e-6)
 
 
-def test_sampled_potential_rejects_bad_input():
+def test_sampled_potential_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         SampledSlopePotential([0.0, 1.0], [1.0, 0.0])       # decreasing slope
     with pytest.raises(ValueError):
         SampledSlopePotential([1.0, 0.5], [0.0, 1.0])       # x not increasing
     with pytest.raises(ValueError):
         SampledSlopePotential([-1.0, 1.0], [0.5, 1.0])      # slope(0) != 0
+    # non-finite breakpoints, slopes and value samples used to build graphs
+    # with value(0.5) = inf that failed the graph certificate of a run
+    with pytest.raises(ValueError, match="^slopes must be finite"):
+        SampledSlopePotential([-1.0, 0.0, 1.0], [-1.0, 0.0, math.inf])
+    with pytest.raises(ValueError, match="^xs must be finite"):
+        SampledSlopePotential([-1.0, 0.0, math.nan], [-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="^values must be finite"):
+        SampledSlopePotential.from_value_samples([-1.0, 0.0, 1.0], [1.0, 0.0, math.inf])
+    with pytest.raises(ValueError, match="^xs must be finite"):
+        SampledSlopePotential.from_value_samples([-1.0, 0.0, math.inf], [1.0, 0.0, 1.0])
+    path = tmp_path / "pot.txt"
+    path.write_text("-1 1\n0 0\n1 nan\n")
+    with pytest.raises(ValueError, match="^path .*: values must be finite"):
+        SampledSlopePotential.from_file(path)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -405,6 +419,7 @@ def test_catalog_rejects_non_finite_parameters(bad):
         lambda: PowerPotential(2.0, scale=bad),
         lambda: AbsPotential(scale=bad),
         lambda: HuberPotential(1.0, scale=bad),
+        lambda: HuberPotential(bad),
         lambda: ExpCoshPotential(scale=bad),
     ]
     for build in builds:

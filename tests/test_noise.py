@@ -1,5 +1,7 @@
 """Noise tests: reproducible streams, moments, HS bounds, smoothing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -203,5 +205,11 @@ def test_model_validation():
         nz.NoiseModel((), nz.AdditiveGain())
     with pytest.raises(ValueError):
         nz.NoiseModel((1.0,), nz.AdditiveGain(), -1.0)
-    with pytest.raises(ValueError):
-        nz.make_gain("unknown")
+    # non-finite amplitudes, an overflowing sum of squares (whose default bound
+    # was inf) and a non-finite bound used to build a model
+    for amps, bound in [
+        ((math.inf,), None), ((math.nan, 0.5), None), ((1e200, 1e200), None),
+        ((1.0,), math.inf), ((1.0,), math.nan),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            nz.NoiseModel(amps, nz.AdditiveGain(), bound)
