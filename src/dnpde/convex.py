@@ -190,7 +190,7 @@ class AbsPotential(Potential):
         return np.sign(x) * np.maximum(np.abs(x) - lam * self.scale, 0.0)
 
     def yosida_from_resolvent(self, lam, x, j):
-        return np.clip(x / lam, -self.scale, self.scale)
+        return np.minimum(np.maximum(x / lam, -self.scale), self.scale)
 
     def closed_conjugate(self, y):
         y = np.asarray(y, dtype=float)
@@ -341,7 +341,7 @@ class SampledSlopePotential(Potential):
             if data.ndim != 2 or data.shape[1] != 2:
                 raise ValueError("expected two columns (x, P(x))")
             return cls.from_value_samples(data[:, 0], data[:, 1])
-        except ValueError as err:   # a refused file's message leads with `path`
+        except (ValueError, OSError) as err:   # a refused file's message leads with `path`
             raise ValueError(f"path {path}: {err}") from None
 
     def minimal_slope(self, x):

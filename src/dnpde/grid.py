@@ -278,7 +278,7 @@ def cg_solve(grid, apply_op, b, diag):
     max_iter = 20 * math.prod(grid.nodes)
     col = (None,) * grid.dim + (...,)   # batch-shaped scalars against node arrays
     bnorm = np.sqrt(_grid_sum(grid, b * b))
-    if np.all(bnorm == 0.0):
+    if (bnorm == 0.0).all():
         return np.zeros_like(b)
     x = b / diag
     r = b - apply_op(x)
@@ -287,11 +287,11 @@ def cg_solve(grid, apply_op, b, diag):
     rz = _grid_sum(grid, r * z)
     for _ in range(max_iter):
         done = np.sqrt(_grid_sum(grid, r * r)) <= CG_RTOL * bnorm
-        if np.all(done):
+        if done.all():
             return x
         ap = apply_op(p)
         pap = _grid_sum(grid, p * ap)
-        if np.any((pap <= 0.0) & ~done):
+        if ((pap <= 0.0) & ~done).any():
             raise RuntimeError("CG breakdown: operator is not positive definite")
         alpha = np.where(done, 0.0, rz / np.where(pap > 0.0, pap, 1.0))
         x = x + alpha[col] * p

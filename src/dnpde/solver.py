@@ -201,7 +201,7 @@ def _state(cfg, u):
             env, G, dG, sec = _yosida_parts(cfg.gamma, lam, face_buf, j_buf, eta_buf)
             flux = gridmod.face_views(g, cfg.visc * face_buf + G)
             face_env = gridmod.face_views(g, 0.5 * cfg.visc * face_buf * face_buf + env)
-            face_sum = sum(np.sum(e, axis=tuple(range(g.dim))) for e in face_env)
+            face_sum = sum(gridmod._grid_sum(g, e) for e in face_env)
             face_curv = (cfg.visc + dG, cfg.visc + sec)
             env, G, dG, sec = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
             terms = _Terms(face_sum, gridmod.div_arrays(g, flux), env, G, face_curv, (dG, sec))
@@ -219,16 +219,17 @@ def _evaluate(cfg, state, forcing):
     g, s = cfg.grid, state.terms
     r = state.u - forcing
     out = r / cfg.dt - s.div + s.node_G
-    value = g.node_volume * (
-        np.sum(r * r / (2.0 * cfg.dt) + s.node_env, axis=tuple(range(g.dim))) + s.face_sum
-    )
+    value = g.node_volume * (gridmod._grid_sum(g, r * r / (2.0 * cfg.dt) + s.node_env) + s.face_sum)
     return _Eval(value, out, gridmod.norm_h(g, out), s.face_curv, s.node_curv)
 
 
 def _thomas(diag, off, rhs):
     """Thomas sweep down the node axis for a diagonally dominant symmetric
-    tridiagonal system; each trailing path gets the same scalar operations."""
-    d, o, y = list(diag), list(off), list(rhs)
+    tridiagonal system; each trailing path gets the same scalar operations.
+
+    One path runs on Python floats, which round as float64 scalars do at a
+    fraction of numpy's per-operation cost; a batch runs on its ``(P,)`` rows."""
+    d, o, y = ((a.tolist() if a.ndim == 1 else list(a)) for a in (diag, off, rhs))
     c = [0.0] * len(o)
     m = d[0]
     y[0] = y[0] / m
@@ -244,13 +245,14 @@ def _thomas(diag, off, rhs):
 def _newton_direction(cfg, ev, mu):
     """Solve ``H d = -grad F`` by a Thomas sweep (1-d) or Jacobi-scaled CG (2-d).
 
-    ``H`` takes each curvature as ``newton + mu * (secant - newton)``.
+    ``H`` takes each curvature as ``newton + mu * (secant - newton)``; while
+    no path has ``mu > 0`` it takes the Newton curvatures as they are.
     """
     g = cfg.grid
-    n, s = ev.face_curv
-    coef = gridmod.face_views(g, n + mu * (s - n))
-    n, s = ev.node_curv
-    node = n + mu * (s - n)
+    (face, face_sec), (node, node_sec) = ev.face_curv, ev.node_curv
+    if mu.any():
+        face, node = face + mu * (face_sec - face), node + mu * (node_sec - node)
+    coef = gridmod.face_views(g, face)
     diag = 1.0 / cfg.dt + node
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
         pre = (slice(None),) * ax
@@ -291,7 +293,7 @@ def _line_search(cfg, state, forcing, ev, d, todo, it):
         armijo = new.value <= ev.value + ARMIJO * t * slope
         flat = (np.abs(t * slope) <= rounding) & (new.grad_norm < ev.grad_norm)
         todo = todo & ~(armijo | flat)
-        if not np.any(todo):
+        if not todo.any():
             return trial, new, t
         t = np.where(todo, 0.5 * t, t)
     what = f"line search failed after {MAX_BACKTRACKS} backtracks at iteration {it}"
@@ -309,17 +311,17 @@ def _implicit_step_arrays(cfg, state, forcing):
     is frozen, so it stops on its own certificate whatever its batch.
     """
     ev = _evaluate(cfg, state, forcing)
-    if not (np.all(np.isfinite(ev.value)) and np.all(np.isfinite(ev.grad_norm))):
+    if not (np.isfinite(ev.value).all() and np.isfinite(ev.grad_norm).all()):
         raise _inner_failure(cfg, ev.grad_norm, "hit a non-finite iterate at iteration 0", 0)
     mu = np.zeros_like(ev.grad_norm)
     it = 0
-    while np.any(active := ev.grad_norm > cfg.eps_inner):
+    while (active := ev.grad_norm > cfg.eps_inner).any():
         if it == cfg.max_inner:
             raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
         it += 1
         d = np.where(active, _newton_direction(cfg, ev, mu), 0.0)
         state, ev, t = _line_search(cfg, state, forcing, ev, d, active, it)
-        mu = np.where(t == 1.0, mu / MU_STEP, np.clip(mu * MU_STEP, MU_MIN, 1.0))
+        mu = np.where(t == 1.0, mu / MU_STEP, np.minimum(np.maximum(mu * MU_STEP, MU_MIN), 1.0))
     return state
 
 

@@ -208,9 +208,10 @@ def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     assert f"line {lineno}: {line.split()[0]}" in capsys.readouterr().err
 
 
-# an infinite p or scale used to build a potential and fail the run (exit 3), and
+# an infinite p or scale used to build a potential and fail the run (exit 3),
 # a non-finite breakpoint, slope or value sample failed its graph certificate
-# (exit 3); each refusal names the line of the key it refuses
+# (exit 3), and a missing samples file named no line; each refusal names the
+# line of the key it refuses
 @pytest.mark.parametrize("line", [
     pytest.param("gamma_p = inf", id="gamma_p"),
     pytest.param("gamma_scale = inf", id="gamma_scale"),
@@ -218,6 +219,7 @@ def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     pytest.param("beta_xs = -1,0,nan", id="beta_xs"),
     pytest.param("beta_slopes = -1,0,inf", id="beta_slopes"),
     pytest.param("beta_path = samples.txt", id="beta_path"),
+    pytest.param("beta_path = nothere.txt", id="beta_path_missing"),
 ])
 def test_run_non_finite_potential_exits_2(tmp_path, monkeypatch, capsys, line):
     key = line.split()[0]

@@ -409,6 +409,8 @@ def test_sampled_potential_rejects_bad_input(tmp_path):
     path.write_text("-1 1\n0 0\n1 nan\n")
     with pytest.raises(ValueError, match="^path .*: values must be finite"):
         SampledSlopePotential.from_file(path)
+    with pytest.raises(ValueError, match="^path .*nothere.txt"):   # used to be an OSError
+        SampledSlopePotential.from_file(tmp_path / "nothere.txt")
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnpde import cli
+from dnpde import config as cfgmod
 from dnpde import convex as cx
 from dnpde import grid as gd
 from dnpde import noise as nz
@@ -18,6 +19,40 @@ from dnpde.grid import DirichletGrid, GridField
 
 G16 = DirichletGrid((1.0,), (16,))
 G8 = DirichletGrid((1.0,), (8,))
+
+
+# the README's example config
+README_CONFIG = """\
+[grid]
+dimension = 1
+extent = 1.0
+nodes = 64
+
+[potentials]
+gamma_kind = power
+gamma_p = 4.0
+beta_kind = abs
+
+[noise]
+mode_count = 4
+amp_c = 0.5
+amp_q = 1.0
+gain = additive
+master_seed = 12345
+
+[solver]
+lambda_yosida = 0.25
+dt = 0.015625
+horizon = 1.0
+scheme = implicit_opt
+u0_kind = eigenmode
+u0_mode = 1
+u0_amplitude = 1.0
+"""
+
+
+def readme_problem(**overrides):
+    return cfgmod.build_problem(cfgmod.parse_config(README_CONFIG), **overrides)
 
 
 def heat_cfg(**kw):
@@ -333,24 +368,115 @@ def test_ensemble_paths_match_integrate():
 
 def test_one_path_batch_matches_integrate():
     # one result type: in 1-d a one-path batch keeping its records is the
-    # single path bit for bit, ledgers, states and certificate alike (2-d
-    # sine transforms round by batch shape, see the test above)
+    # single path bit for bit, ledgers, records and certificate alike (2-d
+    # sine transforms round by batch shape, see the test above); on the
+    # README config this pins the Thomas sweep's Python-float route (one
+    # path) against its row route (a batch)
     model = nz.NoiseModel((0.4, 0.2, 0.1), nz.TanhGain(), 0.5)
     base = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential(), noise=model)
-    for cfg in (base, replace(base, scheme="semi_implicit", dt=2**-12, horizon=2**-9)):
-        u0 = GridField(G16, 1.2 * gd.sine_mode(G16, 1))
-        inc = nz.sample_increments(nz.PathSeed(9, 0), cfg.n_steps, cfg.dt, 3)
+    u16 = GridField(G16, 1.2 * gd.sine_mode(G16, 1))
+    for cfg, u0 in (
+        (base, u16),
+        (replace(base, scheme="semi_implicit", dt=2**-12, horizon=2**-9), u16),
+        readme_problem(),
+    ):
+        inc = nz.sample_increments(nz.PathSeed(9, 0), cfg.n_steps, cfg.dt, cfg.noise.mode_count)
         one = sv.integrate(cfg, u0, increments=inc)
         batch = sv.integrate_batch(cfg, u0.values, inc[..., None], keep_every=1)
         for name in sv.LEDGER_COLUMNS:
             assert np.array_equal(batch.ledgers[name][:, 0], one.ledgers[name])
-        assert np.array_equal(batch.states()[..., 0], one.states())
+        assert len(batch.records) == len(one.records) == cfg.n_steps + 1
+        for rb, ro in zip(batch.records, one.records):
+            assert rb.index == ro.index
+            pairs = [(rb.u, ro.u), *zip(rb.faces, ro.faces)]
+            pairs += [] if ro.eta is None else list(zip(rb.eta, ro.eta))
+            pairs += [] if ro.xi is None else [(rb.xi, ro.xi)]
+            assert all(np.array_equal(b[..., 0], o) for b, o in pairs)
         assert np.array_equal(batch.terminal[..., 0], one.terminal)
         assert batch.max_graph_residual == one.max_graph_residual
         assert batch.energy_residual[0] == one.energy_residual
         kept_none = sv.integrate_batch(cfg, u0.values, inc[..., None])
         assert kept_none.records == []
         assert kept_none.max_graph_residual == one.max_graph_residual
+
+
+def _tridiagonal(rng, n):
+    """A random strictly diagonally dominant symmetric tridiagonal system."""
+    off = -rng.uniform(0.0, 1.0, n - 1)
+    diag = rng.uniform(0.1, 1.0, n) + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    return diag, off, rng.standard_normal(n)
+
+
+def _thomas_both_routes(diag, off, rhs):
+    """``_thomas`` on one path (Python floats) and on the system tiled to 5
+    columns (rows); non-finite coefficients may warn on the rows only."""
+    one = sv._thomas(diag, off, rhs)
+    with np.errstate(all="ignore"):
+        tiled = sv._thomas(*(np.tile(a[:, None], (1, 5)) for a in (diag, off, rhs)))
+    assert tiled.shape == (diag.size, 5)
+    return one, tiled
+
+
+@pytest.mark.parametrize("n", [3, 8, 64, 257])
+def test_thomas_routes_agree_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    diag, off, rhs = _tridiagonal(rng, n)
+    one, tiled = _thomas_both_routes(diag, off, rhs)
+    assert all(col.tobytes() == one.tobytes() for col in tiled.T)
+    exact = np.linalg.solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
+    assert np.max(np.abs(one - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # a non-finite coefficient gives no ZeroDivisionError and the same result
+    # on both routes: a nan or an infinite coupling poisons the sweep, while
+    # an infinite diagonal entry decouples its row, whose unknown is then 0
+    i = n // 2
+    cases = {
+        "nan rhs": (diag, off, np.where(np.arange(n) == i, np.nan, rhs)),
+        "nan diagonal": (np.where(np.arange(n) == i, np.nan, diag), off, rhs),
+        "inf coupling": (diag, np.where(np.arange(n - 1) == i - 1, -np.inf, off), rhs),
+        "inf diagonal": (np.where(np.arange(n) == i, np.inf, diag), off, rhs),
+    }
+    for name, system in cases.items():
+        one, tiled = _thomas_both_routes(*system)
+        assert all(col.tobytes() == one.tobytes() for col in tiled.T), name
+        if name == "inf diagonal":
+            assert one[i] == 0.0 and np.isfinite(one).all()
+        else:
+            assert not np.isfinite(one).any(), name
+
+
+def _first_evaluation(cfg, u, dw):
+    """The step objective at ``u`` toward ``u`` plus the noise of increments ``dw``."""
+    forcing = u + nz.apply_b(cfg.noise, cfg.grid, u, dw)
+    return sv._evaluate(cfg, sv._state(cfg, u), forcing)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_newton_direction_without_damping_is_the_blend_at_zero(monkeypatch, dim):
+    # with no path damped (mu = 0) the Newton curvatures are used as they are;
+    # they are finite and >= 0, so n + 0 * (s - n) is n bit for bit
+    cfg, u0 = readme_problem(**({"grid": {"dimension": 2, "nodes": (8,)}} if dim == 2 else {}))
+    solves = _counted(monkeypatch, gd, "cg_solve")
+    dw = nz.sample_increments(nz.PathSeed(3, 0), 1, cfg.dt, cfg.noise.mode_count)[0]
+    ev = _first_evaluation(cfg, u0.values, dw)
+    mu = np.zeros_like(ev.grad_norm)
+    (fn, fs), (nn, ns) = ev.face_curv, ev.node_curv
+    blended = ev._replace(face_curv=(fn + mu * (fs - fn), fs), node_curv=(nn + mu * (ns - nn), ns))
+    d = sv._newton_direction(cfg, ev, mu)
+    assert d.tobytes() == sv._newton_direction(cfg, blended, mu).tobytes()
+    assert len(solves) == (2 if dim == 2 else 0)
+    # a damped path in its batch leaves an undamped one its own direction
+    u2 = np.stack([u0.values, 0.5 * u0.values], axis=-1)
+    ev2 = _first_evaluation(cfg, u2, np.stack([dw, 2.0 * dw], axis=-1))
+    undamped = sv._newton_direction(cfg, ev2, np.zeros(2))
+    damped = sv._newton_direction(cfg, ev2, np.array([0.0, 0.5]))
+    assert damped[..., 0].tobytes() == undamped[..., 0].tobytes()
+    assert damped[..., 1].tobytes() != undamped[..., 1].tobytes()
+    # and a batch column is its single path: bit for bit on the Thomas rows;
+    # 2-d CG sums each column in an order set by the batch shape
+    if dim == 1:
+        assert undamped[..., 0].tobytes() == d.tobytes()
+    else:
+        assert np.max(np.abs(undamped[..., 0] - d)) <= 1e-13 * np.max(np.abs(d))
 
 
 def test_ensemble_rejects_empty():
