@@ -56,7 +56,7 @@ def criterion_model(workdir=None, rc=None):
         if pot is None:
             continue
         checks = convex.validate_potential(pot)
-        failures = sum(not c.passed for c in checks.values())
+        failures = sum(not passed for passed in checks.values())
         assertions.append(
             Assertion(f"{role}_potential_valid", float(failures), 0.0, failures == 0)
         )

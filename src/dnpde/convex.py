@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-12          # bisection width on resolvent points (relative beyond |x| = 1)
-BRACKET_CAP = 2.0 ** 60   # maximal bracket half-width before giving up
 NEWTON_CAP = 64           # Newton iterations of the exp-cosh resolvent before giving up
 DOMAIN_SLACK = 1e-9       # roundoff slack on indicator-type conjugate domains
 ORIGIN_TOL = 1e-8         # relative size of a sampled slope at 0 that still counts as 0
@@ -393,11 +392,13 @@ class SampledSlopePotential(Potential):
 def _bisect_scalar_graph(pot, lam, x):
     """Solve ``r + lam*g(r) = x`` for each entry by safeguarded bisection.
 
-    The residual is nondecreasing in ``r``; since 0 belongs to the graph at 0
-    the bracket ``[min(x,0), max(x,0)]`` already straddles the root for
-    catalog graphs, but the bracket is expanded by doubling as a safeguard.
-    It stops at width ``ROOT_TOL * max(1, |x|)``, then one Newton step kept
-    inside the bracket takes the root to rounding.
+    The residual is nondecreasing in ``r`` and ``g(0) = 0`` for a potential
+    with ``P >= 0`` and ``P(0) = 0``, so ``[min(x,0), max(x,0)]`` brackets the
+    root; a graph for which it does not raises ``RootFindError``.  Bisection
+    stops at width ``ROOT_TOL * max(1, |x|)``, then one Newton step kept
+    inside the bracket takes the root to rounding.  Midpoints are taken as
+    ``0.5*lo + 0.5*hi``, which cannot overflow, and an infinite entry, whose
+    bracket width is not a number, does not hold up the others.
     """
     x = np.asarray(x, dtype=float)
     lo = np.minimum(x, 0.0)
@@ -409,31 +410,19 @@ def _bisect_scalar_graph(pot, lam, x):
     # a slope overflowing to +-inf far out in the bracket still has the right
     # sign, so the comparisons below need no overflow warning
     with np.errstate(over="ignore"):
-        width = np.maximum(1.0, np.abs(x))
-        for _ in range(64):
-            bad_lo = resid(lo) > 0.0
-            bad_hi = resid(hi) < 0.0
-            if not bool(np.any(bad_lo) or np.any(bad_hi)):
-                break
-            lo = np.where(bad_lo, lo - width, lo)
-            hi = np.where(bad_hi, hi + width, hi)
-            width = width * 2.0
-            if np.any(width > BRACKET_CAP):
-                raise RootFindError("bracket expansion failed (non-monotone user graph?)")
-        else:
-            raise RootFindError("bracket expansion failed (non-monotone user graph?)")
-
+        if (resid(lo) > 0.0).any() or (resid(hi) < 0.0).any():
+            raise RootFindError("[min(x,0), max(x,0)] does not bracket the root (g(0) != 0?)")
         width = ROOT_TOL * np.maximum(1.0, np.abs(x))
         for _ in range(200):
-            if np.all(hi - lo <= width):
+            if not (hi - lo > width).any():
                 break
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
             neg = resid(mid) < 0.0
             lo = np.where(neg, mid, lo)
             hi = np.where(neg, hi, mid)
         else:
             raise RootFindError(f"bisection did not reach tolerance {ROOT_TOL}")
-    r = 0.5 * (lo + hi)
+    r = 0.5 * lo + 0.5 * hi
     with np.errstate(invalid="ignore", over="ignore"):
         step = resid(r) / (1.0 + lam * np.asarray(pot.slope_derivative(r)))
     return np.clip(r - np.nan_to_num(step, posinf=0.0, neginf=0.0), lo, hi)
@@ -499,58 +488,27 @@ def fenchel_residual(pot, x, y):
 # validation probes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    passed: bool
-    worst: float
-    detail: str
-    where: object = None   # the offending sample point, when there is one
-
-
 def validate_potential(pot):
     """Finite sampling probe of the standing assumptions on a potential.
 
     Checks, at ``PROBE_COUNT`` points of ``[-PROBE_RADIUS, PROBE_RADIUS]``:
     exact zero at the origin, nonnegativity, convexity on sampled triples
     (1e-12 relative slack) and the symmetry ratio against ``SYMMETRY_BOUND``.
-    Returns one ``CheckResult`` per check name; failures are entries, never
-    exceptions.
+    Returns ``{check name: passed}``; a nan sample fails its check, and
+    failures are entries, never exceptions.
     """
     rng = np.random.default_rng(PROBE_SEED)
-    checks = {}
-
-    v0 = float(pot.value(0.0))
-    checks["origin"] = CheckResult(v0 == 0.0, v0, "P(0) must be exactly 0")
-
     xs = PROBE_RADIUS * (2.0 * rng.random(PROBE_COUNT) - 1.0)
     vals = np.asarray(pot.value(xs))
-    k = int(np.argmin(vals))
-    worst = float(vals[k])
-    checks["nonnegative"] = CheckResult(worst >= 0.0, worst, "min sampled value", xs[k])
-
     ys = PROBE_RADIUS * (2.0 * rng.random(PROBE_COUNT) - 1.0)
     theta = rng.random(PROBE_COUNT)
-    mix = theta * xs + (1.0 - theta) * ys
-    lhs = np.asarray(pot.value(mix))
+    lhs = np.asarray(pot.value(theta * xs + (1.0 - theta) * ys))
     rhs = theta * vals + (1.0 - theta) * np.asarray(pot.value(ys))
-    gap = lhs - rhs - 1e-12 * (1.0 + np.abs(rhs))
-    k = int(np.argmax(gap))
-    worst = float(gap[k])
-    checks["convex"] = CheckResult(worst <= 0.0, worst, "midpoint inequality violation", mix[k])
-
     neg_vals = np.asarray(pot.value(-xs))
     mask = neg_vals > 0.0
-    if np.any(mask):
-        ratios = vals[mask] / neg_vals[mask]
-        k = int(np.argmax(ratios))
-        ratio = float(ratios[k])
-        where = xs[mask][k]
-    else:
-        ratio, where = 0.0, None
-    checks["symmetry"] = CheckResult(
-        ratio <= SYMMETRY_BOUND,
-        ratio,
-        f"max P(x)/P(-x) vs C_sym={SYMMETRY_BOUND:g}",
-        where,
-    )
-    return checks
+    return {
+        "origin": float(pot.value(0.0)) == 0.0,
+        "nonnegative": bool(vals.min() >= 0.0),
+        "convex": bool((lhs - rhs - 1e-12 * (1.0 + np.abs(rhs))).max() <= 0.0),
+        "symmetry": bool((vals[mask] / neg_vals[mask]).max(initial=0.0) <= SYMMETRY_BOUND),
+    }

@@ -29,10 +29,11 @@ which checks each graph by one Fenchel residual, and the kept record, which
 ``verify`` reads; a record's ``eta`` is None without a flux graph and its
 ``xi`` None without an absorption graph.  On the implicit path a state also
 carries the step objective's terms that do not depend on the forcing (both
-envelopes, the drift and the Newton and secant curvatures), computed once per
-state, so a step's first evaluation, of the state the previous step accepted,
-adds only the forcing terms.  A record whose certificate cannot be evaluated
-or whose ledger row is not finite fails the run at its step.
+envelopes, the drift and the Newton curvatures), computed once per state, so
+a step's first evaluation, of the state the previous step accepted, adds only
+the forcing terms; the secant curvatures are computed from the state's arrays
+for a damped Newton direction only.  A record whose certificate cannot be
+evaluated or whose ledger row is not finite fails the run at its step.
 
 Every record of every run is certified, and every ``keep_every``-th record
 is kept, so a run holds its ledger and the states it was asked for.
@@ -151,24 +152,28 @@ class SolverConfig:
 
 
 def _yosida_parts(pot, lam, a, j, G):
-    """Moreau envelope, Yosida value ``G`` and two curvatures of ``G`` at ``a``.
+    """Moreau envelope, Yosida value ``G`` and Newton curvature of ``G`` at ``a``.
 
-    ``j`` is the resolvent point of ``a`` and ``G`` its Yosida value (all
-    four are zeros without a potential).  The Newton curvature is
+    ``j`` is the resolvent point of ``a`` and ``G`` its Yosida value; all
+    three outputs are zeros without a potential.  The Newton curvature is
     ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the graph is vertical.
-    The secant one, ``max(G', G(a)/a)``, is Kacanov's: where the graph grows
-    at most linearly (abs, Huber, power p < 2) its quadratic model majorizes
-    the envelope, so its steps cannot overshoot.
     """
     if pot is None:
         z = np.zeros_like(a)
-        return z, z, z, z
+        return z, z, z
     r = a - j
     gp = pot.slope_derivative(j)
     with np.errstate(invalid="ignore", divide="ignore"):
         dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
-        secant = np.maximum(dG, np.where(a != 0.0, G / a, dG))
-    return pot.value(j) + r * r / (2.0 * lam), G, dG, secant
+    return pot.value(j) + r * r / (2.0 * lam), G, dG
+
+
+def _secant(dG, a, G):
+    """Kacanov's secant curvature ``max(G', G(a)/a)`` of ``G`` at ``a``: where
+    the graph grows at most linearly (abs, Huber, power p < 2) its quadratic
+    model majorizes the envelope, so its steps cannot overshoot."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.maximum(dG, np.where(a != 0.0, G / a, dG))
 
 
 # Node values, their face gradients and, per graph, the resolvent points and
@@ -179,17 +184,17 @@ _State = namedtuple("_State", "u face_buf faces j_buf eta_buf eta j_nodes xi ter
 
 # The terms of the step objective that depend on the state alone: the face sum
 # of the viscous and flux envelopes, the divergence of the flux, the envelope
-# and Yosida value of beta at the nodes, and two (Newton, secant) curvature
-# pairs, one on the face buffer (viscosity included) and one at the nodes.
+# and Yosida value of beta at the nodes, and the Newton curvature of each
+# graph, on the face buffer (viscosity not included) and at the nodes.
 _Terms = namedtuple("_Terms", "face_sum div node_env node_G face_curv node_curv")
 
 
 def _state(cfg, u):
     # overflow here is reported by what reads the state: certificate, inner solve, ledger
     g, lam = cfg.grid, cfg.lambda_yosida
-    face_buf, faces = gridmod.grad_buffer(g, u)
     j_buf = eta_buf = eta = j_nodes = xi = terms = None
     with np.errstate(over="ignore", invalid="ignore"):
+        face_buf, faces = gridmod.grad_buffer(g, u)
         if cfg.gamma is not None:
             j_buf = cfg.gamma.closed_resolvent(lam, face_buf)
             eta_buf = cfg.gamma.yosida_from_resolvent(lam, face_buf, j_buf)
@@ -198,19 +203,18 @@ def _state(cfg, u):
             j_nodes = cfg.beta.closed_resolvent(lam, u)
             xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
         if cfg.scheme == "implicit_opt":
-            env, G, dG, sec = _yosida_parts(cfg.gamma, lam, face_buf, j_buf, eta_buf)
+            env, G, face_curv = _yosida_parts(cfg.gamma, lam, face_buf, j_buf, eta_buf)
             flux = gridmod.face_views(g, cfg.visc * face_buf + G)
             face_env = gridmod.face_views(g, 0.5 * cfg.visc * face_buf * face_buf + env)
             face_sum = sum(gridmod._grid_sum(g, e) for e in face_env)
-            face_curv = (cfg.visc + dG, cfg.visc + sec)
-            env, G, dG, sec = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
-            terms = _Terms(face_sum, gridmod.div_arrays(g, flux), env, G, face_curv, (dG, sec))
+            env, G, dG = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
+            terms = _Terms(face_sum, gridmod.div_arrays(g, flux), env, G, face_curv, dG)
     return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi, terms)
 
 
-# The step objective at one state: value and gradient norm per path, the
-# h-weighted gradient, and the state's two curvature pairs.
-_Eval = namedtuple("_Eval", "value grad grad_norm face_curv node_curv")
+# The step objective at one state: value and gradient norm per path, and the
+# h-weighted gradient.
+_Eval = namedtuple("_Eval", "value grad grad_norm")
 
 
 def _evaluate(cfg, state, forcing):
@@ -220,7 +224,7 @@ def _evaluate(cfg, state, forcing):
     r = state.u - forcing
     out = r / cfg.dt - s.div + s.node_G
     value = g.node_volume * (gridmod._grid_sum(g, r * r / (2.0 * cfg.dt) + s.node_env) + s.face_sum)
-    return _Eval(value, out, gridmod.norm_h(g, out), s.face_curv, s.node_curv)
+    return _Eval(value, out, gridmod.norm_h(g, out))
 
 
 def _thomas(diag, off, rhs):
@@ -242,16 +246,22 @@ def _thomas(diag, off, rhs):
     return np.array(y)
 
 
-def _newton_direction(cfg, ev, mu):
-    """Solve ``H d = -grad F`` by a Thomas sweep (1-d) or Jacobi-scaled CG (2-d).
+def _newton_direction(cfg, state, ev, mu):
+    """Solve ``H d = -grad F`` at ``state`` by a Thomas sweep (1-d) or
+    Jacobi-scaled CG (2-d).
 
     ``H`` takes each curvature as ``newton + mu * (secant - newton)``; while
-    no path has ``mu > 0`` it takes the Newton curvatures as they are.
+    no path has ``mu > 0`` it takes the Newton curvatures as they are, and
+    without its graph a secant curvature is its Newton one.
     """
-    g = cfg.grid
-    (face, face_sec), (node, node_sec) = ev.face_curv, ev.node_curv
+    g, s = cfg.grid, state.terms
+    face, node = cfg.visc + s.face_curv, s.node_curv
     if mu.any():
-        face, node = face + mu * (face_sec - face), node + mu * (node_sec - node)
+        if cfg.gamma is not None:
+            sec = cfg.visc + _secant(s.face_curv, state.face_buf, state.eta_buf)
+            face = face + mu * (sec - face)
+        if cfg.beta is not None:
+            node = node + mu * (_secant(node, state.u, state.xi) - node)
     coef = gridmod.face_views(g, face)
     diag = 1.0 / cfg.dt + node
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
@@ -319,7 +329,7 @@ def _implicit_step_arrays(cfg, state, forcing):
         if it == cfg.max_inner:
             raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
         it += 1
-        d = np.where(active, _newton_direction(cfg, ev, mu), 0.0)
+        d = np.where(active, _newton_direction(cfg, state, ev, mu), 0.0)
         state, ev, t = _line_search(cfg, state, forcing, ev, d, active, it)
         mu = np.where(t == 1.0, mu / MU_STEP, np.minimum(np.maximum(mu * MU_STEP, MU_MIN), 1.0))
     return state

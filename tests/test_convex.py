@@ -267,6 +267,41 @@ def test_bisection_overflow_is_silent():
             assert abs(r + lam * math.sinh(r) - x) <= 1e-9 * abs(x)
 
 
+def test_bisection_reaches_the_float_limit():
+    # the midpoint 0.5*lo + 0.5*hi cannot overflow: 0.5*(lo + hi) did beyond
+    # DBL_MAX/2 and the bisection then failed; it now meets the closed routes
+    for pot in (AbsPotential(), PowerPotential(2.0)):
+        for x in (1e308, -1e308, 9e307, np.finfo(float).max):
+            b = convex.resolvent(pot, 1.0, x, force_bisect=True)
+            assert math.isfinite(b) and b == convex.resolvent(pot, 1.0, x)
+        # an infinite entry (the solver's states may overflow) used to turn its
+        # bracket into nan and hold the finite entries until bisection failed
+        with np.errstate(over="ignore", invalid="ignore"):   # as the solver evaluates states
+            r = convex._bisect_scalar_graph(pot, 1.0, np.array([1.0, np.inf, -np.inf]))
+        assert r.tolist() == [convex.resolvent(pot, 1.0, 1.0), np.inf, -np.inf]
+
+
+def test_bisection_refuses_a_bracket_without_the_root():
+    class Tilted(PowerPotential):   # g(0) = 1: for x < 1 the root of r + g(r) = x
+        def minimal_slope(self, x):   # lies outside [min(x,0), max(x,0)]
+            return super().minimal_slope(x) + 1.0
+
+    for x in (0.5, -0.5, 0.0):
+        with pytest.raises(convex.RootFindError, match="does not bracket"):
+            convex.resolvent(Tilted(3.0), 1.0, x, force_bisect=True)
+
+
+@pytest.mark.parametrize("pot", CATALOG + [PowerPotential(3.0)], ids=lambda p: _IDS[type(p)])
+def test_catalog_bracket_holds_the_root(pot):
+    # g(0) = 0 for every catalog graph, so its bracket needs no expansion
+    x = np.array([1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1.0, 1e-3):
+            r = convex.resolvent(pot, lam, x, force_bisect=True)
+            assert np.all((np.minimum(x, 0.0) <= r) & (r <= np.maximum(x, 0.0)))
+
+
 def test_envelope_gradient_matches_yosida():
     rng = np.random.default_rng(9)
     lam = 0.37
@@ -439,9 +474,16 @@ def test_sampled_linear_growth_conjugate_diverges():
 # validation probes
 # ---------------------------------------------------------------------------
 
+_CHECKS = ("origin", "nonnegative", "convex", "symmetry")
+
+
+def _verdicts(*failing):
+    return {name: name not in failing for name in _CHECKS}
+
+
 def test_validate_quadratic_passes():
     checks = convex.validate_potential(PowerPotential(2.0))
-    assert all(c.passed for c in checks.values()), checks
+    assert checks == _verdicts(), checks
 
 
 def test_validate_shifted_potential_fails_origin():
@@ -450,9 +492,29 @@ def test_validate_shifted_potential_fails_origin():
             return super().value(x) + 0.1
 
     checks = convex.validate_potential(Shifted(2.0))
-    assert not checks["origin"].passed
+    assert checks == _verdicts("origin"), checks
 
 
 def test_symmetry_bound_respected():
     checks = convex.validate_potential(PowerPotential(3.0))
-    assert checks["symmetry"].passed   # even potential: ratio 1 <= 1e6
+    assert checks["symmetry"] is True   # even potential: ratio 1 <= 1e6
+
+
+class _Dipped(PowerPotential):   # 0.5 x^2 - 0.5 |x|^1.5 < 0 on 0 < |x| < 1
+    def value(self, x):
+        return super().value(x) - 0.5 * np.abs(np.asarray(x, dtype=float)) ** 1.5
+
+
+class _Root(AbsPotential):   # sqrt|x|: concave on each side
+    def value(self, x):
+        return np.sqrt(np.abs(np.asarray(x, dtype=float)))
+
+
+@pytest.mark.parametrize("pot, failing", [
+    (_Dipped(2.0), ("nonnegative",)),
+    (_Root(), ("convex",)),
+    # P(x)/P(-x) = 1e9 on (0, 1]: beyond SYMMETRY_BOUND = 1e6
+    (SampledSlopePotential([-1.0, 0.0, 1.0], [-1e-9, 0.0, 1.0]), ("symmetry",)),
+], ids=["nonnegative", "convex", "symmetry"])
+def test_validate_potential_reports_each_failure(pot, failing):
+    assert convex.validate_potential(pot) == _verdicts(*failing)

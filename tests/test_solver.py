@@ -445,9 +445,36 @@ def test_thomas_routes_agree_bit_for_bit(n):
 
 
 def _first_evaluation(cfg, u, dw):
-    """The step objective at ``u`` toward ``u`` plus the noise of increments ``dw``."""
+    """The state at ``u`` and the step objective there toward ``u`` plus the
+    noise of increments ``dw``."""
     forcing = u + nz.apply_b(cfg.noise, cfg.grid, u, dw)
-    return sv._evaluate(cfg, sv._state(cfg, u), forcing)
+    state = sv._state(cfg, u)
+    return state, sv._evaluate(cfg, state, forcing)
+
+
+def _blended_direction(cfg, state, ev, mu):
+    """The Newton direction of the curvature blend written out: ``n + mu * (s
+    - n)``, with ``n = visc + G'`` and ``s = visc + max(G', G/a)`` on the
+    faces, ``n = G'`` and ``s = max(G', G/a)`` at the nodes, and ``s = n``
+    without the graph."""
+    t = state.terms
+
+    def secant(dG, a, G):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.maximum(dG, np.where(a != 0.0, G / a, dG))
+
+    face, node = cfg.visc + t.face_curv, t.node_curv
+    face_sec, node_sec = face, node
+    if cfg.gamma is not None:
+        face_sec = cfg.visc + secant(t.face_curv, state.face_buf, state.eta_buf)
+    if cfg.beta is not None:
+        node_sec = secant(node, state.u, state.xi)
+    blended = t._replace(
+        face_curv=face + mu * (face_sec - face), node_curv=node + mu * (node_sec - node),
+    )
+    # without viscosity and with no path damped, the direction takes them as they are
+    undamped = replace(cfg, lambda_visc=0.0)
+    return sv._newton_direction(undamped, state._replace(terms=blended), ev, np.zeros_like(mu))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -457,18 +484,16 @@ def test_newton_direction_without_damping_is_the_blend_at_zero(monkeypatch, dim)
     cfg, u0 = readme_problem(**({"grid": {"dimension": 2, "nodes": (8,)}} if dim == 2 else {}))
     solves = _counted(monkeypatch, gd, "cg_solve")
     dw = nz.sample_increments(nz.PathSeed(3, 0), 1, cfg.dt, cfg.noise.mode_count)[0]
-    ev = _first_evaluation(cfg, u0.values, dw)
+    state, ev = _first_evaluation(cfg, u0.values, dw)
     mu = np.zeros_like(ev.grad_norm)
-    (fn, fs), (nn, ns) = ev.face_curv, ev.node_curv
-    blended = ev._replace(face_curv=(fn + mu * (fs - fn), fs), node_curv=(nn + mu * (ns - nn), ns))
-    d = sv._newton_direction(cfg, ev, mu)
-    assert d.tobytes() == sv._newton_direction(cfg, blended, mu).tobytes()
+    d = sv._newton_direction(cfg, state, ev, mu)
+    assert d.tobytes() == _blended_direction(cfg, state, ev, mu).tobytes()
     assert len(solves) == (2 if dim == 2 else 0)
     # a damped path in its batch leaves an undamped one its own direction
     u2 = np.stack([u0.values, 0.5 * u0.values], axis=-1)
-    ev2 = _first_evaluation(cfg, u2, np.stack([dw, 2.0 * dw], axis=-1))
-    undamped = sv._newton_direction(cfg, ev2, np.zeros(2))
-    damped = sv._newton_direction(cfg, ev2, np.array([0.0, 0.5]))
+    state2, ev2 = _first_evaluation(cfg, u2, np.stack([dw, 2.0 * dw], axis=-1))
+    undamped = sv._newton_direction(cfg, state2, ev2, np.zeros(2))
+    damped = sv._newton_direction(cfg, state2, ev2, np.array([0.0, 0.5]))
     assert damped[..., 0].tobytes() == undamped[..., 0].tobytes()
     assert damped[..., 1].tobytes() != undamped[..., 1].tobytes()
     # and a batch column is its single path: bit for bit on the Thomas rows;
@@ -477,6 +502,47 @@ def test_newton_direction_without_damping_is_the_blend_at_zero(monkeypatch, dim)
         assert undamped[..., 0].tobytes() == d.tobytes()
     else:
         assert np.max(np.abs(undamped[..., 0] - d)) <= 1e-13 * np.max(np.abs(d))
+
+
+@pytest.mark.parametrize("missing", ["none", "gamma", "beta"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_damped_newton_direction_is_the_explicit_blend(dim, missing):
+    # the secant curvatures, built from the state's arrays for a damped
+    # direction only, enter as the written-out blend; without gamma the abs
+    # beta carries the damping, without beta an abs gamma does
+    overrides = {"grid": {"dimension": 2, "nodes": (8,)}} if dim == 2 else {}
+    if missing != "none":
+        other = "beta" if missing == "gamma" else "gamma"
+        overrides["potentials"] = {f"{missing}_kind": "none", f"{other}_kind": "abs"}
+    cfg, u0 = readme_problem(**overrides)
+    assert (cfg.gamma is None, cfg.beta is None) == (missing == "gamma", missing == "beta")
+    dw = nz.sample_increments(nz.PathSeed(3, 0), 1, cfg.dt, cfg.noise.mode_count)[0]
+    u2 = np.stack([u0.values, 0.5 * u0.values], axis=-1)
+    state, ev = _first_evaluation(cfg, u2, np.stack([dw, 2.0 * dw], axis=-1))
+    mu = np.array([0.0, 0.5])
+    damped = sv._newton_direction(cfg, state, ev, mu)
+    assert damped.tobytes() == _blended_direction(cfg, state, ev, mu).tobytes()
+    undamped = sv._newton_direction(cfg, state, ev, np.zeros(2))
+    assert damped[..., 1].tobytes() != undamped[..., 1].tobytes()
+
+
+def test_secant_is_computed_only_for_a_damped_direction(monkeypatch):
+    secants = _counted(monkeypatch, sv, "_secant")
+    directions = _counted(monkeypatch, sv, "_newton_direction")
+    cfg, u0 = readme_problem(solver={"horizon": 0.015625})   # one step
+    sv.integrate(cfg, u0, seed=nz.PathSeed(12345, 0))
+    assert len(directions) > 0 and len(secants) == 0
+    # the total-variation step damps: one secant per graph and damped direction
+    g = DirichletGrid((1.0,), (64,))
+    cfg = sv.SolverConfig(
+        g, cx.AbsPotential(), cx.AbsPotential(), None,
+        lambda_yosida=0.01, dt=0.5, horizon=0.5, lambda_visc=0.0,
+    )
+    f = gd.sine_mode(g, 1) + 0.3 * np.random.default_rng(5).standard_normal(64)
+    directions.clear()
+    sv._implicit_step_arrays(cfg, sv._state(cfg, f), f)
+    damped = sum(bool(args[-1].any()) for args in directions)
+    assert damped > 0 and len(secants) == 2 * damped
 
 
 def test_ensemble_rejects_empty():
@@ -516,7 +582,7 @@ def test_batched_inner_failure_names_path_and_step():
 
 def test_failed_line_search_fails_closed(monkeypatch):
     # an ascent direction can never pass the Armijo test
-    monkeypatch.setattr(sv, "_newton_direction", lambda cfg, ev, mu: ev.grad)
+    monkeypatch.setattr(sv, "_newton_direction", lambda cfg, state, ev, mu: ev.grad)
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential())
     u0 = GridField(G16, gd.sine_mode(G16, 1))
     with pytest.raises(sv.InnerSolveError, match="line search failed") as info:
@@ -590,6 +656,17 @@ def test_2d_stochastic_run_with_both_graphs():
     assert np.array_equal(traj.states(), rerun.states())
 
 
+@pytest.mark.parametrize("amplitude", ["3e307", "5e307", "1e308", "1.2e308"])
+def test_run_near_the_float_limit_exits_3(tmp_path, capsys, amplitude):
+    # gamma_p = 3 takes the bisection resolvent, whose midpoint overflowed
+    # beyond DBL_MAX/2: such a run ended in a RootFindError traceback (exit 1)
+    text = README_CONFIG.replace("gamma_p = 4.0", "gamma_p = 3.0")
+    path = tmp_path / "big.cfg"
+    path.write_text(text.replace("u0_amplitude = 1.0", f"u0_amplitude = {amplitude}"))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("solver failure at step 0: ")
+
+
 def test_trajectory_csv_format(tmp_path):
     # `dnpde run` writes one ledger row per record: 17 digits, LF endings, '#' comments
     path = tmp_path / "heat.cfg"
@@ -646,7 +723,7 @@ def test_yosida_derivative_matches_difference_quotient(pot):
         DirichletGrid((1.0,), a.shape), None, pot, None, lambda_yosida=lam, dt=1.0, horizon=1.0,
     )
     state = sv._state(cfg, a)   # the absorption graph at the nodes a
-    env, G, dG, _ = sv._yosida_parts(pot, lam, a, state.j_nodes, state.xi)
+    env, G, dG = sv._yosida_parts(pot, lam, a, state.j_nodes, state.xi)
     assert np.array_equal(G, cx.yosida(pot, lam, a))
     assert np.abs(env - cx.moreau_envelope(pot, lam, a)).max() <= 1e-12
     assert np.all((dG >= 0.0) & (dG <= 1.0 / lam))
@@ -729,14 +806,14 @@ def test_state_terms_are_not_written_by_an_evaluation():
     u = 1.5 * gd.sine_mode(G16, 1) + 0.1 * rng.standard_normal(G16.shape)
     f1, f2 = (u + 0.05 * rng.standard_normal(G16.shape) for _ in range(2))
     state = sv._state(cfg, u)
+    cached = [np.copy(term) for term in state.terms]
     first, _, third = (sv._evaluate(cfg, state, f) for f in (f1, f2, f1))
-    fresh = sv._evaluate(cfg, sv._state(cfg, u.copy()), f1)
-
-    def arrays(ev):
-        return [ev.value, ev.grad, ev.grad_norm, *ev.face_curv, *ev.node_curv]
-
+    fresh_state = sv._state(cfg, u.copy())
+    fresh = sv._evaluate(cfg, fresh_state, f1)
     for ev in (third, fresh):
-        assert all(np.array_equal(a, b) for a, b in zip(arrays(first), arrays(ev)))
+        assert all(np.array_equal(a, b) for a, b in zip(first, ev))
+    for terms in (state.terms, fresh_state.terms):
+        assert all(np.array_equal(a, b) for a, b in zip(cached, terms))
 
 
 def _posthoc_graph_residual(traj):
