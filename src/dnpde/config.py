@@ -5,10 +5,13 @@ type errors: a silent typo in a regularization parameter would invalidate an
 entire experiment.  Values are plain scalars or comma-separated lists;
 full-line comments start with '#'.
 
-Potentials and gains are built from the kind tables ``POTENTIAL_KINDS`` and
-``GAIN_KINDS``, whose constructors' parameter names are the key suffixes
-(``gamma_p`` is ``PowerPotential.p``); a kind ignores keys it does not take.
-A refused value is reported at the line of the key its message leads with.
+Potentials, gains, the solver config and the initial datum are built by
+``_build`` from keys named after their constructors' parameters (``gamma_p``
+is ``PowerPotential.p``, ``u0_mode`` is the ``mode`` of ``solver.initial_datum``),
+so each default lives in its constructor alone.  Potentials and gains take
+their constructor from the kind tables ``POTENTIAL_KINDS`` and ``GAIN_KINDS``;
+a kind ignores keys it does not take.  A refused value is reported at the
+line of the key its message leads with.
 """
 
 from __future__ import annotations
@@ -58,13 +61,14 @@ GAIN_KINDS = {
     "clipped": noisemod.ClippedLinearGain,
     "tanh": noisemod.TanhGain,
 }
-_PARAM_PARSERS = {"path": str, "xs": _parse_floats, "slopes": _parse_floats}   # else float
+_PARAM_PARSERS = {"path": str, "kind": str, "scheme": str, "mode": int, "max_inner": int,
+                  "xs": _parse_floats, "slopes": _parse_floats}   # else float
 
 
-def _param_keys(kinds, stem):
-    """``<stem>_<parameter>`` -> parser for every constructor parameter of ``kinds``."""
-    params = dict.fromkeys(p for ctor in kinds.values() for p in inspect.signature(ctor).parameters)
-    return {f"{stem}_{name}": _PARAM_PARSERS.get(name, float) for name in params}
+def _param_keys(ctors, stem, built=()):
+    """``<stem><parameter>`` -> parser for every parameter of ``ctors`` not in ``built``."""
+    params = dict.fromkeys(p for ctor in ctors for p in inspect.signature(ctor).parameters)
+    return {stem + name: _PARAM_PARSERS.get(name, float) for name in params if name not in built}
 
 
 # section -> key -> parser
@@ -75,8 +79,8 @@ SCHEMA = {
         "nodes": _parse_ints,
     },
     "potentials": {
-        key: parser for role in ("gamma", "beta")
-        for key, parser in {f"{role}_kind": str, **_param_keys(POTENTIAL_KINDS, role)}.items()
+        key: parser for role in ("gamma", "beta") for key, parser in
+        {f"{role}_kind": str, **_param_keys(POTENTIAL_KINDS.values(), f"{role}_")}.items()
     },
     "noise": {
         "mode_count": int,
@@ -84,22 +88,13 @@ SCHEMA = {
         "amp_c": float,
         "amp_q": float,
         "gain": str,
-        **_param_keys(GAIN_KINDS, "gain"),
+        **_param_keys(GAIN_KINDS.values(), "gain_"),
         "n_b": float,
         "master_seed": int,
     },
     "solver": {
-        "lambda_yosida": float,
-        "lambda_visc": float,
-        "dt": float,
-        "horizon": float,
-        "scheme": str,
-        "eps_inner": float,
-        "max_inner": int,
-        "u0_kind": str,
-        "u0_mode": int,
-        "u0_amplitude": float,
-        "u0_path": str,
+        **_param_keys([solvermod.SolverConfig], "", ("grid", "gamma", "beta", "noise")),
+        **_param_keys([solvermod.initial_datum], "u0_", ("grid",)),
     },
     "verify": {
         "families": _parse_strs,
@@ -187,7 +182,6 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 def build_grid(rc: RunConfig) -> gridmod.DirichletGrid:
-    rc.require("grid")
     d = rc.require("grid", "dimension")
     extent = rc.require("grid", "extent")
     nodes = rc.require("grid", "nodes")
@@ -202,9 +196,9 @@ def build_grid(rc: RunConfig) -> gridmod.DirichletGrid:
         )
     try:
         return gridmod.DirichletGrid(tuple(extent), tuple(nodes))
-    except ValueError as err:   # name the key the message is about
-        key = next((k for k in ("extent", "dimension") if k in str(err)), "nodes")
-        raise ConfigError(str(err), rc.lines["grid"].get(key)) from None
+    except ValueError as err:
+        keys = {"dimension": "dimension", "extents": "extent", "nodes": "nodes"}
+        raise _refusal(rc, "grid", err, keys) from None
 
 
 def _refusal(rc, section, err, keys, default=None, prefix=""):
@@ -216,21 +210,29 @@ def _refusal(rc, section, err, keys, default=None, prefix=""):
     return ConfigError(prefix + message, rc.lines.get(section, {}).get(key))
 
 
-def _build_kind(rc, section, kind_key, kind, kinds, noun, prefix=""):
-    """``kinds[kind]`` built from the keys ``<stem>_<parameter>`` that its
-    constructor takes (``<stem>``: ``kind_key`` less ``_kind``)."""
-    if kind not in kinds:
-        raise ConfigError(f"unknown {noun} kind {kind!r}", rc.lines.get(section, {}).get(kind_key))
-    params = inspect.signature(kinds[kind]).parameters
-    keys = {name: f"{kind_key.removesuffix('_kind')}_{name}" for name in params}
+def _build(rc, section, ctor, stem, default=None, prefix="", **built):
+    """``ctor(**built, ...)`` with each other parameter from the key
+    ``<stem><parameter>`` when the config sets it or ``ctor`` requires it, so
+    every default is ``ctor``'s own; a refusal goes through ``_refusal``."""
+    params = inspect.signature(ctor).parameters
+    keys = {name: stem + name for name in params if name not in built}
     args = {
         name: rc.require(section, key) for name, key in keys.items()
         if rc.has(section, key) or params[name].default is inspect.Parameter.empty
     }
     try:
-        return kinds[kind](**args)
+        return ctor(**built, **args)
     except ValueError as err:
-        raise _refusal(rc, section, err, keys, kind_key, prefix) from None
+        raise _refusal(rc, section, err, keys, default, prefix) from None
+
+
+def _build_kind(rc, section, kind_key, kind, kinds, noun, prefix=""):
+    """``kinds[kind]`` built from the keys ``<stem>_<parameter>`` (``<stem>``:
+    ``kind_key`` less ``_kind``); a refusal that names no parameter is
+    reported at ``kind_key``."""
+    if kind not in kinds:
+        raise ConfigError(f"unknown {noun} kind {kind!r}", rc.lines.get(section, {}).get(kind_key))
+    return _build(rc, section, kinds[kind], kind_key.removesuffix("_kind") + "_", kind_key, prefix)
 
 
 def build_potential(rc: RunConfig, role) -> convex.Potential | None:
@@ -294,40 +296,13 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
 
 
 def build_u0(rc: RunConfig, grid) -> gridmod.GridField:
-    kind = rc.get("solver", "u0_kind", "zero")
-    amplitude = rc.get("solver", "u0_amplitude", 1.0)
-    if not math.isfinite(amplitude):
-        raise ConfigError("u0_amplitude must be finite", rc.lines["solver"].get("u0_amplitude"))
-    key = {"eigenmode": "u0_mode", "file": "u0_path"}.get(kind, "u0_kind")   # what a refusal names
-    try:
-        return solvermod.initial_datum(
-            grid,
-            kind,
-            mode=rc.get("solver", "u0_mode", 1),
-            amplitude=amplitude,
-            path=rc.require("solver", "u0_path") if kind == "file" else None,
-        )
-    except (ValueError, OSError) as err:
-        raise ConfigError(f"{key}: {err}", rc.lines["solver"].get(key)) from None
+    return _build(rc, "solver", solvermod.initial_datum, "u0_", prefix="u0_", grid=grid)
 
 
 def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverConfig:
-    try:
-        return solvermod.SolverConfig(
-            grid=grid,
-            gamma=gamma,
-            beta=beta,
-            noise=noise,
-            lambda_yosida=rc.require("solver", "lambda_yosida"),
-            dt=rc.require("solver", "dt"),
-            horizon=rc.require("solver", "horizon"),
-            lambda_visc=rc.get("solver", "lambda_visc"),
-            scheme=rc.get("solver", "scheme", "implicit_opt"),
-            eps_inner=rc.get("solver", "eps_inner", 1e-10),
-            max_inner=rc.get("solver", "max_inner", 100),
-        )
-    except ValueError as err:   # the message leads with the key it refuses
-        raise _refusal(rc, "solver", err, {k: k for k in SCHEMA["solver"]}) from None
+    return _build(
+        rc, "solver", solvermod.SolverConfig, "", grid=grid, gamma=gamma, beta=beta, noise=noise,
+    )
 
 
 def master_seed(rc: RunConfig, override=None):

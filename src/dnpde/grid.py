@@ -41,7 +41,6 @@ __all__ = [
     "cg_solve",
     "dual_norm_v0",
     "node_coordinates",
-    "field_from_function",
     "write_field",
     "read_field",
 ]
@@ -63,11 +62,11 @@ class DirichletGrid:
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "nodes", nodes)
         if len(extents) != len(nodes) or len(extents) not in (1, 2):
-            raise ValueError("grid dimension must be 1 or 2")
+            raise ValueError("dimension must be 1 or 2")
         if not all(0.0 < e < math.inf for e in extents):
             raise ValueError("extents must be positive and finite")
         if any(n < 3 for n in nodes):
-            raise ValueError("need at least 3 interior nodes per axis")
+            raise ValueError("nodes must be at least 3 per axis")
 
     @property
     def dim(self):
@@ -353,11 +352,6 @@ def node_coordinates(grid):
     return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
-def field_from_function(grid, fn) -> GridField:
-    coords = node_coordinates(grid)
-    return GridField(grid, np.asarray(fn(*coords), dtype=float))
-
-
 def write_field(field: GridField, path):
     """Flat text, one value per line, row-major, after a single header line."""
     g = field.grid
@@ -376,11 +370,11 @@ def read_field(path, grid=None) -> GridField:
         body = [float(line) for line in fh if line.strip()]
     d = int(header[0]) if header else 0
     if d < 1 or len(header) < 1 + 2 * d:
-        raise ValueError(f"{path}: missing or short grid header")
+        raise ValueError("missing or short grid header")
     extents = tuple(float(t) for t in header[1 : 1 + d])
     nodes = tuple(int(t) for t in header[1 + d : 1 + 2 * d])
     file_grid = DirichletGrid(extents, nodes)
     if grid is not None and grid != file_grid:
-        raise ValueError(f"{path}: grid in file {file_grid} does not match {grid}")
+        raise ValueError(f"grid in file {file_grid} does not match {grid}")
     values = np.array(body).reshape(nodes)
     return GridField(file_grid, values)

@@ -573,20 +573,35 @@ def run_ensemble(cfg, u0, master_seed, n_paths, keep_every=0, fine_dt=None):
 # initial data
 # ---------------------------------------------------------------------------
 
-def initial_datum(grid, kind, mode=1, amplitude=1.0, path=None) -> GridField:
-    """Catalog of deterministic initial data: zero, eigenmode, bump, file."""
+def initial_datum(grid, kind="zero", mode=1, amplitude=1.0, path=None) -> GridField:
+    """Initial datum ``zero``, ``eigenmode`` (the h-orthonormal sine mode
+    ``mode``, 1-based, one index or in 2-d a pair), ``bump`` (the product of
+    ``4 x (L - x) / L**2`` over the axes), both times ``amplitude``, or
+    ``file`` (the field at ``path``, on ``grid``).  A refused parameter's
+    message leads with its name."""
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     if kind == "zero":
         return GridField(grid, np.zeros(grid.shape))
+    if kind == "file":
+        if path is None:
+            raise ValueError("path is required for kind 'file'")
+        try:
+            return gridmod.read_field(path, grid)
+        except (ValueError, OSError) as err:
+            raise ValueError(f"path {path}: {err}") from None
     if kind == "eigenmode":
         k = mode if grid.dim == 1 else (mode, mode) if np.isscalar(mode) else tuple(mode)
-        return GridField(grid, amplitude * gridmod.sine_mode(grid, k))
-    if kind == "bump":
-        def bump(*coords):
-            out = np.ones_like(coords[0])
-            for x, L in zip(coords, grid.extents):
-                out = out * 4.0 * x * (L - x) / L**2
-            return amplitude * out
-        return gridmod.field_from_function(grid, bump)
-    if kind == "file":
-        return gridmod.read_field(path, grid)
-    raise ValueError(f"unknown initial datum kind {kind!r}")
+        shape = gridmod.sine_mode(grid, k)
+    elif kind == "bump":
+        coords = gridmod.node_coordinates(grid)
+        shape = np.ones_like(coords[0])
+        for x, L in zip(coords, grid.extents):
+            shape = shape * 4.0 * x * (L - x) / L**2
+    else:
+        raise ValueError(f"kind {kind!r} is unknown")
+    with np.errstate(over="ignore"):
+        values = amplitude * shape
+    if not np.isfinite(values).all():
+        raise ValueError(f"amplitude {amplitude!r} overflows the {kind} datum")
+    return GridField(grid, values)

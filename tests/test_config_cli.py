@@ -5,15 +5,18 @@ import inspect
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from dnpde import cli, config as cfgmod
 from dnpde import convex as cx
 from dnpde import noise as nz
+from dnpde import solver as sv
 from dnpde import verify as vf
 from dnpde.grid import DirichletGrid
 
@@ -128,6 +131,54 @@ def test_override_equal_to_file_value_builds_equal_problem():
     assert u02.grid == u0.grid and u02.values.tobytes() == u0.values.tobytes()
 
 
+# the [solver] keys: SolverConfig's parameters less those built from other
+# sections, then u0_ and initial_datum's; each default is its constructor's
+SOLVER_BUILT = ("grid", "gamma", "beta", "noise")
+SOLVER_PARAMS = [
+    *((name, p) for name, p in inspect.signature(sv.SolverConfig).parameters.items()
+      if name not in SOLVER_BUILT),
+    *((f"u0_{name}", p) for name, p in inspect.signature(sv.initial_datum).parameters.items()
+      if name != "grid"),
+]
+
+
+def test_solver_keys_and_defaults_come_from_the_constructors(tmp_path, capsys):
+    assert {key for key, _ in SOLVER_PARAMS} == set(cfgmod.SCHEMA["solver"])
+    assert cfgmod.SCHEMA["solver"] == {
+        "lambda_yosida": float, "lambda_visc": float, "dt": float, "horizon": float,
+        "scheme": str, "eps_inner": float, "max_inner": int,
+        "u0_kind": str, "u0_mode": int, "u0_amplitude": float, "u0_path": str,
+    }
+    text = BASIC.replace("u0_kind = eigenmode\nu0_mode = 1\nu0_amplitude = 1.0\n", "")
+    assert set(cfgmod.parse_config(text).sections["solver"]) == {"lambda_yosida", "dt", "horizon"}
+    cfg, u0 = cfgmod.build_problem(cfgmod.parse_config(text))
+    grid = cfg.grid
+    assert cfg == sv.SolverConfig(grid, cfg.gamma, cfg.beta, cfg.noise, 0.5, 0.03125, 0.25)
+    default = sv.initial_datum(grid)
+    assert u0.grid == default.grid and u0.values.tobytes() == default.values.tobytes()
+    # a file datum without its path is still refused
+    cfg_path = write_cfg(tmp_path, text.replace("horizon = 0.25", "horizon = 0.25\nu0_kind = file"))
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: u0_path is required" in capsys.readouterr().err
+
+
+def test_readme_solver_table_matches_the_constructors():
+    # the README's [solver] table lists every key, in order, with its
+    # constructor's default; a required key has none, lambda_visc follows lambda_yosida
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.partition("| key | default | meaning |")[2].partition("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, re.M)
+    expected = []
+    for key, p in SOLVER_PARAMS:
+        if p.default is inspect.Parameter.empty:
+            expected.append((key, "required"))
+        elif p.default is None:
+            expected.append((key, "`lambda_yosida`" if key == "lambda_visc" else "none"))
+        else:
+            expected.append((key, f"`{p.default}`"))
+    assert rows == expected
+
+
 # ---------------------------------------------------------------------------
 # cmd_run
 # ---------------------------------------------------------------------------
@@ -181,15 +232,18 @@ def test_run_rejects_jobs_flag(tmp_path):
 # mode it scales, an amplitude whose square overflows failed at step 0, a dt
 # giving more steps than an array holds ended in a traceback, an infinite
 # lambda_visc failed at step 1, an infinite eps_inner ran without a single
-# inner iteration, every step returning its incoming state, and an infinite or
-# nan extent ended in a traceback about the declared noise bound
+# inner iteration, every step returning its incoming state, an infinite or
+# nan extent ended in a traceback about the declared noise bound, an
+# amplitude overflowing the eigenmode warned and named the u0_mode line, and
+# a refused dimension or node count did not lead with its key
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
     "u0_amplitude = nan", "amp_q = nan", "amp_c = nan", "amplitudes = nan", "amp_c = 0",
     "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
     "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf", "eps_inner = inf",
-    "extent = inf", "extent = nan",
+    "extent = inf", "extent = nan", "u0_amplitude = 1.7e308", "dimension = 3", "nodes = 2",
+    "u0_kind = mystery",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it

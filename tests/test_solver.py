@@ -603,8 +603,17 @@ def test_initial_datum_kinds(tmp_path):
     gd.write_field(b, path)
     f = sv.initial_datum(G16, "file", path=path)
     assert np.array_equal(f.values, b.values)
-    with pytest.raises(ValueError):
-        sv.initial_datum(G16, "mystery")
+    # each refusal leads with the parameter it refuses
+    for kwargs, name in [
+        ({"kind": "mystery"}, "kind"),
+        ({"kind": "eigenmode", "mode": 17}, "mode"),
+        ({"kind": "eigenmode", "amplitude": 1.7e308}, "amplitude"),   # overflows, no warning
+        ({"amplitude": math.inf}, "amplitude"),
+        ({"kind": "file"}, "path"),
+        ({"kind": "file", "path": tmp_path / "none.txt"}, "path"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            sv.initial_datum(G16, **kwargs)
 
 
 def test_bisection_only_potentials_in_stepper():
