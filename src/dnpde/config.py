@@ -5,23 +5,22 @@ type errors: a silent typo in a regularization parameter would invalidate an
 entire experiment.  Values are plain scalars or comma-separated lists;
 full-line comments start with '#'.
 
-Potentials, gains, the solver config and the initial datum are built by
-``_build`` from keys named after their constructors' parameters (``gamma_p``
-is ``PowerPotential.p``, ``u0_mode`` is the ``mode`` of ``solver.initial_datum``),
-so each default lives in its constructor alone.  Potentials and gains take
-their constructor from the kind tables ``POTENTIAL_KINDS`` and ``GAIN_KINDS``;
-a kind ignores keys it does not take.  A refused value is reported at the
-line of the key its message leads with.
+Potentials, gains, the noise, the solver config and the initial datum are
+built by ``_build`` from keys named after their constructors' parameters
+(``gamma_p`` is ``PowerPotential.p``, ``n_b`` that of ``noise.spectral_noise``,
+``u0_mode`` the ``mode`` of ``solver.initial_datum``), so each default and each
+rule lives in its constructor alone.  Potentials and gains take their
+constructor from the kind tables ``POTENTIAL_KINDS`` and ``GAIN_KINDS``; a kind
+ignores keys it does not take.  A refused value is reported at the line of the
+key its message leads with.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
-import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from dnpde import convex, grid as gridmod, noise as noisemod, solver as solvermod
 
@@ -61,13 +60,20 @@ GAIN_KINDS = {
     "clipped": noisemod.ClippedLinearGain,
     "tanh": noisemod.TanhGain,
 }
-_PARAM_PARSERS = {"path": str, "kind": str, "scheme": str, "mode": int, "max_inner": int,
-                  "xs": _parse_floats, "slopes": _parse_floats}   # else float
+_PARAM_PARSERS = {"path": str, "kind": str, "scheme": str, "gain": str, "mode": int,
+                  "max_inner": int, "mode_count": int, "xs": _parse_floats,
+                  "slopes": _parse_floats, "amplitudes": _parse_floats}   # else float
+
+
+@functools.cache
+def _params(ctor):
+    """``ctor``'s parameters, read once per constructor."""
+    return inspect.signature(ctor).parameters
 
 
 def _param_keys(ctors, stem, built=()):
     """``<stem><parameter>`` -> parser for every parameter of ``ctors`` not in ``built``."""
-    params = dict.fromkeys(p for ctor in ctors for p in inspect.signature(ctor).parameters)
+    params = dict.fromkeys(p for ctor in ctors for p in _params(ctor))
     return {stem + name: _PARAM_PARSERS.get(name, float) for name in params if name not in built}
 
 
@@ -83,13 +89,8 @@ SCHEMA = {
         {f"{role}_kind": str, **_param_keys(POTENTIAL_KINDS.values(), f"{role}_")}.items()
     },
     "noise": {
-        "mode_count": int,
-        "amplitudes": _parse_floats,
-        "amp_c": float,
-        "amp_q": float,
-        "gain": str,
+        **_param_keys([noisemod.spectral_noise], "", ("grid",)),
         **_param_keys(GAIN_KINDS.values(), "gain_"),
-        "n_b": float,
         "master_seed": int,
     },
     "solver": {
@@ -182,23 +183,22 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 def build_grid(rc: RunConfig) -> gridmod.DirichletGrid:
+    """The grid of ``[grid]``; ``extent`` and ``nodes`` give one value per axis,
+    or one for every axis."""
     d = rc.require("grid", "dimension")
-    extent = rc.require("grid", "extent")
-    nodes = rc.require("grid", "nodes")
-    if len(extent) == 1:
-        extent = extent * d
-    if len(nodes) == 1:
-        nodes = nodes * d
-    if len(extent) != d or len(nodes) != d:
-        raise ConfigError(
-            "extent/nodes arity does not match dimension",
-            rc.lines["grid"].get("extent"),
-        )
+    if d not in (1, 2):
+        raise ConfigError("dimension must be 1 or 2", rc.lines["grid"].get("dimension"))
+    axes = {}
+    for key in ("extent", "nodes"):
+        values = rc.require("grid", key)
+        if len(values) not in (1, d):
+            raise ConfigError(f"{key} has {len(values)} entries for dimension {d}",
+                              rc.lines["grid"].get(key))
+        axes[key] = values * d if len(values) == 1 else values
     try:
-        return gridmod.DirichletGrid(tuple(extent), tuple(nodes))
+        return gridmod.DirichletGrid(axes["extent"], axes["nodes"])
     except ValueError as err:
-        keys = {"dimension": "dimension", "extents": "extent", "nodes": "nodes"}
-        raise _refusal(rc, "grid", err, keys) from None
+        raise _refusal(rc, "grid", err, {"extents": "extent", "nodes": "nodes"}) from None
 
 
 def _refusal(rc, section, err, keys, default=None, prefix=""):
@@ -214,7 +214,7 @@ def _build(rc, section, ctor, stem, default=None, prefix="", **built):
     """``ctor(**built, ...)`` with each other parameter from the key
     ``<stem><parameter>`` when the config sets it or ``ctor`` requires it, so
     every default is ``ctor``'s own; a refusal goes through ``_refusal``."""
-    params = inspect.signature(ctor).parameters
+    params = _params(ctor)
     keys = {name: stem + name for name in params if name not in built}
     args = {
         name: rc.require(section, key) for name, key in keys.items()
@@ -248,51 +248,8 @@ def build_potential(rc: RunConfig, role) -> convex.Potential | None:
 def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     if not rc.has("noise"):
         return None
-    line = rc.lines["noise"].get
-    K = rc.require("noise", "mode_count")
-    if K < 1:
-        raise ConfigError("mode_count must be >= 1", line("mode_count"))
-    if K > math.prod(grid.nodes):
-        raise ConfigError(
-            f"mode_count {K} exceeds the {math.prod(grid.nodes)} sine modes of the grid",
-            line("mode_count"),
-        )
-    if rc.has("noise", "amplitudes"):
-        amps = rc.get("noise", "amplitudes")
-        if len(amps) != K:
-            raise ConfigError(
-                f"amplitudes list has {len(amps)} entries, mode_count is {K}",
-                line("amplitudes"),
-            )
-        if not any(amps):
-            raise ConfigError("amplitudes must not be all zero", line("amplitudes"))
-    else:
-        c = rc.get("noise", "amp_c")
-        q = rc.get("noise", "amp_q")
-        if c is None or q is None:
-            raise ConfigError(
-                "noise needs either 'amplitudes' or the power law 'amp_c'/'amp_q'"
-            )
-        if not 0 < c < math.inf:
-            raise ConfigError("amp_c must be positive and finite", line("amp_c"))
-        with np.errstate(over="ignore"):
-            amps = noisemod.amplitudes_power_law(K, c, q)
-            squares = np.square(amps)
-            square_sum = squares.sum()   # the noise's Hilbert-Schmidt scale
-        if not (math.isfinite(q) and all(map(math.isfinite, amps))):
-            raise ConfigError("amp_q must be finite and give finite amplitudes", line("amp_q"))
-        if not np.isfinite(square_sum):
-            key = "amp_c" if np.isinf(squares[0]) else "amp_q"   # b_1 = c
-            raise ConfigError(f"{key} must give amplitudes with a finite sum of squares", line(key))
     gain = _build_kind(rc, "noise", "gain", rc.get("noise", "gain", "additive"), GAIN_KINDS, "gain")
-    n_b = rc.get("noise", "n_b")
-    if n_b is not None and not 0 < n_b < math.inf:
-        raise ConfigError("n_b must be positive and finite", line("n_b"))
-    try:   # the model refuses non-finite amplitudes and sums of squares
-        model = noisemod.NoiseModel(amps, gain)
-        return replace(model, bound=noisemod.default_bound(model, grid) if n_b is None else n_b)
-    except ValueError as err:
-        raise _refusal(rc, "noise", err, {"amplitudes": "amplitudes"}) from None
+    return _build(rc, "noise", noisemod.spectral_noise, "", grid=grid, gain=gain)
 
 
 def build_u0(rc: RunConfig, grid) -> gridmod.GridField:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "hs_norm",
     "default_bound",
     "amplitudes_power_law",
+    "spectral_noise",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -92,7 +94,7 @@ def amplitudes_power_law(K, c, q):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Truncated spectral noise: per-mode amplitudes, gain, declared HS bound."""
+    """Truncated spectral noise: per-mode amplitudes, gain, declared HS bound N_B."""
 
     amplitudes: tuple
     gain: Gain
@@ -107,7 +109,7 @@ class NoiseModel:
                 raise ValueError("amplitudes must be finite with a finite sum of squares")
         object.__setattr__(self, "amplitudes", amps)
         if self.bound is not None and not 0 < self.bound < np.inf:
-            raise ValueError("declared bound must be positive and finite")
+            raise ValueError("n_b must be positive and finite")
 
     @property
     def mode_count(self):
@@ -220,3 +222,40 @@ def default_bound(model: NoiseModel, grid):
     if model.is_additive():
         return float(np.sqrt(sum(b * b for b in model.amplitudes)))
     return float(np.sqrt(hs_weight(model, grid).max())) * model.gain.lipschitz
+
+
+def spectral_noise(grid, mode_count, gain, amplitudes=None, amp_c=None, amp_q=None, n_b=None):
+    """The noise of ``mode_count`` sine modes of ``grid`` with ``gain``.
+
+    The amplitudes are ``amplitudes``, one per mode and not all zero, or else
+    the power law ``amp_c * k**-amp_q``, which must give finite amplitudes
+    with a finite sum of squares.  The declared bound is ``n_b``, or
+    ``default_bound`` when it is unset.  A refusal (``ValueError``) leads with
+    the name of the parameter at fault.
+    """
+    K, modes = mode_count, math.prod(grid.nodes)
+    if K < 1:
+        raise ValueError("mode_count must be >= 1")
+    if K > modes:
+        raise ValueError(f"mode_count {K} exceeds the {modes} sine modes of the grid")
+    if amplitudes is not None:
+        if len(amplitudes) != K:
+            raise ValueError(f"amplitudes list has {len(amplitudes)} entries, mode_count is {K}")
+        if not any(amplitudes):
+            raise ValueError("amplitudes must not be all zero")
+    elif amp_c is None or amp_q is None:
+        raise ValueError("noise needs either 'amplitudes' or the power law 'amp_c'/'amp_q'")
+    else:
+        if not 0 < amp_c < math.inf:
+            raise ValueError("amp_c must be positive and finite")
+        with np.errstate(over="ignore"):
+            amplitudes = amplitudes_power_law(K, amp_c, amp_q)
+            squares = np.square(amplitudes)
+            square_sum = squares.sum()   # the noise's Hilbert-Schmidt scale
+        if not (math.isfinite(amp_q) and all(map(math.isfinite, amplitudes))):
+            raise ValueError("amp_q must be finite and give finite amplitudes")
+        if not np.isfinite(square_sum):
+            key = "amp_c" if np.isinf(squares[0]) else "amp_q"   # b_1 = amp_c
+            raise ValueError(f"{key} must give amplitudes with a finite sum of squares")
+    model = NoiseModel(amplitudes, gain, n_b)   # refuses non-finite amplitudes and n_b
+    return model if n_b is not None else replace(model, bound=default_bound(model, grid))

@@ -179,6 +179,57 @@ def test_readme_solver_table_matches_the_constructors():
     assert rows == expected
 
 
+# the [noise] keys: spectral_noise's parameters less the grid, the gain kinds'
+# parameters after gain_, and master_seed
+NOISE_PARAMS = [
+    *((name, p) for name, p in inspect.signature(nz.spectral_noise).parameters.items()
+      if name != "grid"),
+    *((f"gain_{name}", p) for ctor in cfgmod.GAIN_KINDS.values()
+      for name, p in inspect.signature(ctor).parameters.items()),
+]
+
+
+def test_noise_keys_come_from_the_constructor():
+    assert list(cfgmod.SCHEMA["noise"]) == [key for key, _ in NOISE_PARAMS] + ["master_seed"]
+    assert cfgmod.SCHEMA["noise"] == {
+        "mode_count": int, "amplitudes": cfgmod._parse_floats, "amp_c": float, "amp_q": float,
+        "n_b": float, "gain_limit": float, "gain": str, "master_seed": int,
+    }
+    power = BASIC.replace("nodes = 16", "nodes = 64").replace("mode_count = 1", "mode_count = 4")
+    power = power.replace("amplitudes = 0.5", "amp_c = 0.5\namp_q = 1.0")
+    tanh = power.replace("gain = additive", "gain = tanh\nn_b = 0.75")
+    amps = (0.5, 0.25, 0.5 / 3, 0.125)   # 0.5 / k; the default bound is their l2 norm
+    for text, model in [
+        (BASIC, nz.NoiseModel((0.5,), nz.AdditiveGain(), 0.5)),
+        (power, nz.NoiseModel(amps, nz.AdditiveGain(), math.sqrt(sum(b * b for b in amps)))),
+        (tanh, nz.NoiseModel(amps, nz.TanhGain(), 0.75)),
+    ]:
+        rc = cfgmod.parse_config(text)
+        grid = cfgmod.build_grid(rc)
+        keys = {k: v for k, v in rc.sections["noise"].items() if k not in ("gain", "master_seed")}
+        assert cfgmod.build_noise(rc, grid) == model
+        assert nz.spectral_noise(grid, gain=model.gain, **keys) == model
+
+
+def test_readme_noise_table_matches_the_constructors():
+    # the README's [noise] table lists every key, in order, with its default:
+    # the constructors' own, the gain kind additive and master seed 0 from config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.partition("The `[noise]` keys")[2].partition("\n\n| key")[2].partition("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, re.M)
+    expected = []
+    for key, p in NOISE_PARAMS:
+        if key == "gain":
+            expected.append((key, "`additive`"))
+        elif p.default is inspect.Parameter.empty:
+            expected.append((key, "required"))
+        elif p.default is None:
+            expected.append((key, "`default_bound`" if key == "n_b" else "none"))
+        else:
+            expected.append((key, f"`{p.default}`"))
+    assert rows == expected + [("master_seed", "`0`")]
+
+
 # ---------------------------------------------------------------------------
 # cmd_run
 # ---------------------------------------------------------------------------
@@ -234,8 +285,9 @@ def test_run_rejects_jobs_flag(tmp_path):
 # lambda_visc failed at step 1, an infinite eps_inner ran without a single
 # inner iteration, every step returning its incoming state, an infinite or
 # nan extent ended in a traceback about the declared noise bound, an
-# amplitude overflowing the eigenmode warned and named the u0_mode line, and
-# a refused dimension or node count did not lead with its key
+# amplitude overflowing the eigenmode warned and named the u0_mode line, a
+# refused dimension or node count did not lead with its key, and a negative
+# dimension or three node counts in 1-d named the extent line
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
@@ -243,7 +295,7 @@ def test_run_rejects_jobs_flag(tmp_path):
     "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
     "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf", "eps_inner = inf",
     "extent = inf", "extent = nan", "u0_amplitude = 1.7e308", "dimension = 3", "nodes = 2",
-    "u0_kind = mystery",
+    "u0_kind = mystery", "dimension = -1", "nodes = 8,8,8",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it
@@ -485,12 +537,23 @@ def test_sweep_bad_values_exits_2(tmp_path, capsys):
     assert "abc" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("values", ["1.5,2.7", "0", "17"])   # 1.5,2.7 used to run K = 1, 2
-def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values):
+# 1.5,2.7 used to run K = 1, 2; 0 and 17 are refused by the noise constructor
+# as the same key in a config file is
+@pytest.mark.parametrize("values, message", [
+    pytest.param(
+        "1.5,2.7", "mode_count sweep values must be integers, got [1.5, 2.7]", id="1.5,2.7",
+    ),
+    pytest.param("0", "mode_count sweep value 0.0: mode_count must be >= 1", id="0"),
+    pytest.param(
+        "17", "mode_count sweep value 17.0: mode_count 17 exceeds the 16 sine modes of the grid",
+        id="17",
+    ),
+])
+def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values, message):
     cfg = write_cfg(tmp_path, BASIC)
     out = str(tmp_path / "o")
     assert cli.main(["sweep", cfg, "--param", "mode_count", "--values", values, "--out", out]) == 2
-    assert "integers >= 1" in capsys.readouterr().err
+    assert f"config error: {message}\n" == capsys.readouterr().err
 
 
 # h = -0.1, 5 and 0.3 used to run a 3-node grid labelled with that h, and h = 0.07 a
