@@ -184,22 +184,12 @@ def cmd_verify(config_path, select=None, out_dir=None):
     rows = []
     for res in results:
         for a in res.assertions:
-            rows.append(
-                [
-                    str(res.cid),
-                    res.name,
-                    a.name,
-                    a.measured,
-                    a.threshold,
-                    "PASS" if a.passed else "FAIL",
-                    a.provenance,
-                ]
-            )
+            rows.append([str(res.cid), res.name, a.name, a.measured, a.threshold, a.status, a.rule])
         for line in res.lines():
             print(line)
     verifymod.write_report_csv(
         os.path.join(out, f"{prefix}_verify.csv"),
-        ["criterion_id", "criterion", "assertion", "measured", "threshold", "status", "provenance"],
+        ["criterion_id", "criterion", "assertion", "measured", "threshold", "status", "relation"],
         rows,
         _comments(rc, configmod.master_seed(rc)),
     )

@@ -230,14 +230,15 @@ def spectral_noise(grid, mode_count, gain, amplitudes=None, amp_c=None, amp_q=No
     The amplitudes are ``amplitudes``, one per mode and not all zero, or else
     the power law ``amp_c * k**-amp_q``, which must give finite amplitudes
     with a finite sum of squares.  The declared bound is ``n_b``, or
-    ``default_bound`` when it is unset.  A refusal (``ValueError``) leads with
-    the name of the parameter at fault.
+    ``default_bound`` when it is unset, which must not underflow to 0.  A
+    refusal (``ValueError``) leads with the name of the parameter at fault.
     """
     K, modes = mode_count, math.prod(grid.nodes)
     if K < 1:
         raise ValueError("mode_count must be >= 1")
     if K > modes:
         raise ValueError(f"mode_count {K} exceeds the {modes} sine modes of the grid")
+    scale_key = "amp_c" if amplitudes is None else "amplitudes"   # b_1 = amp_c for the power law
     if amplitudes is not None:
         if len(amplitudes) != K:
             raise ValueError(f"amplitudes list has {len(amplitudes)} entries, mode_count is {K}")
@@ -258,4 +259,9 @@ def spectral_noise(grid, mode_count, gain, amplitudes=None, amp_c=None, amp_q=No
             key = "amp_c" if np.isinf(squares[0]) else "amp_q"   # b_1 = amp_c
             raise ValueError(f"{key} must give amplitudes with a finite sum of squares")
     model = NoiseModel(amplitudes, gain, n_b)   # refuses non-finite amplitudes and n_b
-    return model if n_b is not None else replace(model, bound=default_bound(model, grid))
+    if n_b is not None:
+        return model
+    bound = default_bound(model, grid)
+    if bound == 0.0:
+        raise ValueError(f"{scale_key} too small: the squares underflow to a zero default n_b")
+    return replace(model, bound=bound)

@@ -269,6 +269,11 @@ def test_run_unreadable_config_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_underflowing_amplitudes_run_with_a_declared_bound(tmp_path):
+    text = BASIC.replace("amplitudes = 0.5", "amp_c = 1e-300\namp_q = 1.0\nn_b = 1.0")
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_run_rejects_jobs_flag(tmp_path):
     cfg = write_cfg(tmp_path, BASIC)
     with pytest.raises(SystemExit) as info:
@@ -287,7 +292,8 @@ def test_run_rejects_jobs_flag(tmp_path):
 # nan extent ended in a traceback about the declared noise bound, an
 # amplitude overflowing the eigenmode warned and named the u0_mode line, a
 # refused dimension or node count did not lead with its key, and a negative
-# dimension or three node counts in 1-d named the extent line
+# dimension or three node counts in 1-d named the extent line, and amplitudes
+# whose squares underflow left a zero default n_b that named neither key nor line
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
@@ -295,7 +301,8 @@ def test_run_rejects_jobs_flag(tmp_path):
     "amp_c = inf", "amplitudes = inf", "n_b = inf", "amplitudes = 1e200", "amp_c = 1e200",
     "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf", "eps_inner = inf",
     "extent = inf", "extent = nan", "u0_amplitude = 1.7e308", "dimension = 3", "nodes = 2",
-    "u0_kind = mystery", "dimension = -1", "nodes = 8,8,8",
+    "u0_kind = mystery", "dimension = -1", "nodes = 8,8,8", "amp_c = 1e-300",
+    "amplitudes = 1e-300",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it
@@ -637,12 +644,16 @@ def test_sweep_inner_failure_flushes_partial(tmp_path, capsys):
 # cmd_verify
 # ---------------------------------------------------------------------------
 
-def test_verify_selection_and_exit_codes(tmp_path):
+def test_verify_selection_and_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASIC)
     out = tmp_path / "out"
     assert cli.main(["verify", cfg, "--select", "duality", "--out", str(out)]) == 0
-    lines = (out / "demo_verify.csv").read_text().splitlines()
-    assert any("summation_by_parts_rel" in l for l in lines)
+    header, *rows = [l for l in (out / "demo_verify.csv").read_text().splitlines() if l[0] != "#"]
+    assert header.endswith(",status,relation")
+    assert [r.split(",")[2] for r in rows] == ["summation_by_parts_rel", "div_grad_is_stencil_rel"]
+    assert all(r.endswith(",PASS,<=") for r in rows)
+    *lines, _ = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(l.endswith(" (<=)") for l in lines)
     assert cli.main(["verify", cfg, "--select", "nonsense", "--out", str(out)]) == 2
 
 

@@ -103,8 +103,8 @@ def test_sweep_sign_graph_tail_bound():
 def test_lipschitz_identical_data_gives_zero_ratio():
     cfg = base_cfg()
     u0 = GridField(G, gd.sine_mode(G, 1))
-    ratio, assertions = vf.lipschitz_test(cfg, u0, u0, n_paths=2, master_seed=8)
-    assert ratio == 0.0
+    assertions = vf.lipschitz_test(cfg, u0, u0, n_paths=2, master_seed=8)
+    assert assertions[0].measured == 0.0
     assert all(a.passed for a in assertions)
 
 
@@ -113,12 +113,12 @@ def test_lipschitz_additive_contraction():
     u0a = GridField(G, gd.sine_mode(G, 1))
     u0b = sv.initial_datum(G, "bump", amplitude=0.6)
     for noise in (cfg.noise, None):   # without noise both data run as one-path batches
-        ratio, assertions = vf.lipschitz_test(
+        bound, pathwise = vf.lipschitz_test(
             replace(cfg, noise=noise), u0a, u0b, n_paths=4, master_seed=17
         )
-        bound, pathwise = assertions
         assert (bound.name, pathwise.name) == ("lipschitz_ratio", "pathwise_contraction_excess")
         assert bound.passed and pathwise.passed
+        ratio = bound.measured
         assert ratio <= 1.0 + 1e-9
     diff = sv.integrate(replace(cfg, noise=None), u0a).states() - sv.integrate(
         replace(cfg, noise=None), u0b).states()
@@ -266,6 +266,30 @@ def test_walk_matches_per_record_recomputation_2d(gamma, beta):
     )
     traj = sv.integrate(cfg, GridField(g2, 2.0 * gd.sine_mode(g2, (1, 1))), nz.PathSeed(11, 0))
     _assert_matches_reference(traj)
+
+
+# each relation at its threshold 1, above and below it, on both sides of the
+# range's low end 0.5, and at +-inf and NaN; NaN fails every relation
+RELATION_POINTS = (-math.inf, 0.25, 0.5, 0.75, 1.0, 1.5, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("relation, low, rule, passes", [
+    ("<=", None, "<=", "TTTTTFFF"),
+    ("<", None, "<", "TTTTFFFF"),
+    (">=", None, ">=", "FFFFTTTF"),
+    ("<=", 0.5, "in [0.5, 1]", "FFTTTFFF"),
+], ids=["le", "lt", "ge", "range"])
+def test_assertion_relations(relation, low, rule, passes):
+    for measured, expected in zip(RELATION_POINTS, passes):
+        a = vf.Assertion("x", measured, relation, 1.0, low=low)
+        assert a.passed is (expected == "T"), measured
+        assert a.status == ("PASS" if expected == "T" else "FAIL")
+        assert a.line().endswith(f"threshold=1 ({rule})")
+
+
+def test_assertion_range_takes_le():
+    with pytest.raises(ValueError):
+        vf.Assertion("x", 0.75, ">=", 1.0, low=0.5)
 
 
 def test_apriori_report_zero_and_slope_guard():
