@@ -89,6 +89,18 @@ def criterion_model(workdir=None, rc=None):
 # 1. convex-calculus oracle equivalence
 # ---------------------------------------------------------------------------
 
+def _closed_vs_bisection(rng, pots):
+    """Per graph, 1000 points ``x`` of [-10, 10] drawn from ``rng``; per lambda
+    in (1, 0.1, 0.01), ``(pot, lam, x, j_closed, gap)``: the graph's own
+    resolvent and its largest distance to the bisection resolvent."""
+    for pot in pots:
+        x = rng.uniform(-10.0, 10.0, 1000)
+        for lam in (1.0, 0.1, 0.01):
+            j_closed = convex.resolvent(pot, lam, x)
+            j_bisect = convex.resolvent(pot, lam, x, force_bisect=True)
+            yield pot, lam, x, j_closed, float(np.abs(j_closed - j_bisect).max())
+
+
 def criterion_convex_oracle(workdir=None, rc=None):
     rng = np.random.default_rng(11)
     graphs = [
@@ -99,14 +111,10 @@ def criterion_convex_oracle(workdir=None, rc=None):
     ]
     worst_res = 0.0
     worst_yos = 0.0
-    for pot in graphs:
-        x = rng.uniform(-10.0, 10.0, 1000)
-        for lam in (1.0, 0.1, 0.01):
-            j_closed = convex.resolvent(pot, lam, x)
-            j_bisect = convex.resolvent(pot, lam, x, force_bisect=True)
-            worst_res = max(worst_res, float(np.abs(j_closed - j_bisect).max()))
-            g = convex.yosida(pot, lam, x)
-            worst_yos = max(worst_yos, float(np.abs(x - (j_closed + lam * g)).max()))
+    for pot, lam, x, j_closed, gap in _closed_vs_bisection(rng, graphs):
+        worst_res = max(worst_res, gap)
+        g = convex.yosida(pot, lam, x)
+        worst_yos = max(worst_yos, float(np.abs(x - (j_closed + lam * g)).max()))
 
     orders = []
     lam = 0.37
@@ -132,14 +140,9 @@ def criterion_convex_oracle(workdir=None, rc=None):
     # the Newton and interpolation routes, on a generator of their own
     rng = np.random.default_rng(12)
     samples = np.linspace(-4.0, 4.0, 81)
-    worst_cat = 0.0
     sampled_abs = convex.SampledSlopePotential.from_value_samples(samples, np.abs(samples))
-    for pot in (ExpCoshPotential(), sampled_abs):
-        x = rng.uniform(-10.0, 10.0, 1000)
-        for lam in (1.0, 0.1, 0.01):
-            j_closed = convex.resolvent(pot, lam, x)
-            j_bisect = convex.resolvent(pot, lam, x, force_bisect=True)
-            worst_cat = max(worst_cat, float(np.abs(j_closed - j_bisect).max()))
+    catalog = _closed_vs_bisection(rng, (ExpCoshPotential(), sampled_abs))
+    worst_cat = max(0.0, *(gap for *_, gap in catalog))
     return [
         Assertion("resolvent_bisect_vs_closed", worst_res, "<=", 1e-10),
         Assertion("yosida_identity", worst_yos, "<=", 1e-10),
@@ -348,12 +351,13 @@ def criterion_apriori(workdir=None, rc=None):
         solver={"lambda_visc": 0.01},
     )
     entries = _lambda_sweep(base, u0, PathSeed(4242, 0))
-    assertions = verifymod.apriori_report(entries)
+    walks = [verifymod.record_integrals(e.trajectory) for e in entries]   # one per run
+    assertions = verifymod.apriori_report([(lam, w[0]) for lam, w in zip(_LAMBDAS, walks)])
 
     worst_tail_increase = -math.inf
     worst_tail_ratio = 0.0
-    for e in entries:
-        for tails in (e.tails_eta, e.tails_xi):
+    for *_, tails_eta, tails_xi in walks:
+        for tails in (tails_eta, tails_xi):
             if tails.size > 1:
                 worst_tail_increase = max(worst_tail_increase, float(np.diff(tails).max()))
             if tails[0] > 0:
@@ -427,18 +431,14 @@ def criterion_phi_unique(workdir=None, rc=None):
     xs = gridmod.node_coordinates(grid)[0]
     u0 = GridField(grid, 0.5 * np.clip(8 * xs * (1 - xs), 0.0, 1.0))   # a clipped bump
     lam0, dt0, n_steps = 0.25, 2e-4, 80
-    horizon = n_steps * dt0
-    dts = [dt0 / 2**level for level in range(3)]
-    seed = PathSeed(909, 0)
-    K = base.noise.mode_count
-    tables = noisemod.coupled_increment_tables(seed, dts[-1], dts, horizon, K)
+    runs = []
+    for refine in (1, 2, 4):   # the implicit and the semi-implicit scheme per level, one path
+        cfg = replace(base, lambda_yosida=lam0 / refine, dt=dt0 / refine, horizon=n_steps * dt0)
+        runs += [(cfg, u0), (replace(cfg, scheme="semi_implicit"), u0)]
+    trajs = [e.trajectory for e in verifymod.sweep(runs, PathSeed(909, 0))[1]]
 
     phi_d, eta_sup = [], []
-    for level in range(3):
-        cfg_a = replace(base, lambda_yosida=lam0 / 2**level, dt=dts[level], horizon=horizon)
-        cfg_b = replace(cfg_a, scheme="semi_implicit")
-        traj_a = solvermod.integrate(cfg_a, u0, seed, tables[level])
-        traj_b = solvermod.integrate(cfg_b, u0, seed, tables[level])
+    for traj_a, traj_b in zip(trajs[::2], trajs[1::2]):
         phi = verifymod.phi_integral(traj_a) - verifymod.phi_integral(traj_b)
         phi_d.append(float(gridmod.dual_norm_v0(grid, phi)))
         worst = 0.0

@@ -124,11 +124,9 @@ class RunConfig:
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def require(self, section, key=None):
+    def require(self, section, key):
         if section not in self.sections:
             raise ConfigError(f"missing required section [{section}]")
-        if key is None:
-            return self.sections[section]
         if key not in self.sections[section]:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
         return self.sections[section][key]

@@ -275,7 +275,6 @@ def cg_solve(grid, apply_op, b, diag):
     """
     b = np.asarray(b, dtype=float)
     max_iter = 20 * math.prod(grid.nodes)
-    col = (None,) * grid.dim + (...,)   # batch-shaped scalars against node arrays
     bnorm = np.sqrt(_grid_sum(grid, b * b))
     if (bnorm == 0.0).all():
         return np.zeros_like(b)
@@ -293,12 +292,12 @@ def cg_solve(grid, apply_op, b, diag):
         if ((pap <= 0.0) & ~done).any():
             raise RuntimeError("CG breakdown: operator is not positive definite")
         alpha = np.where(done, 0.0, rz / np.where(pap > 0.0, pap, 1.0))
-        x = x + alpha[col] * p
-        r = r - alpha[col] * ap
+        x = x + alpha * p
+        r = r - alpha * ap
         z = r / diag
         rz_new = _grid_sum(grid, r * z)
         beta = rz_new / np.where(rz > 0.0, rz, 1.0)
-        p = z + beta[col] * p
+        p = z + beta * p
         rz = rz_new
     raise RuntimeError(f"CG did not converge in {max_iter} iterations")
 

@@ -45,12 +45,10 @@ _MASK64 = (1 << 64) - 1
 
 class Gain:
     """Scalar gain ``sigma`` with stated Lipschitz constant; the catalog gains
-    are frozen dataclasses whose fields are their parameters."""
+    are frozen dataclasses whose fields are their parameters, called on node
+    arrays."""
 
     lipschitz = 1.0
-
-    def __call__(self, u):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ the initial datum, and the distinguished role of the combination
 ``-div(eta) + xi`` (unique in the limit) versus its factors (not unique).
 
 ``sweep`` is the one routine that runs a family of configs along one coupled
-noise path; ``dnpde sweep`` and criteria 6 and 7 both call it.
+noise path; ``dnpde sweep`` and criteria 6, 7 and 9 all call it.  A sweep
+entry is a run and its Cauchy distance to the run before it, nothing more:
 ``record_integrals`` and ``phi_integral`` each walk a run's records once,
-reading the face gradients the run kept with them; a missing graph (``eta``
-or ``xi`` None) adds nothing.
+reading the face gradients the run kept with them, and are called by the
+reader that needs them; a missing graph (``eta`` or ``xi`` None) adds nothing.
 """
 
 from __future__ import annotations
@@ -195,32 +196,34 @@ def _cauchy_distance(prev, cur):
     sa = prev.states()[::ra]
     sb = cur.states()[::rb]
     n = min(len(sa), len(sb))
-    axes = tuple(range(1, 1 + grid.dim))
-    d = np.sqrt(grid.node_volume * np.sum((sa[:n] - sb[:n]) ** 2, axis=axes))
-    return float(d.max())
+    return float(_record_distances(grid, sa[:n], sb[:n]).max())
+
+
+def _record_distances(grid, sa, sb):
+    """h-distance of each record of two state stacks ``(n, *nodes, *batch)``."""
+    d = sa - sb
+    return np.sqrt(grid.node_volume * np.sum(d * d, axis=tuple(range(1, 1 + grid.dim))))
 
 
 @dataclass
 class SweepEntry:
+    """One run of a sweep and its Cauchy distance to the run before it (NaN
+    for the first); a reader that needs the run's integrals walks them."""
+
     trajectory: solvermod.Trajectory
-    cauchy_prev: float            # distance to the previous run (NaN for the first)
-    bounds: dict
-    fenchel_gap_gamma: float | None
-    fenchel_gap_beta: float | None
-    tails_eta: np.ndarray
-    tails_xi: np.ndarray
+    cauchy_prev: float
 
     def row(self):
-        """The values of ``SWEEP_COLUMNS``; a missing Fenchel gap is NaN."""
-        gaps = (self.fenchel_gap_gamma, self.fenchel_gap_beta)
+        """``SWEEP_COLUMNS`` from one ``record_integrals`` walk; a missing gap is NaN."""
+        bounds, *gaps, tails_eta, tails_xi = record_integrals(self.trajectory)
         return [
             self.cauchy_prev,
-            *(self.bounds[name] for name in BOUND_NAMES),
+            *(bounds[name] for name in BOUND_NAMES),
             *(math.nan if g is None else g for g in gaps),
-            self.tails_eta[0],
-            self.tails_eta[-1],
-            self.tails_xi[0],
-            self.tails_xi[-1],
+            tails_eta[0],
+            tails_eta[-1],
+            tails_xi[0],
+            tails_xi[-1],
             self.trajectory.energy_residual,
         ]
 
@@ -259,7 +262,7 @@ def _sweep_entries(runs, tables, seed):
                 f"sweep run {i} (lambda={cfg.lambda_yosida}, dt={cfg.dt}) failed: {err}",
                 err.step_index,
             ) from err
-        yield SweepEntry(traj, _cauchy_distance(prev, traj), *record_integrals(traj))
+        yield SweepEntry(traj, _cauchy_distance(prev, traj))
         prev = traj
 
 
@@ -279,19 +282,16 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     d0 = float(gridmod.norm_h(cfg.grid, u0_a.values - u0_b.values))
-    nb = cfg.noise.bound if cfg.noise and cfg.noise.bound else (
-        noisemod.default_bound(cfg.noise, cfg.grid) if cfg.noise else 0.0
-    )
+    noise = cfg.noise
+    nb = 0.0 if noise is None else noise.bound or noisemod.default_bound(noise, cfg.grid)
     c_lip = math.exp((1.0 + nb**2) * cfg.horizon)
 
     def run(u0):
-        if cfg.noise is None:
+        if noise is None:
             return solvermod.integrate_batch(cfg, u0.values, None, keep_every=1)
         return solvermod.run_ensemble(cfg, u0.values, master_seed, n_paths, keep_every=1)
 
-    diff = run(u0_a).states() - run(u0_b).states()
-    axes = tuple(range(1, 1 + cfg.grid.dim))
-    dist = np.sqrt(cfg.grid.node_volume * np.sum(diff * diff, axis=axes))  # (N+1, P)
+    dist = _record_distances(cfg.grid, run(u0_a).states(), run(u0_b).states())   # (N+1, P)
     sup_d = dist.max(axis=0)
     # equal initial data: coupled trajectories are identical bitwise, R = 0
     if d0 == 0.0:
@@ -300,7 +300,7 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
         ratio = float(np.sqrt(np.mean(sup_d**2)) / d0)
 
     assertions = [Assertion("lipschitz_ratio", ratio, "<=", c_lip)]
-    if cfg.noise is None or cfg.noise.is_additive():
+    if noise is None or noise.is_additive():
         steps = np.arange(dist.shape[0])[:, None]
         allowed = d0 + 10.0 * cfg.eps_inner * steps
         worst = float((dist - allowed).max())
@@ -328,17 +328,17 @@ def phi_integral(traj):
 # a-priori bound table
 # ---------------------------------------------------------------------------
 
-def apriori_report(entries):
-    """Assertions on the four a-priori quantities of the sweep entries.
+def apriori_report(rows):
+    """Assertions on the four a-priori quantities of ``(lambda, bounds)`` rows,
+    ``bounds`` as ``record_integrals`` returns them.
 
     Finiteness is asserted always; across a lambda-indexed family the
     least-squares slope of each quantity (absolute, in its own units) against
     ln(lambda) must not be materially negative (no growth as the
     regularization vanishes).
     """
-    if not entries:
-        raise ValueError("need at least one sweep entry")
-    rows = [(e.trajectory.config.lambda_yosida, e.bounds) for e in entries]
+    if not rows:
+        raise ValueError("need at least one (lambda, bounds) row")
     assertions = []
     # np.max keeps a NaN (Python's max may drop one), and a max over
     # sup_u_sq >= 0 is never -inf, so "< inf" is finiteness

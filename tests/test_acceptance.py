@@ -5,11 +5,12 @@ them live); failures carry the offending assertion lines.
 """
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from dnpde import acceptance, cli
+from dnpde import acceptance, cli, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,6 +46,32 @@ def test_repro_counts_a_failed_execution(tmp_path, monkeypatch):
     sweep = rows.pop("sweep_byte_identical")
     assert sweep.status == "FAIL" and sweep.measured >= 1
     assert [a.status for a in rows.values()] == ["PASS"] * 3
+
+
+def test_integrals_are_walked_by_their_reader(tmp_path, monkeypatch):
+    # a sweep entry is its run and its Cauchy distance; the run's integrals
+    # are walked by whoever reads them: criterion 6 once per run, `dnpde
+    # sweep` once per value, criteria 7 (distances only) and 9 (records) never
+    assert [f.name for f in fields(verify.SweepEntry)] == ["trajectory", "cauchy_prev"]
+    walk, calls = verify.record_integrals, []
+
+    def counted(traj):
+        calls.append(traj)
+        return walk(traj)
+
+    monkeypatch.setattr(verify, "record_integrals", counted)
+    counts = {}
+    for cid in (6, 7, 9):
+        calls.clear()
+        acceptance.run_criteria([cid])
+        counts[cid] = len(calls)
+    calls.clear()
+    cfg = tmp_path / "repro.cfg"
+    cfg.write_text(acceptance._REPRO_CONFIG)
+    argv = ["sweep", str(cfg), "--param", "lambda_yosida", "--values", "0.2,0.1,0.05"]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
+    counts["sweep"] = len(calls)
+    assert counts == {6: 6, 7: 0, 9: 0, "sweep": 3}
 
 
 def test_readme_table_matches_criteria():

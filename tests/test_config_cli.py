@@ -293,7 +293,8 @@ def test_run_rejects_jobs_flag(tmp_path):
 # amplitude overflowing the eigenmode warned and named the u0_mode line, a
 # refused dimension or node count did not lead with its key, and a negative
 # dimension or three node counts in 1-d named the extent line, and amplitudes
-# whose squares underflow left a zero default n_b that named neither key nor line
+# whose squares underflow left a zero default n_b that named neither key nor line;
+# an amplitudes list of the wrong length or of zeros is refused at its line too
 @pytest.mark.parametrize("line", [
     "max_inner = 0", "eps_inner = 0.0", "eps_inner = -1e-10", "scheme = explicit",
     "mode_count = 0", "n_b = -1.0", "u0_path = empty.txt", "u0_mode = 0", "u0_mode = 99",
@@ -302,7 +303,7 @@ def test_run_rejects_jobs_flag(tmp_path):
     "dt = 1e-320", "dt = 1e-300", "lambda_visc = inf", "eps_inner = inf",
     "extent = inf", "extent = nan", "u0_amplitude = 1.7e308", "dimension = 3", "nodes = 2",
     "u0_kind = mystery", "dimension = -1", "nodes = 8,8,8", "amp_c = 1e-300",
-    "amplitudes = 1e-300",
+    "amplitudes = 1e-300", "amplitudes = 0.5,0.2,0.1", "amplitudes = 0",
 ])
 def test_run_invalid_inner_limits_exit_2(tmp_path, monkeypatch, capsys, line):
     # the line goes into its key's section, in place of the key where BASIC sets it
@@ -362,7 +363,11 @@ def test_run_non_finite_potential_exits_2(tmp_path, monkeypatch, capsys, line):
     (("beta_kind = huber", "beta_delta = 0"), "invalid beta potential: delta must be"),
     (("gain = clipped", "gain_limit = 0"), "limit must be positive"),
     (("gain = bogus",), "unknown gain kind 'bogus'"),
-], ids=["gamma_p", "beta_delta", "gain_limit", "gain"])
+    (   # a graph of one breakpoint concerns no single key: its kind's line
+        ("beta_xs = 0", "beta_slopes = 1", "beta_kind = piecewise"),
+        "invalid beta potential: need matching 1-d breakpoint arrays with >= 2 points",
+    ),
+], ids=["gamma_p", "beta_delta", "gain_limit", "gain", "piecewise_one_point"])
 def test_refused_catalog_value_names_its_line(tmp_path, capsys, lines, message):
     section = "noise" if lines[0].startswith("gain") else "potentials"
     text = BASIC.replace("gamma_kind = power\ngamma_p = 2.0\n", "").replace("gain = additive\n", "")
@@ -371,6 +376,31 @@ def test_refused_catalog_value_names_its_line(tmp_path, capsys, lines, message):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     lineno = text.splitlines().index(lines[-1]) + 1
     assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+
+# refusals that no other input reaches, each with its whole stderr line: the
+# command after the config path, then the message after "config error: "
+@pytest.mark.parametrize("text, args, message", [
+    pytest.param(
+        BASIC.replace("amplitudes = 0.5\n", ""), ["run"],
+        "noise needs either 'amplitudes' or the power law 'amp_c'/'amp_q'", id="no_amplitudes",
+    ),
+    pytest.param(BASIC + "[grid]\n", ["run"], "line 26: duplicate section [grid]", id="duplicate"),
+    pytest.param(
+        BASIC.replace("prefix = demo", "prefix"), ["run"],
+        "line 25: expected 'key = value', got 'prefix'", id="no_equals",
+    ),
+    pytest.param(BASIC, ["verify", "--select", ","], "empty criterion selection", id="select"),
+    pytest.param(
+        re.sub(r"\[noise\].*?\n\n", "", BASIC, flags=re.S),
+        ["sweep", "--param", "mode_count", "--values", "1"],
+        "mode_count sweep needs a [noise] section", id="mode_count_no_noise",
+    ),
+])
+def test_refusal_exits_2_with_its_message(tmp_path, capsys, text, args, message):
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main([args[0], cfg, *args[1:], "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_run_mode_count_beyond_grid_exits_2(tmp_path, capsys):
@@ -555,6 +585,7 @@ def test_sweep_bad_values_exits_2(tmp_path, capsys):
         "17", "mode_count sweep value 17.0: mode_count 17 exceeds the 16 sine modes of the grid",
         id="17",
     ),
+    pytest.param(",", "empty sweep value list", id="empty"),
 ])
 def test_sweep_bad_mode_counts_exit_2(tmp_path, capsys, values, message):
     cfg = write_cfg(tmp_path, BASIC)

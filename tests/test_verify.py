@@ -37,9 +37,10 @@ def test_sweep_zero_data_all_quantities_vanish():
     cfg = base_cfg(noise=None)
     checksum, entries = lambda_sweep(cfg, [0.5, 0.25, 0.125], nz.PathSeed(1))
     for e in entries:
-        assert all(v == 0.0 for v in e.bounds.values())
-        assert np.all(e.tails_eta == 0.0)
-        assert e.fenchel_gap_gamma == pytest.approx(0.0, abs=1e-15)
+        bounds, gap_gamma, _, tails_eta, _ = vf.record_integrals(e.trajectory)
+        assert all(v == 0.0 for v in bounds.values())
+        assert np.all(tails_eta == 0.0)
+        assert gap_gamma == pytest.approx(0.0, abs=1e-15)
     assert all(e.cauchy_prev == 0.0 for e in entries[1:])
     assert checksum == ""
 
@@ -50,7 +51,7 @@ def test_sweep_quadratic_cauchy_decay_and_gaps():
     lams = [2.0**-k for k in range(1, 6)]
     checksum, entries = lambda_sweep(cfg, lams, nz.PathSeed(21), u0=u0)
     assert np.all(np.diff([e.cauchy_prev for e in entries[1:]]) < 0)
-    gaps = [e.fenchel_gap_gamma for e in entries]
+    gaps = [vf.record_integrals(e.trajectory)[1] for e in entries]
     assert all(g >= -1e-8 for g in gaps)
     assert np.all(np.diff(gaps) < 0)   # gaps vanish with the regularization
     assert checksum
@@ -96,8 +97,9 @@ def test_sweep_sign_graph_tail_bound():
     u0 = GridField(G, 1.5 * gd.sine_mode(G, 1))
     _, entries = lambda_sweep(cfg, [0.5, 0.25], nz.PathSeed(3), u0=u0)
     for e in entries:
-        assert np.all(e.tails_xi == 0.0)
-        assert e.bounds["int_xi_u"] <= 1.5 * math.sqrt(e.bounds["sup_u_sq"]) * cfg.horizon + 1.0
+        bounds, *_, tails_xi = vf.record_integrals(e.trajectory)
+        assert np.all(tails_xi == 0.0)
+        assert bounds["int_xi_u"] <= 1.5 * math.sqrt(bounds["sup_u_sq"]) * cfg.horizon + 1.0
 
 
 def test_lipschitz_identical_data_gives_zero_ratio():
@@ -247,13 +249,18 @@ def test_walk_matches_per_record_recomputation_1d(gamma, beta):
     u0 = GridField(G, 1.5 * gd.sine_mode(G, 1))
     _, entries = lambda_sweep(cfg, [0.5, 0.25], nz.PathSeed(21), u0=u0)
     for e in entries:
-        _assert_matches_reference(e.trajectory)
-        _assert_matches_reference(e.trajectory, (
-            e.bounds, e.fenchel_gap_gamma, e.fenchel_gap_beta, e.tails_eta, e.tails_xi,
-        ))
-        assert (e.fenchel_gap_gamma is None) != gamma
+        walk = vf.record_integrals(e.trajectory)
+        _assert_matches_reference(e.trajectory, walk)
+        bounds, gap_gamma, gap_beta, tails_eta, tails_xi = walk
+        # the sweep's report row reads the same walk
+        gaps = [math.nan if g is None else g for g in (gap_gamma, gap_beta)]
+        assert np.array_equal(e.row(), [
+            e.cauchy_prev, *(bounds[n] for n in vf.BOUND_NAMES), *gaps,
+            tails_eta[0], tails_eta[-1], tails_xi[0], tails_xi[-1], e.trajectory.energy_residual,
+        ], equal_nan=True)
+        assert (gap_gamma is None) != gamma
         assert all((rec.eta is None) != gamma for rec in e.trajectory.records)
-        assert (e.tails_eta[0] > 0.0) == gamma and (e.tails_xi[0] > 0.0) == beta
+        assert (tails_eta[0] > 0.0) == gamma and (tails_xi[0] > 0.0) == beta
 
 
 @pytest.mark.parametrize("gamma, beta", GRAPHS)
@@ -294,9 +301,11 @@ def test_assertion_range_takes_le():
 
 def test_apriori_report_zero_and_slope_guard():
     cfg = base_cfg(noise=None)
-    _, entries = lambda_sweep(cfg, (0.5, 0.25, 0.125), nz.PathSeed(1))
-    assertions = vf.apriori_report(entries)
-    assert all(e.bounds[name] == 0.0 for e in entries for name in vf.BOUND_NAMES)
+    lams = (0.5, 0.25, 0.125)
+    _, entries = lambda_sweep(cfg, lams, nz.PathSeed(1))
+    rows = [(lam, vf.record_integrals(e.trajectory)[0]) for lam, e in zip(lams, entries)]
+    assertions = vf.apriori_report(rows)
+    assert all(b[name] == 0.0 for _, b in rows for name in vf.BOUND_NAMES)
     assert [a.name for a in assertions] == ["bounds_finite"] + [
         f"slope_{name}" for name in vf.BOUND_NAMES
     ]
