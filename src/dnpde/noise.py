@@ -6,9 +6,12 @@ e_k * dw_k`` with a scalar Lipschitz gain ``sigma`` (constant 1 for additive
 noise, clipped-linear or tanh for diagonal multiplicative noise).
 
 Increments come from counter-based Philox streams keyed by (master seed,
-path index), so every path is bitwise reproducible and paths never share
-state.  Runs that must see the same Brownian path on different time steps
-draw it once, at the finest step, through ``coupled_increment_tables``.
+path index), each mod 2**64, so every path is bitwise reproducible and paths
+never share state.  Runs that must see the same Brownian path on different
+time steps draw it once, at the finest step, through
+``coupled_increment_tables``, which draws all of an ensemble's paths in one
+validated call with one Philox re-keyed per path.  An additive gain is never
+applied as an array of ones.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+DRAW_BLOCK = 1 << 16   # fine increments drawn per block of paths (512 KiB)
 
 
 class Gain:
@@ -124,9 +128,8 @@ class PathSeed:
     master_seed: int
     path_index: int = 0
 
-    def generator(self):
-        key = [self.master_seed & _MASK64, self.path_index & _MASK64]
-        return np.random.Generator(np.random.Philox(key=key))
+    def _key(self):
+        return np.array([self.master_seed & _MASK64, self.path_index & _MASK64], dtype=np.uint64)
 
 
 def sample_increments(seed: PathSeed, n_steps, dt, K):
@@ -139,36 +142,54 @@ def sample_increments(seed: PathSeed, n_steps, dt, K):
         raise ValueError("dt must be >= 0")
     if n_steps < 0 or K < 1:
         raise ValueError("need n_steps >= 0 and K >= 1")
-    g = seed.generator()
+    g = np.random.Generator(np.random.Philox(key=seed._key()))
     z = g.standard_normal((int(n_steps), int(K)))
     z *= np.sqrt(dt)   # in place: one table, not two, at the peak of a long run
     return z
 
 
-def coupled_increment_tables(seed: PathSeed, fine_dt, dt_values, horizon, K):
+def coupled_increment_tables(seeds, fine_dt, dt_values, horizon, K):
     """Increment tables on several time steps that share one Brownian path.
 
     Increments are drawn once at ``fine_dt`` and summed in consecutive groups
     of ``dt / fine_dt`` rows onto each ``dt`` of ``dt_values``, each a whole
     multiple of ``fine_dt`` that divides the horizon, so every level sees the
-    same path.  Returns the tables in the order of ``dt_values``; a
-    level at ``fine_dt`` is the fine draw bit for bit.
+    same path.  Returns the tables in the order of ``dt_values``; a level at
+    ``fine_dt`` is the fine draw bit for bit.  ``seeds`` is one ``PathSeed``
+    for ``(n, K)`` tables, or a sequence for ``(n, K, P)`` tables, column
+    ``p`` that of ``seeds[p]`` bit for bit: one Philox, re-keyed per path,
+    draws them in blocks of at most ``DRAW_BLOCK`` fine increments.
     """
     if not fine_dt > 0:
         raise ValueError("the finest dt must be positive")
     n_fine = round(horizon / fine_dt)
     if abs(n_fine * fine_dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a multiple of the finest dt")
-    base = sample_increments(seed, n_fine, fine_dt, K)
-    tables = []
-    for dt in dt_values:
-        factor = round(dt / fine_dt)
+    one = isinstance(seeds, PathSeed)
+    seeds = [seeds] if one else list(seeds)
+    if n_fine < 0 or K < 1 or not seeds:
+        raise ValueError("need n_steps >= 0, K >= 1 and at least one PathSeed")
+    factors = [round(dt / fine_dt) for dt in dt_values]
+    for dt, factor in zip(dt_values, factors):
         if factor < 1 or abs(factor * fine_dt - dt) > 1e-9 * dt:
             raise ValueError("dt values must be integer multiples of the finest dt")
         if n_fine % factor:
             raise ValueError(f"dt {dt!r} does not divide the horizon")
-        tables.append(base.reshape((n_fine // factor, factor, -1)).sum(axis=1))
-    return tables
+    tables = [np.empty((n_fine // f, K, len(seeds))) for f in factors]
+    bits = np.random.Philox(key=seeds[0]._key())
+    gen, fresh = np.random.Generator(bits), bits.state   # the state of an undrawn stream
+    buf = np.empty((max(1, min(len(seeds), DRAW_BLOCK // max(1, n_fine * K))), n_fine, K))
+    for start in range(0, len(seeds), len(buf)):
+        draw = buf[: len(seeds) - start]
+        for z, seed in zip(draw, seeds[start:]):
+            fresh["state"]["key"] = seed._key()
+            bits.state = fresh   # counter and buffer back at 0
+            gen.standard_normal(out=z)
+        draw *= np.sqrt(fine_dt)
+        for table, f in zip(tables, factors):
+            sums = draw.reshape((len(draw), n_fine // f, f, K)).sum(axis=2)
+            table[..., start:start + len(draw)] = sums.transpose(1, 2, 0)
+    return [t[..., 0] for t in tables] if one else tables
 
 
 def increment_checksum(table):
@@ -190,7 +211,8 @@ def apply_b(model: NoiseModel, grid, u, dw):
     coeff = np.asarray(model.amplitudes)[(slice(None),) + (None,) * (dw.ndim - 1)] * dw
     # (K, *nodes) x (K, *batch) -> (*nodes, *batch) as one matrix product
     field = modes.reshape(len(modes), -1).T @ coeff.reshape(len(modes), -1)
-    return model.gain(u) * field.reshape(modes.shape[1:] + dw.shape[1:])
+    field = field.reshape(modes.shape[1:] + dw.shape[1:])
+    return field if model.is_additive() else model.gain(u) * field
 
 
 @functools.lru_cache(maxsize=gridmod.EIG_CACHE_SIZE)

@@ -22,18 +22,21 @@ stability restriction, solves the viscosity term exactly in the sine basis
 and shares the same limit as dt and the regularization vanish.  Single paths
 and batches of independent noise paths run through one stepping loop into one
 result type, ``Trajectory``, whose ledger columns carry the batch axes; an
-ensemble is integrated as one batch.  Each state's face gradients, resolvent
-points and Yosida values are evaluated once, every face axis in one face
-buffer, and shared by the energy ledger, both steps, the graph certificate,
-which checks each graph by one Fenchel residual, and the kept record, which
-``verify`` reads; a record's ``eta`` is None without a flux graph and its
-``xi`` None without an absorption graph.  On the implicit path a state also
-carries the step objective's terms that do not depend on the forcing (both
-envelopes, the drift and the Newton curvatures), computed once per state, so
-a step's first evaluation, of the state the previous step accepted, adds only
-the forcing terms; the secant curvatures are computed from the state's arrays
-for a damped Newton direction only.  A record whose certificate cannot be
-evaluated or whose ledger row is not finite fails the run at its step.
+ensemble is integrated as one batch, on the table of one validated
+``coupled_increment_tables`` call with one re-keyed generator.  Each state's
+face gradients, resolvent points and Yosida values are evaluated once, every
+face axis in one face buffer, and shared by the energy ledger, both steps, the
+graph certificate, which checks each graph by one Fenchel residual, and the
+kept record, which ``verify`` reads; a record's ``eta`` is None without a flux
+graph and its ``xi`` None without an absorption graph.  On the implicit path a
+state also carries the step objective's terms that do not depend on the
+forcing (both envelopes, the drift and the Newton curvatures), computed once
+per state, so a step's first evaluation, of the state the previous step
+accepted, adds only the forcing terms; the secant curvatures are computed for
+a damped Newton direction only, and a term the problem lacks (a graph, the
+viscosity at ``lambda_visc = 0``) is never materialized.  A record whose
+certificate cannot be evaluated or whose ledger row is not finite fails the
+run at its step.
 
 Every record of every run is certified, and every ``keep_every``-th record
 is kept, so a run holds its ledger and the states it was asked for.
@@ -151,16 +154,20 @@ class SolverConfig:
         return self.dt * (lmax / self.lambda_yosida + 1.0 / self.lambda_yosida)
 
 
+def _plus(a, b):
+    """``a + b`` of two terms, either of which may be absent (None)."""
+    return b if a is None else a if b is None else a + b
+
+
 def _yosida_parts(pot, lam, a, j, G):
     """Moreau envelope, Yosida value ``G`` and Newton curvature of ``G`` at ``a``.
 
     ``j`` is the resolvent point of ``a`` and ``G`` its Yosida value; all
-    three outputs are zeros without a potential.  The Newton curvature is
+    three outputs are None without a potential.  The Newton curvature is
     ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the graph is vertical.
     """
     if pot is None:
-        z = np.zeros_like(a)
-        return z, z, z
+        return None, None, None
     r = a - j
     gp = pot.slope_derivative(j)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -185,7 +192,8 @@ _State = namedtuple("_State", "u face_buf faces j_buf eta_buf eta j_nodes xi ter
 # The terms of the step objective that depend on the state alone: the face sum
 # of the viscous and flux envelopes, the divergence of the flux, the envelope
 # and Yosida value of beta at the nodes, and the Newton curvature of each
-# graph, on the face buffer (viscosity not included) and at the nodes.
+# graph, on the face buffer (viscosity not included) and at the nodes; None, not
+# zeros, where the problem lacks the term (no viscosity, no graph).
 _Terms = namedtuple("_Terms", "face_sum div node_env node_G face_curv node_curv")
 
 
@@ -203,12 +211,16 @@ def _state(cfg, u):
             j_nodes = cfg.beta.closed_resolvent(lam, u)
             xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
         if cfg.scheme == "implicit_opt":
+            visc = cfg.visc or None   # no viscous term at lambda_visc = 0
             env, G, face_curv = _yosida_parts(cfg.gamma, lam, face_buf, j_buf, eta_buf)
-            flux = gridmod.face_views(g, cfg.visc * face_buf + G)
-            face_env = gridmod.face_views(g, 0.5 * cfg.visc * face_buf * face_buf + env)
-            face_sum = sum(gridmod._grid_sum(g, e) for e in face_env)
+            flux = _plus(visc and visc * face_buf, G)
+            face_env = _plus(visc and 0.5 * visc * face_buf * face_buf, env)
+            face_sum = div = None
+            if flux is not None:
+                face_sum = sum(gridmod._grid_sum(g, e) for e in gridmod.face_views(g, face_env))
+                div = gridmod.div_arrays(g, gridmod.face_views(g, flux))
             env, G, dG = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
-            terms = _Terms(face_sum, gridmod.div_arrays(g, flux), env, G, face_curv, dG)
+            terms = _Terms(face_sum, div, env, G, face_curv, dG)
     return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi, terms)
 
 
@@ -222,8 +234,9 @@ def _evaluate(cfg, state, forcing):
     terms of ``forcing``."""
     g, s = cfg.grid, state.terms
     r = state.u - forcing
-    out = r / cfg.dt - s.div + s.node_G
-    value = g.node_volume * (gridmod._grid_sum(g, r * r / (2.0 * cfg.dt) + s.node_env) + s.face_sum)
+    out = _plus(r / cfg.dt if s.div is None else r / cfg.dt - s.div, s.node_G)
+    value = gridmod._grid_sum(g, _plus(r * r / (2.0 * cfg.dt), s.node_env))
+    value = g.node_volume * _plus(value, s.face_sum)
     return _Eval(value, out, gridmod.norm_h(g, out))
 
 
@@ -252,18 +265,21 @@ def _newton_direction(cfg, state, ev, mu):
 
     ``H`` takes each curvature as ``newton + mu * (secant - newton)``; while
     no path has ``mu > 0`` it takes the Newton curvatures as they are, and
-    without its graph a secant curvature is its Newton one.
+    without its graph a secant curvature is its Newton one (without beta
+    ``H`` has no node term, without gamma its faces carry the viscosity).
     """
-    g, s = cfg.grid, state.terms
-    face, node = cfg.visc + s.face_curv, s.node_curv
+    g, s, visc = cfg.grid, state.terms, cfg.visc or None   # no viscous term at lambda_visc = 0
+    face, node = _plus(visc, s.face_curv), s.node_curv
     if mu.any():
-        if cfg.gamma is not None:
-            sec = cfg.visc + _secant(s.face_curv, state.face_buf, state.eta_buf)
+        if s.face_curv is not None:
+            sec = _plus(visc, _secant(s.face_curv, state.face_buf, state.eta_buf))
             face = face + mu * (sec - face)
-        if cfg.beta is not None:
+        if node is not None:
             node = node + mu * (_secant(node, state.u, state.xi) - node)
+    if s.face_curv is None:
+        face = np.full_like(state.face_buf, cfg.visc)
     coef = gridmod.face_views(g, face)
-    diag = 1.0 / cfg.dt + node
+    diag = _plus(1.0 / cfg.dt, node)
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
         pre = (slice(None),) * ax
         diag = diag + (c[pre + (np.s_[1:],)] + c[pre + (np.s_[:-1],)]) / h**2
@@ -272,7 +288,8 @@ def _newton_direction(cfg, state, ev, mu):
 
     def hess(d):
         flux = [c * fd for c, fd in zip(coef, gridmod.grad_arrays(g, d))]
-        return d / cfg.dt - gridmod.div_arrays(g, flux) + node * d
+        out = d / cfg.dt - gridmod.div_arrays(g, flux)
+        return out if node is None else out + node * d
 
     return gridmod.cg_solve(g, hess, -ev.grad, diag)
 
@@ -549,7 +566,7 @@ def integrate_batch(cfg, u0, increments, keep_every=0) -> Trajectory:
 
 def run_ensemble(cfg, u0, master_seed, n_paths, keep_every=0, fine_dt=None):
     """Monte Carlo ensemble with per-path counter-based seeds, integrated as
-    one batch.
+    one batch; its increment table is one ``coupled_increment_tables`` draw.
 
     When ``fine_dt`` is given, each path's increments are drawn at that
     resolution, which must divide dt, and summed onto dt, coupling ensembles
@@ -557,15 +574,12 @@ def run_ensemble(cfg, u0, master_seed, n_paths, keep_every=0, fine_dt=None):
     """
     if cfg.noise is None:
         raise ValueError("ensemble runs need a noise model")
-    if n_paths < 1:
-        raise ValueError(f"an ensemble needs at least one path, got n_paths={n_paths}")
-    K = cfg.noise.mode_count
-    increments = np.empty((cfg.n_steps, K, n_paths))
-    for i in range(n_paths):
-        increments[..., i] = noisemod.coupled_increment_tables(
-            noisemod.PathSeed(master_seed, i),
-            cfg.dt if fine_dt is None else fine_dt, (cfg.dt,), cfg.horizon, K,
-        )[0]
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be an integer, at least one path, got {n_paths!r}")
+    (increments,) = noisemod.coupled_increment_tables(
+        [noisemod.PathSeed(master_seed, i) for i in range(n_paths)],
+        cfg.dt if fine_dt is None else fine_dt, (cfg.dt,), cfg.horizon, cfg.noise.mode_count,
+    )
     return integrate_batch(cfg, u0, increments, keep_every)
 
 

@@ -1,6 +1,7 @@
 """Noise tests: reproducible streams, moments, HS bounds, smoothing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,46 @@ def test_coupled_increment_tables():
     # a dt that is a multiple of the fine dt but does not divide the horizon
     with pytest.raises(ValueError, match="does not divide the horizon"):
         nz.coupled_increment_tables(seed, 1 / 64, [5 / 64], 0.5, 3)
+
+
+def test_seed_keys_are_taken_mod_2_64():
+    # negative and large seeds key their own streams, with no float cast
+    def draw(m):
+        return nz.sample_increments(nz.PathSeed(m), 8, 1.0, 2).tobytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams = [draw(m) for m in (-5, -6, 0, 2**64 - 1)]
+        assert len(set(streams)) == 4
+        assert streams[0] == draw(2**64 - 5)
+        assert draw(2**63) != draw(2**63 + 1)
+    fresh = np.random.Generator(np.random.Philox(key=[5, 0])).standard_normal((8, 2))
+    assert draw(5) == fresh.tobytes()
+
+
+@pytest.mark.parametrize("draw_block", [nz.DRAW_BLOCK, 500])
+def test_batched_draw_stacks_the_per_path_tables(monkeypatch, draw_block):
+    # a small DRAW_BLOCK splits the paths into many blocks, the last one short
+    monkeypatch.setattr(nz, "DRAW_BLOCK", draw_block)
+    dt, horizon, K = 1 / 16, 0.5, 3
+    for master in (0, 7, -1):
+        for n_paths in (1, 3, 130):
+            seeds = [nz.PathSeed(master, i) for i in range(n_paths)]
+            for fine_dt in (dt, dt / 2, dt / 3):
+                levels = [dt, fine_dt]
+                tables = nz.coupled_increment_tables(seeds, fine_dt, levels, horizon, K)
+                for table, level in zip(tables, levels):
+                    assert table.shape == (round(horizon / level), K, n_paths)
+                for i, seed in enumerate(seeds):
+                    one = nz.coupled_increment_tables(seed, fine_dt, levels, horizon, K)
+                    for table, single in zip(tables, one):
+                        assert single.shape == table.shape[:2]
+                        assert table[..., i].tobytes() == single.tobytes()
+                backwards = nz.coupled_increment_tables(seeds[::-1], fine_dt, levels, horizon, K)
+                for table, reversed_table in zip(tables, backwards):
+                    assert reversed_table.tobytes() == table[..., ::-1].tobytes()
+    with pytest.raises(ValueError, match="at least one PathSeed"):
+        nz.coupled_increment_tables([], dt, [dt], horizon, K)
 
 
 def test_apply_b_additive_mode_action():

@@ -456,21 +456,24 @@ def _blended_direction(cfg, state, ev, mu):
     """The Newton direction of the curvature blend written out: ``n + mu * (s
     - n)``, with ``n = visc + G'`` and ``s = visc + max(G', G/a)`` on the
     faces, ``n = G'`` and ``s = max(G', G/a)`` at the nodes, and ``s = n``
-    without the graph."""
+    without the graph: then the faces carry the viscosity alone and the
+    nodes no term."""
     t = state.terms
 
     def secant(dG, a, G):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.maximum(dG, np.where(a != 0.0, G / a, dG))
 
-    face, node = cfg.visc + t.face_curv, t.node_curv
+    face_curv = np.zeros_like(state.face_buf) if t.face_curv is None else t.face_curv
+    face, node = cfg.visc + face_curv, t.node_curv
     face_sec, node_sec = face, node
     if cfg.gamma is not None:
         face_sec = cfg.visc + secant(t.face_curv, state.face_buf, state.eta_buf)
     if cfg.beta is not None:
         node_sec = secant(node, state.u, state.xi)
     blended = t._replace(
-        face_curv=face + mu * (face_sec - face), node_curv=node + mu * (node_sec - node),
+        face_curv=face + mu * (face_sec - face),
+        node_curv=None if node is None else node + mu * (node_sec - node),
     )
     # without viscosity and with no path damped, the direction takes them as they are
     undamped = replace(cfg, lambda_visc=0.0)
@@ -549,10 +552,57 @@ def test_ensemble_rejects_empty():
     cfg = heat_cfg(noise=nz.NoiseModel((0.5,), nz.AdditiveGain(), 0.5))
     with pytest.raises(ValueError, match="at least one path"):
         sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=0)
+    with pytest.raises(ValueError, match="n_paths"):
+        sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=2.5)
     # fine_dt must be positive and divide dt: the others are refused, not run at another dt
     for fine_dt in (2 * cfg.dt, 0.3 * cfg.dt, cfg.dt / 1.5, 0.0):
         with pytest.raises(ValueError):
             sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=2, fine_dt=fine_dt)
+
+
+def test_ensemble_draws_with_one_philox(monkeypatch):
+    # the whole table comes from one generator, re-keyed per path
+    made = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    cfg = heat_cfg(noise=nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 0.6))
+    for n_paths, fine_dt in ((1, None), (5, None), (70, cfg.dt / 2)):
+        made.clear()
+        sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=3, n_paths=n_paths, fine_dt=fine_dt)
+        assert len(made) == 1
+
+
+ZERO_GRAPH = cx.SampledSlopePotential([-1.0, 1.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("lambda_visc", [0.0, 0.3])
+@pytest.mark.parametrize("scheme", ["implicit_opt", "semi_implicit"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("missing", ["gamma", "beta"])
+def test_missing_graph_runs_as_the_zero_graph(missing, dim, scheme, lambda_visc):
+    # a missing graph contributes no term at all, and a zero graph contributes
+    # exact zeros: the two runs agree bit for bit
+    g = G16 if dim == 1 else DirichletGrid((1.0, 1.0), (6, 6))
+    present = {"gamma": cx.PowerPotential(4.0), "beta": cx.AbsPotential()}
+    model = nz.NoiseModel((0.5, 0.25, 0.1), nz.AdditiveGain(), 0.6)
+    runs = []
+    for graph in (None, ZERO_GRAPH):
+        cfg = heat_cfg(
+            grid=g, noise=model, scheme=scheme, lambda_visc=lambda_visc,
+            dt=2.0**-12, horizon=2.0**-9, **{**present, missing: graph},
+        )
+        u0 = gd.sine_mode(g, 1 if dim == 1 else (1, 1))
+        runs.append(sv.run_ensemble(cfg, u0, master_seed=5, n_paths=3))
+    absent, zero = runs
+    for col in sv.LEDGER_COLUMNS:
+        assert absent.ledgers[col].tobytes() == zero.ledgers[col].tobytes(), col
+    assert absent.terminal.tobytes() == zero.terminal.tobytes()
+    assert absent.energy_residual.tobytes() == zero.energy_residual.tobytes()
 
 
 def test_batch_requires_increments_with_noise():
