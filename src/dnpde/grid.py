@@ -112,11 +112,15 @@ class GridField:
 
 
 # ---------------------------------------------------------------------------
-# raw array operators (grid axes first, arbitrary trailing batch axes)
+# raw array operators (grid axes first, arbitrary trailing batch axes; `lead` leading axes)
 # ---------------------------------------------------------------------------
 
-def face_views(grid, buf):
-    """Per-axis views of a face buffer ``(faces, *batch)`` laid out by ``face_layout``."""
+def face_views(grid, buf, lead=0):
+    """Per-axis views of a face buffer ``(*lead, faces, *batch)`` laid out by ``face_layout``."""
+    if lead:
+        cut, head, tail = (slice(None),) * lead, buf.shape[:lead], buf.shape[lead + 1 :]
+        return [buf[(*cut, slice(o, o + n))].reshape(head + s + tail)
+                for _, s, o, n in grid.face_layout]
     return [buf[o : o + n].reshape(s + buf.shape[1:]) for _, s, o, n in grid.face_layout]
 
 
@@ -153,23 +157,23 @@ def lap_arrays(grid, u):
     return div_arrays(grid, grad_arrays(grid, u))
 
 
-def _grid_sum(grid, a):
-    return np.add.reduce(a, axis=tuple(range(grid.dim)))   # np.sum without its wrapper
+def _grid_sum(grid, a, lead=0):
+    return np.add.reduce(a, axis=tuple(range(lead, lead + grid.dim)))   # np.sum without its wrapper
 
 
-def dot_h(grid, a, b):
-    """h-weighted inner product of node arrays (batch axes preserved)."""
-    return grid.node_volume * _grid_sum(grid, a * b)
+def dot_h(grid, a, b, lead=0):
+    """h-weighted inner product of node arrays (leading and batch axes preserved)."""
+    return grid.node_volume * _grid_sum(grid, a * b, lead)
 
 
 def norm_h(grid, a):
     return np.sqrt(dot_h(grid, a, a))
 
 
-def flux_dot_h(grid, f, g):
-    """h-weighted inner product of face arrays, one per axis (batch axes preserved)."""
+def flux_dot_h(grid, f, g, lead=0):
+    """h-weighted inner product of face arrays, one per axis (leading and batch axes preserved)."""
     return grid.node_volume * sum(
-        _grid_sum(grid, cf * cg) for cf, cg in zip(f, g)
+        _grid_sum(grid, cf * cg, lead) for cf, cg in zip(f, g)
     )
 
 

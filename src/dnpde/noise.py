@@ -225,11 +225,11 @@ def hs_weight(model: NoiseModel, grid):
     return weight
 
 
-def hs_norm(model: NoiseModel, grid, u):
-    """Hilbert-Schmidt norm of ``B(u)``: sqrt(sum_k b_k^2 ||sigma(u) e_k||^2)."""
+def hs_norm(model: NoiseModel, grid, u, lead=0):
+    """Hilbert-Schmidt norm of ``B(u)``: sqrt(sum_k b_k^2 ||sigma(u) e_k||^2), per leading entry."""
     s = model.gain(np.asarray(u, dtype=float))
-    weight = hs_weight(model, grid)[(...,) + (None,) * (s.ndim - grid.dim)]
-    return np.sqrt(gridmod.dot_h(grid, s * s, weight))
+    weight = hs_weight(model, grid)[(None,) * lead + (...,) + (None,) * (s.ndim - lead - grid.dim)]
+    return np.sqrt(gridmod.dot_h(grid, s * s, weight, lead))
 
 
 def default_bound(model: NoiseModel, grid):

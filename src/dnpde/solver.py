@@ -26,20 +26,22 @@ ensemble is integrated as one batch, on the table of one validated
 ``coupled_increment_tables`` call with one re-keyed generator.  Each state's
 face gradients, resolvent points and Yosida values are evaluated once, every
 face axis in one face buffer, and shared by the energy ledger, both steps, the
-graph certificate, which checks each graph by one Fenchel residual, and the
-kept record, which ``verify`` reads; a record's ``eta`` is None without a flux
-graph and its ``xi`` None without an absorption graph.  On the implicit path a
-state also carries the step objective's terms that do not depend on the
-forcing (both envelopes, the drift and the Newton curvatures), computed once
-per state, so a step's first evaluation, of the state the previous step
-accepted, adds only the forcing terms; the secant curvatures are computed for
-a damped Newton direction only, and a term the problem lacks (a graph, the
-viscosity at ``lambda_visc = 0``) is never materialized.  A record whose
-certificate cannot be evaluated or whose ledger row is not finite fails the
-run at its step.
+graph certificate and the kept record, which ``verify`` reads; a record's
+``eta`` is None without a flux graph and its ``xi`` None without an
+absorption graph.  On the implicit path a state also carries the step
+objective's terms that do not depend on the forcing (both envelopes, the drift
+and the Newton curvatures), computed once per state, so a step's first
+evaluation, of the state the previous step accepted, adds only the forcing
+terms; the secant curvatures are computed for a damped Newton direction only,
+and a term the problem lacks (a graph, the viscosity at ``lambda_visc = 0``)
+is never materialized.
 
 Every record of every run is certified, and every ``keep_every``-th record
-is kept, so a run holds its ledger and the states it was asked for.
+is kept, so a run holds its ledger and the states it was asked for.  Records
+are certified and ledgered in blocks of up to ``RECORD_BLOCK_BYTES``, bit for
+bit as one at a time; a record whose certificate cannot be evaluated or whose
+ledger row is not finite fails the run at its step, and the first failing
+record is still the one reported.
 """
 
 from __future__ import annotations
@@ -184,10 +186,10 @@ def _secant(dG, a, G):
 
 
 # Node values, their face gradients and, per graph, the resolvent points and
-# Yosida values (None without the graph): face buffers ``*_buf`` of every axis
-# (``faces`` and ``eta`` are per-axis views) and node arrays ``j_nodes``, ``xi``;
-# ``terms`` holds the step objective's state-only terms (None semi-implicitly).
-_State = namedtuple("_State", "u face_buf faces j_buf eta_buf eta j_nodes xi terms")
+# Yosida values (None without the graph), the six arrays a record certifies:
+# face buffers ``*_buf`` of every axis and node arrays ``j_nodes``, ``xi``; then
+# per-axis views of two buffers and the state-only ``terms`` (None semi-implicitly).
+_State = namedtuple("_State", "u face_buf j_buf eta_buf j_nodes xi faces eta terms")
 
 # The terms of the step objective that depend on the state alone: the face sum
 # of the viscous and flux envelopes, the divergence of the flux, the envelope
@@ -221,7 +223,7 @@ def _state(cfg, u):
                 div = gridmod.div_arrays(g, gridmod.face_views(g, flux))
             env, G, dG = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
             terms = _Terms(face_sum, div, env, G, face_curv, dG)
-    return _State(u, face_buf, faces, j_buf, eta_buf, eta, j_nodes, xi, terms)
+    return _State(u, face_buf, j_buf, eta_buf, j_nodes, xi, faces, eta, terms)
 
 
 # The step objective at one state: value and gradient norm per path, and the
@@ -399,20 +401,44 @@ class Trajectory:
         return np.stack([r.u for r in self.records])
 
 
-def _write_ledger_row(cfg, state, noise_field, ledgers, n):
-    """Write record ``n``'s ledger scalars (per path) into the ``ledgers``
-    columns; a pairing without its graph or noise stays zero."""
-    g, u, eta, xi = cfg.grid, state.u, state.eta, state.xi
-    with np.errstate(over="ignore", invalid="ignore"):   # _run refuses a non-finite row
-        ledgers["norm_u_sq"][n] = gridmod.dot_h(g, u, u)
-        if eta is not None:
-            ledgers["pairing_eta_gradu"][n] = gridmod.flux_dot_h(g, eta, state.faces)
+RECORD_BLOCK_BYTES = 2**18   # bytes of record arrays certified and ledgered in one block
+
+
+def _ledger_block(cfg, n0, blk, store):
+    """Certify records ``n0, n0 + 1, ...`` of ``blk``, their ``(u, face_buf,
+    j_buf, eta_buf, j_nodes, xi, noise)`` on a leading record axis (None where
+    absent; the final record has no noise), and write their ledger rows into
+    ``store``, whose HS column an additive gain has filled for the run; each
+    other HS norm is squared per record (a scalar's square rounds unlike an
+    array's).  Returns each record's largest residual per graph; a residual
+    that cannot be evaluated or a non-finite row raises at step ``n0``."""
+    u, face_buf, j_buf, eta_buf, j_nodes, xi, noise = blk
+    g, rows, led = cfg.grid, slice(n0, n0 + len(u)), dict(zip(LEDGER_COLUMNS, store))
+    found = []
+    # the certificate goes first, so a record it refuses gets no ledger row
+    for pot, j, y in ((cfg.gamma, j_buf, eta_buf), (cfg.beta, j_nodes, xi)):
+        if pot is not None:
+            try:
+                res = convex.fenchel_residual(pot, j, y)
+            except ValueError as err:
+                raise SolverError(f"graph certificate failed: {err}", n0) from None
+            found += np.abs(res).max(axis=tuple(range(1, res.ndim))).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite row is refused below
+        led["norm_u_sq"][rows] = gridmod.dot_h(g, u, u, 1)
+        if eta_buf is not None:
+            eta, faces = (gridmod.face_views(g, buf, 1) for buf in (eta_buf, face_buf))
+            led["pairing_eta_gradu"][rows] = gridmod.flux_dot_h(g, eta, faces, 1)
         if xi is not None:
-            ledgers["pairing_xi_u"][n] = gridmod.dot_h(g, xi, u)
-        if cfg.noise is not None:
-            ledgers["hs_sq"][n] = noisemod.hs_norm(cfg.noise, g, u) ** 2
-        if noise_field is not None:
-            ledgers["stoch_pairing"][n] = gridmod.dot_h(g, u, noise_field)
+            led["pairing_xi_u"][rows] = gridmod.dot_h(g, xi, u, 1)
+        if cfg.noise is not None and not cfg.noise.is_additive():
+            led["hs_sq"][rows] = [h**2 for h in noisemod.hs_norm(cfg.noise, g, u, 1)]
+        if noise is not None:
+            r = min(len(u), cfg.n_steps - n0)
+            led["stoch_pairing"][n0 : n0 + r] = gridmod.dot_h(g, u[:r], noise[:r], 1)
+    if not np.isfinite(store[:, rows]).all():
+        bad = [name for name, col in led.items() if not np.isfinite(col[rows]).all()]
+        raise SolverError(f"energy ledger is not finite: {', '.join(bad)}", n0)
+    return found
 
 
 def _energy_residual(dt, led):
@@ -438,13 +464,12 @@ def _run(cfg, u, increments, keep_every):
 
     ``u`` is a node array with or without a trailing path axis; the grid and
     noise operators broadcast over it, so the loop never looks at the batch
-    shape.  Each record's ledger row is written in place into columns of
-    shape ``(n_records, *batch)``, views of one store.  Every record's
-    (resolvent point, Yosida value) pairs are certified by their Fenchel
-    residual; a record whose index is a multiple of ``keep_every`` (none for
-    0) is also kept, its arrays by reference.  A pair whose residual cannot
-    be evaluated, or a non-finite ledger value, fails the run with a
-    ``SolverError`` at its record's step.
+    shape.  Records are queued into per-run buffers of ``k`` records (a block
+    of one reads the state's own arrays), and each block is certified and
+    written in place into ledger columns of shape ``(n_records, *batch)``; the
+    queue is flushed before a step's exception propagates.  A record whose
+    index is a multiple of ``keep_every`` (none for 0) is also kept, its
+    arrays by reference.
     """
     if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
         raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
@@ -457,45 +482,57 @@ def _run(cfg, u, increments, keep_every):
                 step_index=1,
             )
 
-    g, batch = cfg.grid, u.shape[cfg.grid.dim:]
-    store = np.zeros((len(LEDGER_COLUMNS), cfg.n_steps + 1) + batch)
+    g, batch, last = cfg.grid, u.shape[cfg.grid.dim:], cfg.n_steps
+    store = np.zeros((len(LEDGER_COLUMNS), last + 1) + batch)
     ledgers = dict(zip(LEDGER_COLUMNS, store))
-    records, worst = [], 0.0
+    if cfg.noise is not None and cfg.noise.is_additive():
+        ledgers["hs_sq"][:] = noisemod.hs_norm(cfg.noise, g, u) ** 2   # one value for every record
+    records, worst, n0 = [], 0.0, 0   # n0: the first queued record
 
-    def record(n, state, noise_field):
-        # the certificate goes first, so a record it refuses gets no ledger row
-        nonlocal worst
-        graphs = ((cfg.gamma, state.j_buf, state.eta_buf), (cfg.beta, state.j_nodes, state.xi))
-        for pot, j, y in graphs:
-            if pot is not None:
-                try:
-                    res = convex.fenchel_residual(pot, j, y)
-                except ValueError as err:
-                    raise SolverError(f"graph certificate failed: {err}", n) from None
-                worst = max(worst, float(np.abs(res).max()))
-        if keep_every and n % keep_every == 0:
-            records.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
-        _write_ledger_row(cfg, state, noise_field, ledgers, n)
-        if not np.isfinite(store[:, n]).all():
-            bad = [name for name, col in ledgers.items() if not np.isfinite(col[n]).all()]
-            raise SolverError(f"energy ledger is not finite: {', '.join(bad)}", n)
+    def flush(end):
+        nonlocal worst, n0   # records n0 .. end - 1; a refused block runs again record by record
+        blk = [a if a is None else a[: end - n0] for a in bufs]
+        try:
+            found = _ledger_block(cfg, n0, blk, store)
+        except SolverError:
+            found = [r for i in range(end - n0) for r in _ledger_block(
+                cfg, n0 + i, [a if a is None else a[i : i + 1] for a in blk], store)]
+        worst, n0 = max([worst, *found]), end
 
     state = _state(cfg, u)
-    for n in range(cfg.n_steps):
+    arrays = (*state[:6], None if cfg.noise is None else u)   # a record's; its noise shaped as u
+    size = sum(a.nbytes for a in arrays if a is not None)
+    k = max(1, min(last + 1, RECORD_BLOCK_BYTES // size))   # records per block
+    bufs = [a if a is None else np.empty((k, *a.shape), a.dtype) for a in arrays] if k > 1 else None
+    for n in range(last + 1):
         noise_field = None
-        if cfg.noise is not None:
+        if cfg.noise is not None and n < last:
             noise_field = noisemod.apply_b(cfg.noise, g, state.u, increments[n])
-        record(n, state, noise_field)
+        arrays = (*state[:6], noise_field)
+        if keep_every and n % keep_every == 0:
+            records.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
+        if k == 1:   # a block of one record reads the state's own arrays
+            bufs = [a if a is None else a[None] for a in arrays]
+        else:
+            for buf, a in zip(bufs, arrays):
+                if a is not None:
+                    buf[n - n0] = a
+        if n + 1 - n0 == k or n == last:
+            flush(n + 1)
+        if n == last:
+            break
         forcing = state.u if noise_field is None else state.u + noise_field
         try:
             if cfg.scheme == "semi_implicit":
                 state = _semi_implicit_step_arrays(cfg, state, forcing)
             else:
                 state = _implicit_step_arrays(cfg, state, forcing)
-        except SolverError as err:
-            err.step_index = n + 1
+        except Exception as err:
+            if n0 <= n:
+                flush(n + 1)   # a queued record's failure comes first
+            if isinstance(err, SolverError):
+                err.step_index = n + 1
             raise
-    record(cfg.n_steps, state, None)
     return Trajectory(cfg, ledgers, records, state.u, worst, _energy_residual(cfg.dt, ledgers))
 
 

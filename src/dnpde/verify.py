@@ -271,7 +271,7 @@ def _sweep_entries(runs, tables, seed):
 # ---------------------------------------------------------------------------
 
 def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
-    """Couple both initial data to identical noise paths and compare.
+    """Couple both initial data to identical noise paths, drawn once, and compare.
 
     Reports ``R = sqrt(mean_path sup_t ||u_a - u_b||^2) / ||u0_a - u0_b||``
     against the Gronwall constant ``exp((1 + N_B^2) T)``; for additive noise
@@ -286,12 +286,11 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     nb = 0.0 if noise is None else noise.bound or noisemod.default_bound(noise, cfg.grid)
     c_lip = math.exp((1.0 + nb**2) * cfg.horizon)
 
-    def run(u0):
-        if noise is None:
-            return solvermod.integrate_batch(cfg, u0.values, None, keep_every=1)
-        return solvermod.run_ensemble(cfg, u0.values, master_seed, n_paths, keep_every=1)
-
-    dist = _record_distances(cfg.grid, run(u0_a).states(), run(u0_b).states())   # (N+1, P)
+    seeds = [noisemod.PathSeed(master_seed, i) for i in range(n_paths)]
+    increments = None if noise is None else noisemod.coupled_increment_tables(
+        seeds, cfg.dt, (cfg.dt,), cfg.horizon, noise.mode_count)[0]   # one draw for both data
+    runs = [solvermod.integrate_batch(cfg, u0.values, increments, 1) for u0 in (u0_a, u0_b)]
+    dist = _record_distances(cfg.grid, *(r.states() for r in runs))   # (N+1, P)
     sup_d = dist.max(axis=0)
     # equal initial data: coupled trajectories are identical bitwise, R = 0
     if d0 == 0.0:

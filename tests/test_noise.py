@@ -207,9 +207,10 @@ def test_hs_weight_is_cached_and_read_only():
         lambda_yosida=0.5, dt=1e-3, horizon=8e-3, scheme="semi_implicit",
     )
     nz.hs_weight.cache_clear()
-    integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))), PathSeed(3))
+    for seed in (3, 4):
+        integrate(cfg, GridField(g2, gd.sine_mode(g2, (1, 1))), PathSeed(seed))
     info = nz.hs_weight.cache_info()
-    assert info.misses == 1 and info.hits == cfg.n_steps
+    assert info.misses == 1 and info.hits >= 1   # built once, read again by the second run
     with pytest.raises(ValueError):
         nz.hs_weight(model, g2)[0, 0] = 1.0
 

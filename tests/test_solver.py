@@ -960,28 +960,150 @@ def test_records_carry_their_face_gradients(kind):
             assert all(np.array_equal(f, w) for f, w in zip(rec.faces, want))
 
 
-def test_certificate_failure_at_an_unkept_record_fails_the_run(monkeypatch):
-    # one graph, so the fourth certificate is the step-3 record's, which a
-    # stride of 4 does not keep, nor a batch by default
-    calls, inner = [], cx.fenchel_residual
+def _refuse_record(monkeypatch, eta):
+    """Make the graph certificate refuse the record whose face Yosida values are ``eta``."""
+    inner = cx.fenchel_residual
 
-    def refuse_fourth(*args):
-        calls.append(args)
-        if len(calls) == 4:
+    def refuse(pot, j, y):
+        if any(np.array_equal(row, eta) for row in y):   # y stacks records on its leading axis
             raise ValueError("refused")
-        return inner(*args)
+        return inner(pot, j, y)
 
-    monkeypatch.setattr(cx, "fenchel_residual", refuse_fourth)
+    monkeypatch.setattr(cx, "fenchel_residual", refuse)
+
+
+def test_certificate_failure_at_an_unkept_record_fails_the_run(monkeypatch):
+    # the step-3 record, which a stride of 4 does not keep, nor a batch by
+    # default, is refused by its contents
     cfg = heat_cfg(horizon=8 / 64, noise=nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4))
     u0 = GridField(G16, gd.sine_mode(G16, 1))
-    for run in (
-        lambda: sv.integrate(cfg, u0, nz.PathSeed(2, 0), keep_every=4),
-        lambda: sv.run_ensemble(cfg, u0.values, master_seed=2, n_paths=3),
+    for run, keep in (
+        (lambda keep: sv.integrate(cfg, u0, nz.PathSeed(2, 0), keep_every=keep), 4),
+        (lambda keep: sv.run_ensemble(cfg, u0.values, master_seed=2, n_paths=3, keep_every=keep), 0),
     ):
-        calls.clear()
-        with pytest.raises(sv.SolverError, match="graph certificate failed: refused") as err:
-            run()
+        eta = run(1).records[3].eta[0]
+        with monkeypatch.context() as m:
+            _refuse_record(m, eta)
+            with pytest.raises(sv.SolverError, match="graph certificate failed: refused") as err:
+                run(keep)
         assert err.value.step_index == 3
+
+
+G6x6 = DirichletGrid((1.0, 1.0), (6, 6))
+BLOCK_BYTES = (1, 2**12, 2**14, sv.RECORD_BLOCK_BYTES, 2**40)
+
+
+def _assert_same_run(a, b):
+    for name in sv.LEDGER_COLUMNS:
+        assert a.ledgers[name].tobytes() == b.ledgers[name].tobytes(), name
+    assert a.terminal.tobytes() == b.terminal.tobytes()
+    assert a.max_graph_residual == b.max_graph_residual
+    assert np.asarray(a.energy_residual).tobytes() == np.asarray(b.energy_residual).tobytes()
+    assert [r.index for r in a.records] == [r.index for r in b.records]
+    for ra, rb in zip(a.records, b.records):
+        assert ra.u.tobytes() == rb.u.tobytes()
+        assert [f.tobytes() for f in ra.faces] == [f.tobytes() for f in rb.faces]
+        assert [e.tobytes() for e in ra.eta] == [e.tobytes() for e in rb.eta]
+        assert (ra.xi is None) == (rb.xi is None)
+        assert ra.xi is None or ra.xi.tobytes() == rb.xi.tobytes()
+
+
+@pytest.mark.parametrize("beta", [None, cx.ExpCoshPotential()], ids=["no_beta", "expcosh"])
+@pytest.mark.parametrize("gain", [nz.AdditiveGain(), nz.TanhGain()], ids=["additive", "tanh"])
+@pytest.mark.parametrize("scheme", ["implicit_opt", "semi_implicit"])
+@pytest.mark.parametrize("paths", [1, 5])
+@pytest.mark.parametrize("grid", [G16, G6x6], ids=["1d", "2d"])
+def test_block_length_never_changes_a_bit(monkeypatch, grid, paths, scheme, gain, beta):
+    # from one record per block to the whole run in one: every certificate,
+    # ledger row, kept record and residual is the same bit for bit
+    noise = nz.NoiseModel(nz.amplitudes_power_law(4, 0.8, 1.0), gain)
+    cfg = sv.SolverConfig(
+        grid, cx.PowerPotential(4.0), beta, noise, lambda_yosida=0.5,
+        dt=2.5e-4, horizon=2.5e-3, lambda_visc=0.1, scheme=scheme,
+    )
+    u0 = sv.initial_datum(grid, "bump", amplitude=1.5)
+    certificates = _counted(monkeypatch, cx, "fenchel_residual")
+    runs = []
+    for size in BLOCK_BYTES:
+        monkeypatch.setattr(sv, "RECORD_BLOCK_BYTES", size)
+        certificates.clear()
+        if paths == 1:
+            runs.append(sv.integrate(cfg, u0, nz.PathSeed(6)))
+        else:
+            runs.append(sv.run_ensemble(cfg, u0.values, master_seed=6, n_paths=paths, keep_every=3))
+        graphs = 1 + (beta is not None)
+        if size == 1:
+            assert len(certificates) == graphs * (cfg.n_steps + 1)
+        elif size == 2**40:
+            assert len(certificates) == graphs
+    for run in runs[1:]:
+        _assert_same_run(runs[0], run)
+
+
+def test_block_hs_term_squares_each_record_alone():
+    # a record's HS norm is squared as a scalar for one path and as an array
+    # for a batch, as hs_norm(u) ** 2 does; squaring a block's norms as one
+    # array would round about 0.1 % of one-path values differently
+    model = nz.NoiseModel(nz.amplitudes_power_law(4, 0.8, 1.0), nz.TanhGain())
+    cfg = heat_cfg(gamma=None, noise=model)
+    rng = np.random.default_rng(29)
+    for batch in ((), (3,)):
+        u = rng.standard_normal((4000,) + G16.shape + batch)
+        store = np.zeros((len(sv.LEDGER_COLUMNS), len(u)) + batch)
+        sv._ledger_block(cfg, 0, (u, *[None] * 6), store)
+        want = np.array([nz.hs_norm(model, G16, r) ** 2 for r in u])
+        assert store[sv.LEDGER_COLUMNS.index("hs_sq")].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["implicit_opt", "semi_implicit"])
+@pytest.mark.parametrize("paths", [1, 3])
+def test_first_failing_record_in_a_block_is_reported(monkeypatch, paths, scheme):
+    # the step-3 record of an 11-record block fails, and a later step fails
+    # too; at every block length the step-3 record is the one reported
+    noise = nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4)
+    dt = 1 / 64 if scheme == "implicit_opt" else 2.5e-4
+    cfg = heat_cfg(dt=dt, horizon=10 * dt, noise=noise, scheme=scheme)
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+
+    def run(keep=0):
+        if paths == 1:
+            return sv.integrate(cfg, u0, nz.PathSeed(5), keep_every=keep)
+        return sv.run_ensemble(cfg, u0.values, master_seed=5, n_paths=paths, keep_every=keep)
+
+    eta = run(keep=1).records[3].eta[0]
+    step = sv._implicit_step_arrays if scheme == "implicit_opt" else sv._semi_implicit_step_arrays
+    steps = []
+
+    def fail_step_5(*args):
+        steps.append(1)
+        if len(steps) == 5:
+            raise sv.InnerSolveError("forced")
+        return step(*args)
+
+    apply_b = nz.apply_b
+    fields = []
+
+    def infinite_at_step_3(*args):
+        fields.append(apply_b(*args))
+        return fields[-1] + np.inf if len(fields) == 4 else fields[-1]
+
+    for refusal, message in (
+        ("certificate", "graph certificate failed: refused"),
+        ("ledger", "energy ledger is not finite: stoch_pairing"),
+    ):
+        for size in BLOCK_BYTES:
+            with monkeypatch.context() as m:
+                m.setattr(sv, "RECORD_BLOCK_BYTES", size)
+                m.setattr(sv, step.__name__, fail_step_5)
+                if refusal == "certificate":
+                    _refuse_record(m, eta)
+                else:
+                    m.setattr(nz, "apply_b", infinite_at_step_3)
+                steps.clear()
+                fields.clear()
+                with pytest.raises(sv.SolverError) as err:
+                    run()
+            assert str(err.value) == message and err.value.step_index == 3, (refusal, size)
 
 
 def test_increment_table_shape_matches_the_entry_point():

@@ -110,6 +110,28 @@ def test_lipschitz_identical_data_gives_zero_ratio():
     assert all(a.passed for a in assertions)
 
 
+def test_lipschitz_test_draws_its_noise_once(monkeypatch):
+    # both initial data run on one increment table, from one Philox
+    draws, made = [], []
+    draw, philox = nz.coupled_increment_tables, np.random.Philox
+
+    def counted_draw(*args):
+        draws.append(1)
+        return draw(*args)
+
+    def counted_philox(*args, **kwargs):
+        made.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(nz, "coupled_increment_tables", counted_draw)
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    cfg = base_cfg()
+    u0a = GridField(G, gd.sine_mode(G, 1))
+    u0b = sv.initial_datum(G, "bump", amplitude=0.6)
+    vf.lipschitz_test(cfg, u0a, u0b, n_paths=3, master_seed=17)
+    assert len(draws) == len(made) == 1
+
+
 def test_lipschitz_additive_contraction():
     cfg = base_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential())
     u0a = GridField(G, gd.sine_mode(G, 1))
