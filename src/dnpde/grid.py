@@ -117,11 +117,9 @@ class GridField:
 
 def face_views(grid, buf, lead=0):
     """Per-axis views of a face buffer ``(*lead, faces, *batch)`` laid out by ``face_layout``."""
-    if lead:
-        cut, head, tail = (slice(None),) * lead, buf.shape[:lead], buf.shape[lead + 1 :]
-        return [buf[(*cut, slice(o, o + n))].reshape(head + s + tail)
-                for _, s, o, n in grid.face_layout]
-    return [buf[o : o + n].reshape(s + buf.shape[1:]) for _, s, o, n in grid.face_layout]
+    cut, head, tail = (slice(None),) * lead, buf.shape[:lead], buf.shape[lead + 1 :]
+    return [buf[(*cut, slice(o, o + n))].reshape(head + s + tail)
+            for _, s, o, n in grid.face_layout]
 
 
 def grad_buffer(grid, u):

@@ -609,15 +609,19 @@ def run_ensemble(cfg, u0, master_seed, n_paths, keep_every=0, fine_dt=None):
     resolution, which must divide dt, and summed onto dt, coupling ensembles
     across a dt-refinement ladder to the same Brownian paths.
     """
+    return integrate_batch(cfg, u0, _ensemble_table(cfg, master_seed, n_paths, fine_dt), keep_every)
+
+
+def _ensemble_table(cfg, master_seed, n_paths, fine_dt=None):
+    """Paths ``0..n_paths-1`` of ``master_seed`` as one ``(N, K, n_paths)`` table on dt."""
     if cfg.noise is None:
         raise ValueError("ensemble runs need a noise model")
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise ValueError(f"n_paths must be an integer, at least one path, got {n_paths!r}")
-    (increments,) = noisemod.coupled_increment_tables(
+    return noisemod.coupled_increment_tables(
         [noisemod.PathSeed(master_seed, i) for i in range(n_paths)],
         cfg.dt if fine_dt is None else fine_dt, (cfg.dt,), cfg.horizon, cfg.noise.mode_count,
-    )
-    return integrate_batch(cfg, u0, increments, keep_every)
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -286,9 +286,7 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
     nb = 0.0 if noise is None else noise.bound or noisemod.default_bound(noise, cfg.grid)
     c_lip = math.exp((1.0 + nb**2) * cfg.horizon)
 
-    seeds = [noisemod.PathSeed(master_seed, i) for i in range(n_paths)]
-    increments = None if noise is None else noisemod.coupled_increment_tables(
-        seeds, cfg.dt, (cfg.dt,), cfg.horizon, noise.mode_count)[0]   # one draw for both data
+    increments = None if noise is None else solvermod._ensemble_table(cfg, master_seed, n_paths)
     runs = [solvermod.integrate_batch(cfg, u0.values, increments, 1) for u0 in (u0_a, u0_b)]
     dist = _record_distances(cfg.grid, *(r.states() for r in runs))   # (N+1, P)
     sup_d = dist.max(axis=0)

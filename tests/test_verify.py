@@ -130,6 +130,8 @@ def test_lipschitz_test_draws_its_noise_once(monkeypatch):
     u0b = sv.initial_datum(G, "bump", amplitude=0.6)
     vf.lipschitz_test(cfg, u0a, u0b, n_paths=3, master_seed=17)
     assert len(draws) == len(made) == 1
+    with pytest.raises(ValueError, match="n_paths"):
+        vf.lipschitz_test(cfg, u0a, u0b, n_paths=2.5, master_seed=17)
 
 
 def test_lipschitz_additive_contraction():
