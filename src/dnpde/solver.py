@@ -38,10 +38,10 @@ is never materialized.
 
 Every record of every run is certified, and every ``keep_every``-th record
 is kept, so a run holds its ledger and the states it was asked for.  Records
-are certified and ledgered in blocks of up to ``RECORD_BLOCK_BYTES``, bit for
-bit as one at a time; a record whose certificate cannot be evaluated or whose
-ledger row is not finite fails the run at its step, and the first failing
-record is still the one reported.
+are queued by reference and certified and ledgered in blocks of up to
+``RECORD_BLOCK_BYTES``, bit for bit as one at a time; a record whose
+certificate cannot be evaluated or whose ledger row is not finite fails the
+run at its step, and the first failing record is still the one reported.
 """
 
 from __future__ import annotations
@@ -404,41 +404,49 @@ class Trajectory:
 RECORD_BLOCK_BYTES = 2**18   # bytes of record arrays certified and ledgered in one block
 
 
-def _ledger_block(cfg, n0, blk, store):
-    """Certify records ``n0, n0 + 1, ...`` of ``blk``, their ``(u, face_buf,
-    j_buf, eta_buf, j_nodes, xi, noise)`` on a leading record axis (None where
-    absent; the final record has no noise), and write their ledger rows into
-    ``store``, whose HS column an additive gain has filled for the run; each
-    other HS norm is squared per record (a scalar's square rounds unlike an
-    array's).  Returns each record's largest residual per graph; a residual
-    that cannot be evaluated or a non-finite row raises at step ``n0``."""
-    u, face_buf, j_buf, eta_buf, j_nodes, xi, noise = blk
+def _certify(cfg, n0, queue, store):
+    """Certify the queued records ``n0, n0 + 1, ...``, each its ``(u, face_buf,
+    j_buf, eta_buf, j_nodes, xi, noise)`` (None where absent; the final record
+    has no noise), as one block, and write their ledger rows into ``store``,
+    whose HS column an additive gain has filled for the run; each other HS
+    norm is squared per record (a scalar's square rounds unlike an array's).
+    Returns the block's largest residual.  A residual that cannot be evaluated
+    or a non-finite row raises at step ``n0``; a refused block is certified
+    again record by record, so the first failing record is the one reported."""
+    u, face_buf, j_buf, eta_buf, j_nodes, xi, noise = (   # np.array stacks faster than np.stack
+        None if not c else np.array(c) if len(c) > 1 else c[0][None]   # one record is a view
+        for c in ([a for a in col if a is not None] for col in zip(*queue))
+    )
     g, rows, led = cfg.grid, slice(n0, n0 + len(u)), dict(zip(LEDGER_COLUMNS, store))
-    found = []
-    # the certificate goes first, so a record it refuses gets no ledger row
-    for pot, j, y in ((cfg.gamma, j_buf, eta_buf), (cfg.beta, j_nodes, xi)):
-        if pot is not None:
-            try:
-                res = convex.fenchel_residual(pot, j, y)
-            except ValueError as err:
-                raise SolverError(f"graph certificate failed: {err}", n0) from None
-            found += np.abs(res).max(axis=tuple(range(1, res.ndim))).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite row is refused below
-        led["norm_u_sq"][rows] = gridmod.dot_h(g, u, u, 1)
-        if eta_buf is not None:
-            eta, faces = (gridmod.face_views(g, buf, 1) for buf in (eta_buf, face_buf))
-            led["pairing_eta_gradu"][rows] = gridmod.flux_dot_h(g, eta, faces, 1)
-        if xi is not None:
-            led["pairing_xi_u"][rows] = gridmod.dot_h(g, xi, u, 1)
-        if cfg.noise is not None and not cfg.noise.is_additive():
-            led["hs_sq"][rows] = [h**2 for h in noisemod.hs_norm(cfg.noise, g, u, 1)]
-        if noise is not None:
-            r = min(len(u), cfg.n_steps - n0)
-            led["stoch_pairing"][n0 : n0 + r] = gridmod.dot_h(g, u[:r], noise[:r], 1)
-    if not np.isfinite(store[:, rows]).all():
-        bad = [name for name, col in led.items() if not np.isfinite(col[rows]).all()]
-        raise SolverError(f"energy ledger is not finite: {', '.join(bad)}", n0)
-    return found
+    found = [0.0]
+    try:
+        # the certificate goes first, so a record it refuses gets no ledger row
+        for pot, j, y in ((cfg.gamma, j_buf, eta_buf), (cfg.beta, j_nodes, xi)):
+            if pot is not None:
+                try:
+                    res = convex.fenchel_residual(pot, j, y)
+                except ValueError as err:
+                    raise SolverError(f"graph certificate failed: {err}", n0) from None
+                found += np.abs(res).max(axis=tuple(range(1, res.ndim))).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite row is refused below
+            led["norm_u_sq"][rows] = gridmod.dot_h(g, u, u, 1)
+            if eta_buf is not None:
+                eta, faces = (gridmod.face_views(g, buf, 1) for buf in (eta_buf, face_buf))
+                led["pairing_eta_gradu"][rows] = gridmod.flux_dot_h(g, eta, faces, 1)
+            if xi is not None:
+                led["pairing_xi_u"][rows] = gridmod.dot_h(g, xi, u, 1)
+            if cfg.noise is not None and not cfg.noise.is_additive():
+                led["hs_sq"][rows] = [h**2 for h in noisemod.hs_norm(cfg.noise, g, u, 1)]
+            if noise is not None:
+                led["stoch_pairing"][rows][:len(noise)] = gridmod.dot_h(g, u[:len(noise)], noise, 1)
+        if not np.isfinite(store[:, rows]).all():
+            bad = [name for name, col in led.items() if not np.isfinite(col[rows]).all()]
+            raise SolverError(f"energy ledger is not finite: {', '.join(bad)}", n0)
+    except SolverError:
+        if len(queue) == 1:
+            raise
+        return max(_certify(cfg, n0 + i, [record], store) for i, record in enumerate(queue))
+    return max(found)
 
 
 def _energy_residual(dt, led):
@@ -464,12 +472,11 @@ def _run(cfg, u, increments, keep_every):
 
     ``u`` is a node array with or without a trailing path axis; the grid and
     noise operators broadcast over it, so the loop never looks at the batch
-    shape.  Records are queued into per-run buffers of ``k`` records (a block
-    of one reads the state's own arrays), and each block is certified and
-    written in place into ledger columns of shape ``(n_records, *batch)``; the
-    queue is flushed before a step's exception propagates.  A record whose
-    index is a multiple of ``keep_every`` (none for 0) is also kept, its
-    arrays by reference.
+    shape.  Records are queued by reference, and ``_certify`` takes the queue
+    as one block at ``k`` records, at the last record and before a step's
+    exception propagates, into ledger columns of shape ``(n_records, *batch)``.
+    A record whose index is a multiple of ``keep_every`` (none for 0) is also
+    kept, its arrays by reference.
     """
     if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
         raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
@@ -487,38 +494,17 @@ def _run(cfg, u, increments, keep_every):
     ledgers = dict(zip(LEDGER_COLUMNS, store))
     if cfg.noise is not None and cfg.noise.is_additive():
         ledgers["hs_sq"][:] = noisemod.hs_norm(cfg.noise, g, u) ** 2   # one value for every record
-    records, worst, n0 = [], 0.0, 0   # n0: the first queued record
-
-    def flush(end):
-        nonlocal worst, n0   # records n0 .. end - 1; a refused block runs again record by record
-        blk = [a if a is None else a[: end - n0] for a in bufs]
-        try:
-            found = _ledger_block(cfg, n0, blk, store)
-        except SolverError:
-            found = [r for i in range(end - n0) for r in _ledger_block(
-                cfg, n0 + i, [a if a is None else a[i : i + 1] for a in blk], store)]
-        worst, n0 = max([worst, *found]), end
-
+    records, worst, queue = [], 0.0, []   # queue: the records n + 1 - len(queue) .. n
     state = _state(cfg, u)
-    arrays = (*state[:6], None if cfg.noise is None else u)   # a record's; its noise shaped as u
-    size = sum(a.nbytes for a in arrays if a is not None)
-    k = max(1, min(last + 1, RECORD_BLOCK_BYTES // size))   # records per block
-    bufs = [a if a is None else np.empty((k, *a.shape), a.dtype) for a in arrays] if k > 1 else None
+    size = sum(a.nbytes for a in (*state[:6], None if cfg.noise is None else u) if a is not None)
+    k = max(1, RECORD_BLOCK_BYTES // size)   # records per block; a record's noise is shaped as u
     for n in range(last + 1):
         noise_field = None
         if cfg.noise is not None and n < last:
             noise_field = noisemod.apply_b(cfg.noise, g, state.u, increments[n])
-        arrays = (*state[:6], noise_field)
         if keep_every and n % keep_every == 0:
             records.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
-        if k == 1:   # a block of one record reads the state's own arrays
-            bufs = [a if a is None else a[None] for a in arrays]
-        else:
-            for buf, a in zip(bufs, arrays):
-                if a is not None:
-                    buf[n - n0] = a
-        if n + 1 - n0 == k or n == last:
-            flush(n + 1)
+        queue.append((*state[:6], noise_field))
         if n == last:
             break
         forcing = state.u if noise_field is None else state.u + noise_field
@@ -528,11 +514,13 @@ def _run(cfg, u, increments, keep_every):
             else:
                 state = _implicit_step_arrays(cfg, state, forcing)
         except Exception as err:
-            if n0 <= n:
-                flush(n + 1)   # a queued record's failure comes first
+            _certify(cfg, n + 1 - len(queue), queue, store)   # a queued record fails first
             if isinstance(err, SolverError):
                 err.step_index = n + 1
             raise
+        if len(queue) == k:
+            worst, queue = max(worst, _certify(cfg, n + 1 - k, queue, store)), []
+    worst = max(worst, _certify(cfg, last + 1 - len(queue), queue, store))
     return Trajectory(cfg, ledgers, records, state.u, worst, _energy_residual(cfg.dt, ledgers))
 
 

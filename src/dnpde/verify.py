@@ -202,7 +202,7 @@ def _cauchy_distance(prev, cur):
 def _record_distances(grid, sa, sb):
     """h-distance of each record of two state stacks ``(n, *nodes, *batch)``."""
     d = sa - sb
-    return np.sqrt(grid.node_volume * np.sum(d * d, axis=tuple(range(1, 1 + grid.dim))))
+    return np.sqrt(gridmod.dot_h(grid, d, d, 1))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dnpde import acceptance, cli, verify
+from dnpde import acceptance, cli, config, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,6 +72,22 @@ def test_integrals_are_walked_by_their_reader(tmp_path, monkeypatch):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
     counts["sweep"] = len(calls)
     assert counts == {6: 6, 7: 0, 9: 0, "sweep": 3}
+
+
+def test_model_criterion_without_graphs_or_noise_has_nothing_to_validate():
+    rc = config.parse_config("[grid]\ndimension = 1\nextent = 1.0\nnodes = 8\n")
+    rows = [(a.name, a.measured, a.status) for a in acceptance.criterion_model(rc=rc)]
+    assert rows == [("nothing_to_validate", 0.0, "PASS")]
+
+
+def test_selection_by_alias_number_and_name():
+    # an alias expands in place, a number or name adds its id, repeats and
+    # blanks drop out
+    chosen = acceptance.resolve_selection(["convex_core", "3", " repro ", "1", ""])
+    assert chosen == [1, 2, 3, 10]
+    assert acceptance.resolve_selection(["all"]) == list(acceptance.CRITERIA)
+    with pytest.raises(ValueError, match=r"^unknown criterion selector '11'$"):
+        acceptance.resolve_selection(["11"])
 
 
 def test_readme_table_matches_criteria():

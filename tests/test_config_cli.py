@@ -392,6 +392,10 @@ def test_refused_catalog_value_names_its_line(tmp_path, capsys, lines, message):
     ),
     pytest.param(BASIC, ["verify", "--select", ","], "empty criterion selection", id="select"),
     pytest.param(
+        BASIC.replace("nodes = 16\n", ""), ["run"],
+        "missing required key 'nodes' in section [grid]", id="grid_without_nodes",
+    ),
+    pytest.param(
         re.sub(r"\[noise\].*?\n\n", "", BASIC, flags=re.S),
         ["sweep", "--param", "mode_count", "--values", "1"],
         "mode_count sweep needs a [noise] section", id="mode_count_no_noise",

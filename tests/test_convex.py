@@ -448,6 +448,32 @@ def test_sampled_potential_rejects_bad_input(tmp_path):
         SampledSlopePotential.from_file(tmp_path / "nothere.txt")
 
 
+def test_value_samples_refuse_short_unsorted_and_three_column_input(tmp_path):
+    with pytest.raises(ValueError, match=r"^need >= 3 value samples$"):
+        SampledSlopePotential.from_value_samples([-1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^sample abscissae must be strictly increasing$"):
+        SampledSlopePotential.from_value_samples([-1.0, 1.0, 0.0], [1.0, 1.0, 0.0])
+    path = tmp_path / "pot.txt"
+    path.write_text("-1 1 0\n0 0 0\n1 1 0\n")
+    with pytest.raises(ValueError) as err:
+        SampledSlopePotential.from_file(path)
+    assert str(err.value) == f"path {path}: expected two columns (x, P(x))"
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5])
+def test_resolvent_refuses_a_non_positive_lambda(lam):
+    with pytest.raises(ValueError, match=r"^lam must be positive$"):
+        convex.resolvent(PowerPotential(2.0), lam, 1.0)
+
+
+def test_expcosh_newton_refuses_past_its_cap(monkeypatch):
+    # from r0 = asinh(5) the first Newton iterate still falls, so a cap of
+    # one iteration is met before the search settles
+    monkeypatch.setattr(convex, "NEWTON_CAP", 1)
+    with pytest.raises(convex.RootFindError, match=r"^exp-cosh Newton did not settle in 1 iterations$"):
+        ExpCoshPotential().closed_resolvent(1.0, np.array([5.0]))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_catalog_rejects_non_finite_parameters(bad):
     # an infinite p or scale used to build a potential whose runs fail

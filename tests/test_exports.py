@@ -1,7 +1,11 @@
-"""Every name a dnpde module exports in ``__all__`` exists in that module."""
+"""Every name a dnpde module exports in ``__all__`` exists in that module, and
+importing every module loads nothing beyond the standard library and numpy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +25,27 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+# a fresh interpreter's modules before and after importing every dnpde module;
+# the baseline is taken after start-up, whose site hooks may load packages
+_NEW_TOP_LEVEL = """
+import sys
+before = set(sys.modules)
+import importlib, pkgutil
+import dnpde
+for m in pkgutil.iter_modules(dnpde.__path__, "dnpde."):
+    importlib.import_module(m.name)
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    src = os.path.dirname(os.path.dirname(dnpde.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", _NEW_TOP_LEVEL], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert {"dnpde", "numpy"} <= set(out)
+    assert sorted(set(out) - set(sys.stdlib_module_names) - {"dnpde", "numpy"}) == []

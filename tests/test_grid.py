@@ -310,11 +310,27 @@ def test_cg_batch_with_zero_column():
     x = gd.cg_solve(G2, lambda v: v - 0.3 * gd.lap_arrays(G2, v), b, diag)
     assert np.all(x[..., 0] == 0.0)
     assert np.abs(x[..., 1] - gd.resolvent_arrays(G2, 0.3, 1, b[..., 1])).max() <= 1e-11
+    for zero in (np.zeros(G2.shape), np.zeros(G2.shape + (3,))):   # one path, a batch
+        x = gd.cg_solve(G2, lambda v: v - 0.3 * gd.lap_arrays(G2, v), zero, diag)
+        assert x.shape == zero.shape and np.all(x == 0.0)
 
 
 def test_cg_rejects_indefinite_operator():
     with pytest.raises(RuntimeError):
         gd.cg_solve(G1, lambda v: -v, np.ones(G1.shape), diag=1.0)
+
+
+def test_cg_refuses_to_run_past_its_iteration_cap():
+    # I + 10 S with S skew: positive on every direction, so CG never breaks
+    # down, but not symmetric, so it never converges
+    def skewed(v):
+        s = np.zeros_like(v)
+        s[1:] += v[:-1]
+        s[:-1] -= v[1:]
+        return v + 10.0 * s
+
+    with pytest.raises(RuntimeError, match=r"^CG did not converge in 320 iterations$"):
+        gd.cg_solve(G1, skewed, np.ones(G1.shape), diag=1.0)
 
 
 def test_field_io_roundtrip(tmp_path):

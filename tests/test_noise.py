@@ -34,6 +34,12 @@ def test_increments_zero_dt():
         nz.sample_increments(nz.PathSeed(1), 10, -0.1, 2)
 
 
+@pytest.mark.parametrize("n_steps, K", [(10, 0), (-1, 2)])
+def test_increments_refuse_no_modes_and_negative_steps(n_steps, K):
+    with pytest.raises(ValueError, match=r"^need n_steps >= 0 and K >= 1$"):
+        nz.sample_increments(nz.PathSeed(1), n_steps, 0.1, K)
+
+
 def test_increment_moments():
     dt = 0.01
     a = nz.sample_increments(nz.PathSeed(2024), 100_000, dt, 1).ravel()

@@ -615,6 +615,18 @@ def test_batch_requires_increments_with_noise():
         sv.integrate_batch(cfg, np.zeros((16, 2)), np.zeros((cfg.n_steps, 1, 3)))
 
 
+def test_entry_points_refuse_foreign_and_misshapen_data():
+    cfg = heat_cfg()
+    with pytest.raises(ValueError, match=r"^initial datum does not live on the solver grid$"):
+        sv.integrate(cfg, GridField(G8, np.zeros(G8.shape)))
+    for shape in ((17,), (16, 2, 2)):
+        want = rf"^initial data of shape \({shape[0]},.*\) do not fit grid \(16,\)$"
+        with pytest.raises(ValueError, match=want):
+            sv.integrate_batch(cfg, np.zeros(shape), None)
+    with pytest.raises(ValueError, match=r"^ensemble runs need a noise model$"):
+        sv.run_ensemble(cfg, np.zeros(G16.shape), master_seed=1, n_paths=2)
+
+
 def test_batched_inner_failure_names_path_and_step():
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), max_inner=1)
     e1 = gd.sine_mode(G16, 1)
@@ -1050,7 +1062,7 @@ def test_block_hs_term_squares_each_record_alone():
     for batch in ((), (3,)):
         u = rng.standard_normal((4000,) + G16.shape + batch)
         store = np.zeros((len(sv.LEDGER_COLUMNS), len(u)) + batch)
-        sv._ledger_block(cfg, 0, (u, *[None] * 6), store)
+        sv._certify(cfg, 0, [(r, *[None] * 6) for r in u], store)
         want = np.array([nz.hs_norm(model, G16, r) ** 2 for r in u])
         assert store[sv.LEDGER_COLUMNS.index("hs_sq")].tobytes() == want.tobytes()
 

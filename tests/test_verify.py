@@ -134,6 +134,20 @@ def test_lipschitz_test_draws_its_noise_once(monkeypatch):
         vf.lipschitz_test(cfg, u0a, u0b, n_paths=2.5, master_seed=17)
 
 
+def test_lipschitz_test_refuses_no_paths():
+    u0 = GridField(G, gd.sine_mode(G, 1))
+    with pytest.raises(ValueError, match=r"^n_paths must be >= 1$"):
+        vf.lipschitz_test(base_cfg(), u0, u0, n_paths=0, master_seed=17)
+
+
+def test_cauchy_distance_of_incommensurate_dts_is_nan():
+    # 3/128 is not a whole multiple of 1/64: the two runs share no time grid
+    u0 = GridField(G, gd.sine_mode(G, 1))
+    runs = [sv.integrate(base_cfg(noise=None, dt=dt, horizon=3 / 64), u0) for dt in (1 / 64, 3 / 128)]
+    assert math.isnan(vf._cauchy_distance(*runs))
+    assert math.isnan(vf._cauchy_distance(*runs[::-1]))
+
+
 def test_lipschitz_additive_contraction():
     cfg = base_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential())
     u0a = GridField(G, gd.sine_mode(G, 1))
