@@ -357,10 +357,9 @@ def write_field(field: GridField, path):
     header = " ".join(
         [str(g.dim)] + [f"{e!r}" for e in g.extents] + [str(n) for n in g.nodes]
     )
+    values = field.values.ravel(order="C").tolist()
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for v in field.values.ravel(order="C"):
-            fh.write(f"{v:.17g}\n")
+        fh.write(header + "\n" + "%.17g\n" * len(values) % tuple(values))
 
 
 def read_field(path, grid=None) -> GridField:

@@ -7,11 +7,13 @@ noise, clipped-linear or tanh for diagonal multiplicative noise).
 
 Increments come from counter-based Philox streams keyed by (master seed,
 path index), each mod 2**64, so every path is bitwise reproducible and paths
-never share state.  Runs that must see the same Brownian path on different
-time steps draw it once, at the finest step, through
-``coupled_increment_tables``, which draws all of an ensemble's paths in one
-validated call with one Philox re-keyed per path.  An additive gain is never
-applied as an array of ones.
+never share state.  One function draws a path's rows: ``sample_increments``
+takes them as one table, ``increment_rows`` in blocks as a run reaches them,
+bit for bit the same, so a single path's run holds one block of its noise.
+Runs that must see the same Brownian path on different time steps draw it
+once, at the finest step, through ``coupled_increment_tables``, which draws
+all of an ensemble's paths in one validated call with one Philox re-keyed per
+path.  An additive gain is never applied as an array of ones.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "NoiseModel",
     "PathSeed",
     "sample_increments",
+    "increment_rows",
     "coupled_increment_tables",
     "increment_checksum",
     "apply_b",
@@ -128,8 +131,36 @@ class PathSeed:
     master_seed: int
     path_index: int = 0
 
+    def __post_init__(self):
+        if type(self.master_seed) is type(self.path_index) is int:   # the common case, at no cost
+            return
+        for name in ("master_seed", "path_index"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))   # a numpy integer cannot take the 64-bit mask
+
     def _key(self):
         return np.array([self.master_seed & _MASK64, self.path_index & _MASK64], dtype=np.uint64)
+
+
+def _path_stream(seed, n_steps, dt, K):
+    """The undrawn Philox stream of ``seed`` for an ``(n_steps, K)`` table on ``dt``."""
+    for name, value in (("n_steps", n_steps), ("K", K)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    if n_steps < 0 or K < 1:
+        raise ValueError("need n_steps >= 0 and K >= 1")
+    return np.random.Generator(np.random.Philox(key=seed._key()))
+
+
+def _draw(gen, rows, dt, K):
+    """The next ``rows`` rows of increments from the stream ``gen``."""
+    z = gen.standard_normal((rows, K))
+    z *= np.sqrt(dt)   # in place: one block, not two
+    return z
 
 
 def sample_increments(seed: PathSeed, n_steps, dt, K):
@@ -138,14 +169,17 @@ def sample_increments(seed: PathSeed, n_steps, dt, K):
     Bitwise reproducible from the seed: the same (master_seed, path_index)
     always yields the same table for a given shape.
     """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    if n_steps < 0 or K < 1:
-        raise ValueError("need n_steps >= 0 and K >= 1")
-    g = np.random.Generator(np.random.Philox(key=seed._key()))
-    z = g.standard_normal((int(n_steps), int(K)))
-    z *= np.sqrt(dt)   # in place: one table, not two, at the peak of a long run
-    return z
+    return _draw(_path_stream(seed, n_steps, dt, K), n_steps, dt, K)
+
+
+def increment_rows(seed: PathSeed, n_steps, dt, K, block):
+    """The rows of ``sample_increments(seed, n_steps, dt, K)`` one at a time,
+    drawn ``block`` rows at a time as they are reached, bit for bit: normals
+    drawn in blocks continue one Philox sequence, and each block is scaled as
+    the whole table is.  Only the block being read is held."""
+    gen = _path_stream(seed, n_steps, dt, K)
+    return (row for start in range(0, n_steps, block)
+            for row in _draw(gen, min(block, n_steps - start), dt, K))
 
 
 def coupled_increment_tables(seeds, fine_dt, dt_values, horizon, K):

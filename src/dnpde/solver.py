@@ -37,11 +37,14 @@ and a term the problem lacks (a graph, the viscosity at ``lambda_visc = 0``)
 is never materialized.
 
 Every record of every run is certified, and every ``keep_every``-th record
-is kept, so a run holds its ledger and the states it was asked for.  Records
-are queued by reference and certified and ledgered in blocks of up to
-``RECORD_BLOCK_BYTES``, bit for bit as one at a time; a record whose
-certificate cannot be evaluated or whose ledger row is not finite fails the
-run at its step, and the first failing record is still the one reported.
+is kept.  Records are queued by reference and certified and ledgered in
+blocks of up to ``RECORD_BLOCK_BYTES``, bit for bit as one at a time; a
+record whose certificate cannot be evaluated or whose ledger row is not
+finite fails the run at its step, and the first failing record is still the
+one reported.  A run on a ``PathSeed`` draws its increments one such block of
+steps at a time as it reaches them, bit for bit its ``sample_increments``
+table, so it holds its ledger, the states it was asked for and one block of
+noise; a given table (a sweep's, an ensemble's) is held whole by its caller.
 """
 
 from __future__ import annotations
@@ -476,7 +479,9 @@ def _run(cfg, u, increments, keep_every):
     as one block at ``k`` records, at the last record and before a step's
     exception propagates, into ledger columns of shape ``(n_records, *batch)``.
     A record whose index is a multiple of ``keep_every`` (none for 0) is also
-    kept, its arrays by reference.
+    kept, its arrays by reference.  ``increments`` is None without noise, a
+    validated table whose rows the steps take in turn, or a ``PathSeed``
+    whose rows are drawn ``k`` at a time as the run reaches them.
     """
     if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
         raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
@@ -498,10 +503,13 @@ def _run(cfg, u, increments, keep_every):
     state = _state(cfg, u)
     size = sum(a.nbytes for a in (*state[:6], None if cfg.noise is None else u) if a is not None)
     k = max(1, RECORD_BLOCK_BYTES // size)   # records per block; a record's noise is shaped as u
+    if isinstance(increments, noisemod.PathSeed):   # drawn a block of k rows at a time
+        increments = noisemod.increment_rows(increments, last, cfg.dt, cfg.noise.mode_count, k)
+    rows = iter(() if increments is None else increments)
     for n in range(last + 1):
         noise_field = None
         if cfg.noise is not None and n < last:
-            noise_field = noisemod.apply_b(cfg.noise, g, state.u, increments[n])
+            noise_field = noisemod.apply_b(cfg.noise, g, state.u, next(rows))
         if keep_every and n % keep_every == 0:
             records.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
         queue.append((*state[:6], noise_field))
@@ -526,7 +534,8 @@ def _run(cfg, u, increments, keep_every):
 
 def _check_increments(cfg, increments, batch):
     """The increment table a run uses: None without noise, else validated as
-    ``(n_steps, K)``, or ``(n_steps, K, P)`` for a ``batch``."""
+    finite and of shape ``(n_steps, K)``, or ``(n_steps, K, P)`` for a
+    ``batch``; a non-finite table is refused at its first non-finite row."""
     if cfg.noise is None:
         return None
     if increments is None:
@@ -536,6 +545,11 @@ def _check_increments(cfg, increments, batch):
     if increments.shape[:2] != (n, K) or increments.ndim != 2 + batch:
         want = f"({n}, {K}, P)" if batch else f"({n}, {K})"
         raise ValueError(f"increment table of shape {increments.shape} is not {want}")
+    # max and min carry a NaN through and make no temporary table
+    finite = increments.size == 0 or np.isfinite(increments.max()) and np.isfinite(increments.min())
+    if not finite:
+        row = np.flatnonzero(~np.isfinite(increments.reshape(n, -1)).all(axis=1))[0]
+        raise ValueError(f"increment table is not finite at row {row}, the increments of step {row + 1}")
     return increments
 
 
@@ -548,16 +562,21 @@ def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> T
 
     The record (index, u, faces, eta, xi) is kept for the records whose
     index is a multiple of ``keep_every`` (every record by default, none for
-    0).  Deterministic given (cfg, u0, seed); the noise increment table can
-    also be passed explicitly for coupled-path studies.
+    0).  Deterministic given (cfg, u0, seed): the ``noise.PathSeed`` ``seed``
+    is drawn a certification block at a time as the run reaches it, bit for
+    bit its ``sample_increments`` table.  An increment table can be passed
+    instead for coupled-path studies, and wins over ``seed``.
     """
+    if not isinstance(u0, GridField):
+        raise TypeError(f"u0 must be a GridField, got {type(u0).__name__}; arrays go to integrate_batch")
+    if seed is not None and not isinstance(seed, noisemod.PathSeed):
+        raise TypeError(f"seed must be a noise.PathSeed, got {seed!r}")
     if u0.grid != cfg.grid:
         raise ValueError("initial datum does not live on the solver grid")
     if cfg.noise is not None and increments is None and seed is not None:
-        increments = noisemod.sample_increments(
-            seed, cfg.n_steps, cfg.dt, cfg.noise.mode_count
-        )
-    increments = _check_increments(cfg, increments, False)
+        increments = seed   # drawn by _run as it steps
+    else:
+        increments = _check_increments(cfg, increments, False)
     return _run(cfg, np.array(u0.values, dtype=float), increments, keep_every)
 
 

@@ -1,6 +1,7 @@
 """Config parsing and CLI contract tests: exit codes, outputs, determinism."""
 
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -487,10 +488,10 @@ def test_run_without_dumps_certifies_every_record(tmp_path):
     assert [r.split(",")[0] for r in rows] == [str(n) for n in range(summary["n_steps"] + 1)]
 
 
-def _run_peak(tmp_path, horizon):
-    """Traced peak of one 2-d ``dnpde run`` dumping every 64th state, above the
-    memory traced before it."""
-    text = SEMI_2D + f"horizon = {horizon}\nscheme = semi_implicit\n[output]\ndump_every = 64\n"
+def _run_peak(tmp_path, horizon, dump_every=64):
+    """Traced peak of one 2-d ``dnpde run`` dumping every ``dump_every``-th
+    state, above the memory traced before it."""
+    text = SEMI_2D + f"horizon = {horizon}\nscheme = semi_implicit\n[output]\ndump_every = {dump_every}\n"
     cfg = write_cfg(tmp_path, text)
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
@@ -500,9 +501,9 @@ def _run_peak(tmp_path, horizon):
 
 
 def test_run_memory_is_flat_in_the_step_count(tmp_path):
-    # the ledger and the increment table grow with the step count (about 270 B
-    # a step here), the states do not: holding every state would add a whole
-    # state (2,176 B of arrays on 8x8, 3.3 kB traced) per step
+    # the ledger grows with the step count (40 B a step here), the states and
+    # the noise do not: holding every state would add a whole state (2,176 B
+    # of arrays on 8x8, 3.3 kB traced) per step
     tracemalloc.start()
     try:
         _run_peak(tmp_path, 1 / 128)   # warm the eigenpair and HS-weight caches
@@ -513,6 +514,24 @@ def test_run_memory_is_flat_in_the_step_count(tmp_path):
     g = DirichletGrid((1.0, 1.0), (8, 8))
     state_bytes = 8 * (2 * math.prod(g.shape) + sum(math.prod(s) for s in g.face_shapes()))
     assert (four - one) / (512 - 128) <= 0.25 * state_bytes
+
+
+def test_run_without_dumps_grows_by_its_ledger_alone(tmp_path):
+    # a seeded run draws its noise a certification block at a time, so without
+    # dumps only the ledger's five float columns (40 B a step) grow with the
+    # step count; drawing the whole (n_steps, 32) table first added 256 B a step
+    def peak(horizon):
+        gc.collect()   # earlier garbage freed during the run would lower its peak
+        return _run_peak(tmp_path, horizon, dump_every=0)
+
+    tracemalloc.start()
+    try:
+        for horizon in (1 / 128, 1 / 32):   # warm every cache either run fills
+            peak(horizon)
+        one, four = peak(1 / 128), peak(1 / 32)    # 128 and 512 steps
+    finally:
+        tracemalloc.stop()
+    assert (four - one) / (512 - 128) <= 8 * len(sv.LEDGER_COLUMNS) + 16
 
 
 def test_run_seed_override(tmp_path):

@@ -349,3 +349,16 @@ def test_field_io_roundtrip(tmp_path):
         bad.write_text(header)
         with pytest.raises(ValueError, match="missing or short grid header"):
             gd.read_field(bad)
+
+
+def test_field_dump_is_the_per_value_format(tmp_path):
+    # one format over the whole field writes the bytes of one 17-digit
+    # format per value, and reading them back restores every bit
+    rng = np.random.default_rng(12)
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    values = np.concatenate([edge, rng.standard_normal(math.prod(G2.shape) - len(edge))]).reshape(G2.shape)
+    path = tmp_path / "field.txt"
+    gd.write_field(GridField(G2, values), path)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body == "".join(f"{v:.17g}\n" for v in values.ravel()).encode()
+    assert gd.read_field(path, G2).values.tobytes() == values.tobytes()

@@ -40,6 +40,32 @@ def test_increments_refuse_no_modes_and_negative_steps(n_steps, K):
         nz.sample_increments(nz.PathSeed(1), n_steps, 0.1, K)
 
 
+@pytest.mark.parametrize("block", [1, 3, 4, 6, 12, 13])
+def test_streamed_rows_are_the_table(block):
+    # blocks that do and do not divide the 12 steps continue one Philox
+    # sequence, each scaled as the whole table is
+    seed = nz.PathSeed(987654321, 3)
+    table = nz.sample_increments(seed, 12, 0.01, 4)
+    rows = list(nz.increment_rows(seed, 12, 0.01, 4, block))
+    assert len(rows) == 12 and np.array(rows).tobytes() == table.tobytes()
+    assert list(nz.increment_rows(seed, 0, 0.01, 4, block)) == []
+
+
+def test_seeds_and_step_counts_must_be_integers():
+    # a float seed used to fail at the first draw, and 4.5 steps drew 4 rows
+    for args, name, value in (((1.5,), "master_seed", "1.5"), ((1, 2.0), "path_index", "2.0")):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            nz.PathSeed(*args)
+    for n_steps, K, name, value in ((4.5, 2, "n_steps", "4.5"), (4, 2.0, "K", "2.0")):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            nz.sample_increments(nz.PathSeed(1), n_steps, 0.1, K)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            nz.increment_rows(nz.PathSeed(1), n_steps, 0.1, K, 2)
+    # numpy integers key and size the same draw as Python integers
+    numpy_ints = nz.sample_increments(nz.PathSeed(np.int64(5), np.uint32(1)), np.int64(4), 0.1, np.int32(2))
+    assert numpy_ints.tobytes() == nz.sample_increments(nz.PathSeed(5, 1), 4, 0.1, 2).tobytes()
+
+
 def test_increment_moments():
     dt = 0.01
     a = nz.sample_increments(nz.PathSeed(2024), 100_000, dt, 1).ravel()

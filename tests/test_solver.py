@@ -1052,6 +1052,31 @@ def test_block_length_never_changes_a_bit(monkeypatch, grid, paths, scheme, gain
         _assert_same_run(runs[0], run)
 
 
+@pytest.mark.parametrize("gain", [nz.AdditiveGain(), nz.TanhGain()], ids=["additive", "tanh"])
+@pytest.mark.parametrize("scheme", ["implicit_opt", "semi_implicit"])
+@pytest.mark.parametrize("grid", [G16, G6x6], ids=["1d", "2d"])
+def test_seeded_run_streams_its_table(monkeypatch, grid, scheme, gain):
+    # a PathSeed's increments are drawn a certification block at a time as the
+    # run reaches them; with blocks of one row, of several and of the whole
+    # run, the run is the run on sample_increments' table bit for bit
+    noise = nz.NoiseModel(nz.amplitudes_power_law(4, 0.8, 1.0), gain)
+    cfg = sv.SolverConfig(
+        grid, cx.PowerPotential(4.0), cx.ExpCoshPotential(), noise, lambda_yosida=0.5,
+        dt=2.5e-4, horizon=2.5e-3, lambda_visc=0.1, scheme=scheme,
+    )
+    u0 = sv.initial_datum(grid, "bump", amplitude=1.5)
+    seed = nz.PathSeed(6)
+    on_table = sv.integrate(cfg, u0, increments=nz.sample_increments(seed, cfg.n_steps, cfg.dt, 4))
+    draw, blocks = nz._draw, []
+    monkeypatch.setattr(nz, "_draw", lambda gen, rows, dt, K: blocks.append(rows) or draw(gen, rows, dt, K))
+    one_row = [1] * cfg.n_steps   # 4 KiB holds four 1-d records and less than one 2-d record
+    for size, want in ((1, one_row), (2**12, [4, 4, 2] if grid.dim == 1 else one_row), (2**40, [10])):
+        monkeypatch.setattr(sv, "RECORD_BLOCK_BYTES", size)
+        blocks.clear()
+        _assert_same_run(sv.integrate(cfg, u0, seed), on_table)
+        assert blocks == want, size
+
+
 def test_block_hs_term_squares_each_record_alone():
     # a record's HS norm is squared as a scalar for one path and as an array
     # for a batch, as hs_norm(u) ** 2 does; squaring a block's norms as one
@@ -1130,6 +1155,38 @@ def test_increment_table_shape_matches_the_entry_point():
             sv.integrate_batch(cfg, u0.values, np.zeros((16, K)))
         with pytest.raises(ValueError, match=rf"{head}, 3\) is not \(16, {K}\)$"):
             sv.integrate(cfg, u0, increments=np.zeros((16, K, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_increment_table_is_refused_at_its_row(bad):
+    # a non-finite increment used to run until its ledger row was refused, and
+    # an all-inf batch table first warned in apply_b's matrix product
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    cfg = heat_cfg(noise=nz.NoiseModel((0.4, 0.2), nz.AdditiveGain(), 0.5))
+    want = r"^increment table is not finite at row 5, the increments of step 6$"
+    table = np.zeros((cfg.n_steps, 2))
+    table[5, 1] = table[9, 0] = bad
+    batch = np.zeros((cfg.n_steps, 2, 3))
+    batch[5, 0, 2] = batch[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=want):
+            sv.integrate(cfg, u0, increments=table)
+        with pytest.raises(ValueError, match=want):
+            sv.integrate_batch(cfg, u0.values, batch)
+        with pytest.raises(ValueError, match=r"not finite at row 0, the increments of step 1$"):
+            sv.integrate_batch(cfg, u0.values, np.full((cfg.n_steps, 2, 3), bad))
+
+
+def test_integrate_names_a_wrong_seed_or_initial_datum():
+    # these used to fail inside the run with AttributeError on the int or array
+    cfg = heat_cfg(noise=nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4))
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    with pytest.raises(TypeError, match=r"^seed must be a noise\.PathSeed, got 7$"):
+        sv.integrate(cfg, u0, 7)
+    want = r"^u0 must be a GridField, got ndarray; arrays go to integrate_batch$"
+    with pytest.raises(TypeError, match=want):
+        sv.integrate(cfg, u0.values, nz.PathSeed(7))
 
 
 def test_total_variation_flux_converges_within_default_budget():
