@@ -2,10 +2,13 @@
 
 All file outputs are deterministic for a fixed config and seed (CSV with 17
 significant digits, LF endings, comment header carrying the config checksum
-and master seed); wall-clock timing goes to stdout only.  A sweep builds each
-value with ``config.build_problem``, the swept key passed as an override
-keyword (``solver=`` for lambda_yosida and dt, ``grid=`` for the nodes of h,
-``noise=`` for mode_count), and runs them all through ``verify.sweep``.
+and master seed); wall-clock timing goes to stdout only.  ``run`` writes each
+state dump as soon as the solver has certified its record, so it holds its
+ledger and one certification block, and a failed run leaves no dump.  A sweep
+builds each value with ``config.build_problem``, the swept key passed as an
+override keyword (``solver=`` for lambda_yosida and dt, ``grid=`` for the
+nodes of h, ``noise=`` for mode_count), and runs them all through
+``verify.sweep``.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 solver
 failure.
@@ -49,9 +52,22 @@ def _out_paths(rc, out_dir):
     return out, prefix
 
 
+def _write_trajectory(path, dt, ledgers, comments):
+    """The ledger as CSV rows ``step, t, *LEDGER_COLUMNS``, stacked and formatted
+    a block of rows at a time; a formatted cell holds up to 80 traced bytes (its
+    float, two references, its text and format), so a block holds at most
+    ``RECORD_BLOCK_BYTES``."""
+    cols = [ledgers[c] for c in solvermod.LEDGER_COLUMNS]
+    rows = max(1, solvermod.RECORD_BLOCK_BYTES // (80 * (2 + len(cols))))
+    steps = (np.arange(i, min(i + rows, len(cols[0]))) for i in range(0, len(cols[0]), rows))
+    blocks = (np.column_stack([n, n * dt, *(c[n] for c in cols)]) for n in steps)
+    verifymod.write_report_csv(path, ["step", "t", *solvermod.LEDGER_COLUMNS], blocks, comments)
+
+
 def cmd_run(config_path, seed_override=None, out_dir=None):
     """Run one simulation; write the trajectory CSV, a run summary and every
-    ``dump_every``-th state, the only states the run holds."""
+    ``dump_every``-th state, each once the run has certified it, under a
+    ``.part`` name renamed when the run succeeds and removed when it fails."""
     rc = configmod.load_config(config_path)
     cfg, u0 = configmod.build_problem(rc)
     seed_val = configmod.master_seed(rc, seed_override)
@@ -59,24 +75,32 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
     if dump_every < 0:
         raise ConfigError("dump_every must be >= 0", rc.lines["output"]["dump_every"])
     out, prefix = _out_paths(rc, out_dir)
+    dumps, written = range(0, cfg.n_steps + 1, dump_every) if dump_every else range(0), 0
+
+    def dump_path(n):
+        return os.path.join(out, f"{prefix}_state_{n:06d}.txt")
+
+    def dump(record):   # the states kept are the dumps
+        nonlocal written
+        written += 1
+        gridmod.write_field(gridmod.GridField(cfg.grid, record.u), dump_path(record.index) + ".part")
 
     t0 = time.monotonic()
     path_seed = noisemod.PathSeed(seed_val, 0) if cfg.noise is not None else None
-    traj = solvermod.integrate(cfg, u0, path_seed, keep_every=dump_every)
+    try:
+        traj = solvermod.integrate(cfg, u0, path_seed, keep_every=dump_every, on_keep=dump)
+    except BaseException:
+        for n in dumps[:written]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(dump_path(n) + ".part")
+        raise
+    for n in dumps:
+        os.replace(dump_path(n) + ".part", dump_path(n))
     wall = time.monotonic() - t0
 
-    table = np.column_stack([traj.ledgers[c] for c in solvermod.LEDGER_COLUMNS])
-    verifymod.write_report_csv(
-        os.path.join(out, f"{prefix}_trajectory.csv"),
-        ["step", "t", *solvermod.LEDGER_COLUMNS],
-        ([n, n * cfg.dt, *row.tolist()] for n, row in enumerate(table)),
-        _comments(rc, seed_val),
+    _write_trajectory(
+        os.path.join(out, f"{prefix}_trajectory.csv"), cfg.dt, traj.ledgers, _comments(rc, seed_val)
     )
-    for rec in traj.records:   # the states kept are the dumps
-        gridmod.write_field(
-            gridmod.GridField(cfg.grid, rec.u),
-            os.path.join(out, f"{prefix}_state_{rec.index:06d}.txt"),
-        )
     summary = {
         "config_checksum": rc.checksum,
         "master_seed": seed_val,

@@ -43,8 +43,10 @@ record whose certificate cannot be evaluated or whose ledger row is not
 finite fails the run at its step, and the first failing record is still the
 one reported.  A run on a ``PathSeed`` draws its increments one such block of
 steps at a time as it reaches them, bit for bit its ``sample_increments``
-table, so it holds its ledger, the states it was asked for and one block of
-noise; a given table (a sweep's, an ensemble's) is held whole by its caller.
+table.  A kept record is handed over once its block is certified, to the
+result or to an ``on_keep`` consumer (``dnpde run`` writes its dumps so); such
+a run holds its ledger and one block, while a given table (a sweep's, an
+ensemble's) is held whole by its caller.
 """
 
 from __future__ import annotations
@@ -401,6 +403,8 @@ class Trajectory:
     energy_residual: float | np.ndarray
 
     def states(self):
+        if not self.records:
+            raise ValueError("the run kept no records (keep_every=0, or an on_keep consumer took them)")
         return np.stack([r.u for r in self.records])
 
 
@@ -469,7 +473,7 @@ def _energy_residual(dt, led):
     return float(res) if np.ndim(res) == 0 else res
 
 
-def _run(cfg, u, increments, keep_every):
+def _run(cfg, u, increments, keep_every, on_keep=None):
     """The stepping loop behind ``integrate`` and ``integrate_batch``; returns
     the run's ``Trajectory``.
 
@@ -479,11 +483,12 @@ def _run(cfg, u, increments, keep_every):
     as one block at ``k`` records, at the last record and before a step's
     exception propagates, into ledger columns of shape ``(n_records, *batch)``.
     A record whose index is a multiple of ``keep_every`` (none for 0) is also
-    kept, its arrays by reference.  ``increments`` is None without noise, a
-    validated table whose rows the steps take in turn, or a ``PathSeed``
-    whose rows are drawn ``k`` at a time as the run reaches them.
+    kept, its arrays by reference, once its block is certified: in the result's
+    records, or passed to ``on_keep`` and dropped.  ``increments`` is None
+    without noise, a validated table whose rows the steps take in turn, or a
+    ``PathSeed`` whose rows are drawn ``k`` at a time as the run reaches them.
     """
-    if not (isinstance(keep_every, (int, np.integer)) and keep_every >= 0):
+    if isinstance(keep_every, bool) or not isinstance(keep_every, (int, np.integer)) or keep_every < 0:
         raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
     if cfg.scheme == "semi_implicit":
         bound = cfg.stability_bound()
@@ -499,7 +504,8 @@ def _run(cfg, u, increments, keep_every):
     ledgers = dict(zip(LEDGER_COLUMNS, store))
     if cfg.noise is not None and cfg.noise.is_additive():
         ledgers["hs_sq"][:] = noisemod.hs_norm(cfg.noise, g, u) ** 2   # one value for every record
-    records, worst, queue = [], 0.0, []   # queue: the records n + 1 - len(queue) .. n
+    records, worst, queue, kept = [], 0.0, [], []   # queue: the records n + 1 - len(queue) .. n
+    keep = records.append if on_keep is None else on_keep
     state = _state(cfg, u)
     size = sum(a.nbytes for a in (*state[:6], None if cfg.noise is None else u) if a is not None)
     k = max(1, RECORD_BLOCK_BYTES // size)   # records per block; a record's noise is shaped as u
@@ -511,24 +517,25 @@ def _run(cfg, u, increments, keep_every):
         if cfg.noise is not None and n < last:
             noise_field = noisemod.apply_b(cfg.noise, g, state.u, next(rows))
         if keep_every and n % keep_every == 0:
-            records.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
+            kept.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
         queue.append((*state[:6], noise_field))
-        if n == last:
-            break
-        forcing = state.u if noise_field is None else state.u + noise_field
-        try:
-            if cfg.scheme == "semi_implicit":
-                state = _semi_implicit_step_arrays(cfg, state, forcing)
-            else:
-                state = _implicit_step_arrays(cfg, state, forcing)
-        except Exception as err:
-            _certify(cfg, n + 1 - len(queue), queue, store)   # a queued record fails first
-            if isinstance(err, SolverError):
-                err.step_index = n + 1
-            raise
-        if len(queue) == k:
-            worst, queue = max(worst, _certify(cfg, n + 1 - k, queue, store)), []
-    worst = max(worst, _certify(cfg, last + 1 - len(queue), queue, store))
+        if n < last:
+            forcing = state.u if noise_field is None else state.u + noise_field
+            try:
+                if cfg.scheme == "semi_implicit":
+                    state = _semi_implicit_step_arrays(cfg, state, forcing)
+                else:
+                    state = _implicit_step_arrays(cfg, state, forcing)
+            except Exception as err:
+                _certify(cfg, n + 1 - len(queue), queue, store)   # a queued record fails first
+                if isinstance(err, SolverError):
+                    err.step_index = n + 1
+                raise
+        if len(queue) == k or n == last:
+            worst = max(worst, _certify(cfg, n + 1 - len(queue), queue, store))
+            for record in kept:   # certified, so handed over
+                keep(record)
+            queue, kept = [], []
     return Trajectory(cfg, ledgers, records, state.u, worst, _energy_residual(cfg.dt, ledgers))
 
 
@@ -557,15 +564,20 @@ def _check_increments(cfg, increments, batch):
 # single paths and batches
 # ---------------------------------------------------------------------------
 
-def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> Trajectory:
+def integrate(
+    cfg, u0: GridField, seed=None, increments=None, keep_every=1, *, on_keep=None
+) -> Trajectory:
     """Integrate one path, recording the ledger and certifying every record.
 
     The record (index, u, faces, eta, xi) is kept for the records whose
     index is a multiple of ``keep_every`` (every record by default, none for
-    0).  Deterministic given (cfg, u0, seed): the ``noise.PathSeed`` ``seed``
-    is drawn a certification block at a time as the run reaches it, bit for
-    bit its ``sample_increments`` table.  An increment table can be passed
-    instead for coupled-path studies, and wins over ``seed``.
+    0), in the result's ``records``; given ``on_keep``, each is passed to it
+    instead, in order, once its certification block passes, and ``records``
+    stays empty, so the run holds its ledger and one block whatever its
+    stride.  Deterministic given (cfg, u0, seed): the ``noise.PathSeed``
+    ``seed`` is drawn a certification block at a time as the run reaches it,
+    bit for bit its ``sample_increments`` table.  An increment table can be
+    passed instead for coupled-path studies, and wins over ``seed``.
     """
     if not isinstance(u0, GridField):
         raise TypeError(f"u0 must be a GridField, got {type(u0).__name__}; arrays go to integrate_batch")
@@ -577,7 +589,7 @@ def integrate(cfg, u0: GridField, seed=None, increments=None, keep_every=1) -> T
         increments = seed   # drawn by _run as it steps
     else:
         increments = _check_increments(cfg, increments, False)
-    return _run(cfg, np.array(u0.values, dtype=float), increments, keep_every)
+    return _run(cfg, np.array(u0.values, dtype=float), increments, keep_every, on_keep)
 
 
 def integrate_batch(cfg, u0, increments, keep_every=0) -> Trajectory:

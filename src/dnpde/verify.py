@@ -92,16 +92,18 @@ class Assertion:
 
 
 def write_report_csv(path, header, rows, comments=()):
-    """Shared CSV writer: '#' comment lines, one header row, 17 digits."""
+    """Shared CSV writer: '#' comment lines, one header row, 17 digits; an item
+    of ``rows`` is a row of cells or a 2-d float array of rows, one format each."""
     with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [
-                cell if isinstance(cell, str) else f"{cell:.17g}" for cell in row
-            ]
-            fh.write(",".join(cells) + "\n")
+            if isinstance(row, np.ndarray):
+                line = ",".join(["%.17g"] * row.shape[1]) + "\n"
+                fh.write(line * len(row) % tuple(row.ravel().tolist()))
+            else:
+                fh.write(",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row) + "\n")
 
 
 def observed_order(values, spacings):

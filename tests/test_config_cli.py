@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dnpde import cli, config as cfgmod
@@ -516,13 +517,16 @@ def test_run_memory_is_flat_in_the_step_count(tmp_path):
     assert (four - one) / (512 - 128) <= 0.25 * state_bytes
 
 
-def test_run_without_dumps_grows_by_its_ledger_alone(tmp_path):
-    # a seeded run draws its noise a certification block at a time, so without
-    # dumps only the ledger's five float columns (40 B a step) grow with the
-    # step count; drawing the whole (n_steps, 32) table first added 256 B a step
+@pytest.mark.parametrize("dump_every", [0, 1, 64])
+def test_run_grows_by_its_ledger_alone(tmp_path, dump_every):
+    # a seeded run draws its noise a certification block at a time and writes
+    # each dump once its block is certified, so whatever the dump stride only
+    # the ledger's five float columns (40 B a step) grow with the step count;
+    # drawing the whole (n_steps, 32) table first added 256 B a step, and
+    # holding every dump until the run ended a whole state per dump
     def peak(horizon):
         gc.collect()   # earlier garbage freed during the run would lower its peak
-        return _run_peak(tmp_path, horizon, dump_every=0)
+        return _run_peak(tmp_path, horizon, dump_every=dump_every)
 
     tracemalloc.start()
     try:
@@ -532,6 +536,75 @@ def test_run_without_dumps_grows_by_its_ledger_alone(tmp_path):
     finally:
         tracemalloc.stop()
     assert (four - one) / (512 - 128) <= 8 * len(sv.LEDGER_COLUMNS) + 16
+
+
+def test_failed_run_leaves_no_dump(tmp_path, monkeypatch, capsys):
+    # with blocks of one record the run writes the dumps of records 0-4
+    # before the certificate refuses the step-5 record; it exits 3 and leaves
+    # no dump, CSV or summary, and the outputs of an earlier run stand
+    text = BASIC.replace("prefix = demo", "prefix = demo\ndump_every = 1")
+    path, out = write_cfg(tmp_path, text), tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", path, "--out", str(tmp_path / "earlier")]) == 0
+    earlier = {p.name: p.read_bytes() for p in (tmp_path / "earlier").iterdir()}
+    rc = cfgmod.load_config(path)
+    cfg, u0 = cfgmod.build_problem(rc)
+    eta = sv.integrate(cfg, u0, nz.PathSeed(cfgmod.master_seed(rc), 0)).records[5].eta[0]
+    inner = cx.fenchel_residual
+
+    def refuse(pot, j, y):
+        if any(np.array_equal(row, eta) for row in y):
+            raise ValueError("refused")
+        return inner(pot, j, y)
+
+    monkeypatch.setattr(sv, "RECORD_BLOCK_BYTES", 1)
+    monkeypatch.setattr(cx, "fenchel_residual", refuse)
+    written = []
+    write_field = cli.gridmod.write_field
+    monkeypatch.setattr(cli.gridmod, "write_field", lambda f, p: written.append(p) or write_field(f, p))
+    for where in (out, tmp_path / "earlier"):
+        written.clear()
+        assert cli.main(["run", path, "--out", str(where)]) == 3
+        assert len(written) == 5
+    assert capsys.readouterr().err.startswith("solver failure at step 5: graph certificate failed")
+    assert list(out.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in (tmp_path / "earlier").iterdir()} == earlier
+
+
+def _cell_by_cell(path, dt, ledgers, comments):
+    """The trajectory CSV as ``cmd_run`` wrote it one cell at a time."""
+    rows = zip(*(ledgers[c].tolist() for c in sv.LEDGER_COLUMNS))
+    header = ["step", "t", *sv.LEDGER_COLUMNS]
+    vf.write_report_csv(path, header, ([n, n * dt, *row] for n, row in enumerate(rows)), comments)
+
+
+@pytest.mark.parametrize("size", [1, 2**12, sv.RECORD_BLOCK_BYTES, 2**40])
+def test_trajectory_csv_blocks_match_cell_by_cell(tmp_path, monkeypatch, size):
+    # one format per block of rows writes the bytes of one f-string per cell,
+    # at the extremes of a double and on the integer step column
+    cells = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 2.0]
+    ledgers = {c: np.roll(np.resize(cells, 1500), i) for i, c in enumerate(sv.LEDGER_COLUMNS)}
+    monkeypatch.setattr(sv, "RECORD_BLOCK_BYTES", size)
+    cli._write_trajectory(tmp_path / "blocks.csv", 1 / 3, ledgers, ["note"])
+    _cell_by_cell(tmp_path / "cells.csv", 1 / 3, ledgers, ["note"])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_trajectory_csv_peak_is_flat_in_its_rows(tmp_path):
+    # rows are stacked and formatted a block at a time, so a ledger eight
+    # times longer adds less than one block to the traced peak; stacking the
+    # whole ledger first added its 40 B a row
+    def peak(rows):
+        ledgers = {c: np.full(rows, 1 / 3) for c in sv.LEDGER_COLUMNS}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cli._write_trajectory(tmp_path / "t.csv", 1 / 3, ledgers, [])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(32768) - peak(4096)) < sv.RECORD_BLOCK_BYTES
 
 
 def test_run_seed_override(tmp_path):

@@ -1077,6 +1077,51 @@ def test_seeded_run_streams_its_table(monkeypatch, grid, scheme, gain):
         assert blocks == want, size
 
 
+@pytest.mark.parametrize("size", [1, sv.RECORD_BLOCK_BYTES])
+@pytest.mark.parametrize("keep", [1, 4])
+@pytest.mark.parametrize("grid, scheme", [(G16, "implicit_opt"), (G6x6, "semi_implicit")], ids=["1d", "2d"])
+def test_on_keep_takes_exactly_the_kept_records(monkeypatch, grid, scheme, keep, size):
+    # the consumer sees the records the run would keep, in order and bit for
+    # bit, the run keeps none of them, and nothing else of the run changes
+    noise = nz.NoiseModel(nz.amplitudes_power_law(4, 0.8, 1.0), nz.TanhGain())
+    cfg = sv.SolverConfig(
+        grid, cx.PowerPotential(4.0), cx.ExpCoshPotential(), noise, lambda_yosida=0.5,
+        dt=2.5e-4, horizon=2.5e-3, lambda_visc=0.1, scheme=scheme,
+    )
+    u0 = sv.initial_datum(grid, "bump", amplitude=1.5)
+    monkeypatch.setattr(sv, "RECORD_BLOCK_BYTES", size)
+    held = sv.integrate(cfg, u0, nz.PathSeed(6), keep_every=keep)
+    taken = []
+    handed = sv.integrate(cfg, u0, nz.PathSeed(6), keep_every=keep, on_keep=taken.append)
+    assert handed.records == [] and len(taken) == len(range(0, cfg.n_steps + 1, keep))
+    _assert_same_run(replace(handed, records=taken), held)
+
+
+def test_on_keep_sees_only_certified_records(monkeypatch):
+    # blocks of one record: the certificate refuses the step-5 record, so the
+    # consumer has seen records 0-4 and the run fails at step 5
+    cfg = heat_cfg(horizon=8 / 64, noise=nz.NoiseModel((0.4,), nz.AdditiveGain(), 0.4))
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    eta = sv.integrate(cfg, u0, nz.PathSeed(2, 0)).records[5].eta[0]
+    monkeypatch.setattr(sv, "RECORD_BLOCK_BYTES", 1)
+    _refuse_record(monkeypatch, eta)
+    seen = []
+    with pytest.raises(sv.SolverError, match="graph certificate failed: refused") as err:
+        sv.integrate(cfg, u0, nz.PathSeed(2, 0), on_keep=seen.append)
+    assert err.value.step_index == 5
+    assert [r.index for r in seen] == [0, 1, 2, 3, 4]
+
+
+def test_states_of_a_run_without_records_names_the_cause():
+    cfg, u0 = heat_cfg(), GridField(G16, gd.sine_mode(G16, 1))
+    for traj in (sv.integrate(cfg, u0, keep_every=0), sv.integrate(cfg, u0, on_keep=lambda r: None)):
+        with pytest.raises(ValueError, match=r"^the run kept no records \(keep_every=0, or an on_keep"):
+            traj.states()
+    # a bool is an int to Python, but not a stride
+    with pytest.raises(ValueError, match=r"^keep_every must be an integer >= 0, got True$"):
+        sv.integrate(cfg, u0, keep_every=True)
+
+
 def test_block_hs_term_squares_each_record_alone():
     # a record's HS norm is squared as a scalar for one path and as an array
     # for a batch, as hs_norm(u) ** 2 does; squaring a block's norms as one
