@@ -88,8 +88,8 @@ class Potential:
     Subclasses provide ``value``, ``minimal_slope`` (the minimal-norm
     subgradient, used as the probing selection and inside the reference
     bisection resolvent), ``slope_derivative`` (its derivative, ``inf`` where
-    the graph is vertical) and the exact routes ``closed_resolvent`` and
-    ``closed_conjugate``.
+    the graph is vertical, and one number for a linear graph) and the exact
+    routes ``closed_resolvent`` and ``closed_conjugate``.
     """
 
     def __post_init__(self):
@@ -118,7 +118,9 @@ class PowerPotential(Potential):
 
     The graph is ``x -> scale * |x|**(p-2) * x``; the resolvent has a closed
     form for p in {1.5, 2, 4} (quadratic formula, linear, Cardano) and is
-    found by bisection for every other p.
+    found by bisection for every other p.  At p = 2 the graph is linear and
+    its slope derivative is one number, ``scale``, not an array of ``x``'s
+    shape.
     """
 
     p: float
@@ -138,6 +140,8 @@ class PowerPotential(Potential):
         return self.scale * np.sign(x) * np.abs(x) ** (self.p - 1.0)
 
     def slope_derivative(self, x):
+        if self.p == 2.0:   # scale * |x|**0 is scale for every x, nan and inf included
+            return np.float64(self.scale)
         with np.errstate(divide="ignore"):
             return self.scale * (self.p - 1.0) * np.abs(np.asarray(x, dtype=float)) ** (self.p - 2.0)
 

@@ -171,7 +171,9 @@ def _yosida_parts(pot, lam, a, j, G):
 
     ``j`` is the resolvent point of ``a`` and ``G`` its Yosida value; all
     three outputs are None without a potential.  The Newton curvature is
-    ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the graph is vertical.
+    ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the graph is vertical,
+    and one number, with no node or path axis, where ``g'`` is one (a linear
+    graph).
     """
     if pot is None:
         return None, None, None
@@ -251,8 +253,10 @@ def _thomas(diag, off, rhs):
     """Thomas sweep down the node axis for a diagonally dominant symmetric
     tridiagonal system; each trailing path gets the same scalar operations.
 
-    One path runs on Python floats, which round as float64 scalars do at a
-    fraction of numpy's per-operation cost; a batch runs on its ``(P,)`` rows."""
+    ``(n,)`` coefficient lines run on Python floats, which round as float64
+    scalars do at a fraction of numpy's per-operation cost; coefficients with
+    path axes run on their ``(P,)`` rows.  A batch's right-hand side runs on
+    its rows, so lines shared by every path are factored once for the batch."""
     d, o, y = ((a.tolist() if a.ndim == 1 else list(a)) for a in (diag, off, rhs))
     c = [0.0] * len(o)
     m = d[0]
@@ -274,6 +278,9 @@ def _newton_direction(cfg, state, ev, mu):
     no path has ``mu > 0`` it takes the Newton curvatures as they are, and
     without its graph a secant curvature is its Newton one (without beta
     ``H`` has no node term, without gamma its faces carry the viscosity).
+    A face curvature that is one number (a linear gamma's, or the viscosity
+    alone) gives one coupling per axis, built once with no path axis: the
+    1-d sweep takes ``(n,)`` lines, and 2-d CG broadcasts the number.
     """
     g, s, visc = cfg.grid, state.terms, cfg.visc or None   # no viscous term at lambda_visc = 0
     face, node = _plus(visc, s.face_curv), s.node_curv
@@ -284,14 +291,17 @@ def _newton_direction(cfg, state, ev, mu):
         if node is not None:
             node = node + mu * (_secant(node, state.u, state.xi) - node)
     if s.face_curv is None:
-        face = np.full_like(state.face_buf, cfg.visc)
-    coef = gridmod.face_views(g, face)
+        face = cfg.visc
+    coef = gridmod.face_views(g, face) if np.ndim(face) else [face] * g.dim
     diag = _plus(1.0 / cfg.dt, node)
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
         pre = (slice(None),) * ax
-        diag = diag + (c[pre + (np.s_[1:],)] + c[pre + (np.s_[:-1],)]) / h**2
+        sides = c + c if np.ndim(c) == 0 else c[pre + (np.s_[1:],)] + c[pre + (np.s_[:-1],)]
+        diag = diag + sides / h**2
     if g.dim == 1:
-        return _thomas(diag, -coef[0][1:-1] / g.spacing[0] ** 2, -ev.grad)
+        n, h2 = g.nodes[0], g.spacing[0] ** 2
+        off = -coef[0][1:-1] / h2 if np.ndim(face) else np.full(n - 1, -face / h2)
+        return _thomas(np.full(n, diag) if np.ndim(diag) == 0 else diag, off, -ev.grad)
 
     def hess(d):
         flux = [c * fd for c, fd in zip(coef, gridmod.grad_arrays(g, d))]

@@ -407,22 +407,25 @@ def _tridiagonal(rng, n):
     return diag, off, rng.standard_normal(n)
 
 
-def _thomas_both_routes(diag, off, rhs):
-    """``_thomas`` on one path (Python floats) and on the system tiled to 5
-    columns (rows); non-finite coefficients may warn on the rows only."""
+def _thomas_routes(diag, off, rhs):
+    """``_thomas`` on one path (Python floats), then the columns of two
+    5-path batches: the system tiled to 5 columns (rows), and its ``(n,)``
+    coefficient lines (floats) with the right-hand side tiled (rows);
+    non-finite values may warn on the rows only."""
     one = sv._thomas(diag, off, rhs)
     with np.errstate(all="ignore"):
         tiled = sv._thomas(*(np.tile(a[:, None], (1, 5)) for a in (diag, off, rhs)))
-    assert tiled.shape == (diag.size, 5)
-    return one, tiled
+        lines = sv._thomas(diag, off, np.tile(rhs[:, None], (1, 5)))
+    assert tiled.shape == lines.shape == (diag.size, 5)
+    return one, np.hstack([tiled, lines]).T
 
 
 @pytest.mark.parametrize("n", [3, 8, 64, 257])
 def test_thomas_routes_agree_bit_for_bit(n):
     rng = np.random.default_rng(n)
     diag, off, rhs = _tridiagonal(rng, n)
-    one, tiled = _thomas_both_routes(diag, off, rhs)
-    assert all(col.tobytes() == one.tobytes() for col in tiled.T)
+    one, columns = _thomas_routes(diag, off, rhs)
+    assert all(col.tobytes() == one.tobytes() for col in columns)
     exact = np.linalg.solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
     assert np.max(np.abs(one - exact)) <= 1e-12 * np.max(np.abs(exact))
     # a non-finite coefficient gives no ZeroDivisionError and the same result
@@ -436,8 +439,8 @@ def test_thomas_routes_agree_bit_for_bit(n):
         "inf diagonal": (np.where(np.arange(n) == i, np.inf, diag), off, rhs),
     }
     for name, system in cases.items():
-        one, tiled = _thomas_both_routes(*system)
-        assert all(col.tobytes() == one.tobytes() for col in tiled.T), name
+        one, columns = _thomas_routes(*system)
+        assert all(col.tobytes() == one.tobytes() for col in columns), name
         if name == "inf diagonal":
             assert one[i] == 0.0 and np.isfinite(one).all()
         else:
@@ -603,6 +606,75 @@ def test_missing_graph_runs_as_the_zero_graph(missing, dim, scheme, lambda_visc)
         assert absent.ledgers[col].tobytes() == zero.ledgers[col].tobytes(), col
     assert absent.terminal.tobytes() == zero.terminal.tobytes()
     assert absent.energy_residual.tobytes() == zero.energy_residual.tobytes()
+
+
+LINEAR_CASES = {   # (gamma, beta, lambda_visc)
+    "linear": (cx.PowerPotential(2.0, scale=0.7), None, 0.0),
+    "linear_visc": (cx.PowerPotential(2.0, scale=0.7), None, 0.3),
+    "linear_abs": (cx.PowerPotential(2.0, scale=0.7), cx.AbsPotential(), 0.0),
+    "linear_abs_visc": (cx.PowerPotential(2.0, scale=0.7), cx.AbsPotential(), 0.3),
+    "no_gamma_visc": (None, cx.PowerPotential(2.0, scale=1.3), 0.3),
+}
+
+
+@pytest.mark.parametrize("case", LINEAR_CASES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_linear_curvature_as_a_number_changes_no_bit(monkeypatch, dim, case):
+    # a Newton curvature that is one number builds the Newton system once for
+    # the batch; every run is the run on the same number spread over every
+    # face, node and path, bit for bit
+    gamma, beta, lambda_visc = LINEAR_CASES[case]
+    g = G16 if dim == 1 else DirichletGrid((1.0, 1.0), (6, 6))
+    cfg = heat_cfg(
+        grid=g, gamma=gamma, beta=beta, lambda_visc=lambda_visc, lambda_yosida=0.25,
+        noise=nz.NoiseModel((0.5, 0.25, 0.1), nz.AdditiveGain(), 0.6), dt=2.0**-8, horizon=2.0**-5,
+    )
+    u0 = 1.5 * gd.sine_mode(g, (1,) * dim)
+    table = sv._ensemble_table(cfg, 8, 3)
+    u2 = np.stack([u0, -0.5 * u0], axis=-1)
+    state, ev = _first_evaluation(cfg, u2, table[0, :, :2])
+    mu = np.array([0.0, 0.5])   # one damped path
+
+    def outputs():
+        return (
+            sv.integrate(cfg, GridField(g, u0), nz.PathSeed(8), keep_every=2),
+            sv.integrate_batch(cfg, u0, table, keep_every=2),   # 3 paths, not 6 nodes
+            sv._newton_direction(cfg, sv._state(cfg, u2), ev, mu),
+        )
+
+    one, batch, damped = outputs()
+    linear = "face_curv" if gamma is not None else "node_curv"
+    assert np.ndim(getattr(state.terms, linear)) == 0
+    # the slope derivative as an array of its argument's shape, as it was
+    # before a linear graph's became one number
+    monkeypatch.setattr(
+        cx.PowerPotential, "slope_derivative",
+        lambda self, x: np.full_like(np.asarray(x, dtype=float), self.scale),
+    )
+    old_one, old_batch, old_damped = outputs()
+    assert np.ndim(getattr(sv._state(cfg, u2).terms, linear)) > 0
+    _assert_same_run(one, old_one)
+    _assert_same_run(batch, old_batch)
+    assert damped.tobytes() == old_damped.tobytes()
+
+
+def test_linear_batch_sweeps_coefficient_lines(monkeypatch):
+    # a linear gamma without beta gives every path the same Newton system:
+    # the 1-d sweep gets (n,) coefficient lines, factored once per direction
+    cfg = heat_cfg(
+        noise=nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 0.6), lambda_visc=0.0,
+        dt=2.0**-6, horizon=2.0**-4,
+    )
+    sweeps = _counted(monkeypatch, sv, "_thomas")
+    sv.run_ensemble(cfg, gd.sine_mode(G16, 1), master_seed=4, n_paths=64)
+    assert len(sweeps) >= cfg.n_steps
+    assert all(diag.ndim == 1 and rhs.shape == (16, 64) for diag, _, rhs in sweeps)
+    for shape in [(), (3,), (4, 5)]:
+        x = np.linspace(-2.0, 2.0, math.prod(shape)).reshape(shape)
+        d = cx.PowerPotential(2.0, scale=0.7).slope_derivative(x)
+        assert np.ndim(d) == 0 and d == 0.7
+        for p in (1.5, 4.0):
+            assert np.shape(cx.PowerPotential(p, scale=0.7).slope_derivative(x)) == shape
 
 
 def test_batch_requires_increments_with_noise():
@@ -798,8 +870,12 @@ def test_yosida_derivative_matches_difference_quotient(pot):
     assert np.array_equal(G, cx.yosida(pot, lam, a))
     assert np.abs(env - cx.moreau_envelope(pot, lam, a)).max() <= 1e-12
     assert np.all((dG >= 0.0) & (dG <= 1.0 / lam))
-    # compare where the slope derivative does not jump inside the stencil
-    lo, hi = (pot.slope_derivative(cx.resolvent(pot, lam, a + s)) for s in (-h, h))
+    # compare where the slope derivative does not jump inside the stencil; a
+    # linear graph's is one number, spread over the stencil's nodes
+    lo, hi = (
+        np.broadcast_to(pot.slope_derivative(cx.resolvent(pot, lam, a + s)), a.shape)
+        for s in (-h, h)
+    )
     with np.errstate(invalid="ignore"):   # inf - inf where the graph is vertical
         smooth = np.abs(hi - lo) <= 1e-3 * (1.0 + np.abs(lo))
     assert smooth.sum() >= 30
@@ -1015,7 +1091,8 @@ def _assert_same_run(a, b):
     for ra, rb in zip(a.records, b.records):
         assert ra.u.tobytes() == rb.u.tobytes()
         assert [f.tobytes() for f in ra.faces] == [f.tobytes() for f in rb.faces]
-        assert [e.tobytes() for e in ra.eta] == [e.tobytes() for e in rb.eta]
+        assert (ra.eta is None) == (rb.eta is None)
+        assert ra.eta is None or [e.tobytes() for e in ra.eta] == [e.tobytes() for e in rb.eta]
         assert (ra.xi is None) == (rb.xi is None)
         assert ra.xi is None or ra.xi.tobytes() == rb.xi.tobytes()
 
