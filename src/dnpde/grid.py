@@ -68,7 +68,7 @@ class DirichletGrid:
         if any(n < 3 for n in nodes):
             raise ValueError("nodes must be at least 3 per axis")
 
-    @property
+    @functools.cached_property
     def dim(self):
         return len(self.nodes)
 
@@ -76,7 +76,7 @@ class DirichletGrid:
     def spacing(self):
         return tuple(e / (n + 1) for e, n in zip(self.extents, self.nodes))
 
-    @property
+    @functools.cached_property
     def node_volume(self):
         return math.prod(self.spacing)
 
@@ -117,6 +117,8 @@ class GridField:
 
 def face_views(grid, buf, lead=0):
     """Per-axis views of a face buffer ``(*lead, faces, *batch)`` laid out by ``face_layout``."""
+    if grid.dim == 1:
+        return [buf]   # its one block is the whole buffer
     cut, head, tail = (slice(None),) * lead, buf.shape[:lead], buf.shape[lead + 1 :]
     return [buf[(*cut, slice(o, o + n))].reshape(head + s + tail)
             for _, s, o, n in grid.face_layout]
@@ -131,7 +133,8 @@ def grad_buffer(grid, u):
         pre = (slice(None),) * ax   # index prefix reaching axis ax
         face[pre + (0,)] = u[pre + (0,)]
         face[pre + (-1,)] = -u[pre + (-1,)]
-        np.subtract(u[pre + (np.s_[1:],)], u[pre + (np.s_[:-1],)], out=face[pre + (np.s_[1:-1],)])
+        np.subtract(u[pre + (slice(1, None),)], u[pre + (slice(None, -1),)],
+                    out=face[pre + (slice(1, -1),)])
         face /= h
     return buf, faces
 
@@ -146,7 +149,7 @@ def div_arrays(grid, comps):
     acc = None
     for ax, (c, h) in enumerate(zip(comps, grid.spacing)):
         pre = (slice(None),) * ax
-        d = (c[pre + (np.s_[1:],)] - c[pre + (np.s_[:-1],)]) / h
+        d = (c[pre + (slice(1, None),)] - c[pre + (slice(None, -1),)]) / h
         acc = d if acc is None else acc + d
     return acc
 
@@ -155,8 +158,11 @@ def lap_arrays(grid, u):
     return div_arrays(grid, grad_arrays(grid, u))
 
 
+_sum_axes = functools.cache(lambda lead, dim: tuple(range(lead, lead + dim)))
+
+
 def _grid_sum(grid, a, lead=0):
-    return np.add.reduce(a, axis=tuple(range(lead, lead + grid.dim)))   # np.sum without its wrapper
+    return np.add.reduce(a, axis=_sum_axes(lead, grid.dim))   # np.sum without its wrapper
 
 
 def dot_h(grid, a, b, lead=0):

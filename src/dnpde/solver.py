@@ -296,7 +296,7 @@ def _newton_direction(cfg, state, ev, mu):
     diag = _plus(1.0 / cfg.dt, node)
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
         pre = (slice(None),) * ax
-        sides = c + c if np.ndim(c) == 0 else c[pre + (np.s_[1:],)] + c[pre + (np.s_[:-1],)]
+        sides = c + c if np.ndim(c) == 0 else c[pre + (slice(1, None),)] + c[pre + (slice(None, -1),)]
         diag = diag + sides / h**2
     if g.dim == 1:
         n, h2 = g.nodes[0], g.spacing[0] ** 2

@@ -9,14 +9,15 @@ the initial datum, and the distinguished role of the combination
 
 ``sweep`` is the one routine that runs a family of configs along one coupled
 noise path; ``dnpde sweep`` and criteria 6, 7 and 9 all call it.  A sweep
-entry is a run and its Cauchy distance to the run before it, nothing more:
-``record_integrals`` and ``phi_integral`` each walk a run's records once,
-reading the face gradients the run kept with them, and are called by the
-reader that needs them; a missing graph (``eta`` or ``xi`` None) adds nothing.
+entry is a run and its Cauchy distance to the run before it, nothing more;
+the reader that needs a run's integrals walks them, and a missing graph
+(``eta`` or ``xi`` None) adds nothing.  ``record_integrals`` stacks a run's
+records once, and its tail sums stop exactly at each record's largest value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -128,35 +129,48 @@ def _steps(traj):
 
 
 def record_integrals(traj):
-    """The run's time integrals, right-endpoint sums in one walk over its records.
+    """The run's time integrals, right-endpoint sums over its records.
 
     Returns ``(bounds, gap_gamma, gap_beta, tails_eta, tails_xi)``: ``bounds``
     maps ``BOUND_NAMES`` to the four a-priori ledger quantities; each graph's
     Fenchel gap is integrated over space and time (None without the graph);
     the tails are tau(M) = integral of |.| over {|.| > M} for eta (faces) and
-    xi (nodes), M over ``DEFAULT_TAIL_LEVELS``.
+    xi (nodes), M over ``DEFAULT_TAIL_LEVELS``.  Each field is stacked once on
+    a leading record axis; each record is reduced alone and the records are
+    added in order, so every sum keeps the bits of a walk record by record.
     """
     cfg, led = traj.config, traj.ledgers
-    dt = cfg.dt
-    w = dt * cfg.grid.node_volume
-    grad_sq = 0.0
-    gap_gamma = None if cfg.gamma is None else 0.0
-    gap_beta = None if cfg.beta is None else 0.0
+    g, dt = cfg.grid, cfg.dt
+    w = dt * g.node_volume
+    recs = _steps(traj)
+    u = np.array([rec.u for rec in recs])
+    faces = [np.array(c) for c in zip(*(rec.faces for rec in recs))]
+    eta = [] if recs[0].eta is None else [np.array(c) for c in zip(*(rec.eta for rec in recs))]
+    xi = None if recs[0].xi is None else np.array([rec.xi for rec in recs])
+
+    def rows(a):   # one record per row
+        return a.reshape(len(a), -1)
+
+    def in_order(values):   # left to right from +0.0, as a loop of += adds them
+        return functools.reduce(operator.add, values.ravel().tolist(), 0.0)
+
+    grad_sq = in_order(dt * gridmod.flux_dot_h(g, faces, faces, 1))
+    gap_gamma = gap_beta = None
+    if cfg.gamma is not None:   # record-major: each record's face axes in turn
+        gap_gamma = in_order(w * np.stack([
+            rows(convex.fenchel_residual(cfg.gamma, ga, ea)).sum(axis=1) for ga, ea in zip(faces, eta)
+        ], axis=1))
+    if cfg.beta is not None:
+        gap_beta = in_order(w * rows(convex.fenchel_residual(cfg.beta, u, xi)).sum(axis=1))
     tails_eta = np.zeros(len(DEFAULT_TAIL_LEVELS))
     tails_xi = np.zeros(len(DEFAULT_TAIL_LEVELS))
-    for rec in _steps(traj):
-        grad_sq += dt * float(gridmod.flux_dot_h(cfg.grid, rec.faces, rec.faces))
-        if cfg.gamma is not None:
-            for ga, ea in zip(rec.faces, rec.eta):
-                gap_gamma += w * float(np.sum(convex.fenchel_residual(cfg.gamma, ga, ea)))
-        if cfg.beta is not None:
-            gap_beta += w * float(np.sum(convex.fenchel_residual(cfg.beta, rec.u, rec.xi)))
-        eta = () if rec.eta is None else rec.eta
-        xi = () if rec.xi is None else (rec.xi,)
-        for tails, arrays in ((tails_eta, eta), (tails_xi, xi)):
-            for arr in arrays:
-                a = np.abs(arr)
+    for tails, stacks in ((tails_eta, eta), (tails_xi, () if xi is None else (xi,))):
+        mags = [rows(np.abs(a)) for a in stacks]
+        for r, tops in enumerate(zip(*(m.max(axis=1).tolist() for m in mags))):
+            for a, top in zip((m[r] for m in mags), tops):
                 for i, M in enumerate(DEFAULT_TAIL_LEVELS):
+                    if top <= M:   # this sum and every later one are empty
+                        break
                     tails[i] += w * float(a[a > M].sum())
     bounds = {
         "sup_u_sq": float(led["norm_u_sq"].max()),

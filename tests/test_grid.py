@@ -1,5 +1,6 @@
 """Grid tests: exact discrete duality, spectral formulas, SPD solves, IO."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,16 @@ def test_grid_validation():
             DirichletGrid((1.0, bad), (8, 8))
     assert G2.spacing == (1.0 / 9, 2.0 / 13)
     assert G2.node_volume == pytest.approx((1.0 / 9) * (2.0 / 13))
+    # dim and node_volume are cached on the grid; equality, hashing (the sine
+    # caches key on it) and replace still come from its fields alone
+    for grid in (G1, G2):
+        fresh = DirichletGrid(grid.extents, grid.nodes)
+        assert grid.node_volume == math.prod(grid.spacing) and grid.dim == len(grid.nodes)
+        assert grid == fresh and hash(grid) == hash(fresh) and repr(grid) == repr(fresh)
+        assert gd.sine_eigenpairs(grid, 3) is gd.sine_eigenpairs(fresh, 3)
+        wider = dataclasses.replace(grid, nodes=(20,) * grid.dim)
+        assert wider.nodes == (20,) * grid.dim and wider.node_volume == math.prod(wider.spacing)
+        assert dataclasses.replace(wider, nodes=grid.nodes) == grid
 
 
 def test_field_validation():
@@ -275,6 +286,10 @@ def test_face_operators_match_pad_and_diff():
             expected_div = d if expected_div is None else expected_div + d
         assert np.array_equal(div, expected_div)
         assert all(np.array_equal(v, f) for v, f in zip(gd.face_views(grid, buf), faces))
+        if grid.dim == 1:   # the one axis's block is the whole buffer, with or without a lead axis
+            assert gd.face_views(grid, buf)[0] is buf
+            stacked = np.stack([buf, buf])
+            assert gd.face_views(grid, stacked, 1)[0] is stacked
 
 
 def test_batched_resolvent_matches_columns_and_oracle():

@@ -313,6 +313,59 @@ def test_walk_matches_per_record_recomputation_2d(gamma, beta):
     _assert_matches_reference(traj)
 
 
+def test_tail_sums_stop_exactly_at_level_edges():
+    # a hand-built run whose records put their largest |eta| exactly on a level,
+    # just above levels (1024 included), at most 1, or below 0; abs beta keeps
+    # |xi| <= 1, so xi's tail levels never run: the walk's early stop must
+    # give the per-level masked sums bit for bit
+    cfg = base_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), horizon=4 / 64)
+    rng = np.random.default_rng(36)
+    up = lambda x: np.nextafter(x, math.inf)   # noqa: E731
+    etas = [
+        rng.uniform(-4.0, 4.0, 17),   # record 0, which no integral reads
+        np.r_[4.0, -4.0, 2.0, -1.0, rng.uniform(-3.9, 3.9, 13)],
+        np.r_[up(1.0), -up(2.0), up(8.0), -up(512.0), up(1024.0), rng.uniform(-1.0, 1.0, 12)],
+        np.r_[1.0, -1.0, 0.0, rng.uniform(-1.0, 1.0, 14)],
+        -np.r_[16.0, up(16.0), 2.0, rng.uniform(0.0, 16.0, 14)],
+    ]
+    records = []
+    for n, eta in enumerate(etas):
+        u = rng.standard_normal(G.shape)
+        xi = np.clip(rng.standard_normal(G.shape), -1.0, 1.0)
+        xi[:2] = 1.0, -1.0
+        records.append(sv.StateRecord(n, u, gd.grad_arrays(G, u), [eta], xi))
+    ledgers = {k: rng.standard_normal(len(etas)) for k in ("pairing_eta_gradu", "pairing_xi_u")}
+    ledgers["norm_u_sq"] = np.array([gd.dot_h(G, r.u, r.u) for r in records])
+    traj = sv.Trajectory(cfg, ledgers, records, records[-1].u, 0.0, 0.0)
+    _assert_matches_reference(traj)
+    _, _, _, tails_eta, tails_xi = vf.record_integrals(traj)
+    assert tails_eta[-1] > 0.0 and np.all(tails_xi == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_walk_evaluates_each_residual_once_per_face_axis(monkeypatch, dim):
+    # whatever the record count, one Fenchel residual per face axis (gamma)
+    # and one for beta, each over the run's stacked records
+    g = G if dim == 1 else DirichletGrid((1.0, 1.0), (6, 6))
+    residual, calls = cx.fenchel_residual, []
+
+    def counted(pot, x, y):
+        calls.append(pot)
+        return residual(pot, x, y)
+
+    for horizon in (2 / 64, 8 / 64):
+        cfg = base_cfg(
+            grid=g, gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential(),
+            horizon=horizon, lambda_yosida=0.5,
+        )
+        traj = sv.integrate(cfg, GridField(g, gd.sine_mode(g, (1,) * dim)), nz.PathSeed(3))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cx, "fenchel_residual", counted)
+            vf.record_integrals(traj)
+        assert calls == [cfg.gamma] * dim + [cfg.beta]
+
+
 # each relation at its threshold 1, above and below it, on both sides of the
 # range's low end 0.5, and at +-inf and NaN; NaN fails every relation
 RELATION_POINTS = (-math.inf, 0.25, 0.5, 0.75, 1.0, 1.5, math.inf, math.nan)
