@@ -250,16 +250,6 @@ def build_noise(rc: RunConfig, grid) -> noisemod.NoiseModel | None:
     return _build(rc, "noise", noisemod.spectral_noise, "", grid=grid, gain=gain)
 
 
-def build_u0(rc: RunConfig, grid) -> gridmod.GridField:
-    return _build(rc, "solver", solvermod.initial_datum, "u0_", prefix="u0_", grid=grid)
-
-
-def build_solver(rc: RunConfig, grid, gamma, beta, noise) -> solvermod.SolverConfig:
-    return _build(
-        rc, "solver", solvermod.SolverConfig, "", grid=grid, gamma=gamma, beta=beta, noise=noise,
-    )
-
-
 def master_seed(rc: RunConfig, override=None):
     if override is not None:
         return int(override)
@@ -282,9 +272,8 @@ def build_problem(rc: RunConfig, **overrides):
         lines[section] = {k: n for k, n in lines.get(section, {}).items() if k not in values}
     rc = replace(rc, sections=sections, lines=lines)
     grid = build_grid(rc)
-    gamma = build_potential(rc, "gamma")
-    beta = build_potential(rc, "beta")
-    noise = build_noise(rc, grid)
-    cfg = build_solver(rc, grid, gamma, beta, noise)
-    u0 = build_u0(rc, grid)
-    return cfg, u0
+    cfg = _build(
+        rc, "solver", solvermod.SolverConfig, "", grid=grid, gamma=build_potential(rc, "gamma"),
+        beta=build_potential(rc, "beta"), noise=build_noise(rc, grid),
+    )
+    return cfg, _build(rc, "solver", solvermod.initial_datum, "u0_", prefix="u0_", grid=grid)

@@ -8,45 +8,23 @@ Each step of the implicit scheme minimizes
 whose optimality condition is the backward Euler step of ``du - lam_visc *
 lap(u) dt - div gamma_lam(grad u) dt + beta_lam(u) dt = 0`` applied to the
 noise-augmented forcing (explicit Euler-Maruyama treatment of the noise).
-``k_lam`` and ``j_lam`` are Moreau envelopes, so the objective is smooth and
-strongly convex and is solved by damped semismooth Newton (a Thomas sweep
-in 1d, matrix-free CG in 2d, an Armijo search on F per path) until its
-gradient norm is certified below ``eps_inner``.
+``k_lam`` and ``j_lam`` are Moreau envelopes, so ``F`` is smooth and strongly
+convex, and a step is taken only once ``||grad F||_h <= eps_inner`` on every
+path.  On staggered grids every face carries one gradient component, and the
+flux graph is applied facewise through its scalar profile; in 1d this is
+exactly the (possibly multivalued) graph of the problem.  A cheaper
+semi-implicit variant treats the monotone terms explicitly under a stability
+restriction and shares the same limit as dt and the regularization vanish.
 
-On staggered grids every face carries one gradient component, and the flux
-graph is applied facewise through its scalar profile; in 1d this is exactly
-the (possibly multivalued) graph of the problem.
-
-A cheaper semi-implicit variant treats the monotone terms explicitly under a
-stability restriction, solves the viscosity term exactly in the sine basis
-and shares the same limit as dt and the regularization vanish.  Single paths
-and batches of independent noise paths run through one stepping loop into one
-result type, ``Trajectory``, whose ledger columns carry the batch axes; an
-ensemble is integrated as one batch, on the table of one validated
-``coupled_increment_tables`` call with one re-keyed generator.  Each state's
-face gradients, resolvent points and Yosida values are evaluated once, every
-face axis in one face buffer, and shared by the energy ledger, both steps, the
-graph certificate and the kept record, which ``verify`` reads; a record's
-``eta`` is None without a flux graph and its ``xi`` None without an
-absorption graph.  On the implicit path a state also carries the step
-objective's terms that do not depend on the forcing (both envelopes, the drift
-and the Newton curvatures), computed once per state, so a step's first
-evaluation, of the state the previous step accepted, adds only the forcing
-terms; the secant curvatures are computed for a damped Newton direction only,
-and a term the problem lacks (a graph, the viscosity at ``lambda_visc = 0``)
-is never materialized.
-
-Every record of every run is certified, and every ``keep_every``-th record
-is kept.  Records are queued by reference and certified and ledgered in
-blocks of up to ``RECORD_BLOCK_BYTES``, bit for bit as one at a time; a
-record whose certificate cannot be evaluated or whose ledger row is not
-finite fails the run at its step, and the first failing record is still the
-one reported.  A run on a ``PathSeed`` draws its increments one such block of
-steps at a time as it reaches them, bit for bit its ``sample_increments``
-table.  A kept record is handed over once its block is certified, to the
-result or to an ``on_keep`` consumer (``dnpde run`` writes its dumps so); such
-a run holds its ledger and one block, while a given table (a sweep's, an
-ensemble's) is held whole by its caller.
+A state is evaluated once: its face gradients, the resolvent points and
+Yosida values ``eta = gamma_lam(grad u)``, ``xi = beta_lam(u)`` of both
+graphs and, on the implicit path, the step objective's terms that do not
+depend on the forcing.  The graph certificate, the energy ledger, both steps
+and the kept records read these arrays; a term the problem lacks (a graph,
+the viscosity at ``lambda_visc = 0``) is never materialized.  Single paths
+and batches of independent paths run through one stepping loop into one
+result, ``Trajectory``.  Every record of a run is certified, and a run fails
+at the step of its first failing record.
 """
 
 from __future__ import annotations
@@ -166,22 +144,21 @@ def _plus(a, b):
     return b if a is None else a if b is None else a + b
 
 
-def _yosida_parts(pot, lam, a, j, G):
-    """Moreau envelope, Yosida value ``G`` and Newton curvature of ``G`` at ``a``.
+def _yosida_parts(pot, lam, a, j):
+    """Moreau envelope and Newton curvature of the Yosida map at ``a``, whose
+    resolvent point is ``j``; (None, None) without a potential.
 
-    ``j`` is the resolvent point of ``a`` and ``G`` its Yosida value; all
-    three outputs are None without a potential.  The Newton curvature is
-    ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the graph is vertical,
-    and one number, with no node or path axis, where ``g'`` is one (a linear
-    graph).
+    The curvature is ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the
+    graph is vertical, and one number, with no node or path axis, where
+    ``g'`` is one (a linear graph).  As ``g' >= 0`` the division cannot be by
+    zero; the caller ignores the overflow and invalid values it can make.
     """
     if pot is None:
-        return None, None, None
+        return None, None
     r = a - j
     gp = pot.slope_derivative(j)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
-    return pot.value(j) + r * r / (2.0 * lam), G, dG
+    dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
+    return pot.value(j) + r * r / (2.0 * lam), dG
 
 
 def _secant(dG, a, G):
@@ -192,45 +169,44 @@ def _secant(dG, a, G):
         return np.maximum(dG, np.where(a != 0.0, G / a, dG))
 
 
-# Node values, their face gradients and, per graph, the resolvent points and
-# Yosida values (None without the graph), the six arrays a record certifies:
-# face buffers ``*_buf`` of every axis and node arrays ``j_nodes``, ``xi``; then
-# per-axis views of two buffers and the state-only ``terms`` (None semi-implicitly).
-_State = namedtuple("_State", "u face_buf j_buf eta_buf j_nodes xi faces eta terms")
+# The six arrays a record certifies: the node values ``u``, the face buffer of
+# every axis of their gradient and, per graph (None without it), the resolvent
+# points and Yosida values on the faces (``j_buf``, ``eta_buf``) and at the nodes
+# (``j_nodes``, ``xi``); then the state-only ``terms`` (None semi-implicitly).
+_State = namedtuple("_State", "u face_buf j_buf eta_buf j_nodes xi terms")
 
 # The terms of the step objective that depend on the state alone: the face sum
 # of the viscous and flux envelopes, the divergence of the flux, the envelope
-# and Yosida value of beta at the nodes, and the Newton curvature of each
-# graph, on the face buffer (viscosity not included) and at the nodes; None, not
-# zeros, where the problem lacks the term (no viscosity, no graph).
-_Terms = namedtuple("_Terms", "face_sum div node_env node_G face_curv node_curv")
+# of beta at the nodes, and the Newton curvature of each graph, on the face
+# buffer (viscosity not included) and at the nodes; None, not zeros, where the
+# problem lacks the term (no viscosity, no graph).
+_Terms = namedtuple("_Terms", "face_sum div node_env face_curv node_curv")
 
 
 def _state(cfg, u):
     # overflow here is reported by what reads the state: certificate, inner solve, ledger
     g, lam = cfg.grid, cfg.lambda_yosida
-    j_buf = eta_buf = eta = j_nodes = xi = terms = None
+    j_buf = eta_buf = j_nodes = xi = terms = None
     with np.errstate(over="ignore", invalid="ignore"):
-        face_buf, faces = gridmod.grad_buffer(g, u)
+        face_buf, _ = gridmod.grad_buffer(g, u)
         if cfg.gamma is not None:
             j_buf = cfg.gamma.closed_resolvent(lam, face_buf)
             eta_buf = cfg.gamma.yosida_from_resolvent(lam, face_buf, j_buf)
-            eta = gridmod.face_views(g, eta_buf)
         if cfg.beta is not None:
             j_nodes = cfg.beta.closed_resolvent(lam, u)
             xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
         if cfg.scheme == "implicit_opt":
             visc = cfg.visc or None   # no viscous term at lambda_visc = 0
-            env, G, face_curv = _yosida_parts(cfg.gamma, lam, face_buf, j_buf, eta_buf)
-            flux = _plus(visc and visc * face_buf, G)
+            env, face_curv = _yosida_parts(cfg.gamma, lam, face_buf, j_buf)
+            flux = _plus(visc and visc * face_buf, eta_buf)
             face_env = _plus(visc and 0.5 * visc * face_buf * face_buf, env)
             face_sum = div = None
             if flux is not None:
                 face_sum = sum(gridmod._grid_sum(g, e) for e in gridmod.face_views(g, face_env))
                 div = gridmod.div_arrays(g, gridmod.face_views(g, flux))
-            env, G, dG = _yosida_parts(cfg.beta, lam, u, j_nodes, xi)
-            terms = _Terms(face_sum, div, env, G, face_curv, dG)
-    return _State(u, face_buf, j_buf, eta_buf, j_nodes, xi, faces, eta, terms)
+            node_env, node_curv = _yosida_parts(cfg.beta, lam, u, j_nodes)
+            terms = _Terms(face_sum, div, node_env, face_curv, node_curv)
+    return _State(u, face_buf, j_buf, eta_buf, j_nodes, xi, terms)
 
 
 # The step objective at one state: value and gradient norm per path, and the
@@ -243,7 +219,7 @@ def _evaluate(cfg, state, forcing):
     terms of ``forcing``."""
     g, s = cfg.grid, state.terms
     r = state.u - forcing
-    out = _plus(r / cfg.dt if s.div is None else r / cfg.dt - s.div, s.node_G)
+    out = _plus(r / cfg.dt if s.div is None else r / cfg.dt - s.div, state.xi)
     value = gridmod._grid_sum(g, _plus(r * r / (2.0 * cfg.dt), s.node_env))
     value = g.node_volume * _plus(value, s.face_sum)
     return _Eval(value, out, gridmod.norm_h(g, out))
@@ -371,12 +347,12 @@ def _implicit_step_arrays(cfg, state, forcing):
 
 def _semi_implicit_step_arrays(cfg, state, forcing):
     """The next state after one semi-implicit step; the caller has checked stability."""
-    rhs = forcing
-    if state.eta is not None:
-        rhs = rhs + cfg.dt * gridmod.div_arrays(cfg.grid, state.eta)
+    g, rhs = cfg.grid, forcing
+    if state.eta_buf is not None:
+        rhs = rhs + cfg.dt * gridmod.div_arrays(g, gridmod.face_views(g, state.eta_buf))
     if state.xi is not None:
         rhs = rhs - cfg.dt * state.xi
-    return _state(cfg, gridmod.resolvent_arrays(cfg.grid, cfg.dt * cfg.visc, 1, rhs))
+    return _state(cfg, gridmod.resolvent_arrays(g, cfg.dt * cfg.visc, 1, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +400,10 @@ RECORD_BLOCK_BYTES = 2**18   # bytes of record arrays certified and ledgered in 
 def _certify(cfg, n0, queue, store):
     """Certify the queued records ``n0, n0 + 1, ...``, each its ``(u, face_buf,
     j_buf, eta_buf, j_nodes, xi, noise)`` (None where absent; the final record
-    has no noise), as one block, and write their ledger rows into ``store``,
-    whose HS column an additive gain has filled for the run; each other HS
-    norm is squared per record (a scalar's square rounds unlike an array's).
+    has no noise), as one block, bit for bit as one record at a time, and
+    write their ledger rows into ``store``, whose HS column an additive gain
+    has filled for the run; each other HS norm is squared per record (a
+    scalar's square rounds unlike an array's).
     Returns the block's largest residual.  A residual that cannot be evaluated
     or a non-finite row raises at step ``n0``; a refused block is certified
     again record by record, so the first failing record is the one reported."""
@@ -492,11 +469,12 @@ def _run(cfg, u, increments, keep_every, on_keep=None):
     shape.  Records are queued by reference, and ``_certify`` takes the queue
     as one block at ``k`` records, at the last record and before a step's
     exception propagates, into ledger columns of shape ``(n_records, *batch)``.
-    A record whose index is a multiple of ``keep_every`` (none for 0) is also
-    kept, its arrays by reference, once its block is certified: in the result's
-    records, or passed to ``on_keep`` and dropped.  ``increments`` is None
-    without noise, a validated table whose rows the steps take in turn, or a
-    ``PathSeed`` whose rows are drawn ``k`` at a time as the run reaches them.
+    A record whose index is a multiple of ``keep_every`` (none for 0) is
+    handed over once its block is certified, as a ``StateRecord`` of its
+    queued arrays: to the result's records, or to ``on_keep`` and dropped.
+    ``increments`` is None without noise, a validated table whose rows the
+    steps take in turn, or a ``PathSeed`` whose rows are drawn ``k`` at a
+    time as the run reaches them.
     """
     if isinstance(keep_every, bool) or not isinstance(keep_every, (int, np.integer)) or keep_every < 0:
         raise ValueError(f"keep_every must be an integer >= 0, got {keep_every!r}")
@@ -514,7 +492,7 @@ def _run(cfg, u, increments, keep_every, on_keep=None):
     ledgers = dict(zip(LEDGER_COLUMNS, store))
     if cfg.noise is not None and cfg.noise.is_additive():
         ledgers["hs_sq"][:] = noisemod.hs_norm(cfg.noise, g, u) ** 2   # one value for every record
-    records, worst, queue, kept = [], 0.0, [], []   # queue: the records n + 1 - len(queue) .. n
+    records, worst, queue = [], 0.0, []   # queue: the records n + 1 - len(queue) .. n
     keep = records.append if on_keep is None else on_keep
     state = _state(cfg, u)
     size = sum(a.nbytes for a in (*state[:6], None if cfg.noise is None else u) if a is not None)
@@ -526,8 +504,6 @@ def _run(cfg, u, increments, keep_every, on_keep=None):
         noise_field = None
         if cfg.noise is not None and n < last:
             noise_field = noisemod.apply_b(cfg.noise, g, state.u, next(rows))
-        if keep_every and n % keep_every == 0:
-            kept.append(StateRecord(n, state.u, state.faces, state.eta, state.xi))
         queue.append((*state[:6], noise_field))
         if n < last:
             forcing = state.u if noise_field is None else state.u + noise_field
@@ -542,10 +518,13 @@ def _run(cfg, u, increments, keep_every, on_keep=None):
                     err.step_index = n + 1
                 raise
         if len(queue) == k or n == last:
-            worst = max(worst, _certify(cfg, n + 1 - len(queue), queue, store))
-            for record in kept:   # certified, so handed over
-                keep(record)
-            queue, kept = [], []
+            n0 = n + 1 - len(queue)
+            worst = max(worst, _certify(cfg, n0, queue, store))
+            for i, (v, face_buf, _, eta_buf, _, xi, _) in enumerate(queue, n0):
+                if keep_every and i % keep_every == 0:   # certified, so handed over
+                    eta = None if eta_buf is None else gridmod.face_views(g, eta_buf)
+                    keep(StateRecord(i, v, gridmod.face_views(g, face_buf), eta, xi))
+            queue = []
     return Trajectory(cfg, ledgers, records, state.u, worst, _energy_residual(cfg.dt, ledgers))
 
 

@@ -866,8 +866,9 @@ def test_yosida_derivative_matches_difference_quotient(pot):
         DirichletGrid((1.0,), a.shape), None, pot, None, lambda_yosida=lam, dt=1.0, horizon=1.0,
     )
     state = sv._state(cfg, a)   # the absorption graph at the nodes a
-    env, G, dG = sv._yosida_parts(pot, lam, a, state.j_nodes, state.xi)
-    assert np.array_equal(G, cx.yosida(pot, lam, a))
+    with np.errstate(over="ignore", invalid="ignore"):   # as _state calls it
+        env, dG = sv._yosida_parts(pot, lam, a, state.j_nodes)
+    assert np.array_equal(state.xi, cx.yosida(pot, lam, a))
     assert np.abs(env - cx.moreau_envelope(pot, lam, a)).max() <= 1e-12
     assert np.all((dG >= 0.0) & (dG <= 1.0 / lam))
     # compare where the slope derivative does not jump inside the stencil; a
@@ -947,13 +948,16 @@ def test_each_state_is_evaluated_once(monkeypatch):
 
 def test_state_terms_are_not_written_by_an_evaluation():
     # an evaluation adds its forcing to the state's cached terms without
-    # writing into them: the same state at f1, f2, f1 evaluates as a fresh one
+    # writing into them or into the six certified arrays: the same state at
+    # f1, f2, f1 evaluates as a fresh one
     cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.ExpCoshPotential())
     rng = np.random.default_rng(18)
     u = 1.5 * gd.sine_mode(G16, 1) + 0.1 * rng.standard_normal(G16.shape)
     f1, f2 = (u + 0.05 * rng.standard_normal(G16.shape) for _ in range(2))
     state = sv._state(cfg, u)
     cached = [np.copy(term) for term in state.terms]
+    certified = [np.copy(a) for a in state[:6]]
+    assert certified[-1] is not None   # xi among them
     first, _, third = (sv._evaluate(cfg, state, f) for f in (f1, f2, f1))
     fresh_state = sv._state(cfg, u.copy())
     fresh = sv._evaluate(cfg, fresh_state, f1)
@@ -961,6 +965,7 @@ def test_state_terms_are_not_written_by_an_evaluation():
         assert all(np.array_equal(a, b) for a, b in zip(first, ev))
     for terms in (state.terms, fresh_state.terms):
         assert all(np.array_equal(a, b) for a, b in zip(cached, terms))
+    assert all(np.array_equal(a, b) for a, b in zip(certified, state[:6]))
 
 
 def _posthoc_graph_residual(traj):
@@ -1046,6 +1051,10 @@ def test_records_carry_their_face_gradients(kind):
             want = gd.grad_arrays(cfg.grid, rec.u)
             assert len(rec.faces) == len(want) == cfg.grid.dim
             assert all(np.array_equal(f, w) for f, w in zip(rec.faces, want))
+            if cfg.grid.dim == 2:   # the axes of each field view one buffer of the state
+                assert rec.faces[0].base is rec.faces[1].base is not None
+                assert rec.eta[0].base is rec.eta[1].base is not None
+                assert rec.faces[0].base is not rec.eta[0].base
 
 
 def _refuse_record(monkeypatch, eta):
