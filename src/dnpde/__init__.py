@@ -8,7 +8,8 @@ approximation and vanishing viscosity, driven by truncated cylindrical noise.
 Submodules: ``convex`` (potentials, resolvents, conjugacy), ``grid``
 (staggered Dirichlet discretization), ``noise`` (truncated spectral driver),
 ``solver`` (time integration), ``verify`` (limit-program diagnostics),
-``acceptance`` (the criterion suite), ``cli`` (config-driven entry points).
+``config`` (fail-closed config files and the problem factory), ``acceptance``
+(the criterion suite), ``cli`` (config-driven entry points).
 """
 
 __version__ = "0.1.0"

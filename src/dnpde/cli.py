@@ -2,13 +2,8 @@
 
 All file outputs are deterministic for a fixed config and seed (CSV with 17
 significant digits, LF endings, comment header carrying the config checksum
-and master seed); wall-clock timing goes to stdout only.  ``run`` writes each
-state dump as soon as the solver has certified its record, so it holds its
-ledger and one certification block, and a failed run leaves no dump.  A sweep
-builds each value with ``config.build_problem``, the swept key passed as an
-override keyword (``solver=`` for lambda_yosida and dt, ``grid=`` for the
-nodes of h, ``noise=`` for mode_count), and runs them all through
-``verify.sweep``.
+and master seed); wall-clock timing goes to stdout only.  A failed run
+leaves no state dump, trajectory CSV or summary.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 solver
 failure.
@@ -86,9 +81,8 @@ def cmd_run(config_path, seed_override=None, out_dir=None):
         gridmod.write_field(gridmod.GridField(cfg.grid, record.u), dump_path(record.index) + ".part")
 
     t0 = time.monotonic()
-    path_seed = noisemod.PathSeed(seed_val, 0) if cfg.noise is not None else None
     try:
-        traj = solvermod.integrate(cfg, u0, path_seed, keep_every=dump_every, on_keep=dump)
+        traj = solvermod.integrate(cfg, u0, noisemod.PathSeed(seed_val, 0), keep_every=dump_every, on_keep=dump)
     except BaseException:
         for n in dumps[:written]:
             with contextlib.suppress(FileNotFoundError):

@@ -6,13 +6,14 @@ entire experiment.  Values are plain scalars or comma-separated lists;
 full-line comments start with '#'.
 
 Potentials, gains, the noise, the solver config and the initial datum are
-built by ``_build`` from keys named after their constructors' parameters
-(``gamma_p`` is ``PowerPotential.p``, ``n_b`` that of ``noise.spectral_noise``,
-``u0_mode`` the ``mode`` of ``solver.initial_datum``), so each default and each
-rule lives in its constructor alone.  Potentials and gains take their
-constructor from the kind tables ``POTENTIAL_KINDS`` and ``GAIN_KINDS``; a kind
-ignores keys it does not take.  A refused value is reported at the line of the
-key its message leads with.
+built from keys named after their constructors' parameters (``gamma_p`` is
+``PowerPotential.p``, ``n_b`` that of ``noise.spectral_noise``, ``u0_mode``
+the ``mode`` of ``solver.initial_datum``), so each default and each rule
+lives in its constructor alone.  Potentials and gains take their constructor
+from the kind tables ``POTENTIAL_KINDS`` and ``GAIN_KINDS``; a kind ignores
+keys it does not take.  A refused value is reported at the line of the key
+its message leads with.  ``build_problem`` is the one factory of a run's
+problem, for ``dnpde run``, ``sweep`` and the acceptance criteria.
 """
 
 from __future__ import annotations

@@ -14,12 +14,9 @@ graph is applied face by face through its profile.  The power, abs, Huber
 and exp-cosh potentials are frozen dataclasses whose fields are their
 parameters: floats, checked on construction, with equality, hash and repr
 from the fields; ``config`` passes its keys to them by these names.  Every
-catalog potential has an exact resolvent and an exact conjugate of its own
-(closed forms, a monotone Newton iteration for exp-cosh, interpolation for
-sampled graphs).
-Safeguarded bisection is the independent reference route (``force_bisect``
-of ``resolvent``, the only place that picks the route) and serves power
-potentials with p outside {1.5, 2, 4}; the solver calls ``closed_resolvent``.
+catalog potential has a resolvent and a conjugate of its own, which the
+solver calls; bisection is the independent reference resolvent, and only
+``resolvent`` chooses between the two.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ the divergence is defined as its negative adjoint under the h-weighted inner
 products, so summation by parts holds to machine precision and div(grad(u))
 is the classical 3-point / 5-point Dirichlet Laplacian.
 
-Systems ``(I - delta*lap) x = f`` are solved exactly in the sine basis of
-each axis (Buzbee, Golub and Nielson, 1970); Jacobi-scaled CG serves the
-operators whose coefficients vary from node to node.
-
-All array operations accept trailing batch axes after the grid axes.
+All array operations accept trailing batch axes after the grid axes, and the
+inner products a leading record axis before them.  Cached arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -309,7 +307,8 @@ def cg_solve(grid, apply_op, b, diag):
 
 
 def resolvent_arrays(grid, delta, m, u):
-    """Apply ``(I - delta*lap)**(-m)`` to a node array (batch axes allowed):
+    """Apply ``(I - delta*lap)**(-m)`` to a node array (batch axes allowed),
+    exactly in the sine basis of each axis (Buzbee, Golub and Nielson, 1970):
     sine transform by one matrix product per axis, scale mode ``(i, j)`` by
     the cached ``(1 + delta*(alpha_i + alpha_j))**(-m)``, transform back."""
     if delta < 0.0:

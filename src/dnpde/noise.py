@@ -5,15 +5,11 @@ grid.  The diffusion coefficient acts as ``B(u) dw = sum_k b_k * sigma(u) .*
 e_k * dw_k`` with a scalar Lipschitz gain ``sigma`` (constant 1 for additive
 noise, clipped-linear or tanh for diagonal multiplicative noise).
 
-Increments come from counter-based Philox streams keyed by (master seed,
-path index), each mod 2**64, so every path is bitwise reproducible and paths
-never share state.  One function draws a path's rows: ``sample_increments``
-takes them as one table, ``increment_rows`` in blocks as a run reaches them,
-bit for bit the same, so a single path's run holds one block of its noise.
-Runs that must see the same Brownian path on different time steps draw it
-once, at the finest step, through ``coupled_increment_tables``, which draws
-all of an ensemble's paths in one validated call with one Philox re-keyed per
-path.  An additive gain is never applied as an array of ones.
+Each path draws its increments from a stream of its own, a ``PathSeed``, so
+every path is bitwise reproducible and paths never share state: a path's
+increments are the same bits whether drawn as one table, in blocks or as a
+column of an ensemble.  Runs on different time steps that must see the same
+Brownian path sum one draw at the finest step.
 """
 
 from __future__ import annotations
@@ -126,7 +122,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class PathSeed:
-    """Counter-based stream identity: one independent substream per path."""
+    """Counter-based stream identity: one independent substream per path, a
+    Philox generator keyed by ``(master_seed, path_index)``, each taken mod
+    2**64; both fields must be integers."""
 
     master_seed: int
     path_index: int = 0
@@ -236,7 +234,8 @@ def apply_b(model: NoiseModel, grid, u, dw):
     """Apply the diffusion coefficient to an increment vector.
 
     ``u`` is a node array (trailing batch axes allowed), ``dw`` has shape
-    (K,) or (K, *batch).  Returns ``sigma(u) .* sum_k b_k dw_k e_k``.
+    (K,) or (K, *batch).  Returns ``sigma(u) .* sum_k b_k dw_k e_k``; an
+    additive gain returns the noise field itself, not a product with ones.
     """
     _, modes = gridmod.sine_eigenpairs(grid, model.mode_count)
     dw = np.asarray(dw, dtype=float)

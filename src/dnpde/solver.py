@@ -256,18 +256,18 @@ def _newton_direction(cfg, state, ev, mu):
     ``H`` has no node term, without gamma its faces carry the viscosity).
     A face curvature that is one number (a linear gamma's, or the viscosity
     alone) gives one coupling per axis, built once with no path axis: the
-    1-d sweep takes ``(n,)`` lines, and 2-d CG broadcasts the number.
+    1-d sweep takes ``(n,)`` lines, and 2-d CG broadcasts the number.  The
+    viscosity is added even at ``lambda_visc = 0``: every curvature is
+    ``>= 0``, so ``0.0 + c`` has the bits of ``c``.
     """
-    g, s, visc = cfg.grid, state.terms, cfg.visc or None   # no viscous term at lambda_visc = 0
-    face, node = _plus(visc, s.face_curv), s.node_curv
+    g, s = cfg.grid, state.terms
+    face, node = _plus(cfg.visc, s.face_curv), s.node_curv
     if mu.any():
         if s.face_curv is not None:
-            sec = _plus(visc, _secant(s.face_curv, state.face_buf, state.eta_buf))
+            sec = _plus(cfg.visc, _secant(s.face_curv, state.face_buf, state.eta_buf))
             face = face + mu * (sec - face)
         if node is not None:
             node = node + mu * (_secant(node, state.u, state.xi) - node)
-    if s.face_curv is None:
-        face = cfg.visc
     coef = gridmod.face_views(g, face) if np.ndim(face) else [face] * g.dim
     diag = _plus(1.0 / cfg.dt, node)
     for ax, (c, h) in enumerate(zip(coef, g.spacing)):
@@ -566,7 +566,8 @@ def integrate(
     stride.  Deterministic given (cfg, u0, seed): the ``noise.PathSeed``
     ``seed`` is drawn a certification block at a time as the run reaches it,
     bit for bit its ``sample_increments`` table.  An increment table can be
-    passed instead for coupled-path studies, and wins over ``seed``.
+    passed instead for coupled-path studies, and wins over ``seed``; without
+    noise both are ignored.
     """
     if not isinstance(u0, GridField):
         raise TypeError(f"u0 must be a GridField, got {type(u0).__name__}; arrays go to integrate_batch")

@@ -8,11 +8,9 @@ the initial datum, and the distinguished role of the combination
 ``-div(eta) + xi`` (unique in the limit) versus its factors (not unique).
 
 ``sweep`` is the one routine that runs a family of configs along one coupled
-noise path; ``dnpde sweep`` and criteria 6, 7 and 9 all call it.  A sweep
-entry is a run and its Cauchy distance to the run before it, nothing more;
-the reader that needs a run's integrals walks them, and a missing graph
-(``eta`` or ``xi`` None) adds nothing.  ``record_integrals`` stacks a run's
-records once, and its tail sums stop exactly at each record's largest value.
+noise path; ``dnpde sweep`` and criteria 6, 7 and 9 all call it.  Every time
+integral is bit for bit a walk over the run's records in order, and a missing
+graph (``eta`` or ``xi`` None) adds nothing to it.
 """
 
 from __future__ import annotations
@@ -138,6 +136,8 @@ def record_integrals(traj):
     xi (nodes), M over ``DEFAULT_TAIL_LEVELS``.  Each field is stacked once on
     a leading record axis; each record is reduced alone and the records are
     added in order, so every sum keeps the bits of a walk record by record.
+    A record's tail sums stop at the first level at or above its largest
+    value, where every later sum is empty.  The run must keep every record.
     """
     cfg, led = traj.config, traj.ledgers
     g, dt = cfg.grid, cfg.dt
@@ -252,7 +252,9 @@ def sweep(runs, seed):
     any run; each run gets it summed onto its dt and cut to its modes.
     Returns ``(checksum, entries)``: ``checksum`` is the SHA-256 of that draw
     (its finest level, before any cut), ``entries`` yields one ``SweepEntry``
-    per run, and a failing run raises a ``SolverError`` that names it.
+    per run, and a failing run raises a ``SolverError`` that names it.  The
+    first config decides whether the path is drawn: without its noise there
+    is none (checksum ``''``), and a later noisy run raises ``ValueError``.
     """
     cfgs = [cfg for cfg, _ in runs]
     if cfgs[0].noise is None:
@@ -265,14 +267,14 @@ def sweep(runs, seed):
         )
         checksum = noisemod.increment_checksum(tables[fine])
         tables = [t[:, : c.noise.mode_count] for c, t in zip(cfgs, tables)]
-    return checksum, _sweep_entries(runs, tables, seed)
+    return checksum, _sweep_entries(runs, tables)
 
 
-def _sweep_entries(runs, tables, seed):
+def _sweep_entries(runs, tables):
     prev = None
     for i, ((cfg, u0), increments) in enumerate(zip(runs, tables)):
         try:
-            traj = solvermod.integrate(cfg, u0, seed, increments)
+            traj = solvermod.integrate(cfg, u0, increments=increments)
         except solvermod.SolverError as err:
             raise solvermod.SolverError(
                 f"sweep run {i} (lambda={cfg.lambda_yosida}, dt={cfg.dt}) failed: {err}",
@@ -326,7 +328,8 @@ def lipschitz_test(cfg, u0_a: GridField, u0_b: GridField, n_paths, master_seed):
 # ---------------------------------------------------------------------------
 
 def phi_integral(traj):
-    """Time integral of ``-div(eta) + xi`` over the horizon, a node array."""
+    """Time integral of ``-div(eta) + xi`` over the horizon, a node array,
+    from a run that kept every record; a missing graph adds nothing."""
     cfg = traj.config
     acc = np.zeros(cfg.grid.shape)
     for rec in _steps(traj):

@@ -1,11 +1,14 @@
-"""Every name a dnpde module exports in ``__all__`` exists in that module, and
-importing every module loads nothing beyond the standard library and numpy."""
+"""Every name a dnpde module exports in ``__all__`` exists in that module, the
+README's Layout table names every module, and importing every module loads
+nothing beyond the standard library and numpy."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,12 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_readme_layout_names_exactly_the_modules():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.partition("## Layout")[2].partition("\n## ")[0]
+    assert sorted(re.findall(r"^\| `(dnpde\.\w+)` \|", table, re.M)) == MODULES
 
 
 # a fresh interpreter's modules before and after importing every dnpde module;

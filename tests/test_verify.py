@@ -73,6 +73,17 @@ def test_sweep_draws_one_path_cut_per_run():
     assert np.array_equal(coarse.states(), direct.states())
 
 
+def test_sweep_refuses_a_noisy_run_after_a_noiseless_first():
+    # the first config decides the draw: without its noise no table is drawn,
+    # so a later noisy run is refused, not run on a stream of its own
+    cfg, u0 = base_cfg(), GridField(G, gd.sine_mode(G, 1))
+    checksum, entries = vf.sweep([(replace(cfg, noise=None), u0), (cfg, u0)], nz.PathSeed(4))
+    assert checksum == ""
+    assert next(entries).trajectory.config.noise is None
+    with pytest.raises(ValueError, match="carries noise but no increment table"):
+        next(entries)
+
+
 def test_sweep_failure_names_the_run_and_keeps_the_step():
     # dt * (lambda_max + 1) / lambda is 0.57 at dt = 1/2048 and 2.3 at dt = 1/512
     cfg = base_cfg(
