@@ -29,6 +29,8 @@ at the step of its first failing record.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -231,8 +233,8 @@ def _thomas(diag, off, rhs):
 
     ``(n,)`` coefficient lines run on Python floats, which round as float64
     scalars do at a fraction of numpy's per-operation cost; coefficients with
-    path axes run on their ``(P,)`` rows.  A batch's right-hand side runs on
-    its rows, so lines shared by every path are factored once for the batch."""
+    path axes run on their ``(P,)`` rows.  A right-hand side with a path axis
+    runs on its rows, so ``(n,)`` lines are factored once per call."""
     d, o, y = ((a.tolist() if a.ndim == 1 else list(a)) for a in (diag, off, rhs))
     c = [0.0] * len(o)
     m = d[0]
@@ -246,17 +248,31 @@ def _thomas(diag, off, rhs):
     return np.array(y)
 
 
+@functools.lru_cache(maxsize=gridmod.EIG_CACHE_SIZE)
+def _shared_inverse(n, diag, off):
+    """Inverse of the ``n``-node tridiagonal with constant ``diag`` and
+    ``off``, by the Thomas sweep on the identity (cached, read-only)."""
+    inv = _thomas(np.full(n, diag), np.full(n - 1, off), np.eye(n))
+    inv.flags.writeable = False
+    return inv
+
+
 def _newton_direction(cfg, state, ev, mu):
-    """Solve ``H d = -grad F`` at ``state`` by a Thomas sweep (1-d) or
-    Jacobi-scaled CG (2-d).
+    """Solve ``H d = -grad F`` at ``state`` on one of three routes: the
+    cached inverse (1-d, one system for every path), a Thomas sweep (other
+    1-d systems) or Jacobi-scaled CG (2-d).
 
     ``H`` takes each curvature as ``newton + mu * (secant - newton)``; while
     no path has ``mu > 0`` it takes the Newton curvatures as they are, and
     without its graph a secant curvature is its Newton one (without beta
     ``H`` has no node term, without gamma its faces carry the viscosity).
     A face curvature that is one number (a linear gamma's, or the viscosity
-    alone) gives one coupling per axis, built once with no path axis: the
-    1-d sweep takes ``(n,)`` lines, and 2-d CG broadcasts the number.  The
+    alone) gives one coupling per axis, built once with no path axis, and
+    2-d CG broadcasts the number.  In 1-d, where the diagonal is one number
+    too (no beta or a linear one, and no damped path), every path and step
+    shares the system: up to ``SHARED_INVERSE_NODES`` a direction is one
+    product with its cached ``_shared_inverse`` (n^2 work per path, which
+    loses to the sweep far above), and the sweep takes the rest.  The
     viscosity is added even at ``lambda_visc = 0``: every curvature is
     ``>= 0``, so ``0.0 + c`` has the bits of ``c``.
     """
@@ -276,6 +292,8 @@ def _newton_direction(cfg, state, ev, mu):
         diag = diag + sides / h**2
     if g.dim == 1:
         n, h2 = g.nodes[0], g.spacing[0] ** 2
+        if np.ndim(face) == 0 and np.ndim(diag) == 0 and n <= SHARED_INVERSE_NODES:
+            return _shared_inverse(n, float(diag), float(-face / h2)) @ -ev.grad
         off = -coef[0][1:-1] / h2 if np.ndim(face) else np.full(n - 1, -face / h2)
         return _thomas(np.full(n, diag) if np.ndim(diag) == 0 else diag, off, -ev.grad)
 
@@ -395,6 +413,10 @@ class Trajectory:
 
 
 RECORD_BLOCK_BYTES = 2**18   # bytes of record arrays certified and ledgered in one block
+# nodes up to which a 1-d Newton system shared by every path is inverted: its
+# cached inverse fits in a record block (181); bound once, so resizing the
+# blocks never switches the Newton route
+SHARED_INVERSE_NODES = math.isqrt(RECORD_BLOCK_BYTES // 8)
 
 
 def _certify(cfg, n0, queue, store):

@@ -254,12 +254,16 @@ def sweep(runs, seed):
     (its finest level, before any cut), ``entries`` yields one ``SweepEntry``
     per run, and a failing run raises a ``SolverError`` that names it.  The
     first config decides whether the path is drawn: without its noise there
-    is none (checksum ``''``), and a later noisy run raises ``ValueError``.
+    is none (checksum ``''``), and a later noisy run raises ``ValueError``;
+    with it, a later noiseless run raises ``ValueError`` before the draw.
     """
     cfgs = [cfg for cfg, _ in runs]
     if cfgs[0].noise is None:
         tables, checksum = [None] * len(runs), ""
     else:
+        for i, cfg in enumerate(cfgs):
+            if cfg.noise is None:
+                raise ValueError(f"sweep run {i} has no noise, but run 0 draws the path")
         dts = [cfg.dt for cfg in cfgs]
         fine = dts.index(min(dts))
         tables = noisemod.coupled_increment_tables(

@@ -617,12 +617,31 @@ LINEAR_CASES = {   # (gamma, beta, lambda_visc)
 }
 
 
+SHARED_CASES = ("linear", "linear_visc", "no_gamma_visc")   # one 1-d system for every path
+
+
+def _step_log(monkeypatch):
+    """Log ``step`` at each implicit step and ``direction`` at each Newton direction."""
+    log = []
+    for name in ("_implicit_step_arrays", "_newton_direction"):
+        inner = getattr(sv, name)
+
+        def logged(*args, _inner=inner, _name=name):
+            log.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(sv, name, logged)
+    return log
+
+
 @pytest.mark.parametrize("case", LINEAR_CASES)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_linear_curvature_as_a_number_changes_no_bit(monkeypatch, dim, case):
     # a Newton curvature that is one number builds the Newton system once for
     # the batch; every run is the run on the same number spread over every
-    # face, node and path, bit for bit
+    # face, node and path, bit for bit, except where a 1-d system is one
+    # number on every face and node: that one takes the cached inverse and
+    # the spread run the Thomas sweep, which agree to rounding
     gamma, beta, lambda_visc = LINEAR_CASES[case]
     g = G16 if dim == 1 else DirichletGrid((1.0, 1.0), (6, 6))
     cfg = heat_cfg(
@@ -634,15 +653,19 @@ def test_linear_curvature_as_a_number_changes_no_bit(monkeypatch, dim, case):
     u2 = np.stack([u0, -0.5 * u0], axis=-1)
     state, ev = _first_evaluation(cfg, u2, table[0, :, :2])
     mu = np.array([0.0, 0.5])   # one damped path
+    log = _step_log(monkeypatch)
 
     def outputs():
-        return (
+        log.clear()
+        runs = (
             sv.integrate(cfg, GridField(g, u0), nz.PathSeed(8), keep_every=2),
             sv.integrate_batch(cfg, u0, table, keep_every=2),   # 3 paths, not 6 nodes
-            sv._newton_direction(cfg, sv._state(cfg, u2), ev, mu),
         )
+        u2_state = sv._state(cfg, u2)
+        directions = [sv._newton_direction(cfg, u2_state, ev, m) for m in (mu, np.zeros(2))]
+        return runs, directions, log[: -len(directions)]
 
-    one, batch, damped = outputs()
+    (one, batch), (damped, undamped), steps = outputs()
     linear = "face_curv" if gamma is not None else "node_curv"
     assert np.ndim(getattr(state.terms, linear)) == 0
     # the slope derivative as an array of its argument's shape, as it was
@@ -651,30 +674,91 @@ def test_linear_curvature_as_a_number_changes_no_bit(monkeypatch, dim, case):
         cx.PowerPotential, "slope_derivative",
         lambda self, x: np.full_like(np.asarray(x, dtype=float), self.scale),
     )
-    old_one, old_batch, old_damped = outputs()
+    (old_one, old_batch), (old_damped, old_undamped), old_steps = outputs()
     assert np.ndim(getattr(sv._state(cfg, u2).terms, linear)) > 0
-    _assert_same_run(one, old_one)
-    _assert_same_run(batch, old_batch)
     assert damped.tobytes() == old_damped.tobytes()
+    if dim == 2 or case not in SHARED_CASES:
+        _assert_same_run(one, old_one)
+        _assert_same_run(batch, old_batch)
+        assert undamped.tobytes() == old_undamped.tobytes()
+        return
+    t, h2 = state.terms, G16.spacing[0] ** 2
+    face = sv._plus(cfg.visc, t.face_curv)
+    diag = sv._plus(1.0 / cfg.dt, t.node_curv) + (face + face) / h2
+    inverse = sv._shared_inverse(16, diag, -face / h2)
+    assert undamped.tobytes() == (inverse @ -ev.grad).tobytes()
+    assert np.max(np.abs(undamped - old_undamped)) <= 1e-13 * np.max(np.abs(old_undamped))
+    assert steps == old_steps and steps.count("_implicit_step_arrays") == 2 * cfg.n_steps
+    for new, old in ((one, old_one), (batch, old_batch)):
+        assert np.max(np.abs(new.terminal - old.terminal)) <= 1e-13 * np.max(np.abs(old.terminal))
 
 
 def test_linear_batch_sweeps_coefficient_lines(monkeypatch):
-    # a linear gamma without beta gives every path the same Newton system:
-    # the 1-d sweep gets (n,) coefficient lines, factored once per direction
+    # a linear gamma without beta gives every path and step the same Newton
+    # system: its (n,) coefficient lines are swept once, on the identity, to
+    # build the cached inverse, and no step sweeps
     cfg = heat_cfg(
         noise=nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 0.6), lambda_visc=0.0,
         dt=2.0**-6, horizon=2.0**-4,
     )
+    sv._shared_inverse.cache_clear()
     sweeps = _counted(monkeypatch, sv, "_thomas")
     sv.run_ensemble(cfg, gd.sine_mode(G16, 1), master_seed=4, n_paths=64)
-    assert len(sweeps) >= cfg.n_steps
-    assert all(diag.ndim == 1 and rhs.shape == (16, 64) for diag, _, rhs in sweeps)
+    assert len(sweeps) == 1
+    ((diag, off, rhs),) = sweeps
+    assert diag.shape == (16,) and off.shape == (15,) and np.array_equal(rhs, np.eye(16))
     for shape in [(), (3,), (4, 5)]:
         x = np.linspace(-2.0, 2.0, math.prod(shape)).reshape(shape)
         d = cx.PowerPotential(2.0, scale=0.7).slope_derivative(x)
         assert np.ndim(d) == 0 and d == 0.7
         for p in (1.5, 4.0):
             assert np.shape(cx.PowerPotential(p, scale=0.7).slope_derivative(x)) == shape
+
+
+def test_shared_system_above_the_cap_is_swept(monkeypatch):
+    # past SHARED_INVERSE_NODES the inverse's n^2 work per path loses to the
+    # sweep: every direction sweeps the (n,) lines and no inverse is built
+    n = sv.SHARED_INVERSE_NODES + 19
+    g = DirichletGrid((1.0,), (n,))
+    cfg = heat_cfg(
+        grid=g, noise=nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 0.6), lambda_visc=0.0,
+        dt=2.0**-6, horizon=2.0**-4,
+    )
+    inverses = _counted(monkeypatch, sv, "_shared_inverse")
+    sweeps = _counted(monkeypatch, sv, "_thomas")
+    directions = _counted(monkeypatch, sv, "_newton_direction")
+    sv.run_ensemble(cfg, gd.sine_mode(g, 1), master_seed=4, n_paths=3)
+    assert inverses == [] and len(sweeps) == len(directions) >= cfg.n_steps
+    assert all(diag.shape == (n,) and rhs.shape == (n, 3) for diag, _, rhs in sweeps)
+
+
+def test_damped_path_takes_the_sweep(monkeypatch):
+    # a damped path blends its own secant into the face coupling, so the
+    # batch's system is no longer shared and the sweep takes it
+    cfg = heat_cfg(noise=nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 0.6), lambda_visc=0.0)
+    u2 = np.stack([gd.sine_mode(G16, 1), -0.5 * gd.sine_mode(G16, 2)], axis=-1)
+    state, ev = _first_evaluation(cfg, u2, np.array([[0.3, -0.2], [0.1, 0.4]]))
+    inverses = _counted(monkeypatch, sv, "_shared_inverse")
+    sweeps = _counted(monkeypatch, sv, "_thomas")
+    sv._newton_direction(cfg, state, ev, np.array([0.0, 0.5]))
+    assert inverses == [] and len(sweeps) == 1 and sweeps[0][1].shape == (15, 2)
+    sv._newton_direction(cfg, state, ev, np.zeros(2))
+    assert len(inverses) == 1 and len(sweeps) == 1
+
+
+def test_single_linear_path_takes_the_inverse(monkeypatch):
+    # a one-path right-hand side (n,) takes the inverse too; the matrix-vector
+    # product rounds unlike the batch's matrix product, within the bound of
+    # test_ensemble_paths_match_integrate
+    cfg = heat_cfg(noise=nz.NoiseModel((0.4, 0.2), nz.AdditiveGain(), 0.5), lambda_visc=0.0)
+    u0 = GridField(G16, gd.sine_mode(G16, 1))
+    inverses = _counted(monkeypatch, sv, "_shared_inverse")
+    sweeps = _counted(monkeypatch, sv, "_thomas")
+    alone = sv.integrate(cfg, u0, nz.PathSeed(7, 2)).states()
+    assert len(inverses) >= cfg.n_steps and sweeps == []
+    batch = sv.run_ensemble(cfg, u0.values, master_seed=7, n_paths=5, keep_every=1).states()
+    sup = np.sqrt(G16.node_volume * ((batch[..., 2] - alone) ** 2).sum(axis=1)).max()
+    assert sup <= 1e-14
 
 
 def test_batch_requires_increments_with_noise():

@@ -84,6 +84,18 @@ def test_sweep_refuses_a_noisy_run_after_a_noiseless_first():
         next(entries)
 
 
+def test_sweep_refuses_a_noiseless_run_after_a_noisy_first(monkeypatch):
+    # a noisy first config draws the path for every run, so a later run
+    # without noise is refused before the draw, naming that run
+    draws = []
+    monkeypatch.setattr(nz, "coupled_increment_tables", lambda *args: draws.append(args))
+    cfg, u0 = base_cfg(), GridField(G, gd.sine_mode(G, 1))
+    runs = [(cfg, u0), (replace(cfg, dt=cfg.dt / 2), u0), (replace(cfg, noise=None), u0)]
+    with pytest.raises(ValueError, match=r"^sweep run 2 has no noise, but run 0 draws the path$"):
+        vf.sweep(runs, nz.PathSeed(4))
+    assert draws == []
+
+
 def test_sweep_failure_names_the_run_and_keeps_the_step():
     # dt * (lambda_max + 1) / lambda is 0.57 at dt = 1/2048 and 2.3 at dt = 1/512
     cfg = base_cfg(
