@@ -139,7 +139,9 @@ def _sweep_configs(rc, grid, param, values):
                 runs.append(configmod.build_problem(rc, noise=noise))
             elif param == "h":   # cmd_sweep has checked the key
                 h = float(v)
-                nodes = tuple(round(L / h) - 1 for L in grid.extents) if h > 0 else (0,)
+                if not 0.0 < h < math.inf:
+                    raise ConfigError("h must be positive and finite")
+                nodes = tuple(round(L / h) - 1 for L in grid.extents)
                 for n, L in zip(nodes, grid.extents):
                     if abs((n + 1) * h - L) > 1e-9 * L:
                         raise ConfigError(f"h does not divide the extent {L}")

@@ -18,13 +18,16 @@ restriction and shares the same limit as dt and the regularization vanish.
 
 A state is evaluated once: its face gradients, the resolvent points and
 Yosida values ``eta = gamma_lam(grad u)``, ``xi = beta_lam(u)`` of both
-graphs and, on the implicit path, the step objective's terms that do not
-depend on the forcing.  The graph certificate, the energy ledger, both steps
-and the kept records read these arrays; a term the problem lacks (a graph,
-the viscosity at ``lambda_visc = 0``) is never materialized.  Single paths
-and batches of independent paths run through one stepping loop into one
-result, ``Trajectory``.  Every record of a run is certified, and a run fails
-at the step of its first failing record.
+graphs and, on the implicit path, the terms of the step objective's gradient
+and Newton system that do not depend on the forcing.  The graph certificate,
+the energy ledger, both steps and the kept records read these arrays; a term
+the problem lacks (a graph, the viscosity at ``lambda_visc = 0``) is never
+materialized.  The value of ``F``, with its envelopes, feeds only the
+Armijo test, so a line search computes it only while a path's trial is not
+certified by its gradient.  Single paths and batches of independent paths
+run through one stepping loop into one result, ``Trajectory``.  Every
+record of a run is certified, and a run fails at the step of its first
+failing record.
 """
 
 from __future__ import annotations
@@ -146,21 +149,28 @@ def _plus(a, b):
     return b if a is None else a if b is None else a + b
 
 
-def _yosida_parts(pot, lam, a, j):
-    """Moreau envelope and Newton curvature of the Yosida map at ``a``, whose
-    resolvent point is ``j``; (None, None) without a potential.
+def _curvature(pot, lam, j):
+    """Newton curvature ``G' = g'(J) / (1 + lam g'(J))`` of the Yosida map at
+    a point whose resolvent point is ``j``; None without a potential.
 
-    The curvature is ``G' = g'(J) / (1 + lam g'(J))``, ``1/lam`` where the
-    graph is vertical, and one number, with no node or path axis, where
-    ``g'`` is one (a linear graph).  As ``g' >= 0`` the division cannot be by
-    zero; the caller ignores the overflow and invalid values it can make.
+    It is ``1/lam`` where the graph is vertical, and one number, with no node
+    or path axis, where ``g'`` is one (a linear graph).  As ``g' >= 0`` the
+    division cannot be by zero; the caller ignores the overflow and invalid
+    values it can make.
     """
     if pot is None:
-        return None, None
-    r = a - j
+        return None
     gp = pot.slope_derivative(j)
-    dG = np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
-    return pot.value(j) + r * r / (2.0 * lam), dG
+    return np.where(np.isinf(gp), 1.0 / lam, gp / (1.0 + lam * gp))
+
+
+def _envelope(pot, lam, a, j):
+    """Moreau envelope of ``pot`` at ``a``, whose resolvent point is ``j``;
+    None without a potential."""
+    if pot is None:
+        return None
+    r = a - j
+    return pot.value(j) + r * r / (2.0 * lam)
 
 
 def _secant(dG, a, G):
@@ -177,12 +187,11 @@ def _secant(dG, a, G):
 # (``j_nodes``, ``xi``); then the state-only ``terms`` (None semi-implicitly).
 _State = namedtuple("_State", "u face_buf j_buf eta_buf j_nodes xi terms")
 
-# The terms of the step objective that depend on the state alone: the face sum
-# of the viscous and flux envelopes, the divergence of the flux, the envelope
-# of beta at the nodes, and the Newton curvature of each graph, on the face
-# buffer (viscosity not included) and at the nodes; None, not zeros, where the
-# problem lacks the term (no viscosity, no graph).
-_Terms = namedtuple("_Terms", "face_sum div node_env face_curv node_curv")
+# The terms of the step's gradient and Newton system that depend on the state
+# alone: the divergence of the flux, and the Newton curvature of each graph,
+# on the face buffer (viscosity not included) and at the nodes; None, not
+# zeros, where the problem lacks the term (no viscosity, no graph).
+_Terms = namedtuple("_Terms", "div face_curv node_curv")
 
 
 def _state(cfg, u):
@@ -199,32 +208,37 @@ def _state(cfg, u):
             xi = cfg.beta.yosida_from_resolvent(lam, u, j_nodes)
         if cfg.scheme == "implicit_opt":
             visc = cfg.visc or None   # no viscous term at lambda_visc = 0
-            env, face_curv = _yosida_parts(cfg.gamma, lam, face_buf, j_buf)
             flux = _plus(visc and visc * face_buf, eta_buf)
-            face_env = _plus(visc and 0.5 * visc * face_buf * face_buf, env)
-            face_sum = div = None
-            if flux is not None:
-                face_sum = sum(gridmod._grid_sum(g, e) for e in gridmod.face_views(g, face_env))
-                div = gridmod.div_arrays(g, gridmod.face_views(g, flux))
-            node_env, node_curv = _yosida_parts(cfg.beta, lam, u, j_nodes)
-            terms = _Terms(face_sum, div, node_env, face_curv, node_curv)
+            div = None if flux is None else gridmod.div_arrays(g, gridmod.face_views(g, flux))
+            terms = _Terms(div, _curvature(cfg.gamma, lam, j_buf), _curvature(cfg.beta, lam, j_nodes))
     return _State(u, face_buf, j_buf, eta_buf, j_nodes, xi, terms)
 
 
-# The step objective at one state: value and gradient norm per path, and the
-# h-weighted gradient.
-_Eval = namedtuple("_Eval", "value grad grad_norm")
+# The gradient of the step objective at one state, h-weighted, and its norm
+# per path: all that certifies a step (``||grad F||_h <= eps_inner``).
+_Eval = namedtuple("_Eval", "grad grad_norm")
 
 
 def _evaluate(cfg, state, forcing):
-    """The step objective at ``state``: its cached state-only terms plus the
-    terms of ``forcing``."""
-    g, s = cfg.grid, state.terms
+    """The step objective's gradient at ``state``: its cached state-only
+    terms plus the terms of ``forcing``."""
+    s = state.terms
     r = state.u - forcing
     out = _plus(r / cfg.dt if s.div is None else r / cfg.dt - s.div, state.xi)
-    value = gridmod._grid_sum(g, _plus(r * r / (2.0 * cfg.dt), s.node_env))
-    value = g.node_volume * _plus(value, s.face_sum)
-    return _Eval(value, out, gridmod.norm_h(g, out))
+    return _Eval(out, gridmod.norm_h(cfg.grid, out))
+
+
+def _value(cfg, state, forcing):
+    """The step objective ``F`` at ``state``, one value per path."""
+    g, lam, b = cfg.grid, cfg.lambda_yosida, state.face_buf
+    visc = cfg.visc or None
+    face_env = _plus(visc and 0.5 * visc * b * b, _envelope(cfg.gamma, lam, b, state.j_buf))
+    r = state.u - forcing
+    node_env = _envelope(cfg.beta, lam, state.u, state.j_nodes)
+    value = gridmod._grid_sum(g, _plus(r * r / (2.0 * cfg.dt), node_env))
+    if face_env is not None:
+        value = value + sum(gridmod._grid_sum(g, e) for e in gridmod.face_views(g, face_env))
+    return g.node_volume * value
 
 
 def _thomas(diag, off, rhs):
@@ -316,23 +330,40 @@ def _inner_failure(cfg, gn, what, iterations):
     )
 
 
-def _line_search(cfg, state, forcing, ev, d, todo, it):
-    """Armijo backtracking on ``F``, one step length per path in ``todo``.
+def _line_search(cfg, state, forcing, ev, value, d, todo, it):
+    """Backtracking from ``state`` along ``d``, one step length per path in
+    ``todo``; returns the last trial state, its evaluation, the step lengths
+    and ``F`` there (None where it was not computed).
 
-    Where ``t <grad F, d>`` is below the rounding of ``F``, a step lowering
-    ``||grad F||_h`` is taken.  Accepted paths keep their step length, so the
-    last trial state holds every path's result."""
-    slope = gridmod.dot_h(cfg.grid, ev.grad, d)
-    rounding = F_ROUNDING * (1.0 + np.abs(ev.value))
-    t = np.ones_like(slope)
+    A trial meeting ``eps_inner`` is its path's certified result.  Only for a
+    path still searching is ``F`` computed, at ``state`` (once, unless
+    ``value`` carries it over) and at the trial, for the Armijo test; where
+    ``t <grad F, d>`` is below the rounding of ``F``, a step lowering
+    ``||grad F||_h`` is taken.  A non-finite ``F`` at either, on a path
+    still searching, fails the search at iteration ``it``.  Accepted paths
+    keep their step length, so the last trial state holds every path's
+    result."""
+    t, slope = np.ones_like(ev.grad_norm), None
     for _ in range(MAX_BACKTRACKS):
         trial = _state(cfg, state.u + t * d)
         new = _evaluate(cfg, trial, forcing)
-        armijo = new.value <= ev.value + ARMIJO * t * slope
-        flat = (np.abs(t * slope) <= rounding) & (new.grad_norm < ev.grad_norm)
-        todo = todo & ~(armijo | flat)
+        todo = todo & ~(new.grad_norm <= cfg.eps_inner)   # a NaN norm is not certified
+        new_value = None
+        if todo.any():
+            if slope is None:
+                value = _value(cfg, state, forcing) if value is None else value
+                slope = gridmod.dot_h(cfg.grid, ev.grad, d)
+                rounding = F_ROUNDING * (1.0 + np.abs(value))
+            new_value = _value(cfg, trial, forcing)
+            armijo = new_value <= value + ARMIJO * t * slope
+            flat = (np.abs(t * slope) <= rounding) & (new.grad_norm < ev.grad_norm)
+            finite = np.isfinite(value) & np.isfinite(new_value)
+            todo = todo & ~((armijo | flat) & finite)
         if not todo.any():
-            return trial, new, t
+            return trial, new, t, new_value
+        if (bad := todo & ~finite).any():   # todo is left only where this trial computed F
+            what = f"hit a non-finite iterate at iteration {it}"
+            raise _inner_failure(cfg, np.where(bad, new.grad_norm, 0.0), what, it)
         t = np.where(todo, 0.5 * t, t)
     what = f"line search failed after {MAX_BACKTRACKS} backtracks at iteration {it}"
     raise _inner_failure(cfg, np.where(todo, ev.grad_norm, 0.0), what, it)
@@ -348,18 +379,19 @@ def _implicit_step_arrays(cfg, state, forcing):
     1), so Newton takes over near the optimum.  A path meeting ``eps_inner``
     is frozen, so it stops on its own certificate whatever its batch.
     """
-    ev = _evaluate(cfg, state, forcing)
-    if not (np.isfinite(ev.value).all() and np.isfinite(ev.grad_norm).all()):
-        raise _inner_failure(cfg, ev.grad_norm, "hit a non-finite iterate at iteration 0", 0)
-    mu = np.zeros_like(ev.grad_norm)
-    it = 0
-    while (active := ev.grad_norm > cfg.eps_inner).any():
-        if it == cfg.max_inner:
-            raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
-        it += 1
-        d = np.where(active, _newton_direction(cfg, state, ev, mu), 0.0)
-        state, ev, t = _line_search(cfg, state, forcing, ev, d, active, it)
-        mu = np.where(t == 1.0, mu / MU_STEP, np.minimum(np.maximum(mu * MU_STEP, MU_MIN), 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite norm or F is refused
+        ev = _evaluate(cfg, state, forcing)
+        if not np.isfinite(ev.grad_norm).all():
+            raise _inner_failure(cfg, ev.grad_norm, "hit a non-finite iterate at iteration 0", 0)
+        mu = np.zeros_like(ev.grad_norm)
+        it, value = 0, None
+        while (active := ~(ev.grad_norm <= cfg.eps_inner)).any():
+            if it == cfg.max_inner:
+                raise _inner_failure(cfg, ev.grad_norm, f"exceeded {it} iterations", it)
+            it += 1
+            d = np.where(active, _newton_direction(cfg, state, ev, mu), 0.0)
+            state, ev, t, value = _line_search(cfg, state, forcing, ev, value, d, active, it)
+            mu = np.where(t == 1.0, mu / MU_STEP, np.minimum(np.maximum(mu * MU_STEP, MU_MIN), 1.0))
     return state
 
 

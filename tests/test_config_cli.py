@@ -707,6 +707,17 @@ def test_sweep_out_of_range_values_exit_2(tmp_path, capsys, param, value):
         assert "line" not in err.partition(f"{float(value)!r}: ")[2]
 
 
+# h = 0 and -0.1 used to read "h does not divide the extent 1.0", nan and inf
+# "nodes must be at least 3 per axis"
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf", "-inf"])
+def test_sweep_h_must_be_positive_and_finite(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, BASIC)
+    out = str(tmp_path / "o")
+    assert cli.main(["sweep", cfg, "--param", "h", f"--values={value}", "--out", out]) == 2
+    want = f"config error: h sweep value {float(value)!r}: h must be positive and finite\n"
+    assert capsys.readouterr().err == want
+
+
 @pytest.mark.parametrize("param, values", [
     ("lambda_yosida", "0.5,0.25"), ("dt", "0.03125,0.015625"), ("h", "0.0625,0.03125"),
     ("mode_count", "1"),

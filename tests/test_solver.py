@@ -950,8 +950,8 @@ def test_yosida_derivative_matches_difference_quotient(pot):
         DirichletGrid((1.0,), a.shape), None, pot, None, lambda_yosida=lam, dt=1.0, horizon=1.0,
     )
     state = sv._state(cfg, a)   # the absorption graph at the nodes a
-    with np.errstate(over="ignore", invalid="ignore"):   # as _state calls it
-        env, dG = sv._yosida_parts(pot, lam, a, state.j_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):   # as the implicit step calls them
+        env, dG = sv._envelope(pot, lam, a, state.j_nodes), sv._curvature(pot, lam, state.j_nodes)
     assert np.array_equal(state.xi, cx.yosida(pot, lam, a))
     assert np.abs(env - cx.moreau_envelope(pot, lam, a)).max() <= 1e-12
     assert np.all((dG >= 0.0) & (dG <= 1.0 / lam))
@@ -1028,6 +1028,119 @@ def test_each_state_is_evaluated_once(monkeypatch):
     assert trials >= cfg.n_steps
     assert len(fluxes) == len(sources) == 1 + trials
     assert len(flux_curvs) == len(source_curvs) == 1 + trials
+    # F is computed only where a line search compares values: a linear,
+    # beta-less batch certifies every trial by its gradient, so it computes
+    # no envelope and no F
+    envelopes = _counted(monkeypatch, sv, "_envelope")
+    values = _counted(monkeypatch, sv, "_value")
+    cfg = heat_cfg(noise=nz.NoiseModel((0.5, 0.25), nz.AdditiveGain(), 0.6), horizon=4 / 64)
+    evaluations.clear()
+    sv.run_ensemble(cfg, gd.sine_mode(G16, 1), master_seed=4, n_paths=8)
+    assert len(evaluations) >= 2 * cfg.n_steps
+    assert len(envelopes) == len(values) == 0
+    # p = 4 and abs compare values, each state's at most once: its envelopes
+    # of both graphs, with the forcing of the step that makes or starts from it
+    states = _counted(monkeypatch, sv, "_state")
+    cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), horizon=4 / 64)
+    sv.integrate(cfg, GridField(G16, 1.5 * gd.sine_mode(G16, 1)))
+    valued = [args[1] for args in values]   # held, so no id is reused
+    assert 0 < len(valued) <= len(states)
+    assert len({id(state) for state in valued}) == len(valued)
+    assert len(envelopes) == 2 * len(valued)
+
+
+def test_non_finite_value_refuses_the_step_where_it_is_computed(monkeypatch):
+    # F is computed at a line search's incoming state and at its trials; a
+    # non-finite value at any of them refuses the step at that iteration,
+    # naming the path whose value it is
+    cfg = heat_cfg(gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential())
+    u = np.stack([1.5 * gd.sine_mode(G16, 1)] * 2, axis=-1)
+    line_search, value, current, iterations = sv._line_search, sv._value, [0], []
+
+    def search(*args):
+        current[0] = args[-1]   # the iteration of the search
+        return line_search(*args)
+
+    def valued(*args):
+        iterations.append(current[0])
+        return value(*args)
+
+    monkeypatch.setattr(sv, "_line_search", search)
+    monkeypatch.setattr(sv, "_value", valued)
+    sv._implicit_step_arrays(cfg, sv._state(cfg, u), u)
+    monkeypatch.undo()
+    assert len(iterations) >= 3 and iterations[-1] > 1
+    envelope = sv._envelope
+    for k, it in enumerate(iterations):
+        node_envelopes = []
+
+        def poisoned(pot, lam, a, j):
+            env = envelope(pot, lam, a, j)
+            if pot is cfg.beta:
+                if len(node_envelopes) == k:
+                    env[..., 1] = np.inf   # path 1 of the k-th value
+                node_envelopes.append(env)
+            return env
+
+        monkeypatch.setattr(sv, "_envelope", poisoned)
+        with pytest.raises(sv.InnerSolveError) as info:
+            sv._implicit_step_arrays(cfg, sv._state(cfg, u), u)
+        assert (info.value.path, info.value.iterations) == (1, it)
+        assert f"hit a non-finite iterate at iteration {it} on path 1:" in str(info.value)
+
+
+@pytest.mark.parametrize("gamma, beta", [
+    pytest.param(cx.PowerPotential(2.0), None, id="linear"),
+    pytest.param(cx.PowerPotential(4.0), cx.AbsPotential(), id="p4_abs"),
+])
+def test_overflowing_gradient_is_refused_without_a_warning(gamma, beta):
+    # the gradient norm overflows at amplitude 1e153; its refusal used to
+    # follow a numpy RuntimeWarning (in reduce, and in multiply at p = 4)
+    cfg = heat_cfg(gamma=gamma, beta=beta)
+    u0 = GridField(G16, 1e153 * gd.sine_mode(G16, 1) / 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(sv.InnerSolveError, match="non-finite iterate at iteration 0") as info:
+            sv.integrate(cfg, u0)
+    assert info.value.step_index == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_path_certifies_on_its_own(monkeypatch, dim):
+    # 0, 0.1 and 2 times the first mode certify their first step after 0,
+    # fewer and more Newton iterations; each path's column has the same bits
+    # in batches of 3, 2 and 5, whatever its neighbours
+    g = G16 if dim == 1 else DirichletGrid((1.0, 1.0), (8, 8))
+    cfg = heat_cfg(
+        grid=g, gamma=cx.PowerPotential(4.0), beta=cx.AbsPotential(), lambda_yosida=0.25,
+        lambda_visc=0.0, horizon=4 / 64,
+    )
+    e1 = gd.sine_mode(g, (1,) * dim)
+    paths = [0.0 * e1, 0.1 * e1, 2.0 * e1]
+    directions = _counted(monkeypatch, sv, "_newton_direction")
+    iterations = []
+    for u in paths:
+        directions.clear()
+        sv._implicit_step_arrays(cfg, sv._state(cfg, u), u)
+        iterations.append(len(directions))
+    assert iterations[0] == 0 < iterations[1] < iterations[2]
+
+    def column(columns, i):
+        traj = sv.integrate_batch(cfg, np.stack(columns, axis=-1), None, keep_every=1)
+        ledgers = [traj.ledgers[c][:, i] for c in sv.LEDGER_COLUMNS]
+        return traj.terminal[..., i], traj.states()[..., i], ledgers
+
+    for i, u in enumerate(paths):
+        others = [paths[(i + 1) % 3], paths[(i + 2) % 3]]
+        runs = [
+            column(paths, i),
+            column([u, others[0]], 0),
+            column([others[1], 0.5 * e1, others[0], u, 3.0 * e1], 3),
+        ]
+        for terminal, states, ledgers in runs[1:]:
+            assert terminal.tobytes() == runs[0][0].tobytes()
+            assert states.tobytes() == runs[0][1].tobytes()
+            assert [a.tobytes() for a in ledgers] == [a.tobytes() for a in runs[0][2]]
 
 
 def test_state_terms_are_not_written_by_an_evaluation():
